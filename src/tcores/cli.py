@@ -4,6 +4,7 @@ and the identity verification suite."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -34,6 +35,39 @@ def _complex_arg(text: str) -> complex:
         return complex(float(text), 0.0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+# `verify` flags as (flag, keyword, type).  A flag the user sets is passed to
+# the verifier as that keyword argument; an unset flag leaves the verifier's
+# own default.
+VERIFY_FLAGS = (
+    ("--t", "t", _positive_int),
+    ("--tvalue", "t_value", _complex_arg),
+    ("--r", "r", _positive_int),
+    ("--trunc", "N", _positive_int),
+    ("--z", "z", _complex_arg),
+    ("--s", "s", _complex_arg),
+    ("--max-size", "max_size", _nonnegative_int),
+    ("--max-n", "max_n", _positive_int),
+    ("--samples", "samples", _positive_int),
+    ("--seed", "seed", int),
+)
 
 
 def _join(values) -> str:
@@ -110,43 +144,19 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-VERIFIERS = {
-    "multiset-formula": lambda a: identities.verify_multiset_formula(
-        a.t or 5, a.max_size or 15
-    ),
-    "exploded-relations": lambda a: identities.verify_exploded_relations(
-        a.t or 5, a.max_size or 15
-    ),
-    "nekrasov-okounkov": lambda a: identities.verify_nekrasov_okounkov(a.trunc or 12),
-    "sin-family": lambda a: identities.verify_sin_family(
-        a.r, t_value=a.tvalue, z=a.z, N=a.trunc or 8, seed=a.seed
-    ),
-    "poly-s-family": lambda a: identities.verify_poly_s_family(
-        s=a.s, z=a.z, N=a.trunc or 8, seed=a.seed
-    ),
-    "jacobi": lambda a: identities.verify_jacobi(a.trunc or 10),
-    "macdonald": lambda a: identities.verify_macdonald(a.t or 2, a.trunc or 4),
-    "tcore-lemmas": lambda a: identities.verify_tcore_lemmas(
-        a.t or 3, z=a.z, N=a.trunc or 10, seed=a.seed
-    ),
-    "multiplication": lambda a: identities.verify_multiplication(a.r, a.trunc or 10),
-    "hook-content": lambda a: identities.verify_hook_content(
-        a.max_size or 8, a.max_n
-    ),
-    "sin-lemma": lambda a: identities.verify_sin_lemma(a.samples, a.seed),
-    "classical-cross-checks": lambda a: identities.verify_classical_crosschecks(
-        a.max_size or 25, 8, min(a.max_size or 20, 20)
-    ),
-    "golden-tables": lambda a: identities.verify_golden_tables(),
-}
-
-
 def cmd_verify(args) -> int:
+    fn = identities.verifier(args.identity)
+    kwargs = {kw: getattr(args, kw) for _, kw, _ in VERIFY_FLAGS if getattr(args, kw) is not None}
+    takes = inspect.signature(fn).parameters
+    unknown = [flag for flag, kw, _ in VERIFY_FLAGS if kw in kwargs and kw not in takes]
+    if unknown:
+        print(f"error: {args.identity} does not take {', '.join(unknown)}", file=sys.stderr)
+        return 2
     try:
-        report = VERIFIERS[args.identity](args)
-    except identities.SingularSampleError as exc:
+        report = fn(**kwargs)
+    except ValueError as exc:  # parameters the verifier rejects
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     if args.format == "json":
         print(report.to_json())
     else:
@@ -190,36 +200,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("core-map", help="coding table for a t-core")
     p.add_argument("--partition", type=_partition_arg, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_core_map)
 
     p = sub.add_parser("explode", help="render the exploded tableau window")
     p.add_argument("--partition", type=_partition_arg, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--format", choices=("text", "svg"), default="text")
     p.set_defaults(fn=cmd_explode)
 
     p = sub.add_parser("enumerate", help="list t-cores up to a size")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--max-size", type=int, default=15)
+    p.add_argument("--t", type=_positive_int, required=True)
+    p.add_argument("--max-size", type=_nonnegative_int, default=15)
     p.add_argument("--via", choices=("filter", "codings"), default="filter")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run one identity verifier")
-    p.add_argument("identity", choices=sorted(VERIFIERS))
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--tvalue", type=_complex_arg, default=None,
-                   help="complex t parameter for the sine family, e.g. 1.41,0.2")
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--trunc", type=int, default=None)
-    p.add_argument("--z", type=_complex_arg, default=None)
-    p.add_argument("--s", type=_complex_arg, default=None)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("identity", choices=sorted(identities.VERIFIERS))
+    for flag, keyword, type_ in VERIFY_FLAGS:
+        p.add_argument(flag, dest=keyword, type=type_)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 

@@ -49,10 +49,6 @@ class HalfInt:
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def residue_twice(self, t: int) -> int:
-        """Residue of the doubled value modulo 2t; labels the class mod t."""
-        return self.twice % (2 * t)
-
     def same_class(self, other: "HalfInt", t: int) -> bool:
         return (self.twice - other.twice) % (2 * t) == 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coding import CoreCoding, class_sorted_coding, core_coding
+from .coding import CoreCoding, class_sorted_coding
 from .partitions import Partition
 
 
@@ -241,13 +241,6 @@ def evaluate(ledger: WeightLedger, tau: WeightAssignment):
     if result is None:
         return ledger.sign
     return result if ledger.sign == 1 else -result
-
-
-def ledger_identity_pair(partition: Partition, t: int):
-    """Both sides of the hook-shift identity as ledgers (they must be equal)."""
-    coding = core_coding(partition, t)
-    beta = partition.small_hook_counts(t)
-    return hook_shift_ledger(partition, t), coding_difference_ledger(coding, beta, t)
 
 
 def _is_zero(value) -> bool:

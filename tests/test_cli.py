@@ -109,19 +109,46 @@ def test_verify_with_explicit_sample(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
-def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["core-map", "--partition", "1,2", "--t", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "no-such-identity"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+def test_verify_flags_reach_the_verifier(capsys):
+    code, out, _ = run(
+        capsys, "verify", "sin-family", "--samples", "2", "--trunc", "4", "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["params"]["samples"] == 2 and data["N"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["core-map", "--partition", "1,2", "--t", "3"],
+        ["no-such-command"],
+        ["verify", "no-such-identity"],
+        ["core-map", "--partition", "1", "--t", "0"],
+        ["explode", "--partition", "1", "--t", "0"],
+        ["enumerate", "--t", "0"],
+        ["enumerate", "--t", "2", "--max-size", "-1"],
+        ["verify", "tcore-lemmas", "--t", "4"],
+        ["verify", "macdonald", "--t", "1"],
+        ["verify", "jacobi", "--trunc", "-1"],
+        ["verify", "sin-family", "--tvalue", "1.5", "--z", "0.7853981633974483", "--trunc", "6"],
+        ["verify", "sin-family", "--tvalue", "1.2,0.1", "--trunc", "4"],
+        ["verify", "sin-lemma", "--samples", "0"],
+        ["verify", "hook-content", "--max-n", "0"],
+        ["verify", "multiset-formula", "--t", "0"],
+        ["verify", "nekrasov-okounkov", "--trunc", "0"],
+        ["verify", "jacobi", "--r", "3"],
+        ["verify", "golden-tables", "--seed", "3"],
+    ],
+    ids="_".join,
+)
+def test_usage_errors_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_suite_quick(capsys):

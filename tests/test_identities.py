@@ -1,10 +1,13 @@
 import cmath
+import inspect
 import json
 import math
 
 import pytest
 
 from tcores.identities import (
+    PROFILES,
+    VERIFIERS,
     SingularSampleError,
     default_samples,
     jacobi_pair,
@@ -26,6 +29,7 @@ from tcores.identities import (
     verify_sin_family,
     verify_sin_lemma,
     verify_tcore_lemmas,
+    verifier,
 )
 from tcores.qseries import TruncatedSeries
 from tcores.rings import ComplexField
@@ -80,6 +84,25 @@ def test_sin_family_numeric_and_exact():
 def test_sin_family_singular_sample():
     with pytest.raises(SingularSampleError):
         verify_sin_family(1, t_value=1.5, z=complex(math.pi / 4, 0), N=6)
+
+
+def test_sin_family_needs_both_t_and_z():
+    with pytest.raises(ValueError):
+        verify_sin_family(1, t_value=1.2 + 0.1j, N=4)
+    with pytest.raises(ValueError):
+        verify_sin_family(1, z=0.37 + 0.11j, N=4)
+
+
+def test_empty_checks_fail():
+    for report, empty in (
+        (verify_hook_content(max_n=0), "pairs_checked = 0"),
+        (verify_multiset_formula(3, -1), "cores_checked = 0"),
+        (verify_exploded_relations(3, -1), "cores_checked = 0"),
+        (verify_sin_family(samples=0), "no samples"),
+        (verify_sin_lemma(samples=0), "no samples"),
+    ):
+        assert report.status == "fail", report.identity
+        assert empty in report.deviation
 
 
 def test_poly_s_family():
@@ -184,6 +207,17 @@ def test_jacobi_specializes_to_sin_family_at_t2():
 def test_default_samples_deterministic():
     assert default_samples(3, seed=7) == default_samples(3, seed=7)
     assert default_samples(3, seed=7) != default_samples(3, seed=8)
+
+
+def test_registry_and_profiles():
+    for identity, name in VERIFIERS.items():
+        fn = verifier(identity)
+        assert fn.__name__ == name
+        assert all(p.default is not p.empty for p in inspect.signature(fn).parameters.values())
+    assert len(PROFILES["full"]) == 31
+    for plan in PROFILES.values():
+        for identity, kwargs in plan:
+            inspect.signature(verifier(identity)).bind(**kwargs)
 
 
 def test_run_suite_quick():
