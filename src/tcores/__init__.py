@@ -72,9 +72,6 @@ from .qseries import (
     macdonald_terms,
     partition_sum_series,
     schur_principal,
-    series_arith,
-    series_exp,
-    series_log,
 )
 from .identities import (
     SingularSampleError,

@@ -169,13 +169,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = identities.run_suite(args.profile, seed=args.seed)
+    kwargs = {kw: getattr(args, kw) for kw in ("profile", "seed") if getattr(args, kw) is not None}
+    reports = identities.run_suite(**kwargs)
     ok = all(r.passed for r in reports)
     if args.format == "json":
+        profile = kwargs.get(
+            "profile", inspect.signature(identities.run_suite).parameters["profile"].default
+        )
         print(
             json.dumps(
                 {
-                    "profile": args.profile,
+                    "profile": profile,
                     "status": "pass" if ok else "fail",
                     "results": [r.to_dict() for r in reports],
                 }
@@ -225,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("suite", help="run the verification battery")
-    p.add_argument("--profile", choices=("quick", "full"), default="quick")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--profile", choices=tuple(identities.PROFILES))
+    p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_suite)
 

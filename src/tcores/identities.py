@@ -339,7 +339,7 @@ def verify_sin_family(
     """
     t0 = time.perf_counter()
     if t_value == 0:
-        lhs = partition_sum_series(lambda h: Fraction(1), r, N)
+        lhs = partition_sum_series(lambda h: 1, r, N)
         rhs = partition_gf(N)
         ok, dev = _exact_compare(lhs, rhs)
         return _finish(
@@ -674,18 +674,18 @@ def verify_multiplication(r: int = 1, N: int = 10) -> VerificationReport:
 def hook_content_sides(lam: Partition, n: int):
     """Schur side times the hook factors, and the content-product side."""
     names = ("p",)
-    one = Poly.constant(names, Fraction(1))
+    one = Poly.constant(names, 1)
     lhs = schur_principal(lam, n)
     for h in lam.hooks():
-        lhs = lhs * (one - Poly(names, {(h,): Fraction(1)}))
+        lhs = lhs * (one - Poly(names, {(h,): 1}))
     shifts = [n + c for c in lam.contents()]
     if 0 in shifts:
         rhs = Poly(names, {})
     else:
         assert all(e > 0 for e in shifts)
-        rhs = Poly(names, {(lam.row_moment(),): Fraction(1)})
+        rhs = Poly(names, {(lam.row_moment(),): 1})
         for e in shifts:
-            rhs = rhs * (one - Poly(names, {(e,): Fraction(1)}))
+            rhs = rhs * (one - Poly(names, {(e,): 1}))
     return lhs, rhs
 
 

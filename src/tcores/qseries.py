@@ -147,8 +147,9 @@ class TruncatedSeries:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def exp(self) -> "TruncatedSeries":
@@ -240,24 +241,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries[{self.ring.name}]({self})"
-
-
-def series_arith(f: TruncatedSeries, g: TruncatedSeries, op: str) -> TruncatedSeries:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_exp(f: TruncatedSeries) -> TruncatedSeries:
-    return f.exp()
-
-
-def series_log(f: TruncatedSeries) -> TruncatedSeries:
-    return f.log()
 
 
 def geometric_multiples(ring, step: int, order: int, coeff, var: str = "q") -> TruncatedSeries:
@@ -466,9 +449,9 @@ def gaussian_binomial(m: int, k: int) -> Poly:
     if k < 0 or k > m:
         return Poly(names, {})
     if k == 0 or k == m:
-        return Poly.constant(names, Fraction(1))
+        return Poly.constant(names, 1)
     # Pascal recurrence [m k] = [m-1 k-1] + p^k [m-1 k]
-    pk = Poly(names, {(k,): Fraction(1)})
+    pk = Poly(names, {(k,): 1})
     return gaussian_binomial(m - 1, k - 1) + pk * gaussian_binomial(m - 1, k)
 
 
@@ -477,7 +460,7 @@ def complete_homogeneous_principal(k: int, n: int) -> Poly:
     if k < 0:
         return Poly(("p",), {})
     if k == 0:
-        return Poly.constant(("p",), Fraction(1))
+        return Poly.constant(("p",), 1)
     return gaussian_binomial(n + k - 1, k)
 
 
@@ -487,7 +470,7 @@ def schur_principal(partition: Partition, n: int) -> Poly:
     than n rows."""
     ell = len(partition.parts)
     if ell == 0:
-        return Poly.constant(("p",), Fraction(1))
+        return Poly.constant(("p",), 1)
     entries = [
         [
             complete_homogeneous_principal(partition.parts[i] - (i + 1) + (j + 1), n)
@@ -505,7 +488,7 @@ def _det(matrix: list[list[Poly]]) -> Poly:
 
     def minor(row: int, cols: tuple[int, ...]) -> Poly:
         if row == n:
-            return Poly.constant(names, Fraction(1))
+            return Poly.constant(names, 1)
         key = cols
         if key in cache:
             return cache[key]

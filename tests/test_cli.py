@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from tcores.cli import main
+from tcores.identities import PROFILES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,3 +167,19 @@ def test_suite_json(capsys):
     data = json.loads(out)
     assert data["status"] == "pass"
     assert all(r["status"] == "pass" for r in data["results"])
+
+
+def test_python_m_tcores_runs_the_default_suite():
+    # no --profile/--seed: run_suite's own defaults apply, and the JSON
+    # still names the profile that ran
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcores", "suite", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["profile"] == "quick"
+    assert len(data["results"]) == len(PROFILES["quick"])
+    assert {r["params"]["seed"] for r in data["results"] if r["identity"] == "sin-lemma"} == {7}
