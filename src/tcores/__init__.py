@@ -59,7 +59,7 @@ from .weights import (
     sine_weight,
     square_weight,
 )
-from .rings import ComplexField, Poly, PolynomialRing, RationalField
+from .rings import Poly, PolynomialRing, PrimeField, RationalField
 from .qseries import (
     BadConstantTermError,
     MacdonaldTerm,
@@ -74,7 +74,6 @@ from .qseries import (
     schur_principal,
 )
 from .identities import (
-    SingularSampleError,
     VerificationReport,
     run_suite,
     verify_classical_crosschecks,

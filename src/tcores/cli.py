@@ -27,16 +27,6 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _complex_arg(text: str) -> complex:
-    try:
-        if "," in text:
-            re_s, im_s = text.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        return complex(float(text), 0.0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
-
-
 def _int_at_least(low: int):
     """argparse type for an integer no smaller than `low`."""
 
@@ -58,11 +48,9 @@ _nonnegative_int = _int_at_least(0)
 # own default.
 VERIFY_FLAGS = (
     ("--t", "t", _positive_int),
-    ("--tvalue", "t_value", _complex_arg),
+    ("--tvalue", "t_value", int),
     ("--r", "r", _positive_int),
     ("--trunc", "N", _positive_int),
-    ("--z", "z", _complex_arg),
-    ("--s", "s", _complex_arg),
     ("--max-size", "max_size", _nonnegative_int),
     ("--max-n", "max_n", _positive_int),
     ("--samples", "samples", _positive_int),

@@ -1,21 +1,25 @@
 """One verifier per series/multiset identity, each returning a report.
 
-Exact rings are compared with zero tolerance and report the first
-mismatching coefficient; complex rings always report the largest
-coefficientwise deviation, pass or fail.  Identities in a free complex
-parameter are checked on a fixed panel of generic sample points drawn from
-a seeded generator, chosen off the zero set of the sines involved.
+Every check is exact: a pass reports deviation "0", a failure its first
+mismatching coefficient.  The sine-weight identities are identities of
+rational functions in Y = e^(iz) (and W = e^(itz), R = e^z), so they are
+checked in GF(p), p = 2^61 - 31, at points drawn from a seeded generator,
+with sin(kz) = (Y^k - Y^-k)/(2i).  A draw at which a sine in a denominator
+vanishes is redrawn.  Two different rational functions of degree d agree
+at a random point with probability at most d/p (Schwartz-Zippel), which
+bounds the chance of a false pass.
 """
 
 from __future__ import annotations
 
-import cmath
 import inspect
 import json
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from .coding import (
     bead_relation_checks,
@@ -48,7 +52,7 @@ from .qseries import (
     partition_sum_series,
     schur_principal,
 )
-from .rings import ComplexField, Poly, PolynomialRing, RationalField
+from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
 from .weights import (
     WeightLedger,
     coding_difference_ledger,
@@ -58,12 +62,35 @@ from .weights import (
     parity_normalize,
 )
 
-FLOAT_TOL = 1e-8
-SIN_GUARD = 1e-12
+GF = PrimeField()
+_I = pow(7, (P - 1) // 4, P)  # i = sqrt(-1): 7 is the least non-residue mod P
+_HALF = pow(2, -1, P)
+_HALF_I = pow(2 * _I, -1, P)
 
 
-class SingularSampleError(ValueError):
-    """A sample point makes a required sine (or cosine shift) vanish."""
+def _sin(u: int) -> int:
+    """sin z in GF(p) at u = e^(iz)."""
+    return (u - GF.inv(u)) * _HALF_I % P
+
+
+def _cos(u: int) -> int:
+    """cos z in GF(p) at u = e^(iz)."""
+    return (u + GF.inv(u)) * _HALF % P
+
+
+def _sinh(u: int) -> int:
+    """sinh z in GF(p) at u = e^z."""
+    return (u - GF.inv(u)) * _HALF % P
+
+
+def sample_point(rng, N: int = 0) -> int:
+    """A residue u in 1..p-1 drawn from `rng` with u^(2k) != 1 for
+    1 <= k <= N, so that sin(kz) at u = e^(iz) (and sinh(kz) at u = e^z)
+    does not vanish; a singular draw is redrawn from the same generator."""
+    while True:
+        u = rng.randrange(1, P)
+        if all(pow(u, 2 * k, P) != 1 for k in range(1, N + 1)):
+            return u
 
 
 @dataclass
@@ -125,29 +152,12 @@ def _exact_compare(lhs: TruncatedSeries, rhs: TruncatedSeries):
     if miss is None:
         return True, "0"
     i, a, b = miss
+    a, b = lhs.ring.coerce(a), lhs.ring.coerce(b)  # residues, not representatives
     return False, f"{lhs.var}^{i}: {str(a)[:60]} != {str(b)[:60]}"
 
 
-def default_samples(count: int, seed: int):
-    """Deterministic generic (t, z) complex pairs.
-
-    z is kept off the real axis so sin(m z) never vanishes for integer
-    m != 0; magnitudes stay small enough that double precision holds the
-    stated tolerance through the truncation orders used here.
-    """
-    rng = random.Random(seed)
-    samples = []
-    for _ in range(count):
-        z = complex(0.15 + 0.3 * rng.random(), 0.05 + 0.25 * rng.random())
-        t_value = complex(0.4 + 1.2 * rng.random(), -0.3 + 0.6 * rng.random())
-        samples.append((t_value, z))
-    return samples
-
-
-def _require_nonzero(values, what: str):
-    for arg, v in values:
-        if abs(v) < SIN_GUARD:
-            raise SingularSampleError(f"{what}({arg}) vanishes at this sample")
+def _first_failure(devs) -> str:
+    return next((d for d in devs if d != "0"), "0")
 
 
 # ---------------------------------------------------------------------------
@@ -284,48 +294,35 @@ def verify_nekrasov_okounkov(N: int = 12) -> VerificationReport:
     )
 
 
-def sin_hook_sum(r: int, t_value: complex, z: complex, N: int, source=None) -> TruncatedSeries:
+def sin_hook_sum(r: int, Y: int, W: int, N: int, source=None) -> TruncatedSeries:
     """sum over partitions of q^size prod (1 - sin^2(t z)/sin^2(h z)) over
-    hooks divisible by r."""
-    ring = ComplexField(FLOAT_TOL)
-    _require_nonzero(
-        [(k, cmath.sin(k * z)) for k in range(1, N + 1)], "sin(k z), k"
-    )
-    s_t = cmath.sin(t_value * z) ** 2
-    cache: dict[int, complex] = {}
+    hooks divisible by r, in GF(p) at Y = e^(iz) and W = e^(itz)."""
+    s_t = _sin(W) ** 2
+    cache: dict[int, int] = {}
 
     def rho(h):
         if h not in cache:
-            cache[h] = 1 - s_t / cmath.sin(h * z) ** 2
+            cache[h] = (1 - s_t * GF.inv(_sin(pow(Y, h, P)) ** 2)) % P
         return cache[h]
 
-    return partition_sum_series(rho, r, N, ring, source=source)
+    return partition_sum_series(rho, r, N, GF, source=source)
 
 
-def sin_family_rhs(r: int, t_value: complex, z: complex, N: int) -> TruncatedSeries:
-    """exp(sum_k q^k/(k(1-q^k)) - r q^(rk)/(k(1-q^(rk))) sin^2(tkz)/sin^2(rkz))."""
-    ring = ComplexField(FLOAT_TOL)
-    _require_nonzero(
-        [(r * k, cmath.sin(r * k * z)) for k in range(1, N + 1)], "sin(m z), m"
-    )
-    total = TruncatedSeries.zero(ring, N)
+def sin_family_rhs(r: int, Y: int, W: int, N: int) -> TruncatedSeries:
+    """exp(sum_k q^k/(k(1-q^k)) - r q^(rk)/(k(1-q^(rk))) sin^2(tkz)/sin^2(rkz)),
+    in GF(p) at Y = e^(iz) and W = e^(itz)."""
+    total = TruncatedSeries.zero(GF, N)
     for k in range(1, N + 1):
-        total = total + geometric_multiples(ring, k, N, 1.0 / k)
+        total = total + geometric_multiples(GF, k, N, GF.inv(k))
         if r * k <= N:
-            c = (
-                r
-                * cmath.sin(t_value * k * z) ** 2
-                / cmath.sin(r * k * z) ** 2
-                / k
-            )
-            total = total - geometric_multiples(ring, r * k, N, c)
+            c = r * _sin(pow(W, k, P)) ** 2 * GF.inv(_sin(pow(Y, r * k, P)) ** 2 * k) % P
+            total = total - geometric_multiples(GF, r * k, N, c)
     return total.exp()
 
 
 def verify_sin_family(
     r: int = 1,
-    t_value: complex | None = None,
-    z: complex | None = None,
+    t_value: int | None = None,
     N: int = 8,
     samples: int = 5,
     seed: int = 7,
@@ -333,9 +330,9 @@ def verify_sin_family(
     """The sine-weight hook sum against its exponential form.
 
     With t = 0 both sides are the partition generating function and the
-    check runs exactly over the rationals; otherwise numerically at the
-    given (t, z), or at the seeded panel of `samples` points when neither
-    is given.  Giving only one of t_value and z raises ValueError.
+    check runs over the rationals.  Otherwise it runs in GF(p) at `samples`
+    points Y = e^(iz) drawn from `seed`, with W = e^(itz) drawn as well when
+    t_value is None, and W = Y^t for an integer t_value.
     """
     t0 = time.perf_counter()
     if t_value == 0:
@@ -345,46 +342,39 @@ def verify_sin_family(
         return _finish(
             "sin-family", {"r": r, "t": 0}, N, "QQ", ok, dev, t0
         )
-    if (t_value is None) != (z is None):
-        raise ValueError("give both t_value and z, or neither for the sample panel")
-    panel = default_samples(samples, seed) if z is None else [(t_value, z)]
-    worst = 0.0
-    for tv, zv in panel:
-        lhs = sin_hook_sum(r, tv, zv, N)
-        rhs = sin_family_rhs(r, tv, zv, N)
-        worst = max(worst, lhs.max_abs_difference(rhs))
-    ok = worst < FLOAT_TOL and bool(panel)
-    return _finish(
-        "sin-family",
-        {"r": r, "samples": len(panel), "seed": seed if t_value is None else None},
-        N,
-        "CC",
-        ok,
-        f"{worst:.3e}" if panel else "no samples checked",
-        t0,
-    )
+    rng = random.Random(seed)
+    points, dev = [], "0"
+    for _ in range(samples):
+        Y = sample_point(rng, N)
+        W = sample_point(rng) if t_value is None else pow(Y, t_value, P)
+        points.append({"Y": Y, "W": W})
+        ok, dev = _exact_compare(sin_hook_sum(r, Y, W, N), sin_family_rhs(r, Y, W, N))
+        if not ok:
+            break
+    if not points:
+        dev = "no samples checked"
+    params = {"r": r, "t": t_value, "samples": samples, "seed": seed, "points": points}
+    return _finish("sin-family", params, N, GF.name, dev == "0", dev, t0)
 
 
-def poly_s_pair(z: complex, N: int):
-    """Both sides of the s-parameter form, coefficients in CC[s]."""
-    ring = PolynomialRing(("s",), base=ComplexField(FLOAT_TOL))
-    _require_nonzero(
-        [(k, cmath.sin(k * z)) for k in range(1, N + 1)], "sin(k z), k"
-    )
+def poly_s_weight(s, w):
+    """The hook weight s + (s - 1)^2 w of the s-parameter family."""
+    return s + (s - 1) ** 2 * w
+
+
+def poly_s_pair(Y: int, N: int):
+    """Both sides of the s-parameter form, coefficients in GF(p)[s], with
+    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz)."""
+    ring = PolynomialRing(("s",), base=GF)
     s = ring.var("s")
-
-    def w(m):
-        return 1.0 / (4 * cmath.sin(m * z) ** 2)
-
-    def rho(h):
-        return s + (s * s - 2 * s + 1) * w(h)
-
-    lhs = partition_sum_series(rho, 1, N, ring)
+    w = {m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2) for m in range(1, N + 1)}
+    rho = {h: poly_s_weight(s, w[h]) for h in w}
+    lhs = partition_sum_series(rho.__getitem__, 1, N, ring)
     coeffs = [ring.zero] * (N + 1)
     for k in range(1, N + 1):
         sk = ring.monomial((k,))
         s2k = ring.monomial((2 * k,))
-        p_k = (sk + (s2k - 2 * sk + 1) * w(k)) * Fraction(1, k)
+        p_k = ring.div_int(sk + (s2k - 2 * sk + 1) * w[k], k)
         j = 0
         while k * (j + 1) <= N:
             coeffs[k * (j + 1)] = coeffs[k * (j + 1)] + ring.monomial((j * k,)) * p_k
@@ -393,116 +383,65 @@ def poly_s_pair(z: complex, N: int):
     return lhs, rhs
 
 
-def _numeric_pair(rho, rhs_log_terms, N):
-    """Hook sum for a numeric weight against exp of the summed log pieces."""
-    ring = ComplexField(FLOAT_TOL)
-    lhs = partition_sum_series(rho, 1, N, ring)
-    total = TruncatedSeries.zero(ring, N)
-    for piece in rhs_log_terms:
-        total = total + piece
-    return lhs, total.exp()
-
-
-def verify_poly_s_family(
-    s: complex | None = None,
-    z: complex | None = None,
-    N: int = 8,
-    seed: int = 7,
-) -> VerificationReport:
-    """The substituted family at parameter s.
-
-    With s free the check runs in CC[s] (with the degree-2n bound per q^n);
-    the s = 0, cosine, hyperbolic and s = -1 cotangent specializations are
-    then verified numerically at the same z.  A numeric s checks the single
-    identity at that value.
+def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
+    """The substituted family with s free, in GF(p)[s] at a seeded point
+    Y = e^(iz) (with the degree-2n bound per q^n), and its s = 0, cosine,
+    hyperbolic (at R = e^z) and s = -1 cotangent specializations in GF(p).
     """
     t0 = time.perf_counter()
-    if z is None:
-        z = default_samples(1, seed)[0][1]
-    details: dict = {}
-    ring = ComplexField(FLOAT_TOL)
-    if s is not None:
-        lhs_sym, rhs_sym = poly_s_pair(z, N)
-        lhs = TruncatedSeries(ring, [c.substitute("s", s).coefficient(()) for c in lhs_sym.coeffs])
-        rhs = TruncatedSeries(ring, [c.substitute("s", s).coefficient(()) for c in rhs_sym.coeffs])
-        worst = lhs.max_abs_difference(rhs)
-        ok = worst < FLOAT_TOL
-        return _finish(
-            "poly-s-family", {"s": str(s), "z": str(z)}, N, "CC", ok, f"{worst:.3e}", t0
-        )
-
-    lhs, rhs = poly_s_pair(z, N)
-    worst = lhs.max_abs_difference(rhs)
+    rng = random.Random(seed)
+    Y, R = sample_point(rng, N), sample_point(rng, N)
+    lhs, rhs = poly_s_pair(Y, N)
     degree_ok = all(
         c.degree_in("s") <= 2 * n for n, c in enumerate(lhs.coeffs)
     ) and all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
-    details["symbolic"] = f"{worst:.3e}"
-    details["degree_bound"] = degree_ok
+    details: dict = {"symbolic": _exact_compare(lhs, rhs)[1], "degree_bound": degree_ok}
 
-    def w(m):
-        return 1.0 / (4 * cmath.sin(m * z) ** 2)
+    def weights(f):
+        return {m: f(m) % P for m in range(1, N + 1)}  # a hook is at most N
 
-    # s = 0: product of 1/(4 sin^2), exp of q^k w(k)/k
-    pieces = [
-        TruncatedSeries.monomial(ring, k, N, w(k) / k) for k in range(1, N + 1)
-    ]
-    l0, r0 = _numeric_pair(lambda h: w(h), pieces, N)
-    d0 = l0.max_abs_difference(r0)
-    details["s_zero"] = f"{d0:.3e}"
+    def check(rho, pieces=None):
+        """Hook sum for the GF(p) weight rho against exp of the summed log
+        pieces, by default q^k rho(k)/k."""
+        if pieces is None:
+            pieces = [TruncatedSeries.monomial(GF, k, N, rho[k] * GF.inv(k) % P) for k in rho]
+        log_rhs = TruncatedSeries.zero(GF, N)
+        for piece in pieces:
+            log_rhs = log_rhs + piece
+        return _exact_compare(partition_sum_series(rho.__getitem__, 1, N, GF), log_rhs.exp())[1]
 
-    # cosine form
-    _require_nonzero(
-        [(k, 1 - cmath.cos(k * z)) for k in range(1, N + 1)], "1-cos(k z), k"
-    )
-    pieces = [
-        TruncatedSeries.monomial(ring, k, N, 1.0 / (2 * k * (1 - cmath.cos(k * z))))
-        for k in range(1, N + 1)
-    ]
-    lc, rc = _numeric_pair(lambda h: 1.0 / (2 - 2 * cmath.cos(h * z)), pieces, N)
-    dc = lc.max_abs_difference(rc)
-    details["cosine"] = f"{dc:.3e}"
-
-    # hyperbolic form
-    _require_nonzero(
-        [(k, cmath.sinh(k * z)) for k in range(1, N + 1)], "sinh(k z), k"
-    )
-    pieces = [
-        TruncatedSeries.monomial(ring, k, N, -1.0 / (4 * k * cmath.sinh(k * z) ** 2))
-        for k in range(1, N + 1)
-    ]
-    lh, rh = _numeric_pair(lambda h: -1.0 / (4 * cmath.sinh(h * z) ** 2), pieces, N)
-    dh = lh.max_abs_difference(rh)
-    details["sinh"] = f"{dh:.3e}"
-
+    # s = 0: product of 1/(4 sin^2)
+    details["s_zero"] = check(weights(lambda m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2)))
+    # cosine form: 1/(2 - 2 cos(hz))
+    details["cosine"] = check(weights(lambda m: GF.inv(2 - 2 * _cos(pow(Y, m, P)))))
+    # hyperbolic form at R = e^z: -1/(4 sinh^2(hz))
+    details["sinh"] = check(weights(lambda m: -GF.inv(4 * _sinh(pow(R, m, P)) ** 2)))
     # s = -1: cotangent form
-    def cot2(m):
-        return (cmath.cos(m * z) / cmath.sin(m * z)) ** 2
-
+    cot2 = weights(lambda m: (_cos(pow(Y, m, P)) * GF.inv(_sin(pow(Y, m, P)))) ** 2)
     pieces = []
     for m in range(1, N + 1):
         if m % 2:
             # q^m cot^2(m z) / (m (1 + q^m)) = sum_j (-1)^(j-1) cot^2/m q^(jm)
-            c = [0j] * (N + 1)
+            coeffs = [0] * (N + 1)
             j = 1
             while j * m <= N:
-                c[j * m] = (-1) ** (j - 1) * cot2(m) / m
+                coeffs[j * m] = (-1) ** (j - 1) * cot2[m] * GF.inv(m) % P
                 j += 1
-            pieces.append(TruncatedSeries(ring, c))
+            pieces.append(TruncatedSeries(GF, coeffs))
         else:
-            pieces.append(geometric_multiples(ring, m, N, 1.0 / m))
-    lk, rk = _numeric_pair(lambda h: cot2(h), pieces, N)
-    dk = lk.max_abs_difference(rk)
-    details["cotangent"] = f"{dk:.3e}"
+            pieces.append(geometric_multiples(GF, m, N, GF.inv(m)))
+    details["cotangent"] = check(cot2, pieces)
 
-    worst_all = max(worst, d0, dc, dh, dk)
-    ok = worst_all < FLOAT_TOL and degree_ok
+    dev = _first_failure(v for k, v in details.items() if k != "degree_bound")
+    if dev == "0" and not degree_ok:
+        dev = "s-degree of a q^n coefficient exceeds 2n"
     return _finish(
         "poly-s-family",
-        {"z": str(z)},
+        {"seed": seed, "Y": Y, "R": R},
         N,
-        "CC[s]",
-        ok,
-        f"{worst_all:.3e}",
+        lhs.ring.name,
+        dev == "0",
+        dev,
         t0,
         **details,
     )
@@ -587,54 +526,47 @@ def tcore_sources(t: int, N: int):
     return (lambda n: enumerate_partitions(n)), (lambda n: cores[n])
 
 
-def tcore_lemma_series(t: int, z: complex, N: int):
-    """LHS of the core-restricted sine sum two ways, and both closed forms."""
-    ring = ComplexField(FLOAT_TOL)
+def tcore_lemma_series(t: int, Y: int, N: int):
+    """LHS of the core-restricted sine sum two ways, and both closed forms,
+    in GF(p) at Y = e^(iz)."""
     all_parts, only_cores = tcore_sources(t, N)
-    lhs_full = sin_hook_sum(1, t, z, N, source=all_parts)
-    lhs_restricted = sin_hook_sum(1, t, z, N, source=only_cores)
-    product = TruncatedSeries.one(ring, N)
+    W = pow(Y, t, P)
+    lhs_full = sin_hook_sum(1, Y, W, N, source=all_parts)
+    lhs_restricted = sin_hook_sum(1, Y, W, N, source=only_cores)
+    product = TruncatedSeries.one(GF, N)
     for m in range(1, N + 1):
-        product = product * one_minus_power(ring, m, N) ** (t - 1)
+        product = product * one_minus_power(GF, m, N) ** (t - 1)
         for i in range(1, t):
             for phase in (-1, 1):
-                c = [0j] * (N + 1)
-                c[0] = 1 + 0j
-                c[m] = -cmath.exp(phase * 2j * z * (t - i))
-                product = product * TruncatedSeries(ring, c) ** i
-    total = TruncatedSeries.zero(ring, N)
+                c = [0] * (N + 1)
+                c[0] = 1
+                c[m] = -pow(Y, phase * 2 * (t - i), P)  # -e^(+-2iz(t-i))
+                product = product * TruncatedSeries(GF, c) ** i
+    total = TruncatedSeries.zero(GF, N)
     for k in range(1, N + 1):
-        w = 1 - cmath.sin(t * k * z) ** 2 / cmath.sin(k * z) ** 2
-        total = total + geometric_multiples(ring, k, N, w / k)
+        w = 1 - _sin(pow(Y, t * k, P)) ** 2 * GF.inv(_sin(pow(Y, k, P)) ** 2)
+        total = total + geometric_multiples(GF, k, N, w * GF.inv(k) % P)
     exp_form = total.exp()
     return lhs_restricted, lhs_full, product, exp_form
 
 
-def verify_tcore_lemmas(t: int = 3, z: complex | None = None, N: int = 10, seed: int = 7) -> VerificationReport:
-    """Core-restricted sine sums: the restricted and full sums agree
-    exactly, and both match the product and exponential closed forms."""
+def verify_tcore_lemmas(t: int = 3, N: int = 10, seed: int = 7) -> VerificationReport:
+    """Core-restricted sine sums at a seeded point Y = e^(iz) of GF(p): the
+    restricted and full sums agree, and both match the product and
+    exponential closed forms."""
     t0 = time.perf_counter()
     if t < 3 or t % 2 == 0:
         raise ValueError("t must be an odd integer >= 3")
-    if z is None:
-        z = default_samples(1, seed)[0][1]
-    restricted, full, product, exp_form = tcore_lemma_series(t, z, N)
-    two_routes = restricted.max_abs_difference(full)
-    d_prod = restricted.max_abs_difference(product)
-    d_exp = restricted.max_abs_difference(exp_form)
-    worst = max(d_prod, d_exp)
-    ok = worst < FLOAT_TOL and two_routes == 0.0
+    Y = sample_point(random.Random(seed), N)
+    restricted, full, product, exp_form = tcore_lemma_series(t, Y, N)
+    details = {
+        "restricted_vs_full": _exact_compare(restricted, full)[1],
+        "product_form": _exact_compare(restricted, product)[1],
+        "exp_form": _exact_compare(restricted, exp_form)[1],
+    }
+    dev = _first_failure(details.values())
     return _finish(
-        "tcore-lemmas",
-        {"t": t, "z": str(z)},
-        N,
-        "CC",
-        ok,
-        f"{worst:.3e}",
-        t0,
-        restricted_vs_full=f"{two_routes:.3e}",
-        product_form=f"{d_prod:.3e}",
-        exp_form=f"{d_exp:.3e}",
+        "tcore-lemmas", {"t": t, "seed": seed, "Y": Y}, N, GF.name, dev == "0", dev, t0, **details
     )
 
 
@@ -711,31 +643,46 @@ def verify_hook_content(max_size: int = 8, max_n: int = 5) -> VerificationReport
     return _sweep_report("hook-content", params, "QQ[p]", failures, t0, pairs_checked=checked)
 
 
+def sine_pair_product(U) -> int:
+    """prod_{i<j} sin(u_i - u_j) in GF(p) at U_j = e^(iu_j)."""
+    out = 1
+    for a, b in combinations(U, 2):
+        out = out * _sin(a * GF.inv(b)) % P
+    return out
+
+
+def exp_pair_product(U) -> int:
+    """prod_{i<j} (e^(2iu_i) - e^(2iu_j))/(2i) in GF(p) at U_j = e^(iu_j)."""
+    out = 1
+    for a, b in combinations(U, 2):
+        out = out * (a * a - b * b) * _HALF_I % P
+    return out
+
+
 def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
-    """Product-to-difference sine facts at random complex points:
-    sin(x-y)sin(x+y) = sin^2 x - sin^2 y, and for zero-sum u the pairwise
-    sine product equals the pairwise (e^(2ui) - e^(2uj))/(2i) product."""
+    """Product-to-difference sine facts at seeded points of GF(p), with
+    X = e^(ix), Y = e^(iy) and U_j = e^(iu_j):
+    sin(x-y)sin(x+y) = sin^2 x - sin^2 y, and for zero-sum u (the last U is
+    the inverse of the product of the others) the pairwise sine product
+    equals the pairwise (e^(2iu_i) - e^(2iu_j))/(2i) product."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    worst = 0.0
+    points, dev = [], "0"
     for _ in range(samples):
-        x = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
-        y = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
-        lhs = cmath.sin(x - y) * cmath.sin(x + y)
-        rhs = cmath.sin(x) ** 2 - cmath.sin(y) ** 2
-        worst = max(worst, abs(lhs - rhs))
-        n = rng.randint(3, 5)
-        u = [complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4)) for _ in range(n - 1)]
-        u.append(-sum(u))
-        p1, p2 = 1 + 0j, 1 + 0j
-        for i in range(n):
-            for j in range(i + 1, n):
-                p1 *= cmath.sin(u[i] - u[j])
-                p2 *= (cmath.exp(2j * u[i]) - cmath.exp(2j * u[j])) / 2j
-        worst = max(worst, abs(p1 - p2))
-    ok = worst < 1e-10 and samples > 0
-    dev = f"{worst:.3e}" if samples > 0 else "no samples checked"
-    return _finish("sin-lemma", {"samples": samples, "seed": seed}, None, "CC", ok, dev, t0)
+        X, Y = sample_point(rng), sample_point(rng)
+        U = [sample_point(rng) for _ in range(rng.randint(3, 5) - 1)]
+        U.append(GF.inv(prod(U)))
+        points.append({"X": X, "Y": Y, "U": U})
+        if not GF.eq(_sin(X * GF.inv(Y)) * _sin(X * Y), _sin(X) ** 2 - _sin(Y) ** 2):
+            dev = "sin(x-y) sin(x+y) != sin^2 x - sin^2 y"
+        elif not GF.eq(sine_pair_product(U), exp_pair_product(U)):
+            dev = "pairwise sine product != pairwise exponential product"
+        if dev != "0":
+            break
+    if not points:
+        dev = "no samples checked"
+    params = {"samples": samples, "seed": seed, "points": points}
+    return _finish("sin-lemma", params, None, GF.name, dev == "0", dev, t0)
 
 
 def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: int = 20) -> VerificationReport:

@@ -1,7 +1,8 @@
-"""Truncated power series over pluggable rings, plus the series builders
-used by the identity verifiers: partition sums weighted by hooks,
-eta-style infinite products, the type-A Macdonald sum, and principal
-specializations of Schur polynomials."""
+"""Truncated power series over the exact rings of `rings` (QQ, GF(p) and
+polynomials over either), plus the series builders used by the identity
+verifiers: partition sums weighted by hooks, eta-style infinite products,
+the type-A Macdonald sum, and principal specializations of Schur
+polynomials."""
 
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ class TruncatedSeries:
     """A power series modulo q^(N+1), coefficients in a fixed ring.
 
     Mixed-order arithmetic truncates to the smaller order.  Comparisons use
-    the ring's rule: exact equality for exact rings, absolute tolerance for
-    the complex ones.
+    the ring's rule: equality over QQ, equality modulo p over GF(p), and
+    coefficientwise by the base ring's rule over a polynomial ring.
     """
 
     __slots__ = ("ring", "coeffs", "var")
@@ -206,19 +207,6 @@ class TruncatedSeries:
             if not self.ring.eq(self.coeffs[i], other.coeffs[i]):
                 return i, self.coeffs[i], other.coeffs[i]
         return None
-
-    def max_abs_difference(self, other) -> float:
-        """Largest coefficientwise |difference| as a float (complex rings)."""
-        n = self._align(other)
-        worst = 0.0
-        for i in range(n + 1):
-            a, b = self.coeffs[i], other.coeffs[i]
-            if isinstance(a, Poly) or isinstance(b, Poly):
-                d = a.max_abs_difference(b)
-            else:
-                d = abs(complex(a) - complex(b))
-            worst = max(worst, d)
-        return worst
 
     def __str__(self):
         ring = self.ring

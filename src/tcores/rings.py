@@ -1,9 +1,11 @@
-"""Coefficient rings for truncated series: rationals, complexes, polynomials.
+"""Coefficient rings for truncated series: rationals, a prime field, and
+polynomials over either.
 
-Polynomials are sparse maps from exponent tuples to coefficients; negative
-exponents are allowed when the ring is created as a Laurent ring.  Exact
-coefficients are ints or Fractions, never floats; exact rings compare
-coefficients by equality, the complex ones by an absolute tolerance.
+Every ring is exact.  Polynomials are sparse maps from exponent tuples to
+int or Fraction coefficients, never floats; negative exponents are allowed
+when the ring is created as a Laurent ring.  The rationals compare by
+equality, the prime field GF(p) compares ints modulo p, and a polynomial
+ring compares coefficientwise by the rule of its base.
 """
 
 from __future__ import annotations
@@ -43,19 +45,17 @@ class _Terms(Mapping):
 
     def __getitem__(self, exps):
         c = self._num[exps]
-        return c if self._den in (None, 1) else Fraction(c, self._den)
+        return c if self._den == 1 else Fraction(c, self._den)
 
 
 class Poly:
-    """Sparse multivariate polynomial over exact or complex coefficients.
+    """Sparse multivariate polynomial with int or Fraction coefficients.
 
-    Exact (int/Fraction) coefficients are stored as integer numerators over
-    one positive common denominator that shares no factor with all of them;
-    the integer rings keep the denominator 1, so their products and sums are
-    plain integer arithmetic.  A polynomial built with a float or complex
-    coefficient, or from one that has one, keeps its coefficients as given
-    (denominator None) and combines them in the order the sparse loops
-    visit them.
+    The coefficients are stored as integer numerators over one positive
+    common denominator that shares no factor with all of them; the integer
+    rings (and GF(p), whose residues are ints) keep the denominator 1, so
+    their products and sums are plain integer arithmetic.  A float or
+    complex coefficient raises TypeError.
     """
 
     __slots__ = ("names", "_num", "_den")
@@ -68,20 +68,18 @@ class Poly:
                 exps = tuple(exps)
                 if len(exps) != len(self.names):
                     raise ValueError("exponent tuple does not match variable count")
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
                 if coeff != 0:
                     clean[exps] = coeff
-        if all(isinstance(c, (int, Fraction)) for c in clean.values()):
-            den = lcm(*(c.denominator for c in clean.values()))
-            self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-            self._den = den
-        else:
-            self._num = clean
-            self._den = None
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _make(cls, names, num: dict, den) -> "Poly":
+    def _make(cls, names, num: dict, den: int) -> "Poly":
         """A Poly from its stored form: nonzero integer numerators reduced
-        against `den`, or nonzero coefficients as given with den None."""
+        against `den`."""
         p = object.__new__(cls)
         p.names = names
         p._num = num
@@ -91,10 +89,10 @@ class Poly:
     @classmethod
     def constant(cls, names, value) -> "Poly":
         names = tuple(names)
-        if isinstance(value, (int, Fraction)):
-            num = {(0,) * len(names): value.numerator} if value else {}
-            return cls._make(names, num, value.denominator)
-        return cls(names, {(0,) * len(names): value})
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"constant {value!r} is not an int or Fraction")
+        num = {(0,) * len(names): value.numerator} if value else {}
+        return cls._make(names, num, value.denominator)
 
     @classmethod
     def variable(cls, names, name, coeff=1) -> "Poly":
@@ -111,7 +109,7 @@ class Poly:
         """Exponent tuple -> coefficient as a dict the caller must not change;
         Fractions are built only for a denominator above 1."""
         den = self._den
-        if den is None or den == 1:
+        if den == 1:
             return self._num
         return {e: Fraction(c, den) for e, c in self._num.items()}
 
@@ -123,7 +121,7 @@ class Poly:
             if other.names != self.names:
                 raise ValueError("polynomials over different variables")
             return other
-        if isinstance(other, (int, Fraction, float, complex)):
+        if isinstance(other, (int, Fraction)):
             return Poly.constant(self.names, other)
         return None
 
@@ -132,15 +130,6 @@ class Poly:
         if other is None:
             return NotImplemented
         da, db = self._den, other._den
-        if da is None or db is None:
-            terms = dict(self._coeffs())
-            for e, c in other._coeffs().items():
-                s = terms.get(e, 0) + c
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-            return Poly._make(self.names, terms, None)
         den = lcm(da, db)
         ma, mb = den // da, den // db
         num = dict(self._num) if ma == 1 else {e: c * ma for e, c in self._num.items()}
@@ -171,18 +160,6 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if self._den is None or other._den is None:
-            terms: dict[tuple, object] = {}
-            a, b = self._coeffs(), other._coeffs()
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(map(add, e1, e2))
-                    s = terms.get(e, 0) + c1 * c2
-                    if s == 0:
-                        terms.pop(e, None)
-                    else:
-                        terms[e] = s
-            return Poly._make(self.names, terms, None)
         # integer convolution of the numerators, one product of denominators
         num: dict[tuple, int] = {}
         get = num.get
@@ -216,19 +193,19 @@ class Poly:
         return result
 
     def substitute(self, name: str, value):
-        """Replace one variable by a scalar value; exponents may be negative
-        only if the value is invertible (handled by Python's ** operator)."""
+        """Replace one variable by an int or Fraction value; a negative
+        exponent needs a nonzero value and gives its exact inverse power."""
         idx = self.names.index(name)
         rest = self.names[:idx] + self.names[idx + 1 :]
         out = Poly(rest, {})
         for e, c in self._coeffs().items():
-            scalar = c * value ** e[idx]
+            scalar = c * Fraction(value) ** e[idx]
             out = out + Poly(rest, {e[:idx] + e[idx + 1 :]: scalar})
         return out
 
     def coefficient(self, exps) -> object:
         c = self._num.get(tuple(exps), 0)
-        return c if self._den in (None, 1) else Fraction(c, self._den)
+        return c if self._den == 1 else Fraction(c, self._den)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of the variable; -1 for the zero polynomial."""
@@ -238,30 +215,14 @@ class Poly:
         return max(e[idx] for e in self._num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.names, other)
         if not isinstance(other, Poly) or self.names != other.names:
             return False
-        if self._den is not None and other._den is not None:
-            return self._den == other._den and self._num == other._num
-        return self._coeffs() == other._coeffs()
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return hash((self.names, frozenset(self._coeffs().items())))
-
-    def isclose(self, other, tol: float) -> bool:
-        a, b = self._coeffs(), self._lift(other)._coeffs()
-        for e in set(a) | set(b):
-            if abs(complex(a.get(e, 0)) - complex(b.get(e, 0))) > tol:
-                return False
-        return True
-
-    def max_abs_difference(self, other) -> float:
-        a, b = self._coeffs(), self._lift(other)._coeffs()
-        keys = set(a) | set(b)
-        if not keys:
-            return 0.0
-        return max(abs(complex(a.get(e, 0)) - complex(b.get(e, 0))) for e in keys)
 
     def _monomial_str(self, exps) -> str:
         pieces = []
@@ -294,7 +255,6 @@ class RationalField:
     is real."""
 
     name = "QQ"
-    exact = True
 
     @property
     def zero(self):
@@ -308,7 +268,9 @@ class RationalField:
         return Fraction(fr)
 
     def coerce(self, value):
-        return value if isinstance(value, int) else Fraction(value)
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{value!r} is not an int or Fraction")
+        return value
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -328,47 +290,52 @@ class RationalField:
         return str(a)
 
 
-class ComplexField:
-    """Double-precision complex coefficients with an absolute tolerance."""
+P = 2**61 - 31  # prime, and P % 4 == 1, so -1 has a square root mod P
 
-    exact = False
 
-    def __init__(self, tol: float = 1e-8):
-        self.tol = tol
-        self.name = "CC"
+class PrimeField:
+    """GF(P) with plain ints as elements.
 
-    @property
-    def zero(self):
-        return 0j
+    Sums and products are Python's and may leave [0, P); coerce,
+    from_fraction, div_int and inv reduce, and eq/is_zero compare modulo P,
+    so any representative of a residue may be passed in.
+    """
 
-    @property
-    def one(self):
-        return 1 + 0j
+    name = "GF(p)"
+    zero = 0
+    one = 1
 
-    def from_fraction(self, fr: Fraction):
-        return complex(fr)
+    def from_fraction(self, fr: Fraction) -> int:
+        return fr.numerator * pow(fr.denominator, -1, P) % P
 
-    def coerce(self, value):
-        return complex(value)
+    def coerce(self, value) -> int:
+        if isinstance(value, int):
+            return value % P
+        if isinstance(value, Fraction):
+            return self.from_fraction(value)
+        raise TypeError(f"{value!r} has no residue in GF(p)")
 
     def eq(self, a, b) -> bool:
-        return abs(a - b) <= self.tol
+        return (a - b) % P == 0
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return a % P == 0
 
-    def div_int(self, a, n: int):
-        return a / n
+    def div_int(self, a, n: int) -> int:
+        return a * pow(n, -1, P) % P
 
-    def inv(self, a):
-        return 1 / a
+    def inv(self, a) -> int:
+        if a % P == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, P)
 
     def str_coeff(self, a) -> str:
-        return str(a)
+        return str(a % P)
 
 
 class PolynomialRing:
-    """Polynomials (or Laurent polynomials) over an exact or complex base."""
+    """Polynomials (or Laurent polynomials) over QQ or GF(p); coefficients
+    are coerced, compared, divided and inverted by the base ring."""
 
     def __init__(self, names, base=None, laurent: bool = False):
         self.names = tuple(names)
@@ -376,10 +343,6 @@ class PolynomialRing:
         self.laurent = laurent
         kind = "Laurent" if laurent else "poly"
         self.name = f"{self.base.name}[{','.join(self.names)}]({kind})"
-
-    @property
-    def exact(self) -> bool:
-        return self.base.exact
 
     @property
     def zero(self):
@@ -405,21 +368,21 @@ class PolynomialRing:
         if isinstance(value, Poly):
             if value.names != self.names:
                 raise ValueError("polynomial from a different ring")
-            return value
+            return self._map(value, self.base.coerce)
         return Poly.constant(self.names, self.base.coerce(value))
 
+    def _map(self, a: Poly, f) -> Poly:
+        return Poly(self.names, {e: f(c) for e, c in a.terms.items()})
+
     def eq(self, a, b) -> bool:
-        if self.base.exact:
-            return a == b
-        return a.isclose(b, self.base.tol)
+        return self.is_zero(a - b)
 
     def is_zero(self, a) -> bool:
-        return a.is_zero()
+        # a numerator is zero in the base exactly when its coefficient is
+        return all(map(self.base.is_zero, a._num.values()))
 
     def div_int(self, a: Poly, n: int) -> Poly:
-        if self.base.exact:
-            return a * Fraction(1, n)
-        return a * (1.0 / n)
+        return self._map(a, lambda c: self.base.div_int(c, n))
 
     def inv(self, a: Poly) -> Poly:
         if len(a.terms) != 1:
@@ -427,10 +390,7 @@ class PolynomialRing:
         (exps, coeff), = a.terms.items()
         if any(exps) and not self.laurent:
             raise ZeroDivisionError("nonconstant monomial needs a Laurent ring")
-        inv_c = (
-            1 / Fraction(coeff) if self.base.exact else 1 / coeff
-        )
-        return Poly(self.names, {tuple(-e for e in exps): inv_c})
+        return Poly(self.names, {tuple(-e for e in exps): self.base.inv(coeff)})
 
     def str_coeff(self, a) -> str:
         return f"({a})"

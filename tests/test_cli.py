@@ -106,11 +106,26 @@ def test_verify_text(capsys):
 
 def test_verify_with_explicit_sample(capsys):
     code, out, _ = run(
-        capsys, "verify", "sin-family", "--r", "2", "--tvalue", "1.41,0.2",
-        "--z", "0.37,0.11", "--trunc", "6", "--format", "json",
+        capsys, "verify", "sin-family", "--r", "2", "--tvalue", "2", "--trunc", "6",
+        "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["status"] == "pass"
+    data = json.loads(out)
+    assert data["status"] == "pass" and data["deviation"] == "0"
+    assert data["params"]["t"] == 2 and data["ring"] == "GF(p)"
+
+
+@pytest.mark.parametrize("identity", ["sin-family", "poly-s-family", "tcore-lemmas", "sin-lemma"])
+def test_verify_seed_reproducible(capsys, identity):
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "verify", identity, "--seed", "3", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        del data["ms"]
+        outputs.append(data)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["params"]["seed"] == 3 and outputs[0]["deviation"] == "0"
 
 
 def test_verify_flags_reach_the_verifier(capsys):
@@ -143,6 +158,9 @@ def test_verify_flags_reach_the_verifier(capsys):
         ["verify", "nekrasov-okounkov", "--trunc", "0"],
         ["verify", "jacobi", "--r", "3"],
         ["verify", "golden-tables", "--seed", "3"],
+        ["verify", "sin-family", "--z", "0.3"],
+        ["verify", "poly-s-family", "--s", "0.3"],
+        ["verify", "sin-family", "--tvalue", "1.5"],
     ],
     ids="_".join,
 )

@@ -1,19 +1,19 @@
-import cmath
 import inspect
 import json
-import math
+import random
 
 import pytest
 
+from tcores import identities
 from tcores.identities import (
     PROFILES,
     VERIFIERS,
-    SingularSampleError,
-    default_samples,
     jacobi_pair,
     multiplication_pair,
     nekrasov_okounkov_pair,
+    poly_s_pair,
     run_suite,
+    sample_point,
     sin_hook_sum,
     sin_family_rhs,
     verify_classical_crosschecks,
@@ -32,7 +32,15 @@ from tcores.identities import (
     verifier,
 )
 from tcores.qseries import TruncatedSeries
-from tcores.rings import ComplexField
+from tcores.rings import P, PrimeField
+
+GF = PrimeField()
+I = pow(7, (P - 1) // 4, P)  # a square root of -1 mod P
+
+
+def gf_sin(u):
+    """sin z at u = e^(iz), written out here independently of the library."""
+    return (u - pow(u, -1, P)) * pow(2 * I, -1, P) % P
 
 
 def test_report_shape():
@@ -71,26 +79,45 @@ def test_nekrasov_okounkov():
 
 def test_sin_family_numeric_and_exact():
     r = verify_sin_family(1, N=6, samples=3)
-    assert r.passed and float(r.deviation) < 1e-8
+    assert r.passed and r.deviation == "0" and r.ring == "GF(p)"
+    assert len(r.params["points"]) == 3
     r = verify_sin_family(3, N=6, samples=2)
-    assert r.passed
+    assert r.passed and r.deviation == "0"
     r = verify_sin_family(1, t_value=0, N=10)
     assert r.passed and r.deviation == "0" and r.ring == "QQ"
-    # explicit sample
-    r = verify_sin_family(2, t_value=2 ** 0.5, z=0.37 + 0.11j, N=8)
-    assert r.passed
+    # an integer t puts W = e^(itz) at Y^t
+    r = verify_sin_family(2, t_value=2, N=8)
+    assert r.passed and r.deviation == "0"
+    assert all(pt["W"] == pow(pt["Y"], 2, P) for pt in r.params["points"])
 
 
-def test_sin_family_singular_sample():
-    with pytest.raises(SingularSampleError):
-        verify_sin_family(1, t_value=1.5, z=complex(math.pi / 4, 0), N=6)
+class Draws:
+    """A generator stub that hands out the given residues in order."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def randrange(self, low, high):
+        value = next(self.values)
+        assert low <= value < high
+        return value
 
 
-def test_sin_family_needs_both_t_and_z():
-    with pytest.raises(ValueError):
-        verify_sin_family(1, t_value=1.2 + 0.1j, N=4)
-    with pytest.raises(ValueError):
-        verify_sin_family(1, z=0.37 + 0.11j, N=4)
+def test_singular_draw_is_redrawn():
+    # Y = p - 1 = -1 has Y^2 = 1: sin(z) vanishes there
+    assert sample_point(Draws(P - 1, 5), N=3) == 5
+    assert sample_point(Draws(P - 1), N=0) == P - 1  # no sine to keep nonzero
+    # i has i^4 = 1, so sin(2z) vanishes, but i^2 = -1 leaves sin(z) alone
+    assert I * I % P == P - 1
+    assert sample_point(Draws(I, 3), N=2) == 3
+    assert sample_point(Draws(I), N=1) == I
+
+
+def test_sin_family_takes_an_integer_t():
+    with pytest.raises(TypeError):
+        verify_sin_family(1, t_value=1.5, N=4)
+    with pytest.raises(TypeError):
+        verify_sin_family(1, z=0.37 + 0.11j, N=4)  # no float sample points
 
 
 def test_empty_checks_fail():
@@ -105,12 +132,19 @@ def test_empty_checks_fail():
         assert empty in report.deviation
 
 
+SPECIALIZATIONS = ("s_zero", "cosine", "sinh", "cotangent")
+
+
 def test_poly_s_family():
     r = verify_poly_s_family(N=6)
-    assert r.passed
+    assert r.passed and r.deviation == "0" and r.ring == "GF(p)[s](poly)"
     assert r.details["degree_bound"] is True
-    r = verify_poly_s_family(s=0.3 + 0.1j, N=6)
-    assert r.passed
+    assert all(r.details[k] == "0" for k in ("symbolic",) + SPECIALIZATIONS)
+    # s stays symbolic, so every numeric s is covered
+    lhs, rhs = poly_s_pair(r.params["Y"], 6)
+    for s in (0, -1, 3):
+        for a, b in zip(lhs.coeffs, rhs.coeffs):
+            assert GF.eq(a.substitute("s", s).coefficient(()), b.substitute("s", s).coefficient(()))
 
 
 def test_jacobi_and_collapse():
@@ -118,9 +152,9 @@ def test_jacobi_and_collapse():
     assert r.passed and r.deviation == "0"
     lhs, rhs = jacobi_pair(8)
     for n in range(9):
-        a = lhs.coeffs[n].substitute("a", -1.0).coefficient(())
-        b = rhs.coeffs[n].substitute("a", -1.0).coefficient(())
-        assert abs(a - b) < 1e-12
+        a = lhs.coeffs[n].substitute("a", -1).coefficient(())
+        b = rhs.coeffs[n].substitute("a", -1).coefficient(())
+        assert type(a) is int and a == b
 
 
 def test_jacobi_constant_term():
@@ -139,10 +173,22 @@ def test_macdonald():
 
 def test_tcore_lemmas():
     r = verify_tcore_lemmas(3, N=8)
-    assert r.passed
-    assert float(r.details["restricted_vs_full"]) == 0.0
+    assert r.passed and r.deviation == "0" and r.ring == "GF(p)"
+    assert r.details == {"restricted_vs_full": "0", "product_form": "0", "exp_form": "0"}
     with pytest.raises(ValueError):
         verify_tcore_lemmas(4)
+
+
+def test_exact_panels_pass_where_floats_failed():
+    # a complex-float check against a 1e-8 tolerance failed most of these
+    for seed in range(1, 21):
+        r = verify_tcore_lemmas(5, N=10, seed=seed)
+        assert r.passed and r.deviation == "0", (seed, r.details)
+    for t, N in ((5, 18), (7, 14)):
+        r = verify_tcore_lemmas(t, N=N, seed=1)
+        assert r.passed and r.deviation == "0", (t, N, r.details)
+    r = verify_poly_s_family(N=12, seed=4)
+    assert r.passed and r.deviation == "0", r.details
 
 
 def test_multiplication_and_reduction():
@@ -161,7 +207,14 @@ def test_hook_content():
 
 
 def test_sin_lemma():
-    assert verify_sin_lemma(4, seed=3).passed
+    r = verify_sin_lemma(4, seed=3)
+    assert r.passed and r.deviation == "0" and r.ring == "GF(p)"
+    for pt in r.params["points"]:
+        assert 4 <= len(pt["U"]) + 1 <= 6
+        product = 1
+        for u in pt["U"]:
+            product = product * u % P
+        assert product == 1  # zero-sum u
 
 
 def test_classical_crosschecks():
@@ -175,38 +228,106 @@ def test_golden_tables():
 def test_jacobi_specializes_to_sin_family_at_t2():
     """The r=1, t=2 sine identity is the triple product in disguise: with
     y = e^(-2iz), the theta sum at a=-y equals (1-y)/( -y)^(-1)... checked
-    via the staircase closed form sum_k (-1)^k q^(k(k+1)/2) sin((2k+1)z)/sin z.
+    via the staircase closed form sum_k (-1)^k q^(k(k+1)/2) sin((2k+1)z)/sin z,
+    at a point Y = e^(iz) of GF(p).
     """
-    z = 0.31 + 0.17j
     N = 10
-    lhs = sin_hook_sum(1, 2, z, N)
+    Y = sample_point(random.Random(5), N)
+    lhs = sin_hook_sum(1, Y, pow(Y, 2, P), N)
     # independent closed form from telescoping the staircase hook products
-    ring = ComplexField(1e-8)
-    closed = [0j] * (N + 1)
+    closed = [0] * (N + 1)
     k = 0
     while k * (k + 1) // 2 <= N:
         closed[k * (k + 1) // 2] += (
-            (-1) ** k * cmath.sin((2 * k + 1) * z) / cmath.sin(z)
+            (-1) ** k * gf_sin(pow(Y, 2 * k + 1, P)) * pow(gf_sin(Y), -1, P)
         )
         k += 1
-    closed_series = TruncatedSeries(ring, closed)
-    assert lhs.max_abs_difference(closed_series) < 1e-10
+    assert lhs.first_mismatch(TruncatedSeries(GF, closed)) is None
 
     # theta-sum route through the triple product identity
     _, theta = jacobi_pair(N)
-    y = cmath.exp(-2j * z)
-    vals = [c.substitute("a", -y).coefficient(()) for c in theta.coeffs]
-    scaled = TruncatedSeries(ring, [v * (-y) / (1 - y) for v in vals])
-    assert lhs.max_abs_difference(scaled) < 1e-10
+    y = pow(Y, -2, P)
+    vals = [GF.coerce(c.substitute("a", -y).coefficient(())) for c in theta.coeffs]
+    scale = -y * pow(1 - y, -1, P)
+    assert lhs.first_mismatch(TruncatedSeries(GF, [v * scale for v in vals])) is None
 
     # and both match the exponential side
-    rhs = sin_family_rhs(1, 2, z, N)
-    assert lhs.max_abs_difference(rhs) < 1e-10
+    rhs = sin_family_rhs(1, Y, pow(Y, 2, P), N)
+    assert lhs.first_mismatch(rhs) is None
 
 
-def test_default_samples_deterministic():
-    assert default_samples(3, seed=7) == default_samples(3, seed=7)
-    assert default_samples(3, seed=7) != default_samples(3, seed=8)
+CONVERTED = {
+    "sin-family": lambda seed: verify_sin_family(N=4, samples=2, seed=seed),
+    "poly-s-family": lambda seed: verify_poly_s_family(N=4, seed=seed),
+    "tcore-lemmas": lambda seed: verify_tcore_lemmas(3, N=4, seed=seed),
+    "sin-lemma": lambda seed: verify_sin_lemma(2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(CONVERTED))
+def test_sample_points_reproducible(identity):
+    assert sample_point(random.Random(7), 8) == sample_point(random.Random(7), 8)
+    verify = CONVERTED[identity]
+    first, again, other = verify(3), verify(3), verify(4)
+    assert first.params == again.params and first.params["seed"] == 3
+    assert first.params != other.params
+    assert first.passed and other.passed
+
+
+# negative controls: a broken twin of each GF(p) check must fail
+
+
+def test_tcore_lemmas_broken_product_fails(monkeypatch):
+    class DropOnePower(TruncatedSeries):
+        __slots__ = ()
+
+        def __pow__(self, n):  # (1 - q^m)^(t-1) becomes (1 - q^m)^(t-2)
+            return TruncatedSeries.__pow__(self, n - 1)
+
+    real = identities.one_minus_power
+
+    def weakened(ring, m, order):
+        return DropOnePower(ring, real(ring, m, order).coeffs)
+
+    monkeypatch.setattr(identities, "one_minus_power", weakened)
+    r = verify_tcore_lemmas(5, N=8)
+    assert not r.passed and r.deviation == r.details["product_form"] != "0"
+    assert r.details["restricted_vs_full"] == r.details["exp_form"] == "0"
+
+
+def test_poly_s_family_broken_weight_fails(monkeypatch):
+    # (s - 1)^2 becomes s^2 - 3s + 1 on the hook-sum side only
+    monkeypatch.setattr(identities, "poly_s_weight", lambda s, w: s + (s * s - 3 * s + 1) * w)
+    r = verify_poly_s_family(N=6)
+    assert not r.passed and r.deviation == r.details["symbolic"] != "0"
+    assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
+
+
+def test_sin_family_broken_exp_form_fails(monkeypatch):
+    real = identities.geometric_multiples
+    calls = []
+
+    def flip_second(ring, step, order, coeff, var="q"):
+        calls.append(step)
+        if len(calls) == 2:  # the first sine term, -q/(1-q) sin^2(tz)/sin^2(z)
+            coeff = -coeff
+        return real(ring, step, order, coeff, var)
+
+    monkeypatch.setattr(identities, "geometric_multiples", flip_second)
+    r = verify_sin_family(1, N=6, samples=2)
+    assert not r.passed and r.deviation.startswith("q^")
+
+
+def test_sin_lemma_broken_pair_factor_fails(monkeypatch):
+    real = identities.exp_pair_product
+
+    def wrong_first_factor(U):  # (U_0^2 - U_1^2) becomes (U_0^2 + U_1^2)
+        a, b = U[0] ** 2, U[1] ** 2
+        return real(U) * (a + b) * pow(a - b, -1, P) % P
+
+    monkeypatch.setattr(identities, "exp_pair_product", wrong_first_factor)
+    r = verify_sin_lemma(3)
+    assert not r.passed and r.deviation.startswith("pairwise")
 
 
 def test_registry_and_profiles():
@@ -227,3 +348,10 @@ def test_run_suite_quick():
     ]
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_quick_suite_is_exact(seed):
+    reports = run_suite("quick", seed)
+    inexact = [(r.identity, r.deviation) for r in reports if not (r.passed and r.deviation == "0")]
+    assert inexact == []

@@ -21,7 +21,7 @@ from tcores.qseries import (
     residue_sign,
     schur_principal,
 )
-from tcores.rings import ComplexField, Poly, PolynomialRing, RationalField
+from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
 
 QQ = RationalField()
 
@@ -81,7 +81,7 @@ def test_mixed_orders_truncate():
 
 def test_ring_mismatch():
     f = qq_series([1, 1])
-    g = TruncatedSeries(ComplexField(), [1 + 0j, 1 + 0j])
+    g = TruncatedSeries(PrimeField(), [1, 1])
     with pytest.raises(RingMismatchError):
         f + g
 
@@ -360,6 +360,45 @@ def test_poly_reads_exact_values():
     assert str(q) == "2 + -1*p^3"
 
 
+def test_poly_rejects_floats_and_substitutes_exactly():
+    for bad in (1.5, 0.5j, 2.0):
+        with pytest.raises(TypeError):
+            Poly(("a",), {(1,): bad})
+        with pytest.raises(TypeError):
+            Poly.constant(("a",), bad)
+        with pytest.raises(TypeError):
+            PolynomialRing(("a",)).monomial((1,), bad)
+    p = Poly(("a", "x"), {(-1, 0): 1, (0, 0): 1, (-2, 1): 3})  # a^-1 + 1 + 3 a^-2 x
+    got = p.substitute("a", 2)
+    assert got == Poly(("x",), {(0,): Fraction(3, 2), (1,): Fraction(3, 4)})
+    assert all(type(c) is Fraction for c in got.terms.values())
+    with pytest.raises(ZeroDivisionError):
+        p.substitute("a", 0)
+
+
+def test_prime_field():
+    F = PrimeField()
+    assert pow(2, P - 1, P) == 1 and P % 4 == 1
+    assert F.coerce(-1) == P - 1 and F.coerce(Fraction(1, 2)) * 2 % P == 1
+    assert F.from_fraction(Fraction(-3, 4)) == F.coerce(Fraction(-3, 4))
+    assert F.eq(P + 5, 5) and F.is_zero(3 * P) and not F.is_zero(1)
+    assert F.div_int(1, 3) * 3 % P == 1 and F.inv(P - 1) == P - 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(P)
+    with pytest.raises(TypeError):
+        F.coerce(0.5)
+    # GF(p)[s]: coefficients reduce through the base ring
+    R = PolynomialRing(("s",), base=F)
+    s = R.var("s")
+    assert R.name == "GF(p)[s](poly)"
+    assert R.eq(s * (P + 2), s * 2) and R.is_zero(s * P) and not R.is_zero(s)
+    assert R.div_int(s * 6, 3) == s * 2 and R.coerce(s * (P + 2)) == s * 2
+    assert R.inv(R.monomial((0,), 2)) == R.coerce(Fraction(1, 2))
+    # exp and log stay inside GF(p)
+    f = TruncatedSeries(F, [0, 1, 0, 0, 0])
+    assert f.exp().log().first_mismatch(f) is None
+
+
 def exact_values(series):
     for c in series.coeffs:
         yield from (c.terms.values() if isinstance(c, Poly) else (c,))
@@ -389,3 +428,18 @@ def test_exact_series_hold_no_float():
         for v in exact_values(s):
             assert type(v) in (int, Fraction), (s.ring.name, v)
     assert all(type(v) in (int, Fraction) for v in gaussian_binomial(8, 4).terms.values())
+
+    # the GF(p) series hold ints only
+    from tcores.identities import poly_s_pair, sin_family_rhs, sin_hook_sum, tcore_lemma_series
+
+    Y, W = 123456789, 987654321
+    gf_series = [
+        sin_hook_sum(2, Y, W, 8),
+        sin_family_rhs(2, Y, W, 8),
+        *poly_s_pair(Y, 6),
+        *tcore_lemma_series(3, Y, 8),
+    ]
+    for s in gf_series:
+        assert s.ring.name.startswith("GF(p)")
+        for v in exact_values(s):
+            assert type(v) is int, (s.ring.name, v)
