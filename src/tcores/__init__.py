@@ -34,7 +34,6 @@ from .exploded import (
     ExplodedWindow,
     InfiniteSelectionError,
     RelationViolationError,
-    build_window,
     cell_box_map,
     check_fold,
     check_fold_ledger,

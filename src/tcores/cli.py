@@ -16,7 +16,7 @@ from .coding import (
     core_coding,
     cores_from_codings,
 )
-from .exploded import build_window, render
+from .exploded import ExplodedWindow, render
 from .partitions import InvalidPartitionError, Partition, enumerate_t_cores
 
 
@@ -113,7 +113,7 @@ def cmd_core_map(args) -> int:
 
 
 def cmd_explode(args) -> int:
-    window = build_window(args.partition, args.t)
+    window = ExplodedWindow(args.partition, args.t)
     fmt = "svg" if args.format == "svg" else "ascii"
     print(render(window, fmt), end="")
     return 0

@@ -34,15 +34,17 @@ class BeadSet:
 
     Only finitely many elements sit above the full descending ray, so the
     set is stored as a strictly decreasing head plus the ray top `ray_top`:
-    x is a member iff x <= ray_top or x appears in the head.
+    x is a member iff x <= ray_top or x appears in the head.  The doubled
+    head values are kept as a frozenset, built once, for membership tests.
     """
 
-    __slots__ = ("head", "ray_top", "t")
+    __slots__ = ("head", "ray_top", "t", "head_twice")
 
     def __init__(self, head: tuple[HalfInt, ...], ray_top: HalfInt, t: int):
         self.head = head
         self.ray_top = ray_top
         self.t = t
+        self.head_twice = frozenset(h.twice for h in head)
 
     @property
     def top(self) -> HalfInt:
@@ -50,13 +52,10 @@ class BeadSet:
         return self.head[0] if self.head else self.ray_top
 
     def __contains__(self, x: HalfInt) -> bool:
-        return x.twice <= self.ray_top.twice or x in self.head
+        return self.contains_twice(x.twice)
 
     def contains_twice(self, tw: int) -> bool:
-        return tw <= self.ray_top.twice or tw in self._head_twice()
-
-    def _head_twice(self):
-        return {h.twice for h in self.head}
+        return tw <= self.ray_top.twice or tw in self.head_twice
 
     def elements_down_to(self, lo: HalfInt) -> list[HalfInt]:
         """All members x with lo <= x, sorted decreasing."""
@@ -69,11 +68,10 @@ class BeadSet:
 
     def gaps(self) -> tuple[HalfInt, ...]:
         """Missing values between the top and the ray, sorted decreasing."""
-        head_tw = self._head_twice()
         out = []
         tw = self.top.twice
         while tw > self.ray_top.twice:
-            if tw not in head_tw:
+            if tw not in self.head_twice:
                 out.append(HalfInt(tw))
             tw -= 2
         return tuple(out)
@@ -238,10 +236,8 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
         raise InvalidCodingError("; ".join(diag.messages))
     n = coding_size(values, t)
     count = n + t + 2
-    merged = []
     step = 2 * t
-    for v in values:
-        merged.extend(v.twice - step * j for j in range(count))
+    merged = [tw for v in values for tw in range(v.twice, v.twice - step * count, -step)]
     merged.sort(reverse=True)
     shift = t + 1
     parts = []

@@ -112,18 +112,12 @@ class ExplodedWindow:
 
     def boxes(self):
         """All boxes in the window as Box values, row-major from the top."""
-        out = []
-        for ytw in self.y_values():
-            if not self.in_w2(ytw):
-                continue
-            for xtw in self.x_values():
-                if self.in_w1(xtw):
-                    out.append(Box(HalfInt(xtw), HalfInt(ytw)))
-        return out
-
-
-def build_window(partition: Partition, t: int) -> ExplodedWindow:
-    return ExplodedWindow(partition, t)
+        xs = [HalfInt(xtw) for xtw in self.x_values() if self.in_w1(xtw)]
+        return [
+            Box(x, HalfInt(ytw))
+            for ytw in self.y_values() if self.in_w2(ytw)
+            for x in xs
+        ]
 
 
 def cell_box_map(window: ExplodedWindow) -> dict[tuple[int, int], Box]:
@@ -154,14 +148,12 @@ def _pair_set(window, xpred, ypred, lo, hi, forbid=()):
 
     Entries are true integers; `lo`/`hi` may be +-inf via None.
     """
-    t = window.t
+    ys = [ytw for ytw in window.y_values() if ypred(ytw)]
     out = set()
     for xtw in window.x_values():
         if not xpred(xtw):
             continue
-        for ytw in window.y_values():
-            if not ypred(ytw):
-                continue
+        for ytw in ys:
             entry = (xtw + ytw) // 2
             if lo is not None and entry <= lo:
                 continue
@@ -189,13 +181,12 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     results = {}
 
     ok = True
+    ys = [(window.in_w2(ytw), window.in_v2(ytw)) for ytw in window.y_values()]
     for xtw in window.x_values():
         w1 = window.in_w1(xtw)
         v1 = window.in_v1(xtw)
         w1d = w1 and not v1
-        for ytw in window.y_values():
-            w2 = window.in_w2(ytw)
-            v2 = window.in_v2(ytw)
+        for w2, v2 in ys:
             w2d = w2 and not v2
             lhs = (w1 and w2d) + (w1d and w2)
             rhs = (w1 and w2 and not (v1 and v2)) + (w1d and w2d)

@@ -33,7 +33,7 @@ from .coding import (
     validate_coding,
 )
 from .exploded import (
-    build_window,
+    ExplodedWindow,
     check_fold,
     check_fold_ledger,
     check_translation_relations,
@@ -205,10 +205,13 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
             if lhs != rhs:
                 failures.append(f"{lam}: hook-shift ledger != coding ledger")
                 break
-            for parity in ("odd", "even"):
-                if parity_normalize(rhs, parity) != parity_coding_ledger(coding, t, parity):
-                    failures.append(f"{lam}: parity ledger ({parity}) mismatch")
-                    break
+            parity = next((
+                p for p in ("odd", "even")
+                if parity_normalize(rhs, p) != parity_coding_ledger(coding, t, p)
+            ), None)
+            if parity:
+                failures.append(f"{lam}: parity ledger ({parity}) mismatch")
+                break
             if content_ledger(lam, mu, t) != lhs:
                 failures.append(f"{lam}: content ledger mismatch")
                 break
@@ -224,7 +227,7 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
     checked = 0
     for lam in enumerate_t_cores(t, max_size):
         checked += 1
-        window = build_window(lam, t)
+        window = ExplodedWindow(lam, t)
         rel = check_translation_relations(window)
         bad = [k for k, v in rel.items() if not v]
         fold = check_fold(window)

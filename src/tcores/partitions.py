@@ -51,13 +51,7 @@ class Partition:
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(tuple(cols))
+        return _trusted(tuple(_conjugate_parts(self.parts)))
 
     def cells(self) -> Iterator[tuple[int, int]]:
         """All cells (i, j), 1-based, row-major."""
@@ -69,7 +63,7 @@ class Partition:
         """Hook lengths of all cells divisible by r, in row-major cell order."""
         if r < 1:
             raise ValueError("r must be a positive integer")
-        conj = self.conjugate().parts
+        conj = _conjugate_parts(self.parts)
         out = []
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
@@ -82,8 +76,7 @@ class Partition:
         """Hook length of cell (i, j), 1-based; arm + leg + 1."""
         if not (1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]):
             raise ValueError(f"({i},{j}) is not a cell of {self}")
-        conj = self.conjugate().parts
-        return self.parts[i - 1] - j + conj[j - 1] - i + 1
+        return self.parts[i - 1] - j + _conjugate_parts(self.parts)[j - 1] - i + 1
 
     def contents(self) -> tuple[int, ...]:
         """Contents j - i of all cells, row-major."""
@@ -102,9 +95,15 @@ class Partition:
         return sum((i - 1) * p for i, p in enumerate(self.parts, start=1))
 
     def is_t_core(self, t: int) -> bool:
+        """Abacus test (Garvan-Kim-Stanton): with beads x_i = part_i - i,
+        lambda is a t-core iff every bead x has x - t on the abacus too,
+        either as a bead of the head or below -length, where every value is
+        a bead.  No hooks and no conjugate are built."""
         if t < 1:
             raise ValueError("t must be a positive integer")
-        return all(h % t for h in self.hooks())
+        floor = -len(self.parts)
+        beads = {p - i for i, p in enumerate(self.parts, start=1)}
+        return all(x - t < floor or x - t in beads for x in beads)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -131,21 +130,49 @@ class Partition:
         return f"Partition({self.parts})"
 
 
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """A Partition of a tuple already known to be weakly decreasing and
+    positive; skips the validation in __init__."""
+    p = object.__new__(Partition)
+    p.parts = parts
+    return p
+
+
+def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:
+    """Conjugate part list: entry j-1 counts the parts >= j."""
+    out = []
+    i = len(parts)
+    for j in range(1, parts[0] + 1 if parts else 1):
+        while parts[i - 1] < j:
+            i -= 1
+        out.append(i)
+    return out
+
+
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, reverse-lexicographic on parts (largest first)."""
+    """All partitions of n, reverse-lexicographic on parts (largest first).
+
+    A successor loop instead of recursion, the descending-form rule that
+    Kelleher and O'Sullivan (arXiv:0909.2331) compare with ascending
+    generation: strip the trailing 1s, lower the last part v+1 > 1 to v, and
+    refill the freed amount greedily with parts of size at most v.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield []
+    a = [n] if n else []
+    while True:
+        yield _trusted(tuple(a))
+        rem = 0
+        while a and a[-1] == 1:
+            a.pop()
+            rem += 1
+        if not a:
             return
-        for k in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - k, k):
-                yield [k] + rest
-
-    for parts in rec(n, n):
-        yield Partition(tuple(parts))
+        v = a.pop() - 1
+        q, r = divmod(rem + v + 1, v)
+        a.extend([v] * q)
+        if r:
+            a.append(r)
 
 
 def partitions_up_to(max_n: int) -> Iterator[Partition]:

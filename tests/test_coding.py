@@ -22,7 +22,7 @@ from tcores.coding import (
     validate_coding,
 )
 from tcores.halfint import HalfInt
-from tcores.partitions import Partition, enumerate_t_cores
+from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
 
 TABLE1 = Partition((8, 4, 3, 2, 2, 1))
 TABLE2 = Partition((8, 5, 4, 1, 1, 1))
@@ -51,6 +51,24 @@ def test_bead_set_empty():
     beads = bead_set(Partition(()), 3)
     assert beads.head == ()
     assert str(beads.ray_top) == "1"
+
+
+def test_bead_membership_against_naive_scan():
+    # oracle: list the doubled beads 2(part_i - i) + t + 1 for i = 1..K, with
+    # zero parts past the length, and test each value by a plain scan
+    for lam in partitions_up_to(12):
+        for t in range(1, 7):
+            beads = bead_set(lam, t)
+            lo = beads.ray_top.twice - 4 * t
+            K = len(lam.parts) + (t + 1 - lo) // 2 + 1  # every bead >= lo
+            listed = [2 * (lam.part(i) - i) + t + 1 for i in range(1, K + 1)]
+            assert listed[-1] < lo
+            for tw in range(beads.top.twice + 4 * t, lo - 1, -2):  # the lattice of W
+                naive = tw in listed  # a list: a linear scan
+                assert beads.contains_twice(tw) == naive, (lam, t, tw)
+                assert (HalfInt(tw) in beads) == naive
+            gaps = [tw for tw in range(beads.top.twice, lo - 1, -2) if tw not in listed]
+            assert [g.twice for g in beads.gaps()] == gaps
 
 
 def test_core_coding_table1():

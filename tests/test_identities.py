@@ -31,8 +31,11 @@ from tcores.identities import (
     verify_tcore_lemmas,
     verifier,
 )
+from tcores.coding import coding_size
+from tcores.partitions import enumerate_t_cores
 from tcores.qseries import TruncatedSeries
 from tcores.rings import P, PrimeField
+from tcores.weights import WeightLedger
 
 GF = PrimeField()
 I = pow(7, (P - 1) // 4, P)  # a square root of -1 mod P
@@ -328,6 +331,46 @@ def test_sin_lemma_broken_pair_factor_fails(monkeypatch):
     monkeypatch.setattr(identities, "exp_pair_product", wrong_first_factor)
     r = verify_sin_lemma(3)
     assert not r.passed and r.deviation.startswith("pairwise")
+
+
+# negative controls for the combinatorial sweeps: a broken twin must fail,
+# so a faster kernel cannot leave either sweep checking nothing
+
+
+def test_multiset_formula_stops_at_first_parity_failure(monkeypatch):
+    real = identities.parity_coding_ledger
+
+    def bumped(coding, t=None, parity="odd"):  # wrong for every nonempty core
+        out = real(coding, t, parity)
+        return out if coding_size(coding) == 0 else out * WeightLedger({1: 1})
+
+    monkeypatch.setattr(identities, "parity_coding_ledger", bumped)
+    r = verify_multiset_formula(3, 10)
+    assert not r.passed
+    assert r.deviation == "1: parity ledger (odd) mismatch"
+    # the empty core passes, the core (1) fails, and the sweep stops there
+    assert r.details["cores_checked"] == 2 < len(enumerate_t_cores(3, 10))
+
+
+def test_multiset_formula_broken_round_trip_fails(monkeypatch):
+    real = identities.coding_to_core
+    monkeypatch.setattr(identities, "coding_to_core", lambda c, t=None: real(c, t).conjugate())
+    r = verify_multiset_formula(5, 14)
+    # () and (1) are self-conjugate; (2), the third core, is the first that is not
+    assert not r.passed and r.deviation == "2: round trip failed"
+    assert r.details["cores_checked"] == 3
+
+
+def test_exploded_relations_broken_ledger_fails(monkeypatch):
+    real = identities.region_ledger
+
+    def bumped(window, region, xset="W", yset="W"):
+        return real(window, region, xset, yset) * WeightLedger({1: 1})
+
+    monkeypatch.setattr(identities, "region_ledger", bumped)
+    r = verify_exploded_relations(3, 10)
+    assert not r.passed and r.details["cores_checked"] == 1
+    assert r.deviation == "-: ['band_count', 'gap_band_counts']"
 
 
 def test_registry_and_profiles():

@@ -44,6 +44,19 @@ def pentagonal_partition_count(n, _cache={0: 1}):
     return total
 
 
+def reference_partitions(remaining, cap=None):
+    """Oracle: the partitions of `remaining` with parts <= cap, by recursion,
+    reverse-lexicographic (largest first part first)."""
+    if cap is None:
+        cap = remaining
+    if remaining == 0:
+        yield ()
+        return
+    for k in range(min(remaining, cap), 0, -1):
+        for rest in reference_partitions(remaining - k, k):
+            yield (k,) + rest
+
+
 @st.composite
 def partition_strategy(draw, max_n=20):
     n = draw(st.integers(min_value=0, max_value=max_n))
@@ -86,7 +99,7 @@ def test_hooks_worked_example():
 
 
 def test_hooks_against_brute_oracle():
-    for lam in partitions_up_to(8):
+    for lam in partitions_up_to(12):
         assert sorted(lam.hooks()) == brute_hooks(lam.parts)
 
 
@@ -126,11 +139,25 @@ def test_enumerate_partitions_golden():
 
 
 def test_enumeration_against_pentagonal_oracle():
-    for n in range(16):
+    for n in range(26):
         seen = list(enumerate_partitions(n))
         assert len(seen) == pentagonal_partition_count(n)
         assert len(set(seen)) == len(seen)
         assert all(p.size == n for p in seen)
+
+
+def test_enumeration_matches_recursive_reference():
+    for n in range(21):
+        assert [p.parts for p in enumerate_partitions(n)] == list(reference_partitions(n))
+
+
+def test_is_t_core_abacus_matches_hook_oracle():
+    for n in range(17):
+        for parts in reference_partitions(n):
+            hooks = brute_hooks(parts)
+            lam = Partition(parts)
+            for t in range(1, 10):
+                assert lam.is_t_core(t) == all(h % t for h in hooks), (parts, t)
 
 
 def test_is_t_core():
@@ -151,6 +178,7 @@ def test_enumerate_t_cores():
 @given(partition_strategy())
 def test_conjugate_involution(lam):
     assert lam.conjugate().conjugate() == lam
+    assert Partition(lam.conjugate().parts) == lam.conjugate()  # built unvalidated
 
 
 @given(partition_strategy())
