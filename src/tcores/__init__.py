@@ -25,12 +25,10 @@ from .coding import (
     core_coding,
     cores_from_codings,
     enumerate_codings,
-    gap_set_and_bounds,
     is_content_coding_image,
     validate_coding,
 )
 from .exploded import (
-    Box,
     ExplodedWindow,
     InfiniteSelectionError,
     RelationViolationError,

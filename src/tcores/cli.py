@@ -17,6 +17,7 @@ from .coding import (
     cores_from_codings,
 )
 from .exploded import ExplodedWindow, render
+from .halfint import HalfInt
 from .partitions import InvalidPartitionError, Partition, enumerate_t_cores
 
 
@@ -58,8 +59,13 @@ VERIFY_FLAGS = (
 )
 
 
-def _join(values) -> str:
-    return ",".join(str(v) for v in values)
+def _half(tw: int) -> str:
+    """Text of a doubled bead value: "7" or "21/2"."""
+    return str(HalfInt(tw))
+
+
+def _join(twice) -> str:
+    return ",".join(map(_half, twice))
 
 
 def _core_map_data(partition: Partition, t: int) -> dict:
@@ -70,8 +76,8 @@ def _core_map_data(partition: Partition, t: int) -> dict:
         "t": t,
         "V": str(coding),
         "C": _join(beads.gaps()),
-        "M": str(beads.top),
-        "m": str(beads.ray_top),
+        "M": _half(beads.top),
+        "m": _half(beads.ray_top),
         "size_check": coding_size(coding),
     }
 
@@ -88,8 +94,8 @@ def _core_map_text(partition: Partition, t: int) -> str:
             ("W head", _join(beads.head)),
             ("V", str(coding)),
             ("W+ head", _join(dagger)),
-            ("M", str(beads.top)),
-            ("m", str(beads.ray_top)),
+            ("M", _half(beads.top)),
+            ("m", _half(beads.ray_top)),
             ("C", _join(beads.gaps())),
             ("size", str(coding_size(coding))),
         ]

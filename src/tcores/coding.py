@@ -5,13 +5,21 @@ The bead set of a partition shifts its parts onto a descending sequence of
 gives a length-t coding that determines a t-core completely.  The companion
 map sends a t-core to a bounded-length partition whose hooks and contents
 re-express the same data.
+
+Every bead and coding entry is held as the int equal to twice its value
+(integers for odd t, halves of odd integers for even t), so both size
+formulas are integer divisions checked for a remainder.  At the public
+boundary a bare int in a coding means a whole value and a `HalfInt` any
+value; `CoreCoding.parse` and `str` carry text such as "21/2".
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .halfint import HalfInt
 from .partitions import Partition
@@ -32,95 +40,86 @@ class NonIntegerSizeError(ValueError):
 class BeadSet:
     """The set {part_i - i + (t+1)/2 : i >= 1} for a partition.
 
-    Only finitely many elements sit above the full descending ray, so the
-    set is stored as a strictly decreasing head plus the ray top `ray_top`:
-    x is a member iff x <= ray_top or x appears in the head.  The doubled
-    head values are kept as a frozenset, built once, for membership tests.
+    Every member is held doubled, as the int 2x.  Only finitely many members
+    sit above the full descending ray, so the set is stored as a strictly
+    decreasing `head` plus the ray top `ray_top`: tw is a member iff
+    tw <= ray_top or tw appears in the head.
     """
 
-    __slots__ = ("head", "ray_top", "t", "head_twice")
+    __slots__ = ("head", "ray_top", "t", "_head_set")
 
-    def __init__(self, head: tuple[HalfInt, ...], ray_top: HalfInt, t: int):
+    def __init__(self, head: tuple[int, ...], ray_top: int, t: int):
         self.head = head
         self.ray_top = ray_top
         self.t = t
-        self.head_twice = frozenset(h.twice for h in head)
+        self._head_set = frozenset(head)
 
     @property
-    def top(self) -> HalfInt:
-        """Largest member (M)."""
+    def top(self) -> int:
+        """Largest member (M), doubled."""
         return self.head[0] if self.head else self.ray_top
 
-    def __contains__(self, x: HalfInt) -> bool:
-        return self.contains_twice(x.twice)
+    def __contains__(self, tw: int) -> bool:
+        return tw <= self.ray_top or tw in self._head_set
 
-    def contains_twice(self, tw: int) -> bool:
-        return tw <= self.ray_top.twice or tw in self.head_twice
-
-    def elements_down_to(self, lo: HalfInt) -> list[HalfInt]:
-        """All members x with lo <= x, sorted decreasing."""
-        out = [h for h in self.head if h.twice >= lo.twice]
-        tw = self.ray_top.twice
-        while tw >= lo.twice:
-            out.append(HalfInt(tw))
-            tw -= 2
+    def elements_down_to(self, lo: int) -> list[int]:
+        """All members tw with lo <= tw, sorted decreasing."""
+        out = [h for h in self.head if h >= lo]
+        out.extend(range(self.ray_top, lo - 1, -2))
         return out
 
-    def gaps(self) -> tuple[HalfInt, ...]:
+    def gaps(self) -> tuple[int, ...]:
         """Missing values between the top and the ray, sorted decreasing."""
-        out = []
-        tw = self.top.twice
-        while tw > self.ray_top.twice:
-            if tw not in self.head_twice:
-                out.append(HalfInt(tw))
-            tw -= 2
-        return tuple(out)
+        return tuple(
+            tw for tw in range(self.top, self.ray_top, -2) if tw not in self._head_set
+        )
 
 
 class CoreCoding:
     """A strictly decreasing, zero-sum vector of t (half-)integers that hits
-    every congruence class modulo t exactly once."""
+    every congruence class modulo t exactly once, held doubled in `twice`.
 
-    __slots__ = ("values", "t")
+    Entries come in as whole ints or `HalfInt`s (see `_coerce`) and are
+    validated; `core_coding` and `enumerate_codings` build codings they
+    already know to be valid through `_trusted` instead.
+    """
 
-    def __init__(self, values, t: int, validate: bool = True):
-        values = tuple(v if isinstance(v, HalfInt) else HalfInt.whole(v) for v in values)
-        self.values = values
-        self.t = t
-        if validate:
-            diag = validate_coding(values, t)
-            if not diag.valid:
-                raise InvalidCodingError("; ".join(diag.messages))
+    __slots__ = ("twice", "t")
+
+    def __init__(self, values, t: int | None = None):
+        self.twice, self.t = _coerce(values, t)
+        diag = _diagnose(self.twice, self.t)
+        if not diag.valid:
+            raise InvalidCodingError("; ".join(diag.messages))
 
     @classmethod
     def parse(cls, text: str, t: int) -> "CoreCoding":
-        vals = tuple(HalfInt.parse(s) for s in text.split(","))
-        return cls(vals, t)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
+        return cls([HalfInt.parse(s) for s in text.split(",")], t)
 
     def __eq__(self, other):
         return (
             isinstance(other, CoreCoding)
             and self.t == other.t
-            and self.values == other.values
+            and self.twice == other.twice
         )
 
     def __hash__(self):
-        return hash((self.t, self.values))
+        return hash((self.t, self.twice))
 
     def __str__(self):
-        return ",".join(str(v) for v in self.values)
+        return ",".join(str(HalfInt(tw)) for tw in self.twice)
 
     def __repr__(self):
         return f"CoreCoding([{self}], t={self.t})"
+
+
+def _trusted(twice: tuple[int, ...], t: int) -> CoreCoding:
+    """A CoreCoding of doubled entries already known to form a coding; skips
+    the validation in __init__."""
+    c = object.__new__(CoreCoding)
+    c.twice = twice
+    c.t = t
+    return c
 
 
 @dataclass(frozen=True)
@@ -134,36 +133,37 @@ class CodingDiagnostics:
     messages: tuple[str, ...]
 
 
-def validate_coding(values, t: int) -> CodingDiagnostics:
+def validate_coding(values, t: int | None = None) -> CodingDiagnostics:
     """Check the three coding conditions and report which ones fail.
 
     (i) the values occupy all t congruence classes modulo t (one each),
     (ii) they sum to zero, (iii) they are strictly decreasing.  All values
     must be integers for odd t and half-odd-integers for even t.
     """
+    return _diagnose(*_coerce(values, t))
+
+
+def _diagnose(twice: tuple[int, ...], t: int) -> CodingDiagnostics:
     if t < 1:
         raise ValueError("t must be a positive integer")
-    values = tuple(v if isinstance(v, HalfInt) else HalfInt.whole(v) for v in values)
     msgs = []
-    length_ok = len(values) == t
+    length_ok = len(twice) == t
     if not length_ok:
-        msgs.append(f"expected {t} values, got {len(values)}")
+        msgs.append(f"expected {t} values, got {len(twice)}")
     want_parity = 0 if t % 2 else 1
-    parity_ok = all(v.twice % 2 == want_parity for v in values)
+    parity_ok = all(tw % 2 == want_parity for tw in twice)
     if not parity_ok:
         msgs.append("values must lie in Z for odd t and Z+1/2 for even t")
-    decreasing_ok = all(
-        values[i].twice > values[i + 1].twice for i in range(len(values) - 1)
-    )
+    decreasing_ok = all(twice[i] > twice[i + 1] for i in range(len(twice) - 1))
     if not decreasing_ok:
         msgs.append("condition (iii) fails: not strictly decreasing")
-    zero_sum_ok = sum(v.twice for v in values) == 0
+    zero_sum_ok = sum(twice) == 0
     if not zero_sum_ok:
         msgs.append("condition (ii) fails: sum is not zero")
     residues_ok = (
         length_ok
         and parity_ok
-        and len({v.twice % (2 * t) for v in values}) == t
+        and len({tw % (2 * t) for tw in twice}) == t
     )
     if length_ok and parity_ok and not residues_ok:
         msgs.append("condition (i) fails: residue classes mod t not all covered")
@@ -174,21 +174,12 @@ def validate_coding(values, t: int) -> CodingDiagnostics:
 
 
 def bead_set(partition: Partition, t: int) -> BeadSet:
-    """Bead set of a partition: {part_i - i + (t+1)/2}."""
+    """Bead set of a partition: {part_i - i + (t+1)/2}, doubled."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     shift = t + 1  # doubled value of (t+1)/2
-    head = tuple(
-        HalfInt(2 * (p - i) + shift) for i, p in enumerate(partition.parts, start=1)
-    )
-    ray_top = HalfInt(shift - 2 * (len(partition.parts) + 1))
-    return BeadSet(head, ray_top, t)
-
-
-def gap_set_and_bounds(partition: Partition, t: int):
-    """Finite complement of the bead set below its top, with the bounds M, m."""
-    beads = bead_set(partition, t)
-    return beads.gaps(), beads.top, beads.ray_top
+    head = tuple(2 * (p - i) + shift for i, p in enumerate(partition.parts, start=1))
+    return BeadSet(head, shift - 2 * (len(partition.parts) + 1), t)
 
 
 def core_coding(partition: Partition, t: int) -> CoreCoding:
@@ -199,27 +190,29 @@ def core_coding(partition: Partition, t: int) -> CoreCoding:
     if not partition.is_t_core(t):
         raise NotACoreError(f"{partition} has a hook length divisible by {t}")
     beads = bead_set(partition, t)
+    # candidates in decreasing order: the head, then the top t ray elements,
+    # which cover every class at least once; the first hit per class is its
+    # largest bead, and the dict keeps the hits in that decreasing order
     best: dict[int, int] = {}
-    candidates = [h.twice for h in beads.head]
-    # the top t ray elements cover every class at least once
-    candidates.extend(beads.ray_top.twice - 2 * j for j in range(t))
-    for tw in candidates:
-        r = tw % (2 * t)
-        if r not in best or tw > best[r]:
-            best[r] = tw
-    values = tuple(HalfInt(tw) for tw in sorted(best.values(), reverse=True))
-    return CoreCoding(values, t)
+    for tw in chain(beads.head, range(beads.ray_top, beads.ray_top - 2 * t, -2)):
+        best.setdefault(tw % (2 * t), tw)
+    return _trusted(tuple(best.values()), t)
 
 
 def coding_size(coding, t: int | None = None) -> int:
-    """Size of the t-core encoded by a coding: (sum of squares)/(2t) - (t^2-1)/24."""
-    values, t = _coerce(coding, t)
-    total = Fraction(sum(v.twice * v.twice for v in values), 8 * t) - Fraction(
-        t * t - 1, 24
-    )
-    if total.denominator != 1 or total < 0:
-        raise NonIntegerSizeError(f"size formula gave {total}")
-    return int(total)
+    """Size of the t-core encoded by a coding: (sum of squares)/(2t) - (t^2-1)/24.
+
+    On doubled entries this is (3 sum tw^2 - t^3 + t) / (24t), taken exactly.
+    """
+    return _size(*_coerce(coding, t))
+
+
+def _size(twice: tuple[int, ...], t: int) -> int:
+    num = 3 * sum(tw * tw for tw in twice) - t * t * t + t
+    size, rem = divmod(num, 24 * t)
+    if rem or size < 0:
+        raise NonIntegerSizeError(f"size formula gave {Fraction(num, 24 * t)}")
+    return size
 
 
 def coding_to_core(coding, t: int | None = None) -> Partition:
@@ -230,14 +223,12 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
     decreasing order w_1 > w_2 > ... recovers part_i = w_i + i - (t+1)/2
     until the parts vanish.
     """
-    values, t = _coerce(coding, t)
-    diag = validate_coding(values, t)
-    if not diag.valid:
-        raise InvalidCodingError("; ".join(diag.messages))
-    n = coding_size(values, t)
+    coding = CoreCoding(coding, t)  # validates
+    values, t = coding.twice, coding.t
+    n = _size(values, t)
     count = n + t + 2
     step = 2 * t
-    merged = [tw for v in values for tw in range(v.twice, v.twice - step * count, -step)]
+    merged = [tw for v in values for tw in range(v, v - step * count, -step)]
     merged.sort(reverse=True)
     shift = t + 1
     parts = []
@@ -257,11 +248,12 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
     return Partition(tuple(parts))
 
 
-def class_sorted_coding(coding, t: int | None = None) -> tuple[HalfInt, ...]:
-    """Coding entries reordered so the i-th one lies in class i + t_0 mod t."""
+def class_sorted_coding(coding, t: int | None = None) -> tuple[int, ...]:
+    """Doubled coding entries reordered so the i-th one lies in class
+    i + t_0 mod t."""
     values, t = _coerce(coding, t)
     tw0 = 0 if t % 2 else 1
-    by_class = {v.twice % (2 * t): v for v in values}
+    by_class = {tw % (2 * t): tw for tw in values}
     try:
         return tuple(by_class[(tw0 + 2 * i) % (2 * t)] for i in range(t))
     except KeyError as exc:
@@ -274,11 +266,11 @@ def content_coding(partition: Partition, t: int) -> Partition:
     The image consists of the partitions of length at most t-1 whose values
     mu_i - i (i = 1..t, trailing zeros included) cover all classes modulo t.
     """
-    coding = core_coding(partition, t)
-    a_tw = -coding.values[-1].twice
+    twice = core_coding(partition, t).twice
+    a_tw = -twice[-1]
     parts = []
-    for i, v in enumerate(coding.values, start=1):
-        tw = v.twice - 2 * t + 2 * i + a_tw
+    for i, v in enumerate(twice, start=1):
+        tw = v - 2 * t + 2 * i + a_tw
         mu_i = tw // 2
         if mu_i > 0:
             parts.append(mu_i)
@@ -286,14 +278,19 @@ def content_coding(partition: Partition, t: int) -> Partition:
 
 
 def content_coding_size(mu: Partition, t: int) -> int:
-    """Size of the t-core mapped to mu, from mu alone."""
+    """Size of the t-core mapped to mu, from mu alone:
+
+    -m(m + t + t^2)/(2t^2) + sum_i (mu_i^2 + 2(t+1-i) mu_i)/(2t), m = |mu|,
+    taken exactly over the common denominator 2t^2.
+    """
     m = mu.size
-    total = Fraction(-m * (m + t + t * t), 2 * t * t)
-    for i, p in enumerate(mu.parts, start=1):
-        total += Fraction(p * p + 2 * (t + 1 - i) * p, 2 * t)
-    if total.denominator != 1 or total < 0:
-        raise NonIntegerSizeError(f"size formula gave {total}")
-    return int(total)
+    num = -m * (m + t + t * t) + t * sum(
+        p * p + 2 * (t + 1 - i) * p for i, p in enumerate(mu.parts, start=1)
+    )
+    size, rem = divmod(num, 2 * t * t)
+    if rem or size < 0:
+        raise NonIntegerSizeError(f"size formula gave {Fraction(num, 2 * t * t)}")
+    return size
 
 
 def is_content_coding_image(mu: Partition, t: int) -> bool:
@@ -324,30 +321,28 @@ def bead_relation_checks(partition: Partition, t: int) -> dict[str, bool]:
     beads2 = bead_set(conj, t)
     top1, top2 = beads1.top, beads2.top
 
-    ray_closure = all(
-        beads1.contains_twice(h.twice - 2 * t) for h in beads1.head
-    )
+    ray_closure = all(h - 2 * t in beads1 for h in beads1.head)
 
-    w1_window = {x.twice for x in beads1.elements_down_to(HalfInt(-top2.twice))}
-    w2_window = {x.twice for x in beads2.elements_down_to(HalfInt(-top1.twice))}
+    w1_window = set(beads1.elements_down_to(-top2))
+    w2_window = set(beads2.elements_down_to(-top1))
     mirror = {tw for tw in w1_window if -tw in w2_window}
-    mirror_intersection = mirror == {v.twice for v in coding.values}
+    v1 = set(coding.twice)
+    mirror_intersection = mirror == v1
 
-    conjugate_negation = coding2.values == tuple(-v for v in reversed(coding.values))
+    conjugate_negation = coding2.twice == tuple(-v for v in reversed(coding.twice))
 
-    v1 = {v.twice for v in coding.values}
     dagger_window = {tw for tw in w1_window if tw not in v1}
-    gaps2 = {-g.twice for g in beads2.gaps()}
+    gaps2 = {-g for g in beads2.gaps()}
     dagger_complement = dagger_window == gaps2
 
-    zero_sum = sum(v.twice for v in coding.values) == 0
+    zero_sum = sum(coding.twice) == 0
 
-    gaps1 = {g.twice for g in beads1.gaps()}
-    lo = min(beads1.ray_top.twice, coding.values[-1].twice)
+    gaps1 = set(beads1.gaps())
+    lo = min(beads1.ray_top, coding.twice[-1])
     ok = True
-    tw = beads1.top.twice
+    tw = top1
     while tw >= lo:
-        in_w = beads1.contains_twice(tw)
+        in_w = tw in beads1
         flags = (in_w and tw in v1, in_w and tw not in v1, tw in gaps1)
         if sum(flags) != 1:
             ok = False
@@ -376,17 +371,19 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
     tw0 = 0 if t % 2 else 1
     # doubled values: u_i = tw0 + 2i + 2t*k_i; sum must vanish
     base = [tw0 + 2 * i for i in range(t)]
-    budget = Fraction(8 * t) * (max_size + Fraction(t * t - 1, 24))
-    budget = int(budget)  # bound on sum of squared doubled values
-    out: list[CoreCoding] = []
+    # bound on the sum of squared doubled values: size <= max_size exactly
+    # when sum tw^2 <= 8t max_size + (t^3 - t)/3, and 3 divides (t-1)t(t+1)
+    budget = 8 * t * max_size + (t * t * t - t) // 3
+    out: list[tuple[int, tuple[int, ...]]] = []
 
     def rec(i, remaining_sum, remaining_budget, chosen):
         if i == t:
             if remaining_sum == 0:
-                values = tuple(HalfInt(tw) for tw in sorted(chosen, reverse=True))
-                coding = CoreCoding(values, t)
-                if coding_size(coding) <= max_size:
-                    out.append(coding)
+                # one entry per class, so distinct: a valid coding
+                values = tuple(sorted(chosen, reverse=True))
+                size = _size(values, t)
+                if size <= max_size:
+                    out.append((size, values))
             return
         slots_left = t - i
         # Cauchy-Schwarz: the remaining doubled values must cover remaining_sum
@@ -406,8 +403,8 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
             chosen.pop()
 
     rec(0, 0, budget, [])
-    out.sort(key=lambda c: (coding_size(c), tuple(-v.twice for v in c.values)))
-    return out
+    out.sort(key=lambda sv: (sv[0], tuple(-tw for tw in sv[1])))
+    return [_trusted(values, t) for _, values in out]
 
 
 def cores_from_codings(t: int, max_size: int) -> list[Partition]:
@@ -418,9 +415,13 @@ def cores_from_codings(t: int, max_size: int) -> list[Partition]:
 
 
 def _coerce(coding, t):
+    """Doubled entries and t of a coding given as a CoreCoding or as a
+    sequence in which a bare int is a whole value and a HalfInt any value."""
     if isinstance(coding, CoreCoding):
-        return coding.values, coding.t if t is None else t
+        return coding.twice, coding.t if t is None else t
     if t is None:
         raise ValueError("t is required when the coding is a bare sequence")
-    values = tuple(v if isinstance(v, HalfInt) else HalfInt.whole(v) for v in coding)
+    values = tuple(
+        v.twice if isinstance(v, HalfInt) else 2 * operator.index(v) for v in coding
+    )
     return values, t

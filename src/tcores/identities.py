@@ -176,7 +176,7 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
     for lam in enumerate_t_cores(t, max_size):
         checked += 1
         coding = core_coding(lam, t)
-        diag = validate_coding(coding.values, t)
+        diag = validate_coding(coding)
         if not diag.valid:
             failures.append(f"{lam}: produced coding invalid: {diag.messages}")
             break
@@ -243,7 +243,8 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
         want = WeightLedger({i: beta[i - 1] for i in range(1, t)})
         if region_ledger(window, "gamma+", "C", "C") != want:
             bad.append("gap_band_counts")
-        if any(b.entry == t for b in window.boxes()):
+        # a box (x, y) has entry t exactly when y = 2t - x, doubled
+        if any(window.in_w2(2 * t - x) for x in window.x_values() if window.in_w1(x)):
             bad.append("entry_exactly_t")
         if bad:
             failures.append(f"{lam}: {bad}")

@@ -151,18 +151,17 @@ def coding_difference_ledger(coding: CoreCoding, beta, t: int | None = None) -> 
 
     prod_i tau(-i)^(b_i) / tau(i)^(b_i + t - i) * prod_{i<j} tau(v_i - v_j).
     """
-    if isinstance(coding, CoreCoding) and t is None:
+    if t is None:
         t = coding.t
-    values = list(coding)
+    tw = coding.twice
     factors = []
     for i in range(1, t):
         b = beta[i - 1]
         factors.append((-i, b))
         factors.append((i, -(b + t - i)))
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            diff = values[i] - values[j]
-            factors.append((diff.as_int(), 1))
+    for i in range(len(tw)):
+        for j in range(i + 1, len(tw)):
+            factors.append(((tw[i] - tw[j]) // 2, 1))
     return WeightLedger.from_factors(factors)
 
 
@@ -175,12 +174,12 @@ def parity_coding_ledger(coding: CoreCoding, t: int | None = None, parity: str =
     """
     if isinstance(coding, CoreCoding) and t is None:
         t = coding.t
-    u = class_sorted_coding(coding, t)
+    u = class_sorted_coding(coding, t)  # doubled entries
     sign = -1 if (t % 4 == 3 and parity == "odd") else 1
     factors = [(k, -(t - k)) for k in range(1, t)]
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
-            factors.append(((u[i] - u[j]).as_int(), 1))
+            factors.append(((u[i] - u[j]) // 2, 1))
     return parity_normalize(WeightLedger.from_factors(factors, sign), parity)
 
 

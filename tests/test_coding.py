@@ -17,7 +17,6 @@ from tcores.coding import (
     core_coding,
     cores_from_codings,
     enumerate_codings,
-    gap_set_and_bounds,
     is_content_coding_image,
     validate_coding,
 )
@@ -32,25 +31,35 @@ def h(text):
     return HalfInt.parse(text)
 
 
+def tw(text):
+    """Doubled int of a (half-)integer written as text."""
+    return HalfInt.parse(text).twice
+
+
+def text(twice):
+    """Texts of doubled ints, for comparing with the paper's tables."""
+    return [str(HalfInt(x)) for x in twice]
+
+
 def test_bead_set_table1():
     beads = bead_set(TABLE1, 5)
-    assert [str(x) for x in beads.head] == ["10", "5", "3", "1", "0", "-2"]
-    assert str(beads.ray_top) == "-4"
-    assert str(beads.top) == "10"
-    assert h("-4") in beads and h("-100") in beads
-    assert h("9") not in beads and h("-3") not in beads
+    assert text(beads.head) == ["10", "5", "3", "1", "0", "-2"]
+    assert text([beads.ray_top]) == ["-4"]
+    assert text([beads.top]) == ["10"]
+    assert tw("-4") in beads and tw("-100") in beads
+    assert tw("9") not in beads and tw("-3") not in beads
 
 
 def test_bead_set_table2_half_integers():
     beads = bead_set(TABLE2, 6)
-    assert [str(x) for x in beads.head] == ["21/2", "13/2", "9/2", "1/2", "-1/2", "-3/2"]
-    assert str(beads.ray_top) == "-7/2"
+    assert text(beads.head) == ["21/2", "13/2", "9/2", "1/2", "-1/2", "-3/2"]
+    assert text([beads.ray_top]) == ["-7/2"]
 
 
 def test_bead_set_empty():
     beads = bead_set(Partition(()), 3)
     assert beads.head == ()
-    assert str(beads.ray_top) == "1"
+    assert text([beads.ray_top]) == ["1"]
 
 
 def test_bead_membership_against_naive_scan():
@@ -59,16 +68,15 @@ def test_bead_membership_against_naive_scan():
     for lam in partitions_up_to(12):
         for t in range(1, 7):
             beads = bead_set(lam, t)
-            lo = beads.ray_top.twice - 4 * t
+            lo = beads.ray_top - 4 * t
             K = len(lam.parts) + (t + 1 - lo) // 2 + 1  # every bead >= lo
             listed = [2 * (lam.part(i) - i) + t + 1 for i in range(1, K + 1)]
             assert listed[-1] < lo
-            for tw in range(beads.top.twice + 4 * t, lo - 1, -2):  # the lattice of W
-                naive = tw in listed  # a list: a linear scan
-                assert beads.contains_twice(tw) == naive, (lam, t, tw)
-                assert (HalfInt(tw) in beads) == naive
-            gaps = [tw for tw in range(beads.top.twice, lo - 1, -2) if tw not in listed]
-            assert [g.twice for g in beads.gaps()] == gaps
+            for x in range(beads.top + 4 * t, lo - 1, -2):  # the lattice of W
+                naive = x in listed  # a list: a linear scan
+                assert (x in beads) == naive, (lam, t, x)
+            gaps = [x for x in range(beads.top, lo - 1, -2) if x not in listed]
+            assert list(beads.gaps()) == gaps
 
 
 def test_core_coding_table1():
@@ -82,7 +90,7 @@ def test_core_coding_table2():
 def test_core_coding_empty():
     for t in range(1, 9):
         c = core_coding(Partition(()), t)
-        assert [v.twice for v in c.values] == [t - 1 - 2 * i for i in range(t)]
+        assert list(c.twice) == [t - 1 - 2 * i for i in range(t)]
 
 
 def test_core_coding_single_cell_even_t():
@@ -95,17 +103,16 @@ def test_core_coding_rejects_non_core():
 
 
 def test_gap_set_table1():
-    gaps, top, ray_top = gap_set_and_bounds(TABLE1, 5)
-    assert [str(g) for g in gaps] == ["9", "8", "7", "6", "4", "2", "-1", "-3"]
-    assert str(top) == "10" and str(ray_top) == "-4"
-    gaps2, top2, ray2 = gap_set_and_bounds(TABLE1.conjugate(), 5)
-    assert [str(g) for g in gaps2] == ["7", "5", "4", "2", "0", "-5"]
-    assert str(top2) == "8" and str(ray2) == "-6"
+    beads = bead_set(TABLE1, 5)
+    assert text(beads.gaps()) == ["9", "8", "7", "6", "4", "2", "-1", "-3"]
+    assert text([beads.top, beads.ray_top]) == ["10", "-4"]
+    beads2 = bead_set(TABLE1.conjugate(), 5)
+    assert text(beads2.gaps()) == ["7", "5", "4", "2", "0", "-5"]
+    assert text([beads2.top, beads2.ray_top]) == ["8", "-6"]
 
 
 def test_gap_set_empty():
-    gaps, _, _ = gap_set_and_bounds(Partition(()), 4)
-    assert gaps == ()
+    assert bead_set(Partition(()), 4).gaps() == ()
 
 
 def test_coding_roundtrip_tables():
@@ -132,7 +139,7 @@ def test_coding_to_core_rejects_invalid():
 
 def test_coding_size():
     c = core_coding(TABLE1, 5)
-    assert sum(v.twice ** 2 for v in c.values) == 4 * 210
+    assert sum(v ** 2 for v in c.twice) == 4 * 210
     assert coding_size(c) == 20
     assert coding_size(core_coding(TABLE2, 6)) == 20
     assert coding_size(core_coding(Partition(()), 7)) == 0
@@ -165,7 +172,7 @@ def test_class_sorted_coding():
     c = core_coding(TABLE1, 5)
     u = class_sorted_coding(c)
     for i, ui in enumerate(u):
-        assert (ui.twice - 2 * i) % 10 == 0
+        assert (ui - 2 * i) % 10 == 0
 
 
 def test_content_coding_table1():
@@ -209,14 +216,14 @@ def test_conjugate_coding_negates():
         for lam in enumerate_t_cores(t, 10):
             c = core_coding(lam, t)
             c2 = core_coding(lam.conjugate(), t)
-            assert c2.values == tuple(-v for v in reversed(c.values))
+            assert c2.twice == tuple(-v for v in reversed(c.twice))
 
 
 def test_roundtrip_sweep():
     for t in range(1, 9):
         for lam in enumerate_t_cores(t, 15):
             c = core_coding(lam, t)
-            assert validate_coding(c.values, t).valid
+            assert validate_coding(c).valid
             assert coding_to_core(c) == lam
             assert coding_size(c) == lam.size
 
@@ -227,7 +234,7 @@ def test_enumerate_codings_deterministic_and_valid():
     sizes = [coding_size(c) for c in codings]
     assert sizes == sorted(sizes)
     for c in codings:
-        assert validate_coding(c.values, 3).valid
+        assert validate_coding(c).valid
 
 
 def test_two_route_enumeration_agrees():
@@ -242,3 +249,69 @@ def test_two_cores_are_triangular():
     assert {p.size for p in cores} == {k * (k + 1) // 2 for k in range(7)}
     for p in cores:
         assert p.parts == tuple(range(len(p.parts), 0, -1))
+
+
+# The Fraction forms of both size formulas, kept as the oracle for the
+# integer-first versions in tcores.coding.
+
+
+def fraction_coding_size(twice, t):
+    return Fraction(sum(v * v for v in twice), 8 * t) - Fraction(t * t - 1, 24)
+
+
+def fraction_content_coding_size(mu, t):
+    m = mu.size
+    total = Fraction(-m * (m + t + t * t), 2 * t * t)
+    for i, p in enumerate(mu.parts, start=1):
+        total += Fraction(p * p + 2 * (t + 1 - i) * p, 2 * t)
+    return total
+
+
+def test_size_formulas_match_fraction_oracle():
+    for t in range(1, 9):
+        for c in enumerate_codings(t, 20):
+            size = coding_size(c)
+            assert size == fraction_coding_size(c.twice, t) <= 20, (t, c)
+            mu = content_coding(coding_to_core(c), t)
+            assert content_coding_size(mu, t) == fraction_content_coding_size(mu, t) == size
+
+
+def test_size_formulas_reject_like_fraction_oracle():
+    # non-integer, and negative, values of the coding-side formula
+    for values, t in (([6, 0, -6], 3), ([0, 0, 0], 3)):
+        want = fraction_coding_size([2 * v for v in values], t)
+        assert want.denominator != 1 or want < 0
+        with pytest.raises(NonIntegerSizeError, match=f"^size formula gave {want}$"):
+            coding_size(values, t)
+    # (1) is not a content-coding image for t = 2: its formula gives 3/8
+    want = fraction_content_coding_size(Partition((1,)), 2)
+    assert want == Fraction(3, 8)
+    with pytest.raises(NonIntegerSizeError, match=f"^size formula gave {want}$"):
+        content_coding_size(Partition((1,)), 2)
+
+
+def test_text_round_trip_sweep():
+    # even t puts every coding entry at a half value
+    for t in range(1, 9):
+        for lam in enumerate_t_cores(t, 15):
+            c = core_coding(lam, t)
+            assert CoreCoding.parse(str(c), t) == c
+            assert coding_to_core(c) == lam
+
+
+def test_public_boundary_whole_ints_halves_and_codings():
+    c = core_coding(TABLE1, 5)
+    # a bare int is a whole value; a CoreCoding is taken as it is
+    assert CoreCoding([10, 3, 1, -6, -8], 5) == c
+    assert CoreCoding(c) == c
+    assert validate_coding(c).valid and coding_size(c) == 20
+    assert coding_to_core(c) == TABLE1
+    assert class_sorted_coding(c) == class_sorted_coding([10, 3, 1, -6, -8], 5)
+    c2 = core_coding(TABLE2, 6)
+    halves = [h(s) for s in "21/2,13/2,-1/2,-7/2,-9/2,-17/2".split(",")]
+    assert CoreCoding(halves, 6) == c2 and coding_to_core(halves, 6) == TABLE2
+    assert c2.twice == (21, 13, -1, -7, -9, -17)
+    # whole ints cannot code an even t: the parity condition fails
+    assert not validate_coding([1, -1], 2).parity_ok
+    with pytest.raises(InvalidCodingError):
+        CoreCoding([1, -1], 2)

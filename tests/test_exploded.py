@@ -15,6 +15,7 @@ from tcores.exploded import (
     region_ledger,
     render,
 )
+from tcores.halfint import HalfInt
 from tcores.partitions import Partition, enumerate_t_cores
 from tcores.weights import WeightLedger
 
@@ -32,23 +33,23 @@ def test_window_geometry_table1():
 def test_second_row_third_cell_lands_at_5_3():
     w = ExplodedWindow(TABLE1, 5)
     mapping = cell_box_map(w)
-    box = mapping[(2, 3)]
-    assert (str(box.x), str(box.y)) == ("5", "3")
-    assert box.entry == 8
+    x, y = mapping[(2, 3)]
+    assert (str(HalfInt(x)), str(HalfInt(y))) == ("5", "3")
+    assert (x + y) // 2 == 8
     assert len(mapping) == TABLE1.size
 
 
 def test_cell_box_entries_are_hooks_plus_t():
     lam = Partition((6, 3, 3, 2))
     w = ExplodedWindow(lam, 5)
-    entries = sorted(b.entry - 5 for b in cell_box_map(w).values())
+    entries = sorted((x + y) // 2 - 5 for x, y in cell_box_map(w).values())
     assert entries == sorted(lam.hooks())
 
 
 def test_empty_partition_window():
     for t in (1, 3, 4):
         w = ExplodedWindow(Partition(()), t)
-        entries = [b.entry for b in w.boxes()]
+        entries = [(x + y) // 2 for x, y in w.boxes()]
         assert all(e <= t - 1 for e in entries)
         assert not [e for e in entries if e > t]  # no boxes above t
 
@@ -56,11 +57,21 @@ def test_empty_partition_window():
 def test_translation_relations_table1():
     w = ExplodedWindow(TABLE1, 5)
     assert check_translation_relations(w) == {
-        "indicator": True,
         "shift_down": True,
         "shift_left": True,
         "shift_diagonal": True,
     }
+
+
+def test_translation_relations_can_fail():
+    # negative controls: a window whose coding sets are cut short
+    w = ExplodedWindow(TABLE1, 5)
+    w.v2 = frozenset()
+    assert check_translation_relations(w)["shift_down"] is False
+    w = ExplodedWindow(TABLE1, 5)
+    w.v1 = w.v1 - {max(w.v1)}
+    rel = check_translation_relations(w)
+    assert rel["shift_left"] is False and rel["shift_diagonal"] is False
 
 
 def test_translation_relations_empty():
@@ -91,7 +102,7 @@ def test_delta_ledger_worked_example():
 def test_positive_band_on_coding_is_pairwise_differences():
     t = 5
     w = ExplodedWindow(Partition(()), t)
-    base = [v.as_int() for v in core_coding(Partition(()), t)]
+    base = [v // 2 for v in core_coding(Partition(()), t).twice]
     tally = Counter(
         a - b for a in base for b in base if 0 < a - b < t
     )
@@ -126,7 +137,7 @@ def test_no_entry_exactly_t_for_cores():
     for t in (2, 5):
         for lam in enumerate_t_cores(t, 10):
             w = ExplodedWindow(lam, t)
-            assert all(b.entry != t for b in w.boxes())
+            assert all((x + y) // 2 != t for x, y in w.boxes())
 
 
 def test_infinite_selection_rejected():

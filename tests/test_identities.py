@@ -32,6 +32,7 @@ from tcores.identities import (
     verifier,
 )
 from tcores.coding import coding_size
+from tcores.halfint import HalfInt
 from tcores.partitions import enumerate_t_cores
 from tcores.qseries import TruncatedSeries
 from tcores.rings import P, PrimeField
@@ -371,6 +372,23 @@ def test_exploded_relations_broken_ledger_fails(monkeypatch):
     r = verify_exploded_relations(3, 10)
     assert not r.passed and r.details["cores_checked"] == 1
     assert r.deviation == "-: ['band_count', 'gap_band_counts']"
+
+
+def test_sweeps_build_no_halfint(monkeypatch):
+    # beads, codings and window coordinates stay doubled ints in memory;
+    # HalfInt is only for parsing and printing text
+    built = []
+    real = HalfInt.__init__
+
+    def counting(self, twice):
+        built.append(twice)
+        real(self, twice)
+
+    monkeypatch.setattr(HalfInt, "__init__", counting)
+    assert verify_multiset_formula(t=6, max_size=12).passed
+    assert verify_exploded_relations(t=4, max_size=12).passed
+    assert built == []
+    assert str(HalfInt(21)) == "21/2" and built == [21]  # the counter does count
 
 
 def test_registry_and_profiles():
