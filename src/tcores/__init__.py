@@ -53,7 +53,6 @@ from .weights import (
     parity_coding_ledger,
     parity_normalize,
     shifted_square_weight,
-    sine_weight,
     square_weight,
 )
 from .rings import Poly, PolynomialRing, PrimeField, RationalField

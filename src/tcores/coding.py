@@ -301,8 +301,9 @@ def is_content_coding_image(mu: Partition, t: int) -> bool:
     return len(residues) == t
 
 
-def bead_relation_checks(partition: Partition, t: int) -> dict[str, bool]:
-    """Executable forms of the bead-set relations satisfied by t-cores.
+def bead_relation_checks(partition: Partition, coding: CoreCoding) -> dict[str, bool]:
+    """Executable forms of the bead-set relations satisfied by a t-core and
+    its coding.
 
     ray_closure        every bead keeps its t-step predecessor in the set
     mirror_intersection coding = beads of the partition meeting the negated
@@ -311,10 +312,8 @@ def bead_relation_checks(partition: Partition, t: int) -> dict[str, bool]:
     dagger_complement  non-coding beads above -M2 are the negated gaps of
                         the conjugate side
     zero_sum           the coding sums to zero
-    disjoint_partition below the top, every value is exactly one of
-                        coding / other bead / gap
     """
-    coding = core_coding(partition, t)
+    t = coding.t
     conj = partition.conjugate()
     coding2 = core_coding(conj, t)
     beads1 = bead_set(partition, t)
@@ -337,26 +336,12 @@ def bead_relation_checks(partition: Partition, t: int) -> dict[str, bool]:
 
     zero_sum = sum(coding.twice) == 0
 
-    gaps1 = set(beads1.gaps())
-    lo = min(beads1.ray_top, coding.twice[-1])
-    ok = True
-    tw = top1
-    while tw >= lo:
-        in_w = tw in beads1
-        flags = (in_w and tw in v1, in_w and tw not in v1, tw in gaps1)
-        if sum(flags) != 1:
-            ok = False
-            break
-        tw -= 2
-    disjoint_partition = ok
-
     return {
         "ray_closure": ray_closure,
         "mirror_intersection": mirror_intersection,
         "conjugate_negation": conjugate_negation,
         "dagger_complement": dagger_complement,
         "zero_sum": zero_sum,
-        "disjoint_partition": disjoint_partition,
     }
 
 

@@ -6,9 +6,16 @@ the entry of a box is the sum of its coordinates.  Entries above t form the
 region Delta (one box per cell of the partition, entry = hook + t); entries
 in (0, t) and (-t, 0) form the bands Gamma+ and Gamma-.  A window with
 margin t beyond [-M2, M1] x [-M1, M2] captures every identity used here.
+
+Each side of a window is read as a decreasing list of doubled coordinates:
+the beads W, the beads off the coding Wd, the coding V, the gaps C, or all
+of them.  The window ends at the top bead of each side, so inside it the ray
+below that bead and the whole lattice line Z are the same list.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .coding import bead_set, core_coding
 from .halfint import HalfInt
@@ -60,37 +67,30 @@ class ExplodedWindow:
         self.x_lo = -top2 - 2 * t
         self.y_lo = -top1 - 2 * t
 
-    # membership tests on doubled coordinates
-    def in_w1(self, tw: int) -> bool:
-        return tw in self.beads1
+    def axis(self, side: int, name: str) -> list[int]:
+        """Doubled coordinates of one side (0: x, 1: y) of the window that
+        lie in the coordinate set `name`, decreasing.
 
-    def in_w2(self, tw: int) -> bool:
-        return tw in self.beads2
-
-    def in_v1(self, tw: int) -> bool:
-        return tw in self.v1
-
-    def in_v2(self, tw: int) -> bool:
-        return tw in self.v2
-
-    def in_w1d(self, tw: int) -> bool:
-        return self.in_w1(tw) and tw not in self.v1
-
-    def in_w2d(self, tw: int) -> bool:
-        return self.in_w2(tw) and tw not in self.v2
-
-    def in_c1(self, tw: int) -> bool:
-        return tw in self.c1
-
-    def in_c2(self, tw: int) -> bool:
-        return tw in self.c2
-
-    def x_values(self):
-        """Doubled x lattice coordinates in the window, decreasing."""
-        return range(self.x_hi, self.x_lo - 1, -2)
-
-    def y_values(self):
-        return range(self.y_hi, self.y_lo - 1, -2)
+        W are the beads, Wd the beads off the coding, V the coding and C the
+        gaps.  The window's top on each side is its top bead, so `ray` and
+        `Z` both give every coordinate of the window.
+        """
+        if side == 0:
+            hi, lo, beads, v, c = self.x_hi, self.x_lo, self.beads1, self.v1, self.c1
+        else:
+            hi, lo, beads, v, c = self.y_hi, self.y_lo, self.beads2, self.v2, self.c2
+        coords = range(hi, lo - 1, -2)
+        if name in ("ray", "Z"):
+            return list(coords)
+        if name == "W":
+            return [tw for tw in coords if tw in beads]
+        if name == "Wd":
+            return [tw for tw in coords if tw in beads and tw not in v]
+        if name == "V":
+            return [tw for tw in coords if tw in v]
+        if name == "C":
+            return [tw for tw in coords if tw in c]
+        raise ValueError(f"unknown coordinate set {name!r}")
 
     def region_of(self, entry: int) -> str:
         t = self.t
@@ -105,12 +105,8 @@ class ExplodedWindow:
     def boxes(self) -> list[tuple[int, int]]:
         """All boxes in the window as doubled (x, y) pairs, row-major from
         the top."""
-        xs = [xtw for xtw in self.x_values() if self.in_w1(xtw)]
-        return [
-            (xtw, ytw)
-            for ytw in self.y_values() if self.in_w2(ytw)
-            for xtw in xs
-        ]
+        xs = self.axis(0, "W")
+        return [(xtw, ytw) for ytw in self.axis(1, "W") for xtw in xs]
 
 
 def cell_box_map(window: ExplodedWindow) -> dict[tuple[int, int], tuple[int, int]]:
@@ -133,25 +129,15 @@ def cell_box_map(window: ExplodedWindow) -> dict[tuple[int, int], tuple[int, int
     return mapping
 
 
-def _pair_set(window, xpred, ypred, lo, hi, forbid=()):
-    """Doubled-coordinate pairs with lo < entry < hi under the predicates.
-
-    Entries are true integers; `lo`/`hi` may be +-inf via None.
-    """
-    ys = [ytw for ytw in window.y_values() if ypred(ytw)]
+def _pair_set(xs, ys, lo, hi, forbid=()):
+    """Doubled-coordinate pairs of xs x ys with lo < entry < hi and the entry
+    not in `forbid`; hi=None leaves the entries unbounded above."""
     out = set()
-    for xtw in window.x_values():
-        if not xpred(xtw):
-            continue
+    for xtw in xs:
         for ytw in ys:
             entry = (xtw + ytw) // 2
-            if lo is not None and entry <= lo:
-                continue
-            if hi is not None and entry >= hi:
-                continue
-            if entry in forbid:
-                continue
-            out.add((xtw, ytw))
+            if entry > lo and (hi is None or entry < hi) and entry not in forbid:
+                out.add((xtw, ytw))
     return out
 
 
@@ -167,21 +153,20 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     if not window.partition.is_t_core(window.t):
         raise RelationViolationError("translation relations assume a t-core")
     t = window.t
+    w1, w2 = window.axis(0, "W"), window.axis(1, "W")
+    w1d, w2d = window.axis(0, "Wd"), window.axis(1, "Wd")
     results = {}
 
-    delta = _pair_set(window, window.in_w1, window.in_w2, t, None)
+    delta = _pair_set(w1, w2, t, None)
 
     moved = {(x, y - 2 * t) for (x, y) in delta}
-    target = _pair_set(window, window.in_w1, window.in_w2d, 0, None, forbid=(t,))
-    results["shift_down"] = moved == target
+    results["shift_down"] = moved == _pair_set(w1, w2d, 0, None, forbid=(t,))
 
     moved = {(x - 2 * t, y) for (x, y) in delta}
-    target = _pair_set(window, window.in_w1d, window.in_w2, 0, None, forbid=(t,))
-    results["shift_left"] = moved == target
+    results["shift_left"] = moved == _pair_set(w1d, w2, 0, None, forbid=(t,))
 
     moved = {(x - 2 * t, y - 2 * t) for (x, y) in delta}
-    target = _pair_set(window, window.in_w1d, window.in_w2d, -t, None, forbid=(0, t))
-    results["shift_diagonal"] = moved == target
+    results["shift_diagonal"] = moved == _pair_set(w1d, w2d, -t, None, forbid=(0, t))
 
     return results
 
@@ -192,8 +177,8 @@ def check_fold(window: ExplodedWindow) -> dict[str, bool]:
     if not window.partition.is_t_core(window.t):
         raise RelationViolationError("the fold assumes a t-core")
     t = window.t
-    negative = _pair_set(window, window.in_w1d, window.in_w2d, -t, 0)
-    positive = _pair_set(window, window.in_c1, window.in_c2, 0, t)
+    negative = _pair_set(window.axis(0, "Wd"), window.axis(1, "Wd"), -t, 0)
+    positive = _pair_set(window.axis(0, "C"), window.axis(1, "C"), 0, t)
     folded = {(-y, -x) for (x, y) in negative}
     bijection = folded == positive
     entries_negate = {-(x + y) // 2 for (x, y) in negative} == {
@@ -202,19 +187,11 @@ def check_fold(window: ExplodedWindow) -> dict[str, bool]:
     return {"fold_bijection": bijection, "entries_negate": entries_negate}
 
 
-_SET_PREDICATES = {
-    "W": ("in_w1", "in_w2"),
-    "Wd": ("in_w1d", "in_w2d"),
-    "V": ("in_v1", "in_v2"),
-    "C": ("in_c1", "in_c2"),
-    "Z": (None, None),
-    "ray": (None, None),
-}
+_COORDINATE_SETS = ("W", "Wd", "V", "C", "ray", "Z")
+_FINITE_SETS = ("V", "C")
 
-_FINITE_SETS = {"V", "C"}
-_BOUNDED_ABOVE = {"W", "Wd", "V", "C", "ray"}
-
-_REGION_BOUNDS = {"delta": ("t", None), "gamma+": (0, "t"), "gamma-": ("-t", 0)}
+# entry bounds (lo, hi) of each region as multiples of t; None is unbounded
+_REGION_BOUNDS = {"delta": (1, None), "gamma+": (0, 1), "gamma-": (-1, 0)}
 
 
 def region_ledger(window: ExplodedWindow, region: str, xset: str = "W", yset: str = "W") -> WeightLedger:
@@ -222,42 +199,25 @@ def region_ledger(window: ExplodedWindow, region: str, xset: str = "W", yset: st
 
     `region` is one of delta / gamma+ / gamma-.  Coordinate sets: W (beads),
     Wd (beads minus coding), V (coding), C (gaps), ray (everything below the
-    top of that side), Z (the whole lattice line).  Raises if the selection
-    is not a finite set of boxes.
+    top of that side), Z (the whole lattice line).  Inside the window `ray`
+    and `Z` select the same coordinates; they differ only in that Z, which is
+    infinite above, raises unless the other side is V or C.
     """
     if region not in _REGION_BOUNDS:
         raise ValueError(f"unknown region {region!r}")
     for name, s in (("xset", xset), ("yset", yset)):
-        if s not in _SET_PREDICATES:
+        if s not in _COORDINATE_SETS:
             raise ValueError(f"unknown {name} {s!r}")
-    x_finite = xset in _FINITE_SETS
-    y_finite = yset in _FINITE_SETS
-    if not x_finite and not y_finite:
-        if xset == "Z" or yset == "Z":
-            raise InfiniteSelectionError(
-                "an unbounded lattice factor needs a finite partner set"
-            )
+    if "Z" in (xset, yset) and xset not in _FINITE_SETS and yset not in _FINITE_SETS:
+        raise InfiniteSelectionError(
+            "an unbounded lattice factor needs a finite partner set"
+        )
     t = window.t
     lo, hi = _REGION_BOUNDS[region]
-    lo = -t if lo == "-t" else (t if lo == "t" else lo)
-    hi = t if hi == "t" else hi
-
-    def pred(side, sname):
-        if sname == "Z":
-            return lambda tw: True
-        if sname == "ray":
-            top = window.x_hi if side == 0 else window.y_hi
-            return lambda tw: tw <= top
-        method = getattr(window, _SET_PREDICATES[sname][side])
-        return method
-
-    xp, yp = pred(0, xset), pred(1, yset)
-    pairs = _pair_set(window, xp, yp, lo, hi)
-    exps: dict[int, int] = {}
-    for (xtw, ytw) in pairs:
-        e = (xtw + ytw) // 2
-        exps[e] = exps.get(e, 0) + 1
-    return WeightLedger(exps)
+    pairs = _pair_set(
+        window.axis(0, xset), window.axis(1, yset), lo * t, None if hi is None else hi * t
+    )
+    return WeightLedger(Counter((xtw + ytw) // 2 for xtw, ytw in pairs))
 
 
 def check_triangle_ledger(window: ExplodedWindow) -> bool:
@@ -314,16 +274,17 @@ def render_ascii(window: ExplodedWindow) -> str:
         f"# exploded tableau: partition={window.partition} t={window.t}",
         "# regions: [delta] (gamma+) <gamma->  coding coordinates marked _v_",
     ]
+    xs = window.axis(0, "Z")
     header = " " * (width + 1)
-    for xtw in window.x_values():
-        header += _axis_label(xtw, window.in_v1(xtw)).rjust(width)
+    for xtw in xs:
+        header += _axis_label(xtw, xtw in window.v1).rjust(width)
     lines.append(header.rstrip())
-    for ytw in window.y_values():
-        label = _axis_label(ytw, window.in_v2(ytw)).rjust(width) + "|"
+    for ytw in window.axis(1, "Z"):
+        label = _axis_label(ytw, ytw in window.v2).rjust(width) + "|"
         row = [label]
-        has_y = window.in_w2(ytw)
-        for xtw in window.x_values():
-            if has_y and window.in_w1(xtw):
+        has_y = ytw in window.beads2
+        for xtw in xs:
+            if has_y and xtw in window.beads1:
                 row.append(_fmt_cell(window, (xtw + ytw) // 2).rjust(width))
             else:
                 row.append(" " * width)
@@ -334,8 +295,8 @@ def render_ascii(window: ExplodedWindow) -> str:
 def render_svg(window: ExplodedWindow) -> str:
     """Deterministic SVG: 12 px per lattice unit, fixed viewBox."""
     unit = 12
-    xs = list(window.x_values())
-    ys = list(window.y_values())
+    xs = window.axis(0, "Z")
+    ys = window.axis(1, "Z")
     ncols, nrows = len(xs), len(ys)
     w = (ncols + 2) * unit
     h = (nrows + 2) * unit
@@ -354,10 +315,10 @@ def render_svg(window: ExplodedWindow) -> str:
 
     fill = {"delta": "#c8c8c8", "gamma+": "#ffffff", "gamma-": "#f2f2e4", "other": "#e8f0ff"}
     for ytw in ys:
-        if not window.in_w2(ytw):
+        if ytw not in window.beads2:
             continue
         for xtw in xs:
-            if not window.in_w1(xtw):
+            if xtw not in window.beads1:
                 continue
             entry = (xtw + ytw) // 2
             region = window.region_of(entry)
@@ -370,12 +331,12 @@ def render_svg(window: ExplodedWindow) -> str:
                 f'<text x="{x0 + 6}" y="{y0 + 8}" text-anchor="middle">{entry}</text>'
             )
     for xtw in xs:
-        deco = ' text-decoration="underline"' if window.in_v1(xtw) else ""
+        deco = ' text-decoration="underline"' if xtw in window.v1 else ""
         parts.append(
             f'<text x="{px(xtw) + 6}" y="8" text-anchor="middle"{deco}>{HalfInt(xtw)}</text>'
         )
     for ytw in ys:
-        deco = ' text-decoration="underline"' if window.in_v2(ytw) else ""
+        deco = ' text-decoration="underline"' if ytw in window.v2 else ""
         parts.append(
             f'<text x="4" y="{py(ytw) + 8}" text-anchor="middle"{deco}>{HalfInt(ytw)}</text>'
         )

@@ -28,7 +28,10 @@ class HalfInt:
             num, den = text.split("/", 1)
             if den.strip() != "2":
                 raise ValueError(f"not a half-integer: {text!r}")
-            return cls(int(num))
+            twice = int(num)
+            if twice % 2 == 0:
+                raise ValueError(f"not a reduced half: {text!r}")
+            return cls(twice)
         return cls(2 * int(text))
 
     def __eq__(self, other):

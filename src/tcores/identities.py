@@ -193,7 +193,7 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
         if not is_content_coding_image(mu, t):
             failures.append(f"{lam}: image characterization fails for {mu}")
             break
-        relations = bead_relation_checks(lam, t)
+        relations = bead_relation_checks(lam, coding)
         bad = [k for k, v in relations.items() if not v]
         if bad:
             failures.append(f"{lam}: bead relations failed: {bad}")
@@ -243,9 +243,6 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
         want = WeightLedger({i: beta[i - 1] for i in range(1, t)})
         if region_ledger(window, "gamma+", "C", "C") != want:
             bad.append("gap_band_counts")
-        # a box (x, y) has entry t exactly when y = 2t - x, doubled
-        if any(window.in_w2(2 * t - x) for x in window.x_values() if window.in_w1(x)):
-            bad.append("entry_exactly_t")
         if bad:
             failures.append(f"{lam}: {bad}")
             break

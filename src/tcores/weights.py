@@ -130,12 +130,6 @@ def shifted_square_weight(order: int = 1) -> WeightAssignment:
     return WeightAssignment("shifted-square", fn)
 
 
-def sine_weight(z: complex) -> WeightAssignment:
-    import cmath
-
-    return WeightAssignment(f"sin(k*{z})", lambda k: cmath.sin(k * z))
-
-
 def hook_shift_ledger(partition: Partition, t: int) -> WeightLedger:
     """Ledger of prod over hooks h of tau(h-t) tau(h+t) / tau(h)^2."""
     factors = []

@@ -207,8 +207,18 @@ def test_content_coding_sweep():
 def test_bead_relations_sweep():
     for t in range(1, 7):
         for lam in enumerate_t_cores(t, 12):
-            checks = bead_relation_checks(lam, t)
+            checks = bead_relation_checks(lam, core_coding(lam, t))
             assert all(checks.values()), (t, lam, checks)
+
+
+def test_bead_relations_reject_the_conjugate_coding():
+    # negative control: the conjugate's coding is the coding only when the
+    # core is self-conjugate
+    for t in (3, 4, 5):
+        for lam in enumerate_t_cores(t, 10):
+            conj = lam.conjugate()
+            checks = bead_relation_checks(lam, core_coding(conj, t))
+            assert checks["mirror_intersection"] is (lam == conj), (t, lam)
 
 
 def test_conjugate_coding_negates():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tcores.coding import core_coding
+from tcores.coding import bead_set, core_coding
 from tcores.exploded import (
     ExplodedWindow,
     InfiniteSelectionError,
@@ -16,7 +16,7 @@ from tcores.exploded import (
     render,
 )
 from tcores.halfint import HalfInt
-from tcores.partitions import Partition, enumerate_t_cores
+from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
 from tcores.weights import WeightLedger
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,9 +133,12 @@ def test_triangle_ledger_empty_partition_and_sweep():
         assert check_triangle_ledger(ExplodedWindow(lam, 4))
 
 
-def test_no_entry_exactly_t_for_cores():
-    for t in (2, 5):
-        for lam in enumerate_t_cores(t, 10):
+def test_no_entry_exactly_t_for_any_partition():
+    # the box of row i and column j has entry t exactly when its hook-like
+    # number lambda_i - j + lambda'_j - i + 1 is 0, which is >= 1 inside
+    # lambda and <= -1 outside, so no window of any partition has one
+    for t in range(1, 6):
+        for lam in partitions_up_to(10):
             w = ExplodedWindow(lam, t)
             assert all((x + y) // 2 != t for x, y in w.boxes())
 
@@ -148,6 +151,49 @@ def test_infinite_selection_rejected():
         region_ledger(w, "delta", "Z", "Z")
     # a finite partner set makes the lattice factor fine
     assert region_ledger(w, "gamma+", "Z", "C") is not None
+
+
+_SETS = ("W", "Wd", "V", "C", "ray", "Z")
+_REGIONS = {"delta": lambda e, t: e > t, "gamma+": lambda e, t: 0 < e < t,
+            "gamma-": lambda e, t: -t < e < 0}
+
+
+def _lattice_members(lam, t, side):
+    """Brute-force membership of every lattice coordinate of one side of the
+    window in each coordinate set, read off bead_set and core_coding."""
+    parts = (lam, lam.conjugate())
+    beads, other = bead_set(parts[side], t), bead_set(parts[1 - side], t)
+    coding = set(core_coding(parts[side], t).twice)
+    top = beads.top
+    coords = range(top, -other.top - 2 * t - 1, -2)
+    member = {
+        "W": lambda tw: tw in beads,
+        "Wd": lambda tw: tw in beads and tw not in coding,
+        "V": lambda tw: tw in coding,
+        "C": lambda tw: tw not in beads,
+        "ray": lambda tw: True,
+        "Z": lambda tw: True,
+    }
+    return {name: [tw for tw in coords if keep(tw)] for name, keep in member.items()}
+
+
+def test_region_ledger_matches_brute_force_tally():
+    for t in range(2, 7):
+        for lam in enumerate_t_cores(t, 10):
+            w = ExplodedWindow(lam, t)
+            xs, ys = _lattice_members(lam, t, 0), _lattice_members(lam, t, 1)
+            for xset in _SETS:
+                for yset in _SETS:
+                    infinite = "Z" in (xset, yset) and not {xset, yset} & {"V", "C"}
+                    entries = Counter(x + y for x in xs[xset] for y in ys[yset])
+                    for region, inside in _REGIONS.items():
+                        if infinite:
+                            with pytest.raises(InfiniteSelectionError):
+                                region_ledger(w, region, xset, yset)
+                            continue
+                        want = {e // 2: n for e, n in entries.items() if inside(e // 2, t)}
+                        got = region_ledger(w, region, xset, yset)
+                        assert got == WeightLedger(want), (t, lam, region, xset, yset)
 
 
 def test_render_ascii_golden():

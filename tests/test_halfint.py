@@ -1,5 +1,6 @@
 import pytest
 
+from tcores.coding import CoreCoding
 from tcores.halfint import HalfInt
 
 
@@ -19,6 +20,16 @@ def test_parse():
     assert HalfInt.parse("4") == HalfInt(8)
     with pytest.raises(ValueError):
         HalfInt.parse("1/3")
+
+
+def test_parse_rejects_unreduced_halves():
+    # "4/2" is not text that str() prints; it used to parse as 2
+    for text in ("4/2", "-2/2", "0/2"):
+        with pytest.raises(ValueError):
+            HalfInt.parse(text)
+    with pytest.raises(ValueError):
+        CoreCoding.parse("2/2,0/2,-2/2", 3)
+    assert str(CoreCoding.parse("1,0,-1", 3)) == "1,0,-1"
 
 
 def test_eq_and_hash():

@@ -16,7 +16,6 @@ from tcores.weights import (
     parity_coding_ledger,
     parity_normalize,
     shifted_square_weight,
-    sine_weight,
     square_weight,
 )
 from tcores.coding import content_coding
@@ -140,15 +139,6 @@ def test_evaluate_homomorphism():
     L2 = WeightLedger({2: 1, 4: 2}, sign=-1)
     tau = square_weight()
     assert evaluate(L1 * L2, tau) == evaluate(L1, tau) * evaluate(L2, tau)
-
-
-def test_evaluate_sine_weight():
-    import cmath
-
-    z = 0.3 + 0.2j
-    tau = sine_weight(z)
-    val = evaluate(WeightLedger({2: 1, 3: -1}), tau)
-    assert abs(val - cmath.sin(2 * z) / cmath.sin(3 * z)) < 1e-12
 
 
 def test_shifted_square_weight_z_coefficient():
