@@ -51,6 +51,7 @@ from .qseries import (
     one_minus_power,
     partition_sum_series,
     schur_principal,
+    schur_principal_at,
 )
 from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
 from .weights import (
@@ -622,17 +623,45 @@ def hook_content_sides(lam: Partition, n: int):
     return lhs, rhs
 
 
+def hook_content_at(lam: Partition, n: int, X: int, cache: dict) -> tuple[int, int]:
+    """Both sides of `hook_content_sides` evaluated at p = X, as integers;
+    `cache` carries the h_k values of one sweep."""
+    lhs = schur_principal_at(lam, n, X, cache)
+    for h in lam.hooks():
+        lhs *= 1 - X**h
+    shifts = [n + c for c in lam.contents()]
+    if 0 in shifts:
+        return lhs, 0
+    rhs = X ** lam.row_moment()
+    for e in shifts:
+        rhs *= 1 - X**e
+    return lhs, rhs
+
+
 def verify_hook_content(max_size: int = 8, max_n: int = 5) -> VerificationReport:
     """Principal specialization identity for every partition up to max_size
-    and every 1 <= n <= max_n, including the vanishing tall cases."""
+    and every 1 <= n <= max_n, including the vanishing tall cases.
+
+    Each pair is compared as two integers, both sides at p = X = 2^B with
+    B = max_size bitlen(2 max_n) + 2 (the Kronecker substitution).  That
+    proves the identity in Z[p]: the Schur side has nonnegative coefficients
+    summing to at most n^|lambda| and each of the |lambda| factors
+    (1 - p^k) has L1 norm 2, so the left side has L1 norm at most
+    (2n)^|lambda| and the right side at most 2^|lambda|.  Every coefficient
+    of lhs - rhs is therefore at most 2^(B-1) = X/2 in absolute value, and
+    a nonzero integer polynomial with such coefficients is nonzero at X:
+    its lowest nonzero coefficient is not a multiple of X.
+    """
     t0 = time.perf_counter()
+    X = 1 << (max_size * (2 * max_n).bit_length() + 2)
+    cache: dict = {}
     failures = []
     checked = 0
     for size in range(max_size + 1):
         for lam in enumerate_partitions(size):
             for n in range(1, max_n + 1):
                 checked += 1
-                lhs, rhs = hook_content_sides(lam, n)
+                lhs, rhs = hook_content_at(lam, n, X, cache)
                 if lhs != rhs:
                     failures.append(f"{lam} at n={n}")
                     break

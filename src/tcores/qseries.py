@@ -2,7 +2,9 @@
 polynomials over either), plus the series builders used by the identity
 verifiers: partition sums weighted by hooks, eta-style infinite products,
 the type-A Macdonald sum, and principal specializations of Schur
-polynomials."""
+polynomials.  A Schur principal specialization is computed as one integer:
+the Jacobi-Trudi determinant at p = X = 2^B, taken by fraction-free
+(Bareiss) elimination, whose base-2^B digits are its coefficients."""
 
 from __future__ import annotations
 
@@ -452,43 +454,80 @@ def complete_homogeneous_principal(k: int, n: int) -> Poly:
     return gaussian_binomial(n + k - 1, k)
 
 
-def schur_principal(partition: Partition, n: int) -> Poly:
-    """Schur polynomial at 1, p, ..., p^(n-1), by the determinant of
-    complete homogeneous specializations; zero when the partition has more
-    than n rows."""
-    ell = len(partition.parts)
-    if ell == 0:
-        return Poly.constant(("p",), 1)
-    entries = [
-        [
-            complete_homogeneous_principal(partition.parts[i] - (i + 1) + (j + 1), n)
-            for j in range(ell)
-        ]
+def _h_principal_at(k: int, n: int, X: int, cache: dict) -> int:
+    """h_k(1, X, ..., X^(n-1)), the p-binomial [n+k-1 choose k] at p = X.
+
+    Built as the exact quotients prod_{i<=k} (X^(n+i-1) - 1) / (X^i - 1):
+    every partial product is itself a p-binomial at X, so each `//` is exact.
+    `cache` maps (n, X) to the values h_0, h_1, ... found so far.
+    """
+    if k < 0:
+        return 0
+    hs = cache.setdefault((n, X), [1])
+    while len(hs) <= k:
+        i = len(hs)
+        hs.append(hs[-1] * (X ** (n + i - 1) - 1) // (X**i - 1))
+    return hs[k]
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact.  It swaps no rows, so a zero
+    pivot raises AssertionError; the Jacobi-Trudi matrices of
+    `schur_principal_at` have none."""
+    m = [list(row) for row in rows]
+    size = len(m)
+    if size == 0:
+        return 1
+    prev = 1
+    for k in range(size - 1):
+        pivot, top = m[k][k], m[k]
+        if pivot == 0:
+            raise AssertionError(f"zero pivot in row {k}")
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return m[-1][-1]
+
+
+def schur_principal_at(partition: Partition, n: int, X: int, cache: dict) -> int:
+    """s_lambda(1, X, ..., X^(n-1)) as an integer, by the Jacobi-Trudi
+    determinant det h_(lambda_i - i + j) of integer h_k values.
+
+    Zero when the partition has more than n rows.  Otherwise every leading
+    principal minor is the Schur value of the first rows of lambda, a
+    polynomial with nonnegative coefficients, so for X >= 2 no pivot
+    vanishes.  `cache` keeps the h_k values between calls; a sweep holds
+    one for its duration.
+    """
+    parts = partition.parts
+    ell = len(parts)
+    if ell > n:
+        return 0
+    return _bareiss([
+        [_h_principal_at(parts[i] - i + j, n, X, cache) for j in range(ell)]
         for i in range(ell)
-    ]
-    return _det(entries)
+    ])
 
 
-def _det(matrix: list[list[Poly]]) -> Poly:
-    n = len(matrix)
-    names = matrix[0][0].names
-    cache: dict[tuple[int, ...], Poly] = {}
+def schur_principal(partition: Partition, n: int) -> Poly:
+    """Schur polynomial at 1, p, ..., p^(n-1), read off as the base-2^B
+    digits of `schur_principal_at` at X = 2^B, B = |lambda| bitlen(n) + 1.
 
-    def minor(row: int, cols: tuple[int, ...]) -> Poly:
-        if row == n:
-            return Poly.constant(names, 1)
-        key = cols
-        if key in cache:
-            return cache[key]
-        acc = Poly(names, {})
-        for pos, c in enumerate(cols):
-            entry = matrix[row][c]
-            if entry.is_zero():
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        cache[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+    The coefficients are nonnegative and sum to the number of semistandard
+    tableaux with entries at most n, which is at most n^|lambda| < 2^B, so
+    each digit is one coefficient.  Zero when the partition has more than n
+    rows."""
+    bits = partition.size * n.bit_length() + 1
+    value = schur_principal_at(partition, n, 1 << bits, {})
+    mask = (1 << bits) - 1
+    terms = {}
+    e = 0
+    while value:
+        if value & mask:
+            terms[(e,)] = value & mask
+        value >>= bits
+        e += 1
+    return Poly(("p",), terms)

@@ -8,6 +8,7 @@ from tcores import identities
 from tcores.identities import (
     PROFILES,
     VERIFIERS,
+    hook_content_sides,
     jacobi_pair,
     multiplication_pair,
     nekrasov_okounkov_pair,
@@ -208,6 +209,30 @@ def test_multiplication_and_reduction():
 def test_hook_content():
     r = verify_hook_content(6, 4)
     assert r.passed and r.deviation == "0"
+    # the benchmark's size: 6 * (p(0) + ... + p(9)) pairs
+    r = verify_hook_content(9, 6)
+    assert r.passed and r.details["pairs_checked"] == 6 * sum((1, 1, 2, 3, 5, 7, 11, 15, 22, 30))
+
+
+def test_hook_content_integer_sides_are_the_poly_sides_at_x(monkeypatch):
+    real = identities.hook_content_at
+    seen = []
+
+    def recording(lam, n, X, cache):
+        sides = real(lam, n, X, cache)
+        seen.append((lam, n, X, sides))
+        return sides
+
+    monkeypatch.setattr(identities, "hook_content_at", recording)
+    r = verify_hook_content(8, 5)
+    assert r.passed and len(seen) == r.details["pairs_checked"] == 335
+    assert len({X for _, _, X, _ in seen}) == 1
+    for lam, n, X, sides in seen:
+        polys = hook_content_sides(lam, n)
+        assert sides == tuple(side.substitute("p", X).coefficient(()) for side in polys), (lam, n)
+        # the docstring's bound: each side's L1 norm is below X/2
+        for side in polys:
+            assert 2 * sum(abs(c) for c in side.terms.values()) < X, (lam, n)
 
 
 def test_sin_lemma():
@@ -332,6 +357,31 @@ def test_sin_lemma_broken_pair_factor_fails(monkeypatch):
     monkeypatch.setattr(identities, "exp_pair_product", wrong_first_factor)
     r = verify_sin_lemma(3)
     assert not r.passed and r.deviation.startswith("pairwise")
+
+
+# the hook-content sweep compares two integers per pair: a broken side must
+# fail at its first pair
+
+
+def test_hook_content_broken_sides_fail(monkeypatch):
+    real = identities.hook_content_at
+
+    def moment_plus_one(lam, n, X, cache):
+        lhs, rhs = real(lam, n, X, cache)
+        return lhs, rhs * X
+
+    def hook_factor_dropped(lam, n, X, cache):
+        lhs, rhs = real(lam, n, X, cache)
+        hooks = lam.hooks()
+        return (lhs // (1 - X ** hooks[0]) if hooks else lhs), rhs
+
+    # a wrong moment breaks the first pair; a dropped hook factor first breaks
+    # (1) at n=1, after the five pairs of the empty partition
+    for broken, first, checked in ((moment_plus_one, "- at n=1", 1), (hook_factor_dropped, "1 at n=1", 6)):
+        monkeypatch.setattr(identities, "hook_content_at", broken)
+        r = verify_hook_content(8, 5)
+        assert r.status == "fail" and r.deviation == first
+        assert r.details["pairs_checked"] == checked
 
 
 # negative controls for the combinatorial sweeps: a broken twin must fail,

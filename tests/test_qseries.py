@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tcores.partitions import Partition, enumerate_partitions, enumerate_t_cores
 from tcores.qseries import (
+    _bareiss,
     BadConstantTermError,
     RingMismatchError,
     TruncatedSeries,
@@ -20,6 +21,7 @@ from tcores.qseries import (
     partition_sum_series,
     residue_sign,
     schur_principal,
+    schur_principal_at,
 )
 from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
 
@@ -178,21 +180,86 @@ def test_gaussian_binomial_against_brute():
             assert complete_homogeneous_principal(k, n) == want
 
 
+def laplace_det(matrix: list[list[Poly]]) -> Poly:
+    """Reference: the determinant by Laplace expansion along the first row,
+    with the minors of each column subset cached."""
+    n = len(matrix)
+    names = matrix[0][0].names
+    cache: dict[tuple[int, ...], Poly] = {}
+
+    def minor(row: int, cols: tuple[int, ...]) -> Poly:
+        if row == n:
+            return Poly.constant(names, 1)
+        if cols in cache:
+            return cache[cols]
+        acc = Poly(names, {})
+        for pos, c in enumerate(cols):
+            entry = matrix[row][c]
+            if entry.is_zero():
+                continue
+            term = entry * minor(row + 1, cols[:pos] + cols[pos + 1 :])
+            acc = acc + (term if pos % 2 == 0 else -term)
+        cache[cols] = acc
+        return acc
+
+    return minor(0, tuple(range(n)))
+
+
+def laplace_schur_principal(lam, n):
+    """Reference: the Jacobi-Trudi determinant of `Poly` entries."""
+    parts = lam.parts
+    if not parts:
+        return Poly.constant(("p",), 1)
+    return laplace_det([
+        [complete_homogeneous_principal(parts[i] - i + j, n) for j in range(len(parts))]
+        for i in range(len(parts))
+    ])
+
+
 def test_schur_principal_examples():
     assert schur_principal(Partition((1,)), 2) == Poly(
         ("p",), {(0,): Fraction(1), (1,): Fraction(1)}
     )
     assert schur_principal(Partition((1, 1)), 1) == Poly(("p",), {})
     assert schur_principal(Partition(()), 3) == Poly(("p",), {(0,): Fraction(1)})
+    assert schur_principal(Partition(()), 0) == Poly.constant(("p",), 1)
+    assert schur_principal(Partition((2, 1)), 0) == Poly(("p",), {})
 
 
 def test_schur_principal_against_ssyt_oracle():
-    for size in range(6):
+    for size in range(10):
         for lam in enumerate_partitions(size):
-            for n in range(1, 4):
+            for n in range(1, 7):
                 assert schur_principal(lam, n) == ssyt_schur_principal(
                     lam.parts, n
                 ), (lam, n)
+
+
+def test_schur_principal_at_matches_laplace_reference():
+    # the hook-content sweep's evaluation point at its `full` sizes (8, 5)
+    X = 1 << (8 * (2 * 5).bit_length() + 2)
+    cache = {}
+    for size in range(9):
+        for lam in enumerate_partitions(size):
+            for n in range(1, 6):
+                want = laplace_schur_principal(lam, n).substitute("p", X).coefficient(())
+                assert schur_principal_at(lam, n, X, cache) == want, (lam, n)
+
+
+def test_schur_principal_vanishes_on_tall_partitions():
+    for size in range(9):
+        for lam in enumerate_partitions(size):
+            for n in range(6):
+                if len(lam.parts) > n:
+                    assert schur_principal(lam, n).is_zero(), (lam, n)
+                    assert schur_principal_at(lam, n, 1 << 20, {}) == 0, (lam, n)
+
+
+def test_bareiss_raises_on_a_zero_pivot():
+    assert _bareiss([[2, 1], [4, 5]]) == 6
+    assert _bareiss([]) == 1
+    with pytest.raises(AssertionError, match="zero pivot"):
+        _bareiss([[0, 1], [1, 0]])
 
 
 def test_series_str_and_json():
