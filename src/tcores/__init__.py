@@ -42,18 +42,14 @@ from .exploded import (
 )
 from .weights import (
     DivisionByZeroWeightError,
-    WeightAssignment,
     WeightLedger,
     ZeroArgumentError,
     coding_difference_ledger,
     content_ledger,
     evaluate,
     hook_shift_ledger,
-    identity_weight,
     parity_coding_ledger,
     parity_normalize,
-    shifted_square_weight,
-    square_weight,
 )
 from .rings import Poly, PolynomialRing, PrimeField, RationalField
 from .qseries import (
@@ -62,7 +58,6 @@ from .qseries import (
     RingMismatchError,
     TruncatedSeries,
     eta_like_product,
-    gaussian_binomial,
     macdonald_lhs,
     macdonald_rhs,
     macdonald_terms,

@@ -220,21 +220,22 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
 
     The bead set is the union of the descending arithmetic rays
     {a, a-t, a-2t, ...} over coding entries a; reading the merged beads in
-    decreasing order w_1 > w_2 > ... recovers part_i = w_i + i - (t+1)/2
-    until the parts vanish.
+    decreasing order w_1 > w_2 > ... recovers part_i = w_i + i - (t+1)/2.
+    A core of size n has at most n parts, so w_(n+1) = (t+1)/2 - (n+1) and
+    the beads at or above it are exactly w_1, ..., w_(n+1): each ray is read
+    only that far.
     """
     coding = CoreCoding(coding, t)  # validates
     values, t = coding.twice, coding.t
     n = _size(values, t)
-    count = n + t + 2
-    step = 2 * t
-    merged = [tw for v in values for tw in range(v, v - step * count, -step)]
-    merged.sort(reverse=True)
     shift = t + 1
+    lo = shift - 2 * (n + 1)
+    step = 2 * t
+    merged = sorted((tw for v in values for tw in range(v, lo - 1, -step)), reverse=True)
     parts = []
     prev = None
-    for i in range(1, count + 1):
-        tw = merged[i - 1] + 2 * i - shift
+    for i, w in enumerate(merged, start=1):
+        tw = w + 2 * i - shift
         if tw % 2:
             raise InvalidCodingError("bead read-off produced a half-integer part")
         lam = tw // 2

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 from .coding import (
     bead_relation_checks,
@@ -47,7 +48,6 @@ from .qseries import (
     geometric_multiples,
     macdonald_lhs,
     macdonald_rhs,
-    macdonald_terms,
     one_minus_power,
     partition_sum_series,
     schur_principal,
@@ -278,11 +278,13 @@ def verify_nekrasov_okounkov(N: int = 12) -> VerificationReport:
     """Hook sum with weight 1 - beta/h^2 against the eta-style product,
     exactly in QQ[beta]."""
     t0 = time.perf_counter()
+    if N < 1:
+        raise ValueError("N must be at least 1")
     lhs, rhs = nekrasov_okounkov_pair(N)
     ok, dev = _exact_compare(lhs, rhs)
     ring = lhs.ring
     beta = ring.var("beta")
-    q1_ok = ring.eq(lhs.coeffs[1], ring.one - beta) if N >= 1 else True
+    q1_ok = ring.eq(lhs.coeffs[1], ring.one - beta)
     ok = ok and q1_ok
     return _finish(
         "nekrasov-okounkov",
@@ -505,19 +507,11 @@ def verify_macdonald(t: int = 2, N: int = 4) -> VerificationReport:
     if t < 2:
         raise ValueError("t must be at least 2")
     lhs = macdonald_lhs(t, N)
-    rhs = macdonald_rhs(t, N)
+    rhs = macdonald_rhs(t, N)  # integrality asserted inside macdonald_terms
     ok, dev = _exact_compare(lhs, rhs)
-    terms = macdonald_terms(t, N)  # integrality asserted inside
-    return _finish(
-        "macdonald",
-        {"t": t},
-        N,
-        lhs.ring.name,
-        ok,
-        dev,
-        t0,
-        terms_enumerated=len(terms),
-    )
+    # distinct vectors give distinct monomials, so each term is one monomial
+    terms = sum(len(c.terms) for c in rhs.coeffs)
+    return _finish("macdonald", {"t": t}, N, lhs.ring.name, ok, dev, t0, terms_enumerated=terms)
 
 
 def tcore_sources(t: int, N: int):
@@ -774,75 +768,74 @@ def verify_golden_tables() -> VerificationReport:
 # ---------------------------------------------------------------------------
 # registry and suite
 
-# identity -> verifier function name.  Names, not functions: `verifier` looks
-# each up in this module when called, so a wrapper installed there is seen.
-VERIFIERS = {
-    "multiset-formula": "verify_multiset_formula",
-    "exploded-relations": "verify_exploded_relations",
-    "nekrasov-okounkov": "verify_nekrasov_okounkov",
-    "sin-family": "verify_sin_family",
-    "poly-s-family": "verify_poly_s_family",
-    "jacobi": "verify_jacobi",
-    "macdonald": "verify_macdonald",
-    "tcore-lemmas": "verify_tcore_lemmas",
-    "multiplication": "verify_multiplication",
-    "hook-content": "verify_hook_content",
-    "sin-lemma": "verify_sin_lemma",
-    "classical-cross-checks": "verify_classical_crosschecks",
-    "golden-tables": "verify_golden_tables",
-}
 
-# suite plans as (identity, keyword arguments); `full` mirrors the acceptance
-# bounds, `quick` shrinks the sweeps for a fast smoke run
-PROFILES = {
-    "quick": (
-        ("golden-tables", {}),
-        *(("multiset-formula", {"t": t, "max_size": 15}) for t in range(1, 6)),
-        *(("exploded-relations", {"t": t, "max_size": 12}) for t in (2, 3, 5)),
-        ("nekrasov-okounkov", {"N": 8}),
-        ("sin-family", {"r": 1, "N": 6, "samples": 2}),
-        ("sin-family", {"r": 1, "t_value": 0, "N": 8}),
-        ("poly-s-family", {"N": 6}),
-        ("jacobi", {"N": 8}),
-        ("macdonald", {"t": 2, "N": 3}),
-        ("tcore-lemmas", {"t": 3, "N": 8}),
-        ("multiplication", {"r": 2, "N": 8}),
-        ("hook-content", {"max_size": 6, "max_n": 4}),
-        ("sin-lemma", {"samples": 3}),
-        ("classical-cross-checks", {"max_size": 15, "t_max": 6, "enum_size": 12}),
+class Verifier(NamedTuple):
+    """One identity's row: its verifier's function name, then the keyword
+    argument sets that each suite profile runs, in order."""
+
+    function: str
+    quick: tuple[dict, ...]
+    full: tuple[dict, ...]
+
+
+# identity -> its one row, in suite order.  Function names, not functions:
+# `verifier` looks each up in this module when called, so a wrapper
+# installed there is seen.  `full` is the acceptance battery that
+# tests/test_acceptance.py runs; `quick` shrinks the sweeps for a smoke run.
+VERIFIERS = {
+    "golden-tables": Verifier("verify_golden_tables", ({},), ({},)),
+    "multiset-formula": Verifier(
+        "verify_multiset_formula",
+        tuple({"t": t, "max_size": 15} for t in range(1, 6)),
+        tuple({"t": t, "max_size": 25, "ledger_max_size": 20} for t in range(1, 9)),
     ),
-    "full": (
-        ("golden-tables", {}),
-        *(("multiset-formula", {"t": t, "max_size": 25, "ledger_max_size": 20}) for t in range(1, 9)),
-        *(("exploded-relations", {"t": t, "max_size": 15}) for t in range(2, 8)),
-        ("nekrasov-okounkov", {"N": 12}),
-        *(("sin-family", {"r": r, "N": 8, "samples": 5}) for r in (1, 2, 3)),
-        ("sin-family", {"r": 1, "t_value": 0, "N": 12}),
-        ("poly-s-family", {"N": 8}),
-        ("jacobi", {"N": 10}),
-        *(("macdonald", {"t": t, "N": 4}) for t in (2, 3)),
-        *(("tcore-lemmas", {"t": t, "N": 10}) for t in (3, 5)),
-        *(("multiplication", {"r": r, "N": 10}) for r in (2, 3)),
-        ("hook-content", {"max_size": 8, "max_n": 5}),
-        ("sin-lemma", {"samples": 5}),
-        ("classical-cross-checks", {"max_size": 25, "t_max": 8, "enum_size": 20}),
+    "exploded-relations": Verifier(
+        "verify_exploded_relations",
+        tuple({"t": t, "max_size": 12} for t in (2, 3, 5)),
+        tuple({"t": t, "max_size": 15} for t in range(2, 8)),
+    ),
+    "nekrasov-okounkov": Verifier("verify_nekrasov_okounkov", ({"N": 8},), ({"N": 12},)),
+    "sin-family": Verifier(
+        "verify_sin_family",
+        ({"r": 1, "N": 6, "samples": 2}, {"r": 1, "t_value": 0, "N": 8}),
+        (*({"r": r, "N": 8, "samples": 5} for r in (1, 2, 3)), {"r": 1, "t_value": 0, "N": 12}),
+    ),
+    "poly-s-family": Verifier("verify_poly_s_family", ({"N": 6},), ({"N": 8},)),
+    "jacobi": Verifier("verify_jacobi", ({"N": 8},), ({"N": 10},)),
+    "macdonald": Verifier(
+        "verify_macdonald", ({"t": 2, "N": 3},), tuple({"t": t, "N": 4} for t in (2, 3))
+    ),
+    "tcore-lemmas": Verifier(
+        "verify_tcore_lemmas", ({"t": 3, "N": 8},), tuple({"t": t, "N": 10} for t in (3, 5))
+    ),
+    "multiplication": Verifier(
+        "verify_multiplication", ({"r": 2, "N": 8},), tuple({"r": r, "N": 10} for r in (2, 3))
+    ),
+    "hook-content": Verifier(
+        "verify_hook_content", ({"max_size": 6, "max_n": 4},), ({"max_size": 8, "max_n": 5},)
+    ),
+    "sin-lemma": Verifier("verify_sin_lemma", ({"samples": 3},), ({"samples": 5},)),
+    "classical-cross-checks": Verifier(
+        "verify_classical_crosschecks",
+        ({"max_size": 15, "t_max": 6, "enum_size": 12},),
+        ({"max_size": 25, "t_max": 8, "enum_size": 20},),
     ),
 }
+PROFILES = Verifier._fields[1:]  # the plan fields of a row: quick, full
 
 
 def verifier(identity: str):
     """The verifier registered for `identity`, as the module holds it now."""
-    return globals()[VERIFIERS[identity]]
+    return globals()[VERIFIERS[identity].function]
 
 
 def run_suite(profile: str = "quick", seed: int = 7) -> list[VerificationReport]:
-    """Run a profile of PROFILES, passing `seed` to each verifier that takes one."""
+    """Run one of PROFILES row by row, passing `seed` to each verifier that takes one."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     reports = []
-    for identity, kwargs in PROFILES[profile]:
+    for identity, row in VERIFIERS.items():
         fn = verifier(identity)
-        if "seed" in inspect.signature(fn).parameters:
-            kwargs = {**kwargs, "seed": seed}
-        reports.append(fn(**kwargs))
+        extra = {"seed": seed} if "seed" in inspect.signature(fn).parameters else {}
+        reports.extend(fn(**kwargs, **extra) for kwargs in getattr(row, profile))
     return reports

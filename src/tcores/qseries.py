@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .partitions import Partition, enumerate_partitions
 from .rings import Poly, PolynomialRing, RationalField
@@ -72,11 +71,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return n
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1], self.var)
-
     def __add__(self, other):
         n = self._align(other)
         return TruncatedSeries(
@@ -117,11 +111,6 @@ class TruncatedSeries:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self * other.inverse()
-        return self * self.ring.inv(self.ring.coerce(other))
 
     def inverse(self) -> "TruncatedSeries":
         ring = self.ring
@@ -216,7 +205,7 @@ class TruncatedSeries:
         for i, c in enumerate(self.coeffs):
             if ring.is_zero(c) and not (i == 0 and len(self.coeffs) == 1):
                 continue
-            cs = ring.str_coeff(c) if hasattr(ring, "str_coeff") else str(c)
+            cs = ring.str_coeff(c)
             if i == 0:
                 chunks.append(cs)
             elif i == 1:
@@ -356,14 +345,15 @@ def macdonald_terms(t: int, order: int) -> list[MacdonaldTerm]:
             if remaining_sum == 0:
                 a = tuple(chosen)
                 eps = residue_sign(a, t)
-                omega = Fraction(sum(x * x for x in a) - sq_base, 2 * t)
                 if eps != 0:
-                    if omega.denominator != 1 or omega < 0:
+                    num = sum(x * x for x in a) - sq_base
+                    omega, rem = divmod(num, 2 * t)
+                    if rem or omega < 0:
                         raise AssertionError(
-                            f"nonzero-sign vector {a} has exponent {omega}"
+                            f"nonzero-sign vector {a} has exponent {Fraction(num, 2 * t)}"
                         )
                     if omega <= order:
-                        out.append(MacdonaldTerm(a, eps, int(omega)))
+                        out.append(MacdonaldTerm(a, eps, omega))
             return
         if remaining_sum * remaining_sum > slots * remaining_budget:
             return
@@ -430,28 +420,6 @@ def macdonald_rhs(t: int, order: int) -> TruncatedSeries:
         exps = tuple(i + 1 - term.a[i] for i in range(t))
         coeffs[term.omega] = coeffs[term.omega] + ring.monomial(exps, term.epsilon)
     return TruncatedSeries(ring, coeffs)
-
-
-@lru_cache(maxsize=None)
-def gaussian_binomial(m: int, k: int) -> Poly:
-    """The p-binomial coefficient [m choose k]_p as an exact polynomial."""
-    names = ("p",)
-    if k < 0 or k > m:
-        return Poly(names, {})
-    if k == 0 or k == m:
-        return Poly.constant(names, 1)
-    # Pascal recurrence [m k] = [m-1 k-1] + p^k [m-1 k]
-    pk = Poly(names, {(k,): 1})
-    return gaussian_binomial(m - 1, k - 1) + pk * gaussian_binomial(m - 1, k)
-
-
-def complete_homogeneous_principal(k: int, n: int) -> Poly:
-    """h_k evaluated at 1, p, ..., p^(n-1): the p-binomial [n+k-1 choose k]."""
-    if k < 0:
-        return Poly(("p",), {})
-    if k == 0:
-        return Poly.constant(("p",), 1)
-    return gaussian_binomial(n + k - 1, k)
 
 
 def _h_principal_at(k: int, n: int, X: int, cache: dict) -> int:

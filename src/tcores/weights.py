@@ -7,8 +7,6 @@ every weight function at once by comparing exponent maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coding import CoreCoding, class_sorted_coding
 from .partitions import Partition
 
@@ -88,46 +86,6 @@ class WeightLedger:
 
     def __repr__(self):
         return f"WeightLedger({self.exps!r}, sign={self.sign})"
-
-
-class WeightAssignment:
-    """A concrete weight: a total map from integers into a field."""
-
-    __slots__ = ("name", "fn")
-
-    def __init__(self, name: str, fn):
-        self.name = name
-        self.fn = fn
-
-    def __call__(self, k: int):
-        return self.fn(k)
-
-    def __repr__(self):
-        return f"WeightAssignment({self.name!r})"
-
-
-def identity_weight() -> WeightAssignment:
-    return WeightAssignment("identity", lambda k: Fraction(k))
-
-
-def square_weight() -> WeightAssignment:
-    return WeightAssignment("square", lambda k: Fraction(k * k))
-
-
-def shifted_square_weight(order: int = 1) -> WeightAssignment:
-    """tau(k) = 1 + z k^2 as a truncated series in z with rational coefficients."""
-    from .qseries import TruncatedSeries
-    from .rings import RationalField
-
-    ring = RationalField()
-
-    def fn(k):
-        coeffs = [Fraction(1)] + [Fraction(0)] * order
-        if order >= 1:
-            coeffs[1] = Fraction(k * k)
-        return TruncatedSeries(ring, coeffs, var="z")
-
-    return WeightAssignment("shifted-square", fn)
 
 
 def hook_shift_ledger(partition: Partition, t: int) -> WeightLedger:
@@ -217,8 +175,10 @@ def parity_normalize(ledger: WeightLedger, parity: str) -> WeightLedger:
     return WeightLedger(exps, sign)
 
 
-def evaluate(ledger: WeightLedger, tau: WeightAssignment):
-    """Value of the formal product under a concrete weight.
+def evaluate(ledger: WeightLedger, tau):
+    """Value of the formal product under a concrete weight: `tau` is any
+    callable from integers to values with `*` and `**`, such as `Fraction`
+    or a function returning `TruncatedSeries`.
 
     Returns sign * prod tau(k)^(e_k); raises if tau vanishes where a
     negative exponent needs an inverse.  The empty ledger evaluates to 1.

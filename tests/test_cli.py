@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tcores.cli import main
-from tcores.identities import PROFILES
+from tcores.identities import VERIFIERS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -199,5 +199,5 @@ def test_python_m_tcores_runs_the_default_suite():
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert data["profile"] == "quick"
-    assert len(data["results"]) == len(PROFILES["quick"])
+    assert len(data["results"]) == sum(len(row.quick) for row in VERIFIERS.values())
     assert {r["params"]["seed"] for r in data["results"] if r["identity"] == "sin-lemma"} == {7}

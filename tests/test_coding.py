@@ -261,6 +261,22 @@ def test_two_cores_are_triangular():
         assert p.parts == tuple(range(len(p.parts), 0, -1))
 
 
+def full_ray_core(c):
+    """Oracle for `coding_to_core`: merge all t rays, n + t + 2 beads each,
+    and read the parts off the first n + t + 2 merged beads."""
+    t, count = c.t, coding_size(c) + c.t + 2
+    rays = (w for v in c.twice for w in range(v, v - 2 * t * count, -2 * t))
+    merged = sorted(rays, reverse=True)
+    parts = [(merged[i - 1] + 2 * i - t - 1) // 2 for i in range(1, count + 1)]
+    return Partition(tuple(p for p in parts if p > 0))
+
+
+def test_coding_to_core_matches_full_ray_oracle():
+    for t in range(1, 9):
+        for c in enumerate_codings(t, 30):
+            assert coding_to_core(c) == full_ray_core(c), (t, c)
+
+
 # The Fraction forms of both size formulas, kept as the oracle for the
 # integer-first versions in tcores.coding.
 

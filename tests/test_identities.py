@@ -35,7 +35,7 @@ from tcores.identities import (
 from tcores.coding import coding_size
 from tcores.halfint import HalfInt
 from tcores.partitions import enumerate_t_cores
-from tcores.qseries import TruncatedSeries
+from tcores.qseries import TruncatedSeries, macdonald_terms
 from tcores.rings import P, PrimeField
 from tcores.weights import WeightLedger
 
@@ -72,6 +72,8 @@ def test_exploded_relations_pass():
 def test_nekrasov_okounkov():
     r = verify_nekrasov_okounkov(8)
     assert r.passed and r.deviation == "0"
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        verify_nekrasov_okounkov(0)  # no q^1 coefficient to check
     lhs, rhs = nekrasov_okounkov_pair(6)
     # collapsing beta to 0 gives the partition generating function
     counts = [1, 1, 2, 3, 5, 7, 11]
@@ -170,7 +172,8 @@ def test_jacobi_constant_term():
 
 
 def test_macdonald():
-    assert verify_macdonald(2, 4).passed
+    r = verify_macdonald(2, 4)
+    assert r.passed and r.details["terms_enumerated"] == len(macdonald_terms(2, 4))
     assert verify_macdonald(3, 3).passed
     with pytest.raises(ValueError):
         verify_macdonald(1, 3)
@@ -442,14 +445,15 @@ def test_sweeps_build_no_halfint(monkeypatch):
 
 
 def test_registry_and_profiles():
-    for identity, name in VERIFIERS.items():
+    assert PROFILES == ("quick", "full")
+    for identity, row in VERIFIERS.items():
         fn = verifier(identity)
-        assert fn.__name__ == name
+        assert fn.__name__ == row.function
         assert all(p.default is not p.empty for p in inspect.signature(fn).parameters.values())
-    assert len(PROFILES["full"]) == 31
-    for plan in PROFILES.values():
-        for identity, kwargs in plan:
-            inspect.signature(verifier(identity)).bind(**kwargs)
+        for profile in PROFILES:
+            for kwargs in getattr(row, profile):
+                inspect.signature(fn).bind(**kwargs)
+    assert sum(len(row.full) for row in VERIFIERS.values()) == 31
 
 
 def test_run_suite_quick():

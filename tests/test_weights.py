@@ -12,13 +12,12 @@ from tcores.weights import (
     content_ledger,
     evaluate,
     hook_shift_ledger,
-    identity_weight,
     parity_coding_ledger,
     parity_normalize,
-    shifted_square_weight,
-    square_weight,
 )
 from tcores.coding import content_coding
+from tcores.qseries import TruncatedSeries
+from tcores.rings import RationalField
 
 
 def test_ledger_basics():
@@ -118,26 +117,26 @@ def test_parity_normalize():
 
 
 def test_evaluate_identity_weight():
-    assert evaluate(WeightLedger.one(), identity_weight()) == 1
+    assert evaluate(WeightLedger.one(), Fraction) == 1
     lam = Partition((6, 3, 3, 2))
     L = hook_shift_ledger(lam, 2)
     direct = Fraction(1)
     for hk in lam.hooks():
         direct *= Fraction((hk - 2) * (hk + 2), hk * hk)
-    assert evaluate(L, identity_weight()) == direct
+    assert evaluate(L, Fraction) == direct
 
 
 def test_evaluate_division_by_zero():
     with pytest.raises(DivisionByZeroWeightError):
-        evaluate(WeightLedger({0: -1}), identity_weight())
+        evaluate(WeightLedger({0: -1}), Fraction)
     # zero with a positive exponent is fine: the product is zero
-    assert evaluate(WeightLedger({0: 1, 2: 3}), identity_weight()) == 0
+    assert evaluate(WeightLedger({0: 1, 2: 3}), Fraction) == 0
 
 
 def test_evaluate_homomorphism():
     L1 = WeightLedger({1: 2, 4: -1})
     L2 = WeightLedger({2: 1, 4: 2}, sign=-1)
-    tau = square_weight()
+    tau = lambda k: Fraction(k * k)
     assert evaluate(L1 * L2, tau) == evaluate(L1, tau) * evaluate(L2, tau)
 
 
@@ -147,13 +146,17 @@ def test_shifted_square_weight_z_coefficient():
     lam = Partition((8, 4, 3, 2, 2, 1))
     t = 5
     c = core_coding(lam, t)
-    tau = shifted_square_weight(order=1)
+
+    def tau(k):
+        """1 + z k^2 as a series in z, truncated after z^1."""
+        return TruncatedSeries(RationalField(), [Fraction(1), Fraction(k * k)], var="z")
+
     lhs = evaluate(hook_shift_ledger(lam, t), tau)
     rhs = evaluate(coding_difference_ledger(c, lam.small_hook_counts(t), t), tau)
     assert lhs.coeffs == rhs.coeffs
     # the identity-weight special case of the same ledger pair
-    assert evaluate(hook_shift_ledger(lam, t), identity_weight()) == evaluate(
-        coding_difference_ledger(c, lam.small_hook_counts(t), t), identity_weight()
+    assert evaluate(hook_shift_ledger(lam, t), Fraction) == evaluate(
+        coding_difference_ledger(c, lam.small_hook_counts(t), t), Fraction
     )
 
 
