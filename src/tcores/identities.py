@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 from typing import NamedTuple
 
 from .coding import (
@@ -44,11 +44,11 @@ from .exploded import (
 from .partitions import Partition, enumerate_partitions, enumerate_t_cores
 from .qseries import (
     TruncatedSeries,
+    binomial_product,
     eta_like_product,
     geometric_multiples,
     macdonald_lhs,
     macdonald_rhs,
-    one_minus_power,
     partition_sum_series,
     schur_principal,
     schur_principal_at,
@@ -339,6 +339,8 @@ def verify_sin_family(
     t_value is None, and W = Y^t for an integer t_value.
     """
     t0 = time.perf_counter()
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if t_value == 0:
         lhs = partition_sum_series(lambda h: 1, r, N)
         rhs = partition_gf(N)
@@ -393,6 +395,8 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     hyperbolic (at R = e^z) and s = -1 cotangent specializations in GF(p).
     """
     t0 = time.perf_counter()
+    if N < 1:
+        raise ValueError("N must be at least 1")
     rng = random.Random(seed)
     Y, R = sample_point(rng, N), sample_point(rng, N)
     lhs, rhs = poly_s_pair(Y, N)
@@ -452,40 +456,20 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
 
 
 def jacobi_pair(N: int):
-    """Triple product and theta sum in QQ[a, 1/a], series variable x."""
+    """Triple product prod_(n>=0) (1 + a x^(n+1)) (1 - x^(n+1)) (1 + x^n / a)
+    and theta sum in QQ[a, 1/a], series variable x."""
     ring = PolynomialRing(("a",), laurent=True)
     a = ring.monomial((1,))
     ainv = ring.monomial((-1,))
-    lhs = TruncatedSeries.one(ring, N, var="x")
-    for n in range(0, N + 1):
-        if n + 1 <= N:
-            c = [ring.zero] * (N + 1)
-            c[0] = ring.one
-            c[n + 1] = a
-            lhs = lhs * TruncatedSeries(ring, c, var="x")
-            c = [ring.zero] * (N + 1)
-            c[0] = ring.one
-            c[n + 1] = -ring.one
-            lhs = lhs * TruncatedSeries(ring, c, var="x")
-        c = [ring.zero] * (N + 1)
-        c[0] = ring.one
-        if n == 0:
-            c[0] = ring.one + ainv
-        elif n <= N:
-            c[n] = ainv
-        lhs = lhs * TruncatedSeries(ring, c, var="x")
+    factors = [(ainv, 0)]
+    for n in range(1, N + 1):
+        factors += [(a, n), (-ring.one, n), (ainv, n)]
+    lhs = binomial_product(ring, N, factors, var="x")
     coeffs = [ring.zero] * (N + 1)
-    n = 0
-    while True:
-        grew = False
-        for m in (n, -n - 1) if n else (0, -1):
-            e = m * (m + 1) // 2
-            if 0 <= e <= N:
-                coeffs[e] = coeffs[e] + ring.monomial((m,))
-                grew = True
-        if not grew:
-            break
-        n += 1
+    k = (isqrt(8 * N + 1) - 1) // 2  # the largest k with k(k+1)/2 <= N
+    for m in range(-k - 1, k + 1):
+        e = m * (m + 1) // 2
+        coeffs[e] = coeffs[e] + ring.monomial((m,))
     rhs = TruncatedSeries(ring, coeffs, var="x")
     return lhs, rhs
 
@@ -514,30 +498,22 @@ def verify_macdonald(t: int = 2, N: int = 4) -> VerificationReport:
     return _finish("macdonald", {"t": t}, N, lhs.ring.name, ok, dev, t0, terms_enumerated=terms)
 
 
-def tcore_sources(t: int, N: int):
-    """Partitions-of-n suppliers: all partitions, and the t-core subset."""
-    cores: dict[int, list[Partition]] = {n: [] for n in range(N + 1)}
-    for lam in enumerate_t_cores(t, N):
-        cores[lam.size].append(lam)
-    return (lambda n: enumerate_partitions(n)), (lambda n: cores[n])
-
-
 def tcore_lemma_series(t: int, Y: int, N: int):
     """LHS of the core-restricted sine sum two ways, and both closed forms,
     in GF(p) at Y = e^(iz)."""
-    all_parts, only_cores = tcore_sources(t, N)
+    cores: dict[int, list[Partition]] = {n: [] for n in range(N + 1)}
+    for lam in enumerate_t_cores(t, N):
+        cores[lam.size].append(lam)
     W = pow(Y, t, P)
-    lhs_full = sin_hook_sum(1, Y, W, N, source=all_parts)
-    lhs_restricted = sin_hook_sum(1, Y, W, N, source=only_cores)
-    product = TruncatedSeries.one(GF, N)
-    for m in range(1, N + 1):
-        product = product * one_minus_power(GF, m, N) ** (t - 1)
-        for i in range(1, t):
-            for phase in (-1, 1):
-                c = [0] * (N + 1)
-                c[0] = 1
-                c[m] = -pow(Y, phase * 2 * (t - i), P)  # -e^(+-2iz(t-i))
-                product = product * TruncatedSeries(GF, c) ** i
+    lhs_full = sin_hook_sum(1, Y, W, N)
+    lhs_restricted = sin_hook_sum(1, Y, W, N, source=cores.__getitem__)
+    powers = range(1, N + 1)
+    factors = [(-1, m) for m in powers] * (t - 1)
+    for i in range(1, t):
+        for phase in (-1, 1):
+            c = -pow(Y, phase * 2 * (t - i), P)  # -e^(+-2iz(t-i))
+            factors += [(c, m) for m in powers] * i
+    product = binomial_product(GF, N, factors)
     total = TruncatedSeries.zero(GF, N)
     for k in range(1, N + 1):
         w = 1 - _sin(pow(Y, t * k, P)) ** 2 * GF.inv(_sin(pow(Y, k, P)) ** 2)
@@ -553,6 +529,8 @@ def verify_tcore_lemmas(t: int = 3, N: int = 10, seed: int = 7) -> VerificationR
     t0 = time.perf_counter()
     if t < 3 or t % 2 == 0:
         raise ValueError("t must be an odd integer >= 3")
+    if N < 1:
+        raise ValueError("N must be at least 1")
     Y = sample_point(random.Random(seed), N)
     restricted, full, product, exp_form = tcore_lemma_series(t, Y, N)
     details = {
@@ -581,19 +559,19 @@ def multiplication_pair(r: int, N: int):
         if r * j <= N:
             coeffs[r * j] = c * ring.monomial((0, j))
     substituted = TruncatedSeries(ring, coeffs)
-    rhs = substituted ** r
-    for k in range(1, N + 1):
-        if r * k <= N:
-            rhs = rhs * one_minus_power(ring, r * k, N) ** r
-    denom = TruncatedSeries.one(ring, N)
-    for k in range(1, N + 1):
-        denom = denom * one_minus_power(ring, k, N)
+    minus_one = -ring.one
+    rhs = substituted ** r * binomial_product(
+        ring, N, [(minus_one, m) for m in range(r, N + 1, r)] * r
+    )
+    denom = binomial_product(ring, N, [(minus_one, k) for k in range(1, N + 1)])
     rhs = rhs * denom.inverse()
     return lhs, rhs
 
 
 def verify_multiplication(r: int = 1, N: int = 10) -> VerificationReport:
     t0 = time.perf_counter()
+    if N < 1:
+        raise ValueError("N must be at least 1")
     lhs, rhs = multiplication_pair(r, N)
     ok, dev = _exact_compare(lhs, rhs)
     return _finish("multiplication", {"r": r}, N, lhs.ring.name, ok, dev, t0)

@@ -42,10 +42,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def part(self, i: int) -> int:
         """The i-th part, 1-based, zero beyond the length."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
@@ -110,9 +106,6 @@ class Partition:
 
     def __hash__(self):
         return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
 
     def __len__(self):
         return len(self.parts)

@@ -1,10 +1,12 @@
 """Truncated power series over the exact rings of `rings` (QQ, GF(p) and
 polynomials over either), plus the series builders used by the identity
 verifiers: partition sums weighted by hooks, eta-style infinite products,
-the type-A Macdonald sum, and principal specializations of Schur
-polynomials.  A Schur principal specialization is computed as one integer:
-the Jacobi-Trudi determinant at p = X = 2^B, taken by fraction-free
-(Bareiss) elimination, whose base-2^B digits are its coefficients."""
+finite products of binomials 1 + c q^m (`binomial_product`, each factor
+applied in place in O(N) ring operations instead of a series product), the
+type-A Macdonald sum, and principal specializations of Schur polynomials.
+A Schur principal specialization is computed as one integer: the
+Jacobi-Trudi determinant at p = X = 2^B, taken by fraction-free (Bareiss)
+elimination, whose base-2^B digits are its coefficients."""
 
 from __future__ import annotations
 
@@ -186,9 +188,6 @@ class TruncatedSeries:
             return all(
                 self.ring.eq(a, b) for a, b in zip(self.coeffs, other.coeffs)
             )
-        if isinstance(other, int):
-            probe = TruncatedSeries.one(self.ring, self.order, self.var) * other
-            return self == probe
         return NotImplemented
 
     def first_mismatch(self, other):
@@ -243,12 +242,20 @@ def log_one_minus_power(ring, m: int, order: int, var: str = "q") -> TruncatedSe
     return TruncatedSeries(ring, c, var)
 
 
-def one_minus_power(ring, m: int, order: int, var: str = "q") -> TruncatedSeries:
-    c = [ring.zero] * (order + 1)
-    c[0] = ring.one
-    if m <= order:
-        c[m] = -ring.one
-    return TruncatedSeries(ring, c, var)
+def binomial_product(ring, order: int, factors, var: str = "q") -> TruncatedSeries:
+    """prod (1 + c q^m) over the (c, m) pairs of `factors`, truncated.
+
+    Each factor is applied in place, k running from `order` down to m so
+    that out[k - m] still holds the previous product: O(order) ring
+    operations per factor.  m = 0 scales every coefficient by 1 + c, a pair
+    with m > order changes nothing, and a power is a repeated pair.
+    """
+    out = [ring.zero] * (order + 1)
+    out[0] = ring.one
+    for c, m in factors:
+        for k in range(order, m - 1, -1):
+            out[k] = out[k] + c * out[k - m]
+    return TruncatedSeries(ring, out, var)
 
 
 def eta_like_product(exponent, order: int, ring=None, var: str = "q") -> TruncatedSeries:
@@ -384,32 +391,19 @@ def _macdonald_ring(t: int) -> PolynomialRing:
 def macdonald_lhs(t: int, order: int) -> TruncatedSeries:
     """prod_m (1-q^m)^(t-1) prod_{j<i} (1-(x_i/x_j) q^(m-1)) (1-(x_j/x_i) q^m)."""
     ring = _macdonald_ring(t)
-    result = TruncatedSeries.one(ring, order)
-    for m in range(1, order + 2):
-        if m <= order:
-            result = result * one_minus_power(ring, m, order) ** (t - 1)
-        for i in range(1, t + 1):
-            for j in range(1, i):
-                # ratio x_i / x_j carried as a Laurent monomial
-                up = [0] * t
-                up[i - 1] = 1
-                up[j - 1] = -1
-                ratio = ring.monomial(tuple(up))
-                down = ring.monomial(tuple(-e for e in up))
-                if m - 1 <= order:
-                    c = [ring.zero] * (order + 1)
-                    c[0] = ring.one
-                    if m - 1 == 0:
-                        c[0] = ring.one - ratio
-                    else:
-                        c[m - 1] = -ratio
-                    result = result * TruncatedSeries(ring, c)
-                if m <= order:
-                    c = [ring.zero] * (order + 1)
-                    c[0] = ring.one
-                    c[m] = -down
-                    result = result * TruncatedSeries(ring, c)
-    return result
+    factors = []
+    for i in range(1, t + 1):
+        for j in range(1, i):
+            # ratio x_i / x_j carried as a Laurent monomial
+            up = [0] * t
+            up[i - 1] = 1
+            up[j - 1] = -1
+            ratio = ring.monomial(tuple(up))
+            down = ring.monomial(tuple(-e for e in up))
+            factors += [(-ratio, m) for m in range(order + 1)]
+            factors += [(-down, m) for m in range(1, order + 1)]
+    factors += [(-ring.one, m) for m in range(1, order + 1)] * (t - 1)
+    return binomial_product(ring, order, factors)
 
 
 def macdonald_rhs(t: int, order: int) -> TruncatedSeries:

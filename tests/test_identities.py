@@ -58,6 +58,19 @@ def test_report_shape():
     assert r.passed
 
 
+@pytest.mark.parametrize("verify", [
+    lambda: verify_multiplication(2, N=0),
+    lambda: verify_sin_family(1, N=0),
+    lambda: verify_sin_family(1, t_value=0, N=0),
+    lambda: verify_poly_s_family(N=0),
+    lambda: verify_tcore_lemmas(3, N=0),
+], ids=["multiplication", "sin-family", "sin-family-t0", "poly-s-family", "tcore-lemmas"])
+def test_series_verifiers_reject_n_zero(verify):
+    # at N = 0 only q^0 is compared, and 1 = 1 would pass with nothing checked
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        verify()
+
+
 def test_multiset_formula_passes():
     assert verify_multiset_formula(5, 14).passed
     assert verify_multiset_formula(6, 12).passed
@@ -310,18 +323,14 @@ def test_sample_points_reproducible(identity):
 
 
 def test_tcore_lemmas_broken_product_fails(monkeypatch):
-    class DropOnePower(TruncatedSeries):
-        __slots__ = ()
+    real = identities.binomial_product
 
-        def __pow__(self, n):  # (1 - q^m)^(t-1) becomes (1 - q^m)^(t-2)
-            return TruncatedSeries.__pow__(self, n - 1)
+    def weakened(ring, order, factors, var="q"):
+        factors = list(factors)
+        factors.remove((-1, 1))  # (1 - q)^(t-1) becomes (1 - q)^(t-2)
+        return real(ring, order, factors, var)
 
-    real = identities.one_minus_power
-
-    def weakened(ring, m, order):
-        return DropOnePower(ring, real(ring, m, order).coeffs)
-
-    monkeypatch.setattr(identities, "one_minus_power", weakened)
+    monkeypatch.setattr(identities, "binomial_product", weakened)
     r = verify_tcore_lemmas(5, N=8)
     assert not r.passed and r.deviation == r.details["product_form"] != "0"
     assert r.details["restricted_vs_full"] == r.details["exp_form"] == "0"

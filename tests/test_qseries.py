@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -11,12 +12,12 @@ from tcores.qseries import (
     BadConstantTermError,
     RingMismatchError,
     TruncatedSeries,
+    binomial_product,
     eta_like_product,
     geometric_multiples,
     macdonald_lhs,
     macdonald_rhs,
     macdonald_terms,
-    one_minus_power,
     partition_sum_series,
     residue_sign,
     schur_principal,
@@ -90,7 +91,7 @@ def test_ring_mismatch():
 def test_exp_log_basics():
     zero = TruncatedSeries.zero(QQ, 5)
     assert zero.exp() == TruncatedSeries.one(QQ, 5)
-    f = one_minus_power(QQ, 1, 10)
+    f = binomial_product(QQ, 10, [(-1, 1)])
     assert f.log().exp() == f
     with pytest.raises(BadConstantTermError):
         TruncatedSeries.one(QQ, 3).exp()
@@ -138,10 +139,38 @@ def test_partition_sum_series_examples():
 
 
 def test_series_pow_and_inverse():
-    f = one_minus_power(QQ, 1, 8)
+    f = binomial_product(QQ, 8, [(-1, 1)])
     assert f * f.inverse() == TruncatedSeries.one(QQ, 8)
     assert f ** -2 == (f.inverse()) ** 2
     assert [int(c) for c in (f ** -1).coeffs] == [1] * 9
+
+
+LAURENT = PolynomialRing(("a",), laurent=True)
+BINOMIAL_RINGS = {  # each ring with a random-coefficient draw
+    "QQ": (QQ, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+    "GF(p)": (PrimeField(), lambda rng: rng.randrange(P)),
+    "Laurent": (LAURENT, lambda rng: LAURENT.monomial((rng.randint(-2, 2),), rng.randint(-3, 3))),
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(BINOMIAL_RINGS))
+@pytest.mark.parametrize("seed", range(8))
+def test_binomial_product_matches_explicit_product(ring_name, seed):
+    ring, coeff = BINOMIAL_RINGS[ring_name]
+    rng = random.Random(seed)
+    order = rng.randint(0, 7)
+    # random pairs, always with an m = 0 pair, an m > order pair and a repeated pair
+    factors = [(coeff(rng), rng.randint(0, order + 2)) for _ in range(rng.randint(0, 6))]
+    factors += [(coeff(rng), 0), (coeff(rng), order + rng.randint(1, 3))]
+    factors += [(coeff(rng), rng.randint(0, order))] * rng.randint(2, 3)
+    rng.shuffle(factors)
+    # oracle: the series product of the two-term series 1 + c q^m
+    want = TruncatedSeries.one(ring, order)
+    for c, m in factors:
+        want = want * (TruncatedSeries.one(ring, order) + TruncatedSeries.monomial(ring, m, order, c))
+    got = binomial_product(ring, order, factors, var="x")
+    assert got.var == "x" and got == want, factors
+    assert binomial_product(ring, order, []) == TruncatedSeries.one(ring, order)
 
 
 def test_residue_sign_rules():
