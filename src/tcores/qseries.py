@@ -6,12 +6,16 @@ applied in place in O(N) ring operations instead of a series product), the
 type-A Macdonald sum, and principal specializations of Schur polynomials.
 A Schur principal specialization is computed as one integer: the
 Jacobi-Trudi determinant at p = X = 2^B, taken by fraction-free (Bareiss)
-elimination, whose base-2^B digits are its coefficients."""
+elimination, whose base-2^B digits are its coefficients.  The product side
+of the r-multiplication identity (Nekrasov-Okounkov at r = 1) is likewise
+integer-only at the points beta = r^2 s^2: integer powers of Euler's product
+by J. C. P. Miller's recurrence on the pentagonal series."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .partitions import Partition, enumerate_partitions
 from .rings import Poly, PolynomialRing, RationalField
@@ -273,6 +277,79 @@ def eta_like_product(exponent, order: int, ring=None, var: str = "q") -> Truncat
         ring, [c * exponent for c in total.coeffs], var
     )
     return scaled.exp()
+
+
+def exact_div(a: int, b: int) -> int:
+    """a / b for integers where b is known to divide a; AssertionError if not."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise AssertionError(f"{a} / {b} is not an integer")
+    return q
+
+
+def pentagonal_series(order: int) -> list[tuple[int, int]]:
+    """Euler's prod_k (1 - q^k) = 1 + sum_(m >= 1) (-1)^m (q^(m(3m-1)/2) +
+    q^(m(3m+1)/2)), truncated: its nonzero (exponent, coefficient) pairs past
+    the constant term 1, exponents ascending."""
+    out = []
+    m = 1
+    while m * (3 * m - 1) // 2 <= order:
+        sign = -1 if m % 2 else 1
+        out.append((m * (3 * m - 1) // 2, sign))
+        if m * (3 * m + 1) // 2 <= order:
+            out.append((m * (3 * m + 1) // 2, sign))
+        m += 1
+    return out
+
+
+def euler_power(alpha: int, order: int) -> list[int]:
+    """Coefficients of prod_k (1 - q^k)^alpha for an integer alpha, truncated.
+
+    J. C. P. Miller's recurrence for g = f^alpha with f(0) = 1:
+    n g_n = sum_(k=1..n) ((alpha + 1) k - n) f_k g_(n-k), here with f the
+    pentagonal series, so each step costs O(sqrt n).  g has integer
+    coefficients, so every division by n is exact and checked, never rounded.
+    """
+    terms = pentagonal_series(order)
+    g = [1] + [0] * order
+    for n in range(1, order + 1):
+        acc = 0
+        for k, f in terms:
+            if k > n:
+                break
+            acc += ((alpha + 1) * k - n) * f * g[n - k]
+        g[n] = exact_div(acc, n)
+    return g
+
+
+def multiplication_product_points(r: int, order: int) -> list[list[list[int]]]:
+    """The product side of the r-multiplication identity at the integer points
+    beta = r^2 s^2, s = 0..order//r: entry [n][w][s] is (w!)^2 times the
+    coefficient of q^n x^w in
+
+        (sum_j e_j x^j q^(rj))^r * prod_m (1 - q^(rm))^r / prod_k (1 - q^k),
+
+    where sum_j e_j q^j = prod_k (1 - q^k)^(beta/r^2 - 1).  At these points the
+    exponent is the integer s^2 - 1, and the r-th power in x is the series of
+    prod_k (1 - q^k)^(r (s^2 - 1)) with q^j read as x^j q^(rj): so the entry is
+    (w!)^2 E_w D_(n - rw), with E = prod (1 - q^k)^(r (s^2 - 1)) and the
+    beta-free D = prod (1 - q^(rm))^r / prod (1 - q^k).  w runs to n//r.
+    """
+    top = order // r
+    to_r = euler_power(r, top)  # prod (1 - q^m)^r, read at q^(rm)
+    inverse = euler_power(-1, order)
+    d = [
+        sum(to_r[m] * inverse[n - r * m] for m in range(n // r + 1))
+        for n in range(order + 1)
+    ]
+    table = [[[0] * (top + 1) for _ in range(n // r + 1)] for n in range(order + 1)]
+    for s in range(top + 1):
+        e = euler_power(r * (s * s - 1), top)
+        for w in range(top + 1):
+            scaled = factorial(w) ** 2 * e[w]
+            for n in range(r * w, order + 1):
+                table[n][w][s] = scaled * d[n - r * w]
+    return table
 
 
 def partition_sum_series(

@@ -156,6 +156,8 @@ def test_verify_flags_reach_the_verifier(capsys):
         ["verify", "hook-content", "--max-n", "0"],
         ["verify", "multiset-formula", "--t", "0"],
         ["verify", "nekrasov-okounkov", "--trunc", "0"],
+        ["verify", "multiplication", "--trunc", "0"],
+        ["verify", "multiplication", "--r", "0"],
         ["verify", "jacobi", "--r", "3"],
         ["verify", "golden-tables", "--seed", "3"],
         ["verify", "sin-family", "--z", "0.3"],

@@ -1,15 +1,18 @@
 import inspect
 import json
 import random
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
-from tcores import identities
+from tcores import identities, qseries
 from tcores.identities import (
     PROFILES,
     VERIFIERS,
     hook_content_sides,
     jacobi_pair,
+    multiplication_hook_points,
     multiplication_pair,
     nekrasov_okounkov_pair,
     poly_s_pair,
@@ -32,12 +35,18 @@ from tcores.identities import (
     verify_tcore_lemmas,
     verifier,
 )
-from tcores.coding import coding_size
+from tcores.coding import coding_size, enumerate_codings
 from tcores.halfint import HalfInt
-from tcores.partitions import enumerate_t_cores
-from tcores.qseries import TruncatedSeries, macdonald_terms
+from tcores.partitions import Partition, enumerate_t_cores
+from tcores.qseries import (
+    TruncatedSeries,
+    euler_power,
+    exact_div,
+    macdonald_terms,
+    multiplication_product_points,
+)
 from tcores.rings import P, PrimeField
-from tcores.weights import WeightLedger
+from tcores.weights import WeightLedger, evaluate, parity_coding_ledger
 
 GF = PrimeField()
 I = pow(7, (P - 1) // 4, P)  # a square root of -1 mod P
@@ -220,6 +229,114 @@ def test_multiplication_and_reduction():
     for n in range(7):
         collapsed = lhs.coeffs[n].substitute("x", 1)
         assert collapsed == no_lhs.coeffs[n]
+
+
+def poly_points(series, r, N, marked):
+    """The QQ[beta] (or QQ[beta, x]) route read like the integer kernel:
+    entry [n][w][s] is (w!)^2 [q^n x^w] at beta = r^2 s^2.  Without the
+    marker every hook counts, so the coefficient of q^n sits at w = n."""
+    table = []
+    for n, c in enumerate(series.coeffs):
+        at = [c.substitute("beta", r * r * s * s) for s in range(N // r + 1)]
+        table.append([
+            [factorial(w) ** 2 * (p.coefficient((w,)) if marked else p.coefficient(()) * (w == n)) for p in at]
+            for w in range(n // r + 1)
+        ])
+    return table
+
+
+@pytest.mark.parametrize("r, N, marked", [(1, 12, False), (1, 8, True), (2, 10, True), (3, 10, True)])
+def test_integer_points_are_the_poly_route_at_beta(r, N, marked):
+    pair = multiplication_pair(r, N) if marked else nekrasov_okounkov_pair(N)
+    hooks, products = multiplication_hook_points(r, N), multiplication_product_points(r, N)
+    assert hooks == products
+    for side in pair:
+        assert poly_points(side, r, N, marked) == hooks
+
+
+def test_coding_route_is_the_hook_side_at_beta_t_squared():
+    # Theorem 1.1 at tau(k) = k: the odd-weight coding product of a t-core is
+    # prod (1 - t^2/h^2) over its hooks, and the hook sum at beta = t^2 keeps
+    # only t-cores, since 1 - t^2/h^2 vanishes at a hook of length t
+    N = 10
+    hooks = multiplication_hook_points(1, N)
+    for t in range(1, 9):
+        coding_sum = [Fraction(0)] * (N + 1)
+        for v in enumerate_codings(t, N):
+            coding_sum[coding_size(v)] += evaluate(parity_coding_ledger(v, t, "odd"), Fraction)
+        assert coding_sum == [Fraction(hooks[n][n][t], factorial(n) ** 2) for n in range(N + 1)], t
+
+
+def test_integer_points_edge_cases():
+    # r > N: one point, x^0 only, and no hook is divisible by r
+    counts = [1, 1, 2, 3, 5, 7]
+    assert multiplication_hook_points(7, 5) == [[[c]] for c in counts]
+    assert multiplication_product_points(7, 5) == [[[c]] for c in counts]
+    assert verify_multiplication(7, 5).passed
+    # N = 1: points beta = 0 and 1 (r = 1), beta = 0 only (r >= 2)
+    rep = verify_nekrasov_okounkov(1)
+    assert rep.passed and rep.details["q1_coefficient"] == "1 + -1*beta"
+    assert all(verify_multiplication(r, 1).passed for r in (1, 2, 3))
+    assert multiplication_hook_points(1, 1) == [[[1, 1]], [[0, 0], [1, 0]]]
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        verify_multiplication(2, 0)
+    with pytest.raises(ValueError, match="r must be a positive integer"):
+        verify_multiplication(0, 5)
+
+
+# negative controls for the integer-point check: each fails at a stated
+# coefficient and beta
+
+
+def test_nekrasov_okounkov_broken_weight_fails(monkeypatch):
+    # h^2 - beta becomes h^2 - beta + 1 at r = 1
+    monkeypatch.setattr(
+        identities, "hook_weight_product", lambda gs, s: prod([g * g - s * s + 1 for g in gs])
+    )
+    r = verify_nekrasov_okounkov(6)
+    assert not r.passed and r.deviation == "q^1: beta=0: 2 != 1"
+    assert r.details["q1_coefficient"] == "2 + -1*beta"
+
+
+def test_broken_pentagonal_sign_fails(monkeypatch):
+    real = qseries.pentagonal_series
+
+    def flipped(order):
+        return [(k, -f if k == 5 else f) for k, f in real(order)]
+
+    monkeypatch.setattr(qseries, "pentagonal_series", flipped)
+    # at beta = 0 the product side is 1/prod (1 - q^k): p(5) = 5 + 3 - 1 = 7
+    # by Euler's recurrence, 5 + 3 + 1 = 9 with the q^5 sign flipped
+    r = verify_nekrasov_okounkov(6)
+    assert not r.passed and r.deviation == "q^5: beta=0: 7 != 9"
+    # no partition of 5 is a 2-core, so its x^0 coefficient is 0; the
+    # flipped sign reaches D_5 through 1/prod (1 - q^k)
+    r = verify_multiplication(2, 8)
+    assert not r.passed and r.deviation == "q^5: x^0, beta=0: 0 != 2"
+
+
+def test_multiplication_broken_hook_weight_fails(monkeypatch):
+    # only the weight of the hooks h = r changes: g^2 - s^2 + 1 at g = 1
+    monkeypatch.setattr(
+        identities, "hook_weight_product",
+        lambda gs, s: prod([g * g - s * s + (g == 1) for g in gs]),
+    )
+    r = verify_multiplication(2, 8)
+    # (2) and (1,1) each have one hook 2, weighted 2 instead of 1 at beta = 0
+    assert not r.passed and r.deviation == "q^2: x^1, beta=0: 4 != 2"
+
+
+def test_inexact_division_raises(monkeypatch):
+    with pytest.raises(AssertionError, match="7 / 2 is not an integer"):
+        exact_div(7, 2)
+    # a non-integer exponent is refused, not rounded
+    with pytest.raises(AssertionError, match="is not an integer"):
+        euler_power(Fraction(1, 2), 3)
+    # w!/prod g with hooks that are no partition's: 1!/3
+    real = Partition.hooks
+    monkeypatch.setattr(Partition, "hooks", lambda self, r=1: tuple(3 * h for h in real(self, r)))
+    with pytest.raises(AssertionError, match="1 / 3 is not an integer"):
+        multiplication_hook_points(1, 2)
 
 
 def test_hook_content():

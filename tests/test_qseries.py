@@ -14,10 +14,12 @@ from tcores.qseries import (
     TruncatedSeries,
     binomial_product,
     eta_like_product,
+    euler_power,
     geometric_multiples,
     macdonald_lhs,
     macdonald_rhs,
     macdonald_terms,
+    multiplication_product_points,
     partition_sum_series,
     residue_sign,
     schur_principal,
@@ -560,3 +562,19 @@ def test_exact_series_hold_no_float():
         assert s.ring.name.startswith("GF(p)")
         for v in exact_values(s):
             assert type(v) is int, (s.ring.name, v)
+
+
+def test_integer_point_kernels_hold_ints():
+    from tcores.identities import multiplication_hook_points
+
+    values = [v for alpha in (-3, -1, 0, 2, 7) for v in euler_power(alpha, 20)]
+    for r, N in ((1, 12), (2, 13), (3, 10), (5, 4)):
+        for table in (multiplication_hook_points(r, N), multiplication_product_points(r, N)):
+            values += [v for row in table for entry in row for v in entry]
+    assert values and all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("alpha", [-4, -1, 0, 1, 3, 8])
+def test_euler_power_is_the_eta_like_product(alpha):
+    # Miller's recurrence on the pentagonal series against exp(alpha log)
+    assert euler_power(alpha, 18) == eta_like_product(Fraction(alpha), 18).coeffs
