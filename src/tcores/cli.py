@@ -126,10 +126,10 @@ def cmd_explode(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.via == "codings":
-        cores = cores_from_codings(args.t, args.max_size)
-    else:
+    if args.via == "filter":
         cores = enumerate_t_cores(args.t, args.max_size)
+    else:
+        cores = cores_from_codings(args.t, args.max_size)
     if args.format == "json":
         print(json.dumps([str(p) for p in cores]))
     else:
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list t-cores up to a size")
     p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--max-size", type=_nonnegative_int, default=15)
-    p.add_argument("--via", choices=("filter", "codings"), default="filter")
+    p.add_argument("--via", choices=("filter", "codings"), default="codings", help="codings "
+                   "(default) inverts enumerated codings; filter, the oracle, tests every partition")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_enumerate)
 

@@ -360,7 +360,7 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
     # bound on the sum of squared doubled values: size <= max_size exactly
     # when sum tw^2 <= 8t max_size + (t^3 - t)/3, and 3 divides (t-1)t(t+1)
     budget = 8 * t * max_size + (t * t * t - t) // 3
-    out: list[tuple[int, tuple[int, ...]]] = []
+    by_size: dict[int, list[tuple[int, ...]]] = {}
 
     def rec(i, remaining_sum, remaining_budget, chosen):
         if i == t:
@@ -369,7 +369,7 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
                 values = tuple(sorted(chosen, reverse=True))
                 size = _size(values, t)
                 if size <= max_size:
-                    out.append((size, values))
+                    by_size.setdefault(size, []).append(values)
             return
         slots_left = t - i
         # Cauchy-Schwarz: the remaining doubled values must cover remaining_sum
@@ -389,14 +389,19 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
             chosen.pop()
 
     rec(0, 0, budget, [])
-    out.sort(key=lambda sv: (sv[0], tuple(-tw for tw in sv[1])))
-    return [_trusted(values, t) for _, values in out]
+    # sizes ascending, then entries lexicographically decreasing
+    return [_trusted(values, t) for size in sorted(by_size)
+            for values in sorted(by_size.pop(size), reverse=True)]
 
 
 def cores_from_codings(t: int, max_size: int) -> list[Partition]:
-    """t-cores of size <= max_size built by inverting enumerated codings."""
-    cores = [coding_to_core(c) for c in enumerate_codings(t, max_size)]
-    cores.sort(key=lambda p: (p.size, tuple(-x for x in p.parts)))
+    """t-cores of size <= max_size built by inverting enumerated codings, in
+    the filter route's order: the codings come sizes ascending and decreasing
+    within a size, and where two first differ, at v_k > v'_k, their bead
+    sets first differ at the bead v_k, so the parts decrease too."""
+    cores = enumerate_codings(t, max_size)
+    for i, c in enumerate(cores):  # in place: never both lists at once
+        cores[i] = coding_to_core(c)
     return cores
 
 

@@ -175,13 +175,14 @@ def _first_failure(devs) -> str:
 def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int | None = None) -> VerificationReport:
     """Sweep every t-core up to max_size: coding round trip, both size
     formulas, the bead-set relations, and (up to ledger_max_size) the three
-    exponent-ledger identities with both parity normalizations."""
+    exponent-ledger identities with both parity normalizations.  The cores
+    come from codings; `classical-cross-checks` keeps the filter oracle."""
     t0 = time.perf_counter()
     if ledger_max_size is None:
         ledger_max_size = max_size
     failures = []
     checked = 0
-    for lam in enumerate_t_cores(t, max_size):
+    for lam in cores_from_codings(t, max_size):
         checked += 1
         coding = core_coding(lam, t)
         diag = validate_coding(coding)
@@ -229,11 +230,12 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
 
 def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationReport:
     """Sweep every t-core up to max_size: translation relations, the fold
-    (set and ledger forms), the triangle ledger, and the band counts."""
+    (set and ledger forms), the triangle ledger, and the band counts, on the
+    cores from codings."""
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    for lam in enumerate_t_cores(t, max_size):
+    for lam in cores_from_codings(t, max_size):
         checked += 1
         window = ExplodedWindow(lam, t)
         rel = check_translation_relations(window)
@@ -774,7 +776,7 @@ def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
 
 def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: int = 20) -> VerificationReport:
     """2-cores are exactly the staircases, and the coding-route enumeration
-    of t-cores matches the filter over all partitions."""
+    of t-cores is the filter over all partitions, order included."""
     t0 = time.perf_counter()
     failures = []
     staircases = []
@@ -790,9 +792,7 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
     if sizes != want_sizes:
         failures.append("2-core sizes are not the triangular numbers")
     for t in range(1, t_max + 1):
-        via_filter = enumerate_t_cores(t, enum_size)
-        via_codings = cores_from_codings(t, enum_size)
-        if sorted(p.parts for p in via_filter) != sorted(p.parts for p in via_codings):
+        if enumerate_t_cores(t, enum_size) != cores_from_codings(t, enum_size):
             failures.append(f"enumeration routes disagree for t={t}")
             break
     params = {"max_size": max_size, "t_max": t_max, "enum_size": enum_size}

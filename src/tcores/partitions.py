@@ -175,7 +175,8 @@ def partitions_up_to(max_n: int) -> Iterator[Partition]:
 
 
 def enumerate_t_cores(t: int, max_n: int) -> list[Partition]:
-    """All t-cores of size at most max_n, by filtering the full enumeration."""
+    """All t-cores of size at most max_n, by filtering the full enumeration:
+    the oracle for `coding.cores_from_codings`, which feeds the sweeps."""
     if t < 1:
         raise ValueError("t must be a positive integer")
     return [p for p in partitions_up_to(max_n) if p.is_t_core(t)]

@@ -7,6 +7,8 @@ every weight function at once by comparing exponent maps.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .coding import CoreCoding, class_sorted_coding
 from .partitions import Partition
 
@@ -27,25 +29,12 @@ class WeightLedger:
     def __init__(self, exps=None, sign: int = 1):
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        clean = {}
-        if exps:
-            for k, e in dict(exps).items():
-                if e:
-                    clean[int(k)] = int(e)
-        self.exps = clean
+        self.exps = {int(k): int(e) for k, e in dict(exps or {}).items() if e}
         self.sign = sign
 
     @classmethod
     def one(cls) -> "WeightLedger":
         return cls()
-
-    @classmethod
-    def from_factors(cls, factors, sign: int = 1) -> "WeightLedger":
-        """Build from (argument, exponent) pairs, accumulating repeats."""
-        exps: dict[int, int] = {}
-        for k, e in factors:
-            exps[k] = exps.get(k, 0) + e
-        return cls(exps, sign)
 
     def is_one(self) -> bool:
         return not self.exps and self.sign == 1
@@ -54,20 +43,20 @@ class WeightLedger:
         exps = dict(self.exps)
         for k, e in other.exps.items():
             exps[k] = exps.get(k, 0) + e
-        return WeightLedger(exps, self.sign * other.sign)
+        return _trusted(exps, self.sign * other.sign)
 
     def __truediv__(self, other: "WeightLedger") -> "WeightLedger":
         exps = dict(self.exps)
         for k, e in other.exps.items():
             exps[k] = exps.get(k, 0) - e
-        return WeightLedger(exps, self.sign * other.sign)
+        return _trusted(exps, self.sign * other.sign)
 
     def __pow__(self, n: int) -> "WeightLedger":
         sign = self.sign if n % 2 else 1
-        return WeightLedger({k: e * n for k, e in self.exps.items()}, sign)
+        return _trusted({k: e * n for k, e in self.exps.items()}, sign)
 
     def negate_arguments(self) -> "WeightLedger":
-        return WeightLedger({-k: e for k, e in self.exps.items()}, self.sign)
+        return _trusted({-k: e for k, e in self.exps.items()}, self.sign)
 
     def total_degree(self) -> int:
         return sum(self.exps.values())
@@ -88,14 +77,22 @@ class WeightLedger:
         return f"WeightLedger({self.exps!r}, sign={self.sign})"
 
 
+def _trusted(exps: dict[int, int], sign: int = 1) -> WeightLedger:
+    """A WeightLedger of an int -> int map and a sign known to be valid: drops
+    zero exponents and skips the rest of the validation in __init__."""
+    led = object.__new__(WeightLedger)
+    led.exps, led.sign = {k: e for k, e in exps.items() if e}, sign
+    return led
+
+
 def hook_shift_ledger(partition: Partition, t: int) -> WeightLedger:
     """Ledger of prod over hooks h of tau(h-t) tau(h+t) / tau(h)^2."""
-    factors = []
-    for h in partition.hooks():
-        factors.append((h - t, 1))
-        factors.append((h + t, 1))
-        factors.append((h, -2))
-    return WeightLedger.from_factors(factors)
+    exps: dict[int, int] = {}
+    for h, m in Counter(partition.hooks()).items():
+        exps[h - t] = exps.get(h - t, 0) + m
+        exps[h + t] = exps.get(h + t, 0) + m
+        exps[h] = exps.get(h, 0) - 2 * m
+    return _trusted(exps)
 
 
 def coding_difference_ledger(coding: CoreCoding, beta, t: int | None = None) -> WeightLedger:
@@ -105,16 +102,13 @@ def coding_difference_ledger(coding: CoreCoding, beta, t: int | None = None) -> 
     """
     if t is None:
         t = coding.t
-    tw = coding.twice
-    factors = []
+    exps: dict[int, int] = {}
     for i in range(1, t):
         b = beta[i - 1]
-        factors.append((-i, b))
-        factors.append((i, -(b + t - i)))
-    for i in range(len(tw)):
-        for j in range(i + 1, len(tw)):
-            factors.append(((tw[i] - tw[j]) // 2, 1))
-    return WeightLedger.from_factors(factors)
+        exps[-i] = b
+        exps[i] = -(b + t - i)
+    _add_differences(exps, coding.twice)
+    return _trusted(exps)
 
 
 def parity_coding_ledger(coding: CoreCoding, t: int | None = None, parity: str = "odd") -> WeightLedger:
@@ -128,27 +122,30 @@ def parity_coding_ledger(coding: CoreCoding, t: int | None = None, parity: str =
         t = coding.t
     u = class_sorted_coding(coding, t)  # doubled entries
     sign = -1 if (t % 4 == 3 and parity == "odd") else 1
-    factors = [(k, -(t - k)) for k in range(1, t)]
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            factors.append(((u[i] - u[j]) // 2, 1))
-    return parity_normalize(WeightLedger.from_factors(factors, sign), parity)
+    exps = {k: k - t for k in range(1, t)}
+    _add_differences(exps, u)
+    return parity_normalize(_trusted(exps, sign), parity)
+
+
+def _add_differences(exps: dict[int, int], tw) -> None:
+    """Add exponent 1 at (tw_i - tw_j)/2 for every i < j, tw doubled."""
+    for i, a in enumerate(tw):
+        for b in tw[i + 1:]:
+            d = (a - b) // 2
+            exps[d] = exps.get(d, 0) + 1
 
 
 def content_ledger(partition: Partition, mu: Partition, t: int) -> WeightLedger:
     """Ledger of prod_i (tau(-i)/tau(i))^(b_i) * prod over mu of tau(t+c)/tau(h)."""
     beta = partition.small_hook_counts(t)
-    factors = []
+    exps: dict[int, int] = {}
     for i in range(1, t):
-        b = beta[i - 1]
-        factors.append((-i, b))
-        factors.append((i, -b))
-    hooks = mu.hooks()
-    contents = mu.contents()
-    for h, c in zip(hooks, contents):
-        factors.append((t + c, 1))
-        factors.append((h, -1))
-    return WeightLedger.from_factors(factors)
+        exps[-i] = beta[i - 1]
+        exps[i] = -beta[i - 1]
+    for h, c in zip(mu.hooks(), mu.contents()):
+        exps[t + c] = exps.get(t + c, 0) + 1
+        exps[h] = exps.get(h, 0) - 1
+    return _trusted(exps)
 
 
 def parity_normalize(ledger: WeightLedger, parity: str) -> WeightLedger:
@@ -161,18 +158,14 @@ def parity_normalize(ledger: WeightLedger, parity: str) -> WeightLedger:
         raise ValueError("parity must be 'odd' or 'even'")
     exps: dict[int, int] = {}
     sign = ledger.sign
+    odd = parity == "odd"
     for k, e in ledger.exps.items():
-        if k > 0:
-            exps[k] = exps.get(k, 0) + e
-        elif k < 0:
-            exps[-k] = exps.get(-k, 0) + e
-            if parity == "odd" and e % 2:
-                sign = -sign
-        else:
-            if parity == "odd":
-                raise ZeroArgumentError("tau(0) = 0 for an odd weight")
-            exps[0] = exps.get(0, 0) + e
-    return WeightLedger(exps, sign)
+        if k == 0 and odd:
+            raise ZeroArgumentError("tau(0) = 0 for an odd weight")
+        if k < 0 and odd and e % 2:
+            sign = -sign
+        exps[abs(k)] = exps.get(abs(k), 0) + e
+    return _trusted(exps, sign)
 
 
 def evaluate(ledger: WeightLedger, tau):

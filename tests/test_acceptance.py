@@ -19,7 +19,7 @@ from tcores.identities import (
     run_suite,
     verify_exploded_relations,
 )
-from tcores.partitions import Partition
+from tcores.partitions import Partition, enumerate_t_cores
 from tcores.qseries import macdonald_terms, residue_sign
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -60,6 +60,10 @@ def test_criterion_01_bijection_sweep(full):
     reports = full["multiset-formula"]
     elapsed = seconds(reports)
     cores = sum(r.details["cores_checked"] for r in reports)
+    # the sweep takes its cores from codings; the filter route counts them
+    assert [r.details["cores_checked"] for r in reports] == [
+        len(enumerate_t_cores(r.params["t"], r.params["max_size"])) for r in reports
+    ]
     announce(1, exact(reports) and elapsed < 60.0, f"{cores} cores, {elapsed:.1f}s")
 
 

@@ -85,6 +85,14 @@ def test_enumerate_both_routes(capsys):
     )
     assert code == 0
     assert json.loads(out2) == ["-", "1", "2,1", "3,2,1", "4,3,2,1"]
+    # the default route, codings, prints the filter route's output
+    for t in range(1, 9):
+        for fmt in ("text", "json"):
+            argv = ["enumerate", "--t", str(t), "--max-size", "20", "--format", fmt]
+            code, out, _ = run(capsys, *argv)
+            code_f, out_f, _ = run(capsys, *argv, "--via", "filter")
+            assert code == code_f == 0
+            assert out == out_f, (t, fmt)
 
 
 def test_verify_json(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tcores import coding
 from tcores.coding import (
     CoreCoding,
     InvalidCodingError,
@@ -247,11 +248,27 @@ def test_enumerate_codings_deterministic_and_valid():
         assert validate_coding(c).valid
 
 
+# the sweeps walk cores_from_codings and stop at their first failure, so
+# the coding route must give the filter route's list, order included
+ORDERED_ROUTE_CASES = [*((t, 25) for t in range(1, 9)), *((t, 15) for t in range(2, 8))]
+
+
+def first_route_disagreement():
+    """The first (t, n) at which the two routes differ as ordered lists."""
+    return next(
+        ((t, n) for t, n in ORDERED_ROUTE_CASES if cores_from_codings(t, n) != enumerate_t_cores(t, n)),
+        None,
+    )
+
+
 def test_two_route_enumeration_agrees():
-    for t in range(1, 7):
-        via_filter = sorted(p.parts for p in enumerate_t_cores(t, 14))
-        via_codings = sorted(p.parts for p in cores_from_codings(t, 14))
-        assert via_filter == via_codings
+    assert first_route_disagreement() is None
+
+
+def test_route_comparison_sees_a_dropped_coding(monkeypatch):
+    real = coding.enumerate_codings
+    monkeypatch.setattr(coding, "enumerate_codings", lambda t, n: real(t, n)[:-1])
+    assert first_route_disagreement() == (1, 25)
 
 
 def test_two_cores_are_triangular():

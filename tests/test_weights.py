@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
-from tcores.coding import core_coding
+from tcores import weights
+from tcores.coding import class_sorted_coding, core_coding, enumerate_codings
 from tcores.partitions import Partition, enumerate_t_cores
 from tcores.weights import (
     DivisionByZeroWeightError,
@@ -166,3 +168,115 @@ def test_size_reconstruction_from_z_coefficient():
         for lam in enumerate_t_cores(t, 10):
             total = sum((h - t) ** 2 + (h + t) ** 2 - 2 * h * h for h in lam.hooks())
             assert total == 2 * t * t * lam.size
+
+
+# ---------------------------------------------------------------------------
+# the ledger kernel: each builder adds its exponents straight into one dict
+# and wraps it with the trusted constructor; the oracle is the documented
+# factor list accumulated through the public, validating constructor
+
+# fixed examples and no shrinking, so the negative control below fails
+# the same way on every run and quickly; a failing example is at most a
+# dozen factors, readable unshrunk
+KERNEL = settings(
+    derandomize=True, database=None, report_multiple_bugs=False,
+    phases=(Phase.explicit, Phase.generate),
+)
+CODINGS = [c for t in range(1, 9) for c in enumerate_codings(t, 12)]
+factor_lists = st.lists(st.tuples(st.integers(-9, 9), st.integers(-3, 3)), max_size=12)
+partitions = st.lists(st.integers(1, 6), max_size=6).map(
+    lambda ps: Partition(sorted(ps, reverse=True))
+)
+
+
+def public(factors, sign=1):
+    """The ledger of (argument, exponent) pairs, by the public constructor."""
+    exps = {}
+    for k, e in factors:
+        exps[k] = exps.get(k, 0) + e
+    return WeightLedger(exps, sign)
+
+
+def normalized(factors, sign, parity):
+    """The factors with every argument made positive by tau(-k) = +-tau(k),
+    and the sign that leaves."""
+    for k, e in factors:
+        if k < 0 and parity == "odd" and e % 2:
+            sign = -sign
+    return [(abs(k), e) for k, e in factors], sign
+
+
+def differences(tw):
+    return [((a - b) // 2, 1) for i, a in enumerate(tw) for b in tw[i + 1:]]
+
+
+@KERNEL
+@given(st.data())
+def test_builders_are_the_public_constructor(data):
+    lam, mu = data.draw(partitions), data.draw(partitions)
+    t = data.draw(st.integers(1, 8))
+    hooks = lam.hooks()
+    assert hook_shift_ledger(lam, t) == public(
+        [f for h in hooks for f in ((h - t, 1), (h + t, 1), (h, -2))]
+    )
+    beta = lam.small_hook_counts(t)
+    assert content_ledger(lam, mu, t) == public(
+        [f for i in range(1, t) for f in ((-i, beta[i - 1]), (i, -beta[i - 1]))]
+        + [f for h, c in zip(mu.hooks(), mu.contents()) for f in ((t + c, 1), (h, -1))]
+    )
+    coding = data.draw(st.sampled_from(CODINGS))
+    ct = coding.t
+    b = data.draw(st.lists(st.integers(0, 4), min_size=ct - 1, max_size=ct - 1))
+    assert coding_difference_ledger(coding, b) == public(
+        [f for i in range(1, ct) for f in ((-i, b[i - 1]), (i, -(b[i - 1] + ct - i)))]
+        + differences(coding.twice)
+    )
+    factors = [(k, k - ct) for k in range(1, ct)] + differences(class_sorted_coding(coding))
+    for parity in ("odd", "even"):
+        sign = -1 if ct % 4 == 3 and parity == "odd" else 1
+        assert parity_coding_ledger(coding, parity=parity) == public(
+            *normalized(factors, sign, parity)
+        )
+
+
+@KERNEL
+@given(factor_lists, factor_lists, st.sampled_from((1, -1)), st.integers(-3, 3))
+def test_ledger_operations_are_the_public_constructor(fa, fb, sign, n):
+    a, b = public(fa, sign), public(fb)
+    assert a * b == public(fa + fb, sign)
+    assert a / b == public(fa + [(k, -e) for k, e in fb], sign)
+    assert a ** n == public([(k, e * n) for k, e in fa], sign if n % 2 else 1)
+    assert a.negate_arguments() == public([(-k, e) for k, e in fa], sign)
+    for parity in ("odd", "even"):
+        if parity == "odd" and 0 in a.exps:
+            with pytest.raises(ZeroArgumentError):
+                parity_normalize(a, parity)
+        else:
+            assert parity_normalize(a, parity) == public(*normalized(fa, sign, parity))
+
+
+@KERNEL
+@given(factor_lists, st.sampled_from((1, -1)))
+def test_cancelling_factors_are_one(factors, sign):
+    one = WeightLedger.one()
+    assert public(factors + [(k, -e) for k, e in reversed(factors)]) == one
+    a = public(factors, sign)
+    for got in (a / a, a * a ** -1, a ** 0, parity_normalize(a / a, "odd")):
+        assert got == one and got.is_one()
+
+
+def test_a_trusted_constructor_keeping_zeros_fails(monkeypatch):
+    def keeps_zeros(exps, sign=1):
+        led = object.__new__(WeightLedger)
+        led.exps, led.sign = dict(exps), sign
+        return led
+
+    monkeypatch.setattr(weights, "_trusted", keeps_zeros)
+    # a kept tau(0)^0 also makes the odd normalization of a / a raise
+    for test in (
+        test_builders_are_the_public_constructor,
+        test_ledger_operations_are_the_public_constructor,
+        test_cancelling_factors_are_one,
+    ):
+        with pytest.raises((AssertionError, ZeroArgumentError)):
+            test()
