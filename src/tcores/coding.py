@@ -223,9 +223,11 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
     decreasing order w_1 > w_2 > ... recovers part_i = w_i + i - (t+1)/2.
     A core of size n has at most n parts, so w_(n+1) = (t+1)/2 - (n+1) and
     the beads at or above it are exactly w_1, ..., w_(n+1): each ray is read
-    only that far.
+    only that far.  A CoreCoding is valid by construction and is used as it
+    is; a bare sequence, or a CoreCoding read with another t, is validated.
     """
-    coding = CoreCoding(coding, t)  # validates
+    if not (isinstance(coding, CoreCoding) and t in (None, coding.t)):
+        coding = CoreCoding(coding, t)
     values, t = coding.twice, coding.t
     n = _size(values, t)
     shift = t + 1

@@ -558,14 +558,15 @@ def verify_jacobi(N: int = 10) -> VerificationReport:
 def verify_macdonald(t: int = 2, N: int = 4) -> VerificationReport:
     """Type-A product/sum identity, exact in Laurent polynomials.
 
-    Also re-asserts, over all enumerated vectors, that nonzero signs demand
-    pairwise distinct residues and an integral nonnegative exponent.
+    The sum side runs over the orderings of the t-core codings of size at
+    most N (`macdonald_terms`); the size formula asserts that each term's
+    exponent is a nonnegative integer.
     """
     t0 = time.perf_counter()
     if t < 2:
         raise ValueError("t must be at least 2")
     lhs = macdonald_lhs(t, N)
-    rhs = macdonald_rhs(t, N)  # integrality asserted inside macdonald_terms
+    rhs = macdonald_rhs(t, N)  # exponents asserted integral by coding_size
     ok, dev = _exact_compare(lhs, rhs)
     # distinct vectors give distinct monomials, so each term is one monomial
     terms = sum(len(c.terms) for c in rhs.coeffs)

@@ -3,20 +3,23 @@ polynomials over either), plus the series builders used by the identity
 verifiers: partition sums weighted by hooks, eta-style infinite products,
 finite products of binomials 1 + c q^m (`binomial_product`, each factor
 applied in place in O(N) ring operations instead of a series product), the
-type-A Macdonald sum, and principal specializations of Schur polynomials.
-A Schur principal specialization is computed as one integer: the
-Jacobi-Trudi determinant at p = X = 2^B, taken by fraction-free (Bareiss)
-elimination, whose base-2^B digits are its coefficients.  The product side
-of the r-multiplication identity (Nekrasov-Okounkov at r = 1) is likewise
-integer-only at the points beta = r^2 s^2: integer powers of Euler's product
-by J. C. P. Miller's recurrence on the pentagonal series."""
+type-A Macdonald sum (its terms read off the t-core codings), and principal
+specializations of Schur polynomials.  A Schur principal specialization is
+computed as one integer: the Jacobi-Trudi determinant at p = X = 2^B, taken
+by fraction-free (Bareiss) elimination, whose base-2^B digits are its
+coefficients.  The product side of the r-multiplication identity
+(Nekrasov-Okounkov at r = 1) is likewise integer-only at the points
+beta = r^2 s^2: integer powers of Euler's product by J. C. P. Miller's
+recurrence on the pentagonal series."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
+from .coding import coding_size, enumerate_codings
 from .partitions import Partition, enumerate_partitions
 from .rings import Poly, PolynomialRing, RationalField
 
@@ -413,50 +416,24 @@ def residue_sign(a, t: int) -> int:
 
 
 def macdonald_terms(t: int, order: int) -> list[MacdonaldTerm]:
-    """All vectors with entry sum 1+...+t whose q-exponent is at most the
-    truncation order; every nonzero-sign vector is checked to have an
-    integral nonnegative exponent."""
+    """All vectors with entry sum 1+...+t whose sign is nonzero and whose
+    q-exponent is at most the truncation order, sorted by exponent, then
+    vector.
+
+    The sign is nonzero exactly when v = a - (t+1)/2 takes one value in
+    each class modulo t; then v sums to zero, so v sorted decreasing is a
+    t-core coding, and the exponent (sum a_i^2 - sum i^2)/(2t) equals
+    sum v_i^2/(2t) - (t^2-1)/24, the size of that core.  So the vectors are
+    the orderings of the codings of size at most `order`.
+    """
     if t < 2:
         raise ValueError("t must be at least 2")
-    total = t * (t + 1) // 2
-    sq_base = sum(i * i for i in range(1, t + 1))
-    budget = 2 * t * order + sq_base
     out = []
-
-    def rec(i, remaining_sum, remaining_budget, chosen):
-        slots = t - i
-        if slots == 0:
-            if remaining_sum == 0:
-                a = tuple(chosen)
-                eps = residue_sign(a, t)
-                if eps != 0:
-                    num = sum(x * x for x in a) - sq_base
-                    omega, rem = divmod(num, 2 * t)
-                    if rem or omega < 0:
-                        raise AssertionError(
-                            f"nonzero-sign vector {a} has exponent {Fraction(num, 2 * t)}"
-                        )
-                    if omega <= order:
-                        out.append(MacdonaldTerm(a, eps, omega))
-            return
-        if remaining_sum * remaining_sum > slots * remaining_budget:
-            return
-        k = 0
-        while True:
-            vals = (k,) if k == 0 else (k, -k)
-            alive = False
-            for v in vals:
-                sq = v * v
-                if sq <= remaining_budget:
-                    alive = True
-                    chosen.append(v)
-                    rec(i + 1, remaining_sum - v, remaining_budget - sq, chosen)
-                    chosen.pop()
-            if not alive:
-                break
-            k += 1
-
-    rec(0, total, budget, [])
+    for coding in enumerate_codings(t, order):
+        omega = coding_size(coding)
+        for twice in permutations(coding.twice):
+            a = tuple((tw + t + 1) // 2 for tw in twice)
+            out.append(MacdonaldTerm(a, residue_sign(a, t), omega))
     out.sort(key=lambda term: (term.omega, term.a))
     return out
 

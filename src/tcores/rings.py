@@ -2,63 +2,42 @@
 polynomials over either.
 
 Every ring is exact.  Polynomials are sparse maps from exponent tuples to
-int or Fraction coefficients, never floats; negative exponents are allowed
-when the ring is created as a Laurent ring.  The rationals compare by
-equality, the prime field GF(p) compares ints modulo p, and a polynomial
-ring compares coefficientwise by the rule of its base.
+int or Fraction coefficients, never floats; an integral value is held as an
+int, so the integer rings (and GF(p), whose residues are ints) do plain
+integer arithmetic.  Negative exponents are allowed when the ring is created
+as a Laurent ring.  The rationals compare by equality, the prime field GF(p)
+compares ints modulo p, and a polynomial ring compares coefficientwise by
+the rule of its base.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 
 
-def _reduced(names, num: dict, den: int) -> "Poly":
-    """The exact Poly num/den, with the common factor of den and every
-    numerator divided out (so zero has denominator 1)."""
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {e: c // g for e, c in num.items()}
-            den //= g
-    return Poly._make(names, num, den)
-
-
-class _Terms(Mapping):
-    """Read-only exponent -> coefficient view of a Poly; an exact coefficient
-    becomes a Fraction (an int when the denominator is 1) only when read."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den):
-        self._num = num
-        self._den = den
-
-    def __len__(self):
-        return len(self._num)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __getitem__(self, exps):
-        c = self._num[exps]
-        return c if self._den == 1 else Fraction(c, self._den)
+def _settled(names, terms: dict) -> "Poly":
+    """The Poly of nonzero exact `terms` fresh from arithmetic, with an
+    integral Fraction among them read as an int."""
+    if Fraction in map(type, terms.values()):
+        terms = {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
+    p = object.__new__(Poly)
+    p.names = names
+    p._terms = terms
+    return p
 
 
 class Poly:
     """Sparse multivariate polynomial with int or Fraction coefficients.
 
-    The coefficients are stored as integer numerators over one positive
-    common denominator that shares no factor with all of them; the integer
-    rings (and GF(p), whose residues are ints) keep the denominator 1, so
-    their products and sums are plain integer arithmetic.  A float or
-    complex coefficient raises TypeError.
+    One dict maps each exponent tuple to its nonzero coefficient, held as
+    an int unless its denominator is real.  A float or complex coefficient
+    raises TypeError.
     """
 
-    __slots__ = ("names", "_num", "_den")
+    __slots__ = ("names", "_terms")
 
     def __init__(self, names, terms=None):
         self.names = tuple(names)
@@ -71,28 +50,13 @@ class Poly:
                 if not isinstance(coeff, (int, Fraction)):
                     raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
                 if coeff != 0:
-                    clean[exps] = coeff
-        den = lcm(*(c.denominator for c in clean.values()))
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self._den = den
-
-    @classmethod
-    def _make(cls, names, num: dict, den: int) -> "Poly":
-        """A Poly from its stored form: nonzero integer numerators reduced
-        against `den`."""
-        p = object.__new__(cls)
-        p.names = names
-        p._num = num
-        p._den = den
-        return p
+                    clean[exps] = coeff.numerator if coeff.denominator == 1 else coeff
+        self._terms = clean
 
     @classmethod
     def constant(cls, names, value) -> "Poly":
         names = tuple(names)
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"constant {value!r} is not an int or Fraction")
-        num = {(0,) * len(names): value.numerator} if value else {}
-        return cls._make(names, num, value.denominator)
+        return cls(names, {(0,) * len(names): value})
 
     @classmethod
     def variable(cls, names, name, coeff=1) -> "Poly":
@@ -103,18 +67,10 @@ class Poly:
     @property
     def terms(self) -> Mapping:
         """Exponent tuple -> nonzero coefficient, as a read-only mapping."""
-        return _Terms(self._num, self._den)
-
-    def _coeffs(self) -> dict:
-        """Exponent tuple -> coefficient as a dict the caller must not change;
-        Fractions are built only for a denominator above 1."""
-        den = self._den
-        if den == 1:
-            return self._num
-        return {e: Fraction(c, den) for e, c in self._num.items()}
+        return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._terms
 
     def _lift(self, other):
         if isinstance(other, Poly):
@@ -129,23 +85,20 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        da, db = self._den, other._den
-        den = lcm(da, db)
-        ma, mb = den // da, den // db
-        num = dict(self._num) if ma == 1 else {e: c * ma for e, c in self._num.items()}
-        get = num.get
-        for e, c in other._num.items():
-            s = get(e, 0) + c * mb
+        terms = dict(self._terms)
+        get = terms.get
+        for e, c in other._terms.items():
+            s = get(e, 0) + c
             if s:
-                num[e] = s
+                terms[e] = s
             else:
-                del num[e]
-        return _reduced(self.names, num, den)
+                del terms[e]
+        return _settled(self.names, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.names, {e: -c for e, c in self._num.items()}, self._den)
+        return _settled(self.names, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -160,22 +113,21 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        # integer convolution of the numerators, one product of denominators
-        num: dict[tuple, int] = {}
-        get = num.get
+        terms: dict[tuple, object] = {}
+        get = terms.get
         if len(self.names) == 1:
-            for (e1,), c1 in self._num.items():
-                for (e2,), c2 in other._num.items():
+            for (e1,), c1 in self._terms.items():
+                for (e2,), c2 in other._terms.items():
                     e = (e1 + e2,)
-                    num[e] = get(e, 0) + c1 * c2
+                    terms[e] = get(e, 0) + c1 * c2
         else:
-            for e1, c1 in self._num.items():
-                for e2, c2 in other._num.items():
+            for e1, c1 in self._terms.items():
+                for e2, c2 in other._terms.items():
                     e = tuple(map(add, e1, e2))
-                    num[e] = get(e, 0) + c1 * c2
-        if 0 in num.values():
-            num = {e: c for e, c in num.items() if c}
-        return _reduced(self.names, num, self._den * other._den)
+                    terms[e] = get(e, 0) + c1 * c2
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        return _settled(self.names, terms)
 
     __rmul__ = __mul__
 
@@ -198,31 +150,30 @@ class Poly:
         idx = self.names.index(name)
         rest = self.names[:idx] + self.names[idx + 1 :]
         out = Poly(rest, {})
-        for e, c in self._coeffs().items():
+        for e, c in self._terms.items():
             scalar = c * Fraction(value) ** e[idx]
             out = out + Poly(rest, {e[:idx] + e[idx + 1 :]: scalar})
         return out
 
     def coefficient(self, exps) -> object:
-        c = self._num.get(tuple(exps), 0)
-        return c if self._den == 1 else Fraction(c, self._den)
+        return self._terms.get(tuple(exps), 0)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of the variable; -1 for the zero polynomial."""
         idx = self.names.index(name)
-        if not self._num:
+        if not self._terms:
             return -1
-        return max(e[idx] for e in self._num)
+        return max(e[idx] for e in self._terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.names, other)
         if not isinstance(other, Poly) or self.names != other.names:
             return False
-        return self._den == other._den and self._num == other._num
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.names, frozenset(self._coeffs().items())))
+        return hash((self.names, frozenset(self._terms.items())))
 
     def _monomial_str(self, exps) -> str:
         pieces = []
@@ -233,7 +184,7 @@ class Poly:
         return "*".join(pieces)
 
     def __str__(self):
-        terms = self._coeffs()
+        terms = self._terms
         if not terms:
             return "0"
         chunks = []
@@ -378,8 +329,7 @@ class PolynomialRing:
         return self.is_zero(a - b)
 
     def is_zero(self, a) -> bool:
-        # a numerator is zero in the base exactly when its coefficient is
-        return all(map(self.base.is_zero, a._num.values()))
+        return all(map(self.base.is_zero, a.terms.values()))
 
     def div_int(self, a: Poly, n: int) -> Poly:
         return self._map(a, lambda c: self.base.div_int(c, n))

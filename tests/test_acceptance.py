@@ -22,6 +22,8 @@ from tcores.identities import (
 from tcores.partitions import Partition, enumerate_t_cores
 from tcores.qseries import macdonald_terms, residue_sign
 
+from oracles import macdonald_box_terms
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -54,6 +56,15 @@ def announce(number, ok, extra=""):
 def test_full_plan_covers_every_identity(full):
     assert set(full) == set(VERIFIERS)
     assert all(exact(reports) for reports in full.values())
+
+
+def test_full_plan_reports_match_golden(full):
+    # the plan runs row by row, so its reports come grouped by identity
+    reports = [r.to_dict() for rows in full.values() for r in rows]
+    for d in reports:
+        del d["ms"]
+    got = json.dumps(reports, indent=1) + "\n"
+    assert got == (GOLDEN / "suite_full.json").read_text()
 
 
 def test_criterion_01_bijection_sweep(full):
@@ -142,7 +153,11 @@ def test_criterion_09_macdonald(full):
     vector_checks = True
     for r in reports:
         t = r.params["t"]
-        for term in macdonald_terms(t, r.N):
+        terms = macdonald_terms(t, r.N)
+        # the terms come from codings; the box oracle finds them by brute force
+        vector_checks &= terms == macdonald_box_terms(t, r.N)
+        vector_checks &= r.details["terms_enumerated"] == len(terms)
+        for term in terms:
             vector_checks &= term.epsilon in (-1, 1) and term.omega >= 0
             vector_checks &= len({x % t for x in term.a}) == t
         # repeated residues force sign zero

@@ -138,6 +138,23 @@ def test_coding_to_core_rejects_invalid():
         coding_to_core([1, 0, -1])  # t missing for a bare sequence
 
 
+def test_coding_to_core_trusts_a_core_coding(monkeypatch):
+    calls = []
+    real = coding._diagnose
+    monkeypatch.setattr(coding, "_diagnose", lambda tw, t: calls.append(t) or real(tw, t))
+    c = CoreCoding.parse("10,3,1,-6,-8", 5)
+    calls.clear()
+    assert coding_to_core(c) == TABLE1 and coding_to_core(c, 5) == TABLE1
+    assert calls == []
+    # a bare sequence, or a CoreCoding read with another t, is validated
+    assert coding_to_core([10, 3, 1, -6, -8], 5) == TABLE1
+    assert calls == [5]
+    with pytest.raises(InvalidCodingError):
+        coding_to_core(c, 3)
+    with pytest.raises(InvalidCodingError):
+        coding_to_core([10, 3, 1, -6, -7], 5)
+
+
 def test_coding_size():
     c = core_coding(TABLE1, 5)
     assert sum(v ** 2 for v in c.twice) == 4 * 210

@@ -42,11 +42,12 @@ from tcores.qseries import (
     TruncatedSeries,
     euler_power,
     exact_div,
-    macdonald_terms,
     multiplication_product_points,
 )
 from tcores.rings import P, PrimeField
 from tcores.weights import WeightLedger, evaluate, parity_coding_ledger
+
+from oracles import macdonald_box_terms
 
 GF = PrimeField()
 I = pow(7, (P - 1) // 4, P)  # a square root of -1 mod P
@@ -195,7 +196,7 @@ def test_jacobi_constant_term():
 
 def test_macdonald():
     r = verify_macdonald(2, 4)
-    assert r.passed and r.details["terms_enumerated"] == len(macdonald_terms(2, 4))
+    assert r.passed and r.details["terms_enumerated"] == len(macdonald_box_terms(2, 4))
     assert verify_macdonald(3, 3).passed
     with pytest.raises(ValueError):
         verify_macdonald(1, 3)

@@ -27,6 +27,8 @@ from tcores.qseries import (
 )
 from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
 
+from oracles import macdonald_box_terms
+
 QQ = RationalField()
 
 
@@ -182,6 +184,25 @@ def test_residue_sign_rules():
     for term in macdonald_terms(3, 3):
         assert term.epsilon in (-1, 1)
         assert term.omega >= 0
+    # inversion count against the box oracle's cycle count
+    for t, N in ((3, 3), (4, 2), (5, 1)):
+        for term in macdonald_box_terms(t, N):
+            assert residue_sign(term.a, t) == term.epsilon, term
+
+
+@pytest.mark.parametrize("t, N", [(2, 4), (2, 8), (3, 4), (3, 8), (4, 6), (5, 4)])
+def test_macdonald_terms_match_box_oracle(t, N):
+    assert macdonald_terms(t, N) == macdonald_box_terms(t, N)
+
+
+def test_macdonald_terms_lose_a_dropped_coding(monkeypatch):
+    from tcores import qseries
+    from tcores.identities import verify_macdonald
+
+    real = qseries.enumerate_codings
+    monkeypatch.setattr(qseries, "enumerate_codings", lambda t, n: real(t, n)[:-1])
+    assert macdonald_terms(3, 4) != macdonald_box_terms(3, 4)
+    assert not verify_macdonald(3, 4).passed
 
 
 def test_macdonald_constant_term_t2():
@@ -562,6 +583,16 @@ def test_exact_series_hold_no_float():
         assert s.ring.name.startswith("GF(p)")
         for v in exact_values(s):
             assert type(v) is int, (s.ring.name, v)
+
+
+def test_integer_rings_hold_ints():
+    # no coefficient of an integer ring is ever a Fraction, not even 1/1
+    from tcores.identities import jacobi_pair, poly_s_pair, sample_point
+
+    Y = sample_point(random.Random(7), 8)
+    series = [*jacobi_pair(10), macdonald_lhs(3, 4), macdonald_rhs(3, 4), *poly_s_pair(Y, 8)]
+    values = [v for s in series for v in exact_values(s)]
+    assert values and all(type(v) is int for v in values)
 
 
 def test_integer_point_kernels_hold_ints():
