@@ -32,7 +32,6 @@ from .exploded import (
     ExplodedWindow,
     InfiniteSelectionError,
     RelationViolationError,
-    cell_box_map,
     check_fold,
     check_fold_ledger,
     check_translation_relations,
@@ -57,7 +56,6 @@ from .qseries import (
     MacdonaldTerm,
     RingMismatchError,
     TruncatedSeries,
-    eta_like_product,
     macdonald_lhs,
     macdonald_rhs,
     macdonald_terms,

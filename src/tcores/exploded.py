@@ -109,26 +109,6 @@ class ExplodedWindow:
         return [(xtw, ytw) for ytw in self.axis(1, "W") for xtw in xs]
 
 
-def cell_box_map(window: ExplodedWindow) -> dict[tuple[int, int], tuple[int, int]]:
-    """The bijection cell (i, j) -> doubled box (x, y), whose entry is hook + t.
-
-    Every box with entry above t arises this way exactly once.
-    """
-    p = window.partition
-    conj = window.conjugate
-    t = window.t
-    shift = t + 1
-    mapping = {
-        (i, j): (2 * (p.parts[i - 1] - i) + shift, 2 * (conj.parts[j - 1] - j) + shift)
-        for i, j in p.cells()
-    }
-    delta_boxes = {(x, y) for (x, y) in window.boxes() if x + y > 2 * t}
-    image = set(mapping.values())
-    if image != delta_boxes or len(image) != len(mapping):
-        raise RelationViolationError("cells do not match the boxes above entry t")
-    return mapping
-
-
 def _pair_set(xs, ys, lo, hi, forbid=()):
     """Doubled-coordinate pairs of xs x ys with lo < entry < hi and the entry
     not in `forbid`; hi=None leaves the entries unbounded above."""

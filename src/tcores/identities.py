@@ -46,21 +46,19 @@ from .exploded import (
     check_triangle_ledger,
     region_ledger,
 )
-from .partitions import Partition, enumerate_partitions, enumerate_t_cores
+from .partitions import Partition, enumerate_partitions, partitions_up_to
 from .qseries import (
     TruncatedSeries,
     binomial_product,
-    eta_like_product,
     exact_div,
     geometric_multiples,
     macdonald_lhs,
     macdonald_rhs,
     multiplication_product_points,
     partition_sum_series,
-    schur_principal,
     schur_principal_at,
 )
-from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
+from .rings import P, PolynomialRing, PrimeField, RationalField
 from .weights import (
     WeightLedger,
     coding_difference_ledger,
@@ -273,18 +271,6 @@ def partition_gf(N: int) -> TruncatedSeries:
     return total.exp()
 
 
-def nekrasov_okounkov_pair(N: int):
-    """Both sides in QQ[beta]: the route the integer-point check is tested
-    against."""
-    ring = PolynomialRing(("beta",))
-    beta = ring.var("beta")
-    lhs = partition_sum_series(
-        lambda h: ring.one - beta * Fraction(1, h * h), 1, N, ring
-    )
-    rhs = eta_like_product(beta - 1, N, ring)
-    return lhs, rhs
-
-
 def hook_weight_product(gs, s: int) -> int:
     """prod (g^2 - s^2) over g in gs: the hook weights prod (1 - beta/h^2)
     over hooks h = r g at beta = r^2 s^2, times (prod g)^2."""
@@ -439,7 +425,7 @@ def verify_sin_family(
 
 def poly_s_weight(s, w):
     """The hook weight s + (s - 1)^2 w of the s-parameter family."""
-    return s + (s - 1) ** 2 * w
+    return s + (s - 1) * (s - 1) * w
 
 
 def poly_s_pair(Y: int, N: int):
@@ -575,9 +561,10 @@ def verify_macdonald(t: int = 2, N: int = 4) -> VerificationReport:
 
 def tcore_lemma_series(t: int, Y: int, N: int):
     """LHS of the core-restricted sine sum two ways, and both closed forms,
-    in GF(p) at Y = e^(iz)."""
+    in GF(p) at Y = e^(iz).  The cores come from codings, and the
+    exponential form is the r = 1 sine-family side at W = Y^t."""
     cores: dict[int, list[Partition]] = {n: [] for n in range(N + 1)}
-    for lam in enumerate_t_cores(t, N):
+    for lam in cores_from_codings(t, N):
         cores[lam.size].append(lam)
     W = pow(Y, t, P)
     lhs_full = sin_hook_sum(1, Y, W, N)
@@ -589,12 +576,7 @@ def tcore_lemma_series(t: int, Y: int, N: int):
             c = -pow(Y, phase * 2 * (t - i), P)  # -e^(+-2iz(t-i))
             factors += [(c, m) for m in powers] * i
     product = binomial_product(GF, N, factors)
-    total = TruncatedSeries.zero(GF, N)
-    for k in range(1, N + 1):
-        w = 1 - _sin(pow(Y, t * k, P)) ** 2 * GF.inv(_sin(pow(Y, k, P)) ** 2)
-        total = total + geometric_multiples(GF, k, N, w * GF.inv(k) % P)
-    exp_form = total.exp()
-    return lhs_restricted, lhs_full, product, exp_form
+    return lhs_restricted, lhs_full, product, sin_family_rhs(1, Y, W, N)
 
 
 def verify_tcore_lemmas(t: int = 3, N: int = 10, seed: int = 7) -> VerificationReport:
@@ -619,33 +601,9 @@ def verify_tcore_lemmas(t: int = 3, N: int = 10, seed: int = 7) -> VerificationR
     )
 
 
-def multiplication_pair(r: int, N: int):
-    """Marked hook sum over hooks divisible by r, and its product form,
-    in QQ[beta, x]: the route the integer-point check is tested against."""
-    ring = PolynomialRing(("beta", "x"))
-    beta = ring.var("beta")
-    x = ring.var("x")
-    lhs = partition_sum_series(
-        lambda h: ring.one - beta * Fraction(1, h * h), r, N, ring, marker=x
-    )
-    inner = eta_like_product(beta * Fraction(1, r * r) - 1, N // r, ring)
-    coeffs = [ring.zero] * (N + 1)
-    for j, c in enumerate(inner.coeffs):
-        if r * j <= N:
-            coeffs[r * j] = c * ring.monomial((0, j))
-    substituted = TruncatedSeries(ring, coeffs)
-    minus_one = -ring.one
-    rhs = substituted ** r * binomial_product(
-        ring, N, [(minus_one, m) for m in range(r, N + 1, r)] * r
-    )
-    denom = binomial_product(ring, N, [(minus_one, k) for k in range(1, N + 1)])
-    rhs = rhs * denom.inverse()
-    return lhs, rhs
-
-
 def verify_multiplication(r: int = 1, N: int = 10) -> VerificationReport:
     """The marked hook sum over hooks divisible by r against its product
-    form (`multiplication_pair`), an identity in QQ[beta, x].
+    form, an identity in QQ[beta, x].
 
     Each side's coefficient of q^n x^w is a polynomial of degree at most w in
     beta: w weights 1 - beta/h^2 on the hook side, and on the product side
@@ -665,27 +623,11 @@ def verify_multiplication(r: int = 1, N: int = 10) -> VerificationReport:
     return _finish("multiplication", {"r": r}, N, ring.name, dev == "0", dev, t0)
 
 
-def hook_content_sides(lam: Partition, n: int):
-    """Schur side times the hook factors, and the content-product side."""
-    names = ("p",)
-    one = Poly.constant(names, 1)
-    lhs = schur_principal(lam, n)
-    for h in lam.hooks():
-        lhs = lhs * (one - Poly(names, {(h,): 1}))
-    shifts = [n + c for c in lam.contents()]
-    if 0 in shifts:
-        rhs = Poly(names, {})
-    else:
-        assert all(e > 0 for e in shifts)
-        rhs = Poly(names, {(lam.row_moment(),): 1})
-        for e in shifts:
-            rhs = rhs * (one - Poly(names, {(e,): 1}))
-    return lhs, rhs
-
-
 def hook_content_at(lam: Partition, n: int, X: int, cache: dict) -> tuple[int, int]:
-    """Both sides of `hook_content_sides` evaluated at p = X, as integers;
-    `cache` carries the h_k values of one sweep."""
+    """Both sides of the hook-content identity at p = X, as integers: the
+    Schur value times prod (1 - X^h) over the hooks, and X^(row moment)
+    times prod (1 - X^(n + c)) over the contents (zero when some n + c is
+    0).  `cache` carries the h_k values of one sweep."""
     lhs = schur_principal_at(lam, n, X, cache)
     for h in lam.hooks():
         lhs *= 1 - X**h
@@ -777,23 +719,36 @@ def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
 
 def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: int = 20) -> VerificationReport:
     """2-cores are exactly the staircases, and the coding-route enumeration
-    of t-cores is the filter over all partitions, order included."""
+    of t-cores is the filter over all partitions, order included.  The
+    filter runs every t in one pass over the partitions up to either size."""
     t0 = time.perf_counter()
+    if t_max < 1:
+        raise ValueError("t_max must be at least 1")
+    if max_size < 0 or enum_size < 0:
+        raise ValueError("max_size and enum_size must be nonnegative")
     failures = []
     staircases = []
     k = 0
     while k * (k + 1) // 2 <= max_size:
         staircases.append(Partition(tuple(range(k, 0, -1))))
         k += 1
-    found = enumerate_t_cores(2, max_size)
+    found: list[Partition] = []
+    filtered: dict[int, list[Partition]] = {t: [] for t in range(1, t_max + 1)}
+    for p in partitions_up_to(max(max_size, enum_size)):
+        if p.size <= max_size and p.is_t_core(2):
+            found.append(p)
+        if p.size <= enum_size:
+            for t, cores in filtered.items():
+                if p.is_t_core(t):
+                    cores.append(p)
     if sorted(p.parts for p in found) != sorted(p.parts for p in staircases):
         failures.append("2-cores are not the staircases")
     sizes = {p.size for p in found}
     want_sizes = {k * (k + 1) // 2 for k in range(len(staircases))}
     if sizes != want_sizes:
         failures.append("2-core sizes are not the triangular numbers")
-    for t in range(1, t_max + 1):
-        if enumerate_t_cores(t, enum_size) != cores_from_codings(t, enum_size):
+    for t, cores in filtered.items():
+        if cores != cores_from_codings(t, enum_size):
             failures.append(f"enumeration routes disagree for t={t}")
             break
     params = {"max_size": max_size, "t_max": t_max, "enum_size": enum_size}

@@ -1,21 +1,20 @@
 """Truncated power series over the exact rings of `rings` (QQ, GF(p) and
 polynomials over either), plus the series builders used by the identity
-verifiers: partition sums weighted by hooks, eta-style infinite products,
-finite products of binomials 1 + c q^m (`binomial_product`, each factor
-applied in place in O(N) ring operations instead of a series product), the
-type-A Macdonald sum (its terms read off the t-core codings), and principal
-specializations of Schur polynomials.  A Schur principal specialization is
-computed as one integer: the Jacobi-Trudi determinant at p = X = 2^B, taken
-by fraction-free (Bareiss) elimination, whose base-2^B digits are its
-coefficients.  The product side of the r-multiplication identity
-(Nekrasov-Okounkov at r = 1) is likewise integer-only at the points
-beta = r^2 s^2: integer powers of Euler's product by J. C. P. Miller's
-recurrence on the pentagonal series."""
+verifiers: partition sums weighted by hooks, finite products of binomials
+1 + c q^m (`binomial_product`, each factor applied in place in O(N) ring
+operations instead of a series product), the type-A Macdonald sum (its terms
+read off the t-core codings), and principal specializations of Schur
+polynomials.  A Schur principal specialization is computed as one integer:
+the Jacobi-Trudi determinant at p = X = 2^B, taken by fraction-free (Bareiss)
+elimination, whose base-2^B digits are its coefficients.  The product side of
+the r-multiplication identity (Nekrasov-Okounkov at r = 1) is likewise
+integer-only at the points beta = r^2 s^2: integer powers of Euler's product
+by J. C. P. Miller's recurrence on the pentagonal series, in place of the
+exp-log eta product that the tests keep as its oracle."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
@@ -29,7 +28,7 @@ class RingMismatchError(TypeError):
 
 
 class BadConstantTermError(ValueError):
-    """exp needs constant term 0; log and inversion need a unit."""
+    """exp needs constant term 0; inversion needs a unit."""
 
 
 class TruncatedSeries:
@@ -121,6 +120,7 @@ class TruncatedSeries:
     def __rmul__(self, other):
         return self.__mul__(other)
 
+    # no verifier calls this: kept as the only site of benchmark span qseries.inverse
     def inverse(self) -> "TruncatedSeries":
         ring = self.ring
         try:
@@ -140,19 +140,6 @@ class TruncatedSeries:
             out[k] = -(c0inv * acc)
         return TruncatedSeries(ring, out, self.var)
 
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncatedSeries.one(self.ring, self.order, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def exp(self) -> "TruncatedSeries":
         ring = self.ring
         if not ring.is_zero(self.coeffs[0]):
@@ -167,21 +154,6 @@ class TruncatedSeries:
                 if ring.is_zero(a):
                     continue
                 acc = acc + (a * out[k - i]) * i
-            out[k] = ring.div_int(acc, k)
-        return TruncatedSeries(ring, out, self.var)
-
-    def log(self) -> "TruncatedSeries":
-        ring = self.ring
-        if not ring.eq(self.coeffs[0], ring.one):
-            raise BadConstantTermError("log needs constant term 1")
-        n = self.order
-        out = [ring.zero] * (n + 1)
-        for k in range(1, n + 1):
-            acc = self.coeffs[k] * k
-            for i in range(1, k):
-                if ring.is_zero(out[i]):
-                    continue
-                acc = acc - (out[i] * i) * self.coeffs[k - i]
             out[k] = ring.div_int(acc, k)
         return TruncatedSeries(ring, out, self.var)
 
@@ -239,16 +211,6 @@ def geometric_multiples(ring, step: int, order: int, coeff, var: str = "q") -> T
     return TruncatedSeries(ring, c, var)
 
 
-def log_one_minus_power(ring, m: int, order: int, var: str = "q") -> TruncatedSeries:
-    """log(1 - q^m) = -sum_j q^(j m) / j, truncated."""
-    c = [ring.zero] * (order + 1)
-    j = 1
-    while j * m <= order:
-        c[j * m] = c[j * m] - ring.from_fraction(Fraction(1, j))
-        j += 1
-    return TruncatedSeries(ring, c, var)
-
-
 def binomial_product(ring, order: int, factors, var: str = "q") -> TruncatedSeries:
     """prod (1 + c q^m) over the (c, m) pairs of `factors`, truncated.
 
@@ -263,23 +225,6 @@ def binomial_product(ring, order: int, factors, var: str = "q") -> TruncatedSeri
         for k in range(order, m - 1, -1):
             out[k] = out[k] + c * out[k - m]
     return TruncatedSeries(ring, out, var)
-
-
-def eta_like_product(exponent, order: int, ring=None, var: str = "q") -> TruncatedSeries:
-    """prod_m (1 - q^m)^exponent, with a ring-element exponent.
-
-    Computed as exp(exponent * sum_m log(1 - q^m)); factors with m beyond
-    the truncation order cannot contribute.
-    """
-    if ring is None:
-        ring = RationalField()
-    total = TruncatedSeries.zero(ring, order, var)
-    for m in range(1, order + 1):
-        total = total + log_one_minus_power(ring, m, order, var)
-    scaled = TruncatedSeries(
-        ring, [c * exponent for c in total.coeffs], var
-    )
-    return scaled.exp()
 
 
 def exact_div(a: int, b: int) -> int:
@@ -360,12 +305,11 @@ def partition_sum_series(
     r: int,
     order: int,
     ring=None,
-    marker=None,
     source=None,
     var: str = "q",
 ) -> TruncatedSeries:
     """sum over partitions of q^size * prod of rho(h) over hooks divisible
-    by r, optionally times marker^(number of such hooks).
+    by r.
 
     `source(n)` may supply the partitions of size n (e.g. a t-core filter);
     by default all partitions are used.
@@ -377,12 +321,9 @@ def partition_sum_series(
         parts = source(n) if source is not None else enumerate_partitions(n)
         acc = ring.zero
         for p in parts:
-            hooks = p.hooks(r)
             term = ring.one
-            for h in hooks:
+            for h in p.hooks(r):
                 term = term * rho(h)
-            if marker is not None:
-                term = term * marker ** len(hooks)
             acc = acc + term
         coeffs[n] = acc
     return TruncatedSeries(ring, coeffs, var)
@@ -463,11 +404,11 @@ def macdonald_lhs(t: int, order: int) -> TruncatedSeries:
 def macdonald_rhs(t: int, order: int) -> TruncatedSeries:
     """sum over vectors of sign * q^omega * x_1^(1-a_1) ... x_t^(t-a_t)."""
     ring = _macdonald_ring(t)
-    coeffs = [ring.zero] * (order + 1)
+    # per q-power, exponents -> sign; distinct vectors give distinct monomials
+    signs: list[dict] = [{} for _ in range(order + 1)]
     for term in macdonald_terms(t, order):
-        exps = tuple(i + 1 - term.a[i] for i in range(t))
-        coeffs[term.omega] = coeffs[term.omega] + ring.monomial(exps, term.epsilon)
-    return TruncatedSeries(ring, coeffs)
+        signs[term.omega][tuple(i + 1 - term.a[i] for i in range(t))] = term.epsilon
+    return TruncatedSeries(ring, [Poly(ring.names, row) for row in signs])
 
 
 def _h_principal_at(k: int, n: int, X: int, cache: dict) -> int:
@@ -528,6 +469,7 @@ def schur_principal_at(partition: Partition, n: int, X: int, cache: dict) -> int
     ])
 
 
+# no verifier calls this: kept as the only site of benchmark span qseries.schur_principal
 def schur_principal(partition: Partition, n: int) -> Poly:
     """Schur polynomial at 1, p, ..., p^(n-1), read off as the base-2^B
     digits of `schur_principal_at` at X = 2^B, B = |lambda| bitlen(n) + 1.

@@ -8,6 +8,12 @@ integer arithmetic.  Negative exponents are allowed when the ring is created
 as a Laurent ring.  The rationals compare by equality, the prime field GF(p)
 compares ints modulo p, and a polynomial ring compares coefficientwise by
 the rule of its base.
+
+The verifiers work in ints and GF(p) residues.  A Fraction is made in
+`src/` only by `identities.partition_gf` (its log terms 1/k, and its `exp`
+dividing through `RationalField.div_int`), by `RationalField`'s `div_int`
+and `inv`, and in error text (the size formulas of `coding`, and the
+mismatch text of the r-multiplication check).
 """
 
 from __future__ import annotations
@@ -131,30 +137,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers need a Laurent monomial")
-        result = Poly.constant(self.names, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def substitute(self, name: str, value):
-        """Replace one variable by an int or Fraction value; a negative
-        exponent needs a nonzero value and gives its exact inverse power."""
-        idx = self.names.index(name)
-        rest = self.names[:idx] + self.names[idx + 1 :]
-        out = Poly(rest, {})
-        for e, c in self._terms.items():
-            scalar = c * Fraction(value) ** e[idx]
-            out = out + Poly(rest, {e[:idx] + e[idx + 1 :]: scalar})
-        return out
-
     def coefficient(self, exps) -> object:
         return self._terms.get(tuple(exps), 0)
 
@@ -215,9 +197,6 @@ class RationalField:
     def one(self):
         return 1
 
-    def from_fraction(self, fr: Fraction):
-        return Fraction(fr)
-
     def coerce(self, value):
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"{value!r} is not an int or Fraction")
@@ -247,23 +226,20 @@ P = 2**61 - 31  # prime, and P % 4 == 1, so -1 has a square root mod P
 class PrimeField:
     """GF(P) with plain ints as elements.
 
-    Sums and products are Python's and may leave [0, P); coerce,
-    from_fraction, div_int and inv reduce, and eq/is_zero compare modulo P,
-    so any representative of a residue may be passed in.
+    Sums and products are Python's and may leave [0, P); coerce, div_int
+    and inv reduce, and eq/is_zero compare modulo P, so any representative
+    of a residue may be passed in.
     """
 
     name = "GF(p)"
     zero = 0
     one = 1
 
-    def from_fraction(self, fr: Fraction) -> int:
-        return fr.numerator * pow(fr.denominator, -1, P) % P
-
     def coerce(self, value) -> int:
         if isinstance(value, int):
             return value % P
         if isinstance(value, Fraction):
-            return self.from_fraction(value)
+            return value.numerator * pow(value.denominator, -1, P) % P
         raise TypeError(f"{value!r} has no residue in GF(p)")
 
     def eq(self, a, b) -> bool:
@@ -311,9 +287,6 @@ class PolynomialRing:
         if not self.laurent and any(e < 0 for e in exps):
             raise ValueError("negative exponents need a Laurent ring")
         return Poly(self.names, {exps: self.base.coerce(coeff)})
-
-    def from_fraction(self, fr: Fraction) -> Poly:
-        return Poly.constant(self.names, self.base.from_fraction(fr))
 
     def coerce(self, value) -> Poly:
         if isinstance(value, Poly):

@@ -36,9 +36,6 @@ class WeightLedger:
     def one(cls) -> "WeightLedger":
         return cls()
 
-    def is_one(self) -> bool:
-        return not self.exps and self.sign == 1
-
     def __mul__(self, other: "WeightLedger") -> "WeightLedger":
         exps = dict(self.exps)
         for k, e in other.exps.items():
@@ -170,8 +167,7 @@ def parity_normalize(ledger: WeightLedger, parity: str) -> WeightLedger:
 
 def evaluate(ledger: WeightLedger, tau):
     """Value of the formal product under a concrete weight: `tau` is any
-    callable from integers to values with `*` and `**`, such as `Fraction`
-    or a function returning `TruncatedSeries`.
+    callable from integers to values with `*` and `**`, such as `Fraction`.
 
     Returns sign * prod tau(k)^(e_k); raises if tau vanishes where a
     negative exponent needs an inverse.  The empty ledger evaluates to 1.

@@ -7,7 +7,6 @@ from tcores.coding import bead_set, core_coding
 from tcores.exploded import (
     ExplodedWindow,
     InfiniteSelectionError,
-    cell_box_map,
     check_fold,
     check_fold_ledger,
     check_translation_relations,
@@ -18,6 +17,8 @@ from tcores.exploded import (
 from tcores.halfint import HalfInt
 from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
 from tcores.weights import WeightLedger
+
+from oracles import cell_box_map
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLE1 = Partition((8, 4, 3, 2, 2, 1))

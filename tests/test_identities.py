@@ -10,11 +10,8 @@ from tcores import identities, qseries
 from tcores.identities import (
     PROFILES,
     VERIFIERS,
-    hook_content_sides,
     jacobi_pair,
     multiplication_hook_points,
-    multiplication_pair,
-    nekrasov_okounkov_pair,
     poly_s_pair,
     run_suite,
     sample_point,
@@ -47,7 +44,13 @@ from tcores.qseries import (
 from tcores.rings import P, PrimeField
 from tcores.weights import WeightLedger, evaluate, parity_coding_ledger
 
-from oracles import macdonald_box_terms
+from oracles import (
+    hook_content_sides,
+    macdonald_box_terms,
+    multiplication_pair,
+    nekrasov_okounkov_pair,
+    substitute,
+)
 
 GF = PrimeField()
 I = pow(7, (P - 1) // 4, P)  # a square root of -1 mod P
@@ -101,9 +104,9 @@ def test_nekrasov_okounkov():
     # collapsing beta to 0 gives the partition generating function
     counts = [1, 1, 2, 3, 5, 7, 11]
     for n in range(7):
-        val = lhs.coeffs[n].substitute("beta", 0).coefficient(())
+        val = substitute(lhs.coeffs[n], "beta", 0).coefficient(())
         assert val == counts[n]
-        val = rhs.coeffs[n].substitute("beta", 0).coefficient(())
+        val = substitute(rhs.coeffs[n], "beta", 0).coefficient(())
         assert val == counts[n]
 
 
@@ -174,7 +177,7 @@ def test_poly_s_family():
     lhs, rhs = poly_s_pair(r.params["Y"], 6)
     for s in (0, -1, 3):
         for a, b in zip(lhs.coeffs, rhs.coeffs):
-            assert GF.eq(a.substitute("s", s).coefficient(()), b.substitute("s", s).coefficient(()))
+            assert GF.eq(substitute(a, "s", s).coefficient(()), substitute(b, "s", s).coefficient(()))
 
 
 def test_jacobi_and_collapse():
@@ -182,8 +185,8 @@ def test_jacobi_and_collapse():
     assert r.passed and r.deviation == "0"
     lhs, rhs = jacobi_pair(8)
     for n in range(9):
-        a = lhs.coeffs[n].substitute("a", -1).coefficient(())
-        b = rhs.coeffs[n].substitute("a", -1).coefficient(())
+        a = substitute(lhs.coeffs[n], "a", -1).coefficient(())
+        b = substitute(rhs.coeffs[n], "a", -1).coefficient(())
         assert type(a) is int and a == b
 
 
@@ -228,7 +231,7 @@ def test_multiplication_and_reduction():
     no_lhs, _ = nekrasov_okounkov_pair(6)
     # at r=1 with the marker sent to 1, the marked sum is the plain one
     for n in range(7):
-        collapsed = lhs.coeffs[n].substitute("x", 1)
+        collapsed = substitute(lhs.coeffs[n], "x", 1)
         assert collapsed == no_lhs.coeffs[n]
 
 
@@ -238,7 +241,7 @@ def poly_points(series, r, N, marked):
     marker every hook counts, so the coefficient of q^n sits at w = n."""
     table = []
     for n, c in enumerate(series.coeffs):
-        at = [c.substitute("beta", r * r * s * s) for s in range(N // r + 1)]
+        at = [substitute(c, "beta", r * r * s * s) for s in range(N // r + 1)]
         table.append([
             [factorial(w) ** 2 * (p.coefficient((w,)) if marked else p.coefficient(()) * (w == n)) for p in at]
             for w in range(n // r + 1)
@@ -363,7 +366,7 @@ def test_hook_content_integer_sides_are_the_poly_sides_at_x(monkeypatch):
     assert len({X for _, _, X, _ in seen}) == 1
     for lam, n, X, sides in seen:
         polys = hook_content_sides(lam, n)
-        assert sides == tuple(side.substitute("p", X).coefficient(()) for side in polys), (lam, n)
+        assert sides == tuple(substitute(side, "p", X).coefficient(()) for side in polys), (lam, n)
         # the docstring's bound: each side's L1 norm is below X/2
         for side in polys:
             assert 2 * sum(abs(c) for c in side.terms.values()) < X, (lam, n)
@@ -382,6 +385,20 @@ def test_sin_lemma():
 
 def test_classical_crosschecks():
     assert verify_classical_crosschecks(20, 6, 14).passed
+    assert verify_classical_crosschecks(12, 3, 20).passed  # enum_size the larger
+    # (0, 0, 0) would compare neither route
+    for bad in ((0, 0, 0), (25, 8, -1), (-1, 8, 20)):
+        with pytest.raises(ValueError):
+            verify_classical_crosschecks(*bad)
+
+
+def test_classical_crosschecks_catch_a_dropped_core(monkeypatch):
+    real = identities.cores_from_codings
+    monkeypatch.setattr(
+        identities, "cores_from_codings", lambda t, n: real(t, n)[:-1] if t == 4 else real(t, n)
+    )
+    r = verify_classical_crosschecks(15, 6, 12)
+    assert not r.passed and r.deviation == "enumeration routes disagree for t=4"
 
 
 def test_golden_tables():
@@ -410,7 +427,7 @@ def test_jacobi_specializes_to_sin_family_at_t2():
     # theta-sum route through the triple product identity
     _, theta = jacobi_pair(N)
     y = pow(Y, -2, P)
-    vals = [GF.coerce(c.substitute("a", -y).coefficient(())) for c in theta.coeffs]
+    vals = [GF.coerce(substitute(c, "a", -y).coefficient(())) for c in theta.coeffs]
     scale = -y * pow(1 - y, -1, P)
     assert lhs.first_mismatch(TruncatedSeries(GF, [v * scale for v in vals])) is None
 

@@ -13,7 +13,6 @@ from tcores.qseries import (
     RingMismatchError,
     TruncatedSeries,
     binomial_product,
-    eta_like_product,
     euler_power,
     geometric_multiples,
     macdonald_lhs,
@@ -27,7 +26,7 @@ from tcores.qseries import (
 )
 from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
 
-from oracles import macdonald_box_terms
+from oracles import eta_like_product, macdonald_box_terms, series_pow, substitute
 
 QQ = RationalField()
 
@@ -92,15 +91,11 @@ def test_ring_mismatch():
         f + g
 
 
-def test_exp_log_basics():
+def test_exp_basics():
     zero = TruncatedSeries.zero(QQ, 5)
     assert zero.exp() == TruncatedSeries.one(QQ, 5)
-    f = binomial_product(QQ, 10, [(-1, 1)])
-    assert f.log().exp() == f
     with pytest.raises(BadConstantTermError):
         TruncatedSeries.one(QQ, 3).exp()
-    with pytest.raises(BadConstantTermError):
-        TruncatedSeries.zero(QQ, 3).log()
 
 
 def test_partition_generating_function_via_exp():
@@ -145,8 +140,8 @@ def test_partition_sum_series_examples():
 def test_series_pow_and_inverse():
     f = binomial_product(QQ, 8, [(-1, 1)])
     assert f * f.inverse() == TruncatedSeries.one(QQ, 8)
-    assert f ** -2 == (f.inverse()) ** 2
-    assert [int(c) for c in (f ** -1).coeffs] == [1] * 9
+    assert series_pow(f, -2) == series_pow(f.inverse(), 2)
+    assert [int(c) for c in series_pow(f, -1).coeffs] == [1] * 9
 
 
 LAURENT = PolynomialRing(("a",), laurent=True)
@@ -192,7 +187,15 @@ def test_residue_sign_rules():
 
 @pytest.mark.parametrize("t, N", [(2, 4), (2, 8), (3, 4), (3, 8), (4, 6), (5, 4)])
 def test_macdonald_terms_match_box_oracle(t, N):
-    assert macdonald_terms(t, N) == macdonald_box_terms(t, N)
+    box = macdonald_box_terms(t, N)
+    assert macdonald_terms(t, N) == box
+    # the sum side, against the box terms added one monomial at a time
+    rhs = macdonald_rhs(t, N)
+    want = [rhs.ring.zero] * (N + 1)
+    for term in box:
+        exps = tuple(i + 1 - a for i, a in enumerate(term.a))
+        want[term.omega] = want[term.omega] + rhs.ring.monomial(exps, term.epsilon)
+    assert rhs.coeffs == want
 
 
 def test_macdonald_terms_lose_a_dropped_coding(monkeypatch):
@@ -315,7 +318,7 @@ def test_schur_principal_at_matches_laplace_reference():
     for size in range(9):
         for lam in enumerate_partitions(size):
             for n in range(1, 6):
-                want = laplace_schur_principal(lam, n).substitute("p", X).coefficient(())
+                want = substitute(laplace_schur_principal(lam, n), "p", X).coefficient(())
                 assert schur_principal_at(lam, n, X, cache) == want, (lam, n)
 
 
@@ -346,16 +349,15 @@ small_fractions = st.fractions(
 )
 
 
-@given(st.lists(small_fractions, min_size=1, max_size=7))
-def test_log_exp_roundtrip(tail):
-    f = TruncatedSeries(QQ, [Fraction(0)] + tail)
-    assert f.exp().log() == f
-
-
-@given(st.lists(small_fractions, min_size=1, max_size=7))
-def test_exp_log_roundtrip(tail):
-    f = TruncatedSeries(QQ, [Fraction(1)] + tail)
-    assert f.log().exp() == f
+@given(
+    st.lists(small_fractions, min_size=1, max_size=7),
+    st.lists(small_fractions, min_size=1, max_size=7),
+)
+def test_exp_turns_sums_into_products(a, b):
+    n = min(len(a), len(b))
+    f = TruncatedSeries(QQ, [Fraction(0)] + a[:n])
+    g = TruncatedSeries(QQ, [Fraction(0)] + b[:n])
+    assert (f + g).exp() == f.exp() * g.exp()
 
 
 @given(
@@ -400,13 +402,6 @@ def ref_mul(a, b):
             e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return ref_clean(out)
-
-
-def ref_pow(a, n, nvars):
-    out = {(0,) * nvars: Fraction(1)}
-    for _ in range(n):
-        out = ref_mul(out, a)
-    return out
 
 
 def ref_substitute(a, idx, value):
@@ -458,11 +453,9 @@ def test_poly_against_reference(data):
         assert str(got) == str(Poly(names, want))
         for e in want:
             assert got.coefficient(e) == want[e]
-    n = data.draw(st.integers(0, 3))
-    assert plain(a ** n) == ref_pow(ra, n, len(names))
     idx = data.draw(st.integers(0, len(names) - 1))
     value = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
-    assert plain(a.substitute(names[idx], value)) == ref_substitute(ra, idx, value)
+    assert plain(substitute(a, names[idx], value)) == ref_substitute(ra, idx, value)
     assert (a == b) == (ra == rb)
 
 
@@ -509,18 +502,18 @@ def test_poly_rejects_floats_and_substitutes_exactly():
         with pytest.raises(TypeError):
             PolynomialRing(("a",)).monomial((1,), bad)
     p = Poly(("a", "x"), {(-1, 0): 1, (0, 0): 1, (-2, 1): 3})  # a^-1 + 1 + 3 a^-2 x
-    got = p.substitute("a", 2)
+    got = substitute(p, "a", 2)
     assert got == Poly(("x",), {(0,): Fraction(3, 2), (1,): Fraction(3, 4)})
     assert all(type(c) is Fraction for c in got.terms.values())
     with pytest.raises(ZeroDivisionError):
-        p.substitute("a", 0)
+        substitute(p, "a", 0)
 
 
 def test_prime_field():
     F = PrimeField()
     assert pow(2, P - 1, P) == 1 and P % 4 == 1
     assert F.coerce(-1) == P - 1 and F.coerce(Fraction(1, 2)) * 2 % P == 1
-    assert F.from_fraction(Fraction(-3, 4)) == F.coerce(Fraction(-3, 4))
+    assert F.coerce(Fraction(-3, 4)) * 4 % P == P - 3
     assert F.eq(P + 5, 5) and F.is_zero(3 * P) and not F.is_zero(1)
     assert F.div_int(1, 3) * 3 % P == 1 and F.inv(P - 1) == P - 1
     with pytest.raises(ZeroDivisionError):
@@ -534,9 +527,10 @@ def test_prime_field():
     assert R.eq(s * (P + 2), s * 2) and R.is_zero(s * P) and not R.is_zero(s)
     assert R.div_int(s * 6, 3) == s * 2 and R.coerce(s * (P + 2)) == s * 2
     assert R.inv(R.monomial((0,), 2)) == R.coerce(Fraction(1, 2))
-    # exp and log stay inside GF(p)
+    # exp stays inside GF(p): exp(q) = sum q^k / k!
     f = TruncatedSeries(F, [0, 1, 0, 0, 0])
-    assert f.exp().log().first_mismatch(f) is None
+    want = TruncatedSeries(F, [F.coerce(Fraction(1, k)) for k in (1, 1, 2, 6, 24)])
+    assert f.exp().first_mismatch(want) is None
 
 
 def exact_values(series):
@@ -545,12 +539,8 @@ def exact_values(series):
 
 
 def test_exact_series_hold_no_float():
-    from tcores.identities import (
-        jacobi_pair,
-        multiplication_pair,
-        nekrasov_okounkov_pair,
-        partition_gf,
-    )
+    from oracles import multiplication_pair, nekrasov_okounkov_pair
+    from tcores.identities import jacobi_pair, partition_gf
 
     series = [
         partition_gf(12),
@@ -561,8 +551,6 @@ def test_exact_series_hold_no_float():
         macdonald_rhs(3, 3),
         # the exact t = 0 sine-family check: this against partition_gf
         partition_sum_series(lambda h: 1, 1, 12),
-        # log divides by integers too
-        partition_gf(12).log(),
     ]
     for s in series:
         for v in exact_values(s):
