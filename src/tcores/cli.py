@@ -4,6 +4,7 @@ and the identity verification suite."""
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -133,8 +134,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "json":
         print(json.dumps([str(p) for p in cores]))
     else:
-        for p in cores:
-            print(p)
+        print("\n".join(map(str, cores)))  # never empty: "-" is always listed
     return 0
 
 
@@ -189,7 +189,13 @@ def cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built on the first call and shared after it.
+
+    Sharing is safe: parse_args fills a fresh Namespace on every call, the
+    defaults are fixed values and a usage error leaves the parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="tcores",
         description="t-core codings, exploded tableaux and identity verification",

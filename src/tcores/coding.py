@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .halfint import HalfInt
-from .partitions import Partition
+from .partitions import Partition, _trusted as _trusted_partition
 
 
 class NotACoreError(ValueError):
@@ -248,7 +248,8 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
         prev = lam
     if sum(parts) != n:
         raise InvalidCodingError("bead read-off does not match the size formula")
-    return Partition(tuple(parts))
+    # the loop above has checked every part positive and weakly decreasing
+    return _trusted_partition(tuple(parts))
 
 
 def class_sorted_coding(coding, t: int | None = None) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .coding import bead_set, core_coding
+from .coding import NotACoreError, bead_set, core_coding
 from .halfint import HalfInt
 from .partitions import Partition
 from .weights import WeightLedger
@@ -52,10 +52,10 @@ class ExplodedWindow:
         self.t = t
         self.beads1 = bead_set(partition, t)
         self.beads2 = bead_set(self.conjugate, t)
-        if partition.is_t_core(t):
+        try:  # the conjugate of a t-core is a t-core
             self.v1 = frozenset(core_coding(partition, t).twice)
             self.v2 = frozenset(core_coding(self.conjugate, t).twice)
-        else:
+        except NotACoreError:
             self.v1 = frozenset()
             self.v2 = frozenset()
         self.c1 = frozenset(self.beads1.gaps())

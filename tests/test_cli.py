@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,12 +11,20 @@ from tcores.cli import main
 from tcores.identities import VERIFIERS
 
 GOLDEN = Path(__file__).parent / "golden"
+TABLE1_ARGV = ("core-map", "--partition", "8,4,3,2,2,1", "--t", "5")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def test_core_map_table1_text(capsys):
@@ -183,6 +192,64 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_second_call_builds_no_parser(capsys, monkeypatch):
+    assert run(capsys, *TABLE1_ARGV)[0] == 0  # the parser exists from here on
+    added = []
+    real = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_argument",
+        lambda self, *args, **kwargs: added.append(args) or real(self, *args, **kwargs),
+    )
+    code, out, _ = run(capsys, *TABLE1_ARGV)
+    assert code == 0 and out == (GOLDEN / "table1.txt").read_text()
+    assert added == []
+    argparse.ArgumentParser()  # adds -h: the counter does count
+    assert added == [("-h", "--help")]
+
+
+def test_parsed_values_do_not_leak_into_later_calls(capsys):
+    code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "4", "--format", "json")
+    assert code == 0 and json.loads(out)["N"] == 4
+    code, out, _ = run(capsys, "verify", "jacobi", "--format", "json")
+    assert code == 0 and json.loads(out)["N"] == 10  # the verifier's default
+    code, out, _ = run(capsys, "verify", "jacobi", "--trunc", "4")
+    assert code == 0 and out.startswith("PASS") and "N=4" in out  # text, the default
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["verify", "multiset-formula", "--t", "0"], 2),
+        (["--help"], 0),
+        (["core-map", "--help"], 0),
+    ],
+    ids=lambda v: "_".join(v) if isinstance(v, list) else str(v),
+)
+def test_exits_leave_the_parser_intact(capsys, argv, status):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+        capsys.readouterr()  # the usage text or the help
+        code, out, _ = run(capsys, *TABLE1_ARGV)
+        assert code == 0 and out == (GOLDEN / "table1.txt").read_text()
+
+
+def test_in_process_output_matches_a_fresh_process(capsys):
+    for argv in (
+        [*TABLE1_ARGV, "--format", "json"],
+        ["explode", "--partition", "8,4,3,2,2,1", "--t", "5", "--format", "svg"],
+        ["enumerate", "--t", "5", "--max-size", "15"],
+    ):
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            proc = subprocess.run(
+                [sys.executable, "-m", "tcores", *argv],
+                capture_output=True, text=True, env=src_env(), timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (code, out), argv
+
+
 def test_suite_quick(capsys):
     code, out, _ = run(capsys, "suite", "--profile", "quick")
     assert code == 0
@@ -200,11 +267,9 @@ def test_suite_json(capsys):
 def test_python_m_tcores_runs_the_default_suite():
     # no --profile/--seed: run_suite's own defaults apply, and the JSON
     # still names the profile that ran
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "tcores", "suite", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=src_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)

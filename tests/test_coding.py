@@ -155,6 +155,23 @@ def test_coding_to_core_trusts_a_core_coding(monkeypatch):
         coding_to_core([10, 3, 1, -6, -7], 5)
 
 
+def test_codings_to_cores_build_no_checked_partition(monkeypatch):
+    # coding_to_core checks each part as it reads it off, so the cores skip
+    # Partition's own validation
+    built = []
+    real = Partition.__init__
+
+    def counting(self, parts=()):
+        built.append(parts)
+        real(self, parts)
+
+    monkeypatch.setattr(Partition, "__init__", counting)
+    cores = cores_from_codings(8, 20)
+    assert len(cores) == len(enumerate_codings(8, 20)) and built == []
+    # each core passes the validation it skipped, and the counter does count
+    assert all(p == Partition(p.parts) for p in cores) and len(built) == len(cores)
+
+
 def test_coding_size():
     c = core_coding(TABLE1, 5)
     assert sum(v ** 2 for v in c.twice) == 4 * 210

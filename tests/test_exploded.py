@@ -55,6 +55,23 @@ def test_empty_partition_window():
         assert not [e for e in entries if e > t]  # no boxes above t
 
 
+def test_window_tests_each_side_for_a_core_once(monkeypatch):
+    calls = []
+    real = Partition.is_t_core
+    monkeypatch.setattr(Partition, "is_t_core", lambda p, t: calls.append(p) or real(p, t))
+    w = ExplodedWindow(TABLE1, 5)
+    assert calls == [TABLE1, TABLE1.conjugate()]
+    assert w.v1 == frozenset(core_coding(TABLE1, 5).twice)
+    assert w.v2 == frozenset(core_coding(TABLE1.conjugate(), 5).twice)
+    # a non-core window has no coding on either side, and still renders
+    calls.clear()
+    w = ExplodedWindow(Partition((2, 2)), 2)
+    assert calls == [Partition((2, 2))]
+    assert w.v1 == w.v2 == frozenset()
+    assert w.axis(0, "V") == w.axis(1, "V") == []
+    assert "partition=2,2 t=2" in render(w, "ascii")
+
+
 def test_translation_relations_table1():
     w = ExplodedWindow(TABLE1, 5)
     assert check_translation_relations(w) == {
