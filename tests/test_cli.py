@@ -84,6 +84,23 @@ def test_explode_golden(capsys):
     assert out == (GOLDEN / "explode_1_t3.svg").read_text()
 
 
+@pytest.mark.parametrize(
+    "partition,t,fmt,golden",
+    [
+        ("8,4,3,2,2,1", "5", "text", "explode_table1_t5.txt"),
+        ("8,5,4,1,1,1", "6", "text", "explode_table2_t6.txt"),
+        ("8,5,4,1,1,1", "6", "svg", "explode_table2_t6.svg"),
+    ],
+)
+def test_explode_tables_golden(capsys, partition, t, fmt, golden):
+    # the paper's Table 1 (whole labels) and Table 2 (half-integer labels)
+    code, out, _ = run(
+        capsys, "explode", "--partition", partition, "--t", t, "--format", fmt
+    )
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_enumerate_both_routes(capsys):
     code, out, _ = run(capsys, "enumerate", "--t", "2", "--max-size", "10")
     assert code == 0
