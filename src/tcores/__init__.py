@@ -30,7 +30,6 @@ from .coding import (
 )
 from .exploded import (
     ExplodedWindow,
-    InfiniteSelectionError,
     RelationViolationError,
     check_fold,
     check_fold_ledger,

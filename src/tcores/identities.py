@@ -245,11 +245,11 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
         if not check_triangle_ledger(window):
             bad.append("triangle_ledger")
         small = sum(1 for h in lam.hooks() if h < t)
-        if region_ledger(window, "gamma-", "Wd", "Wd").total_degree() != small:
+        if region_ledger(*window.wd, -t, 0).total_degree() != small:
             bad.append("band_count")
         beta = lam.small_hook_counts(t)
         want = WeightLedger({i: beta[i - 1] for i in range(1, t)})
-        if region_ledger(window, "gamma+", "C", "C") != want:
+        if region_ledger(*window.c, 0, t) != want:
             bad.append("gap_band_counts")
         if bad:
             failures.append(f"{lam}: {bad}")
@@ -388,26 +388,31 @@ def verify_sin_family(
     r: int = 1,
     t_value: int | None = None,
     N: int = 8,
-    samples: int = 5,
+    samples: int | None = None,
     seed: int = 7,
 ) -> VerificationReport:
     """The sine-weight hook sum against its exponential form.
 
     With t = 0 both sides are the partition generating function and the
-    check runs over the rationals.  Otherwise it runs in GF(p) at `samples`
-    points Y = e^(iz) drawn from `seed`, with W = e^(itz) drawn as well when
+    check runs over the rationals, drawing no points, so `samples` is an
+    error there.  Otherwise it runs in GF(p) at `samples` points (5 unless
+    given) Y = e^(iz) drawn from `seed`, with W = e^(itz) drawn as well when
     t_value is None, and W = Y^t for an integer t_value.
     """
     t0 = time.perf_counter()
     if N < 1:
         raise ValueError("N must be at least 1")
     if t_value == 0:
+        if samples is not None:
+            raise ValueError("the exact t = 0 check draws no sample points")
         lhs = partition_sum_series(lambda h: 1, r, N)
         rhs = partition_gf(N)
         ok, dev = _exact_compare(lhs, rhs)
         return _finish(
             "sin-family", {"r": r, "t": 0}, N, "QQ", ok, dev, t0
         )
+    if samples is None:
+        samples = 5
     rng = random.Random(seed)
     points, dev = [], "0"
     for _ in range(samples):

@@ -68,12 +68,6 @@ class Partition:
                     out.append(h)
         return tuple(out)
 
-    def hook(self, i: int, j: int) -> int:
-        """Hook length of cell (i, j), 1-based; arm + leg + 1."""
-        if not (1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]):
-            raise ValueError(f"({i},{j}) is not a cell of {self}")
-        return self.parts[i - 1] - j + _conjugate_parts(self.parts)[j - 1] - i + 1
-
     def contents(self) -> tuple[int, ...]:
         """Contents j - i of all cells, row-major."""
         return tuple(j - i for i, j in self.cells())

@@ -193,9 +193,6 @@ class TruncatedSeries:
         body = " + ".join(chunks) if chunks else "0"
         return f"{body} (+O({self.var}^{self.order + 1}))"
 
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
     def __repr__(self):
         return f"TruncatedSeries[{self.ring.name}]({self})"
 

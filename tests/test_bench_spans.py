@@ -47,3 +47,22 @@ def test_tracer_installs_on_current_tcores(spans):
     assert named_missing == [
         "exploded.cell_box_map", "qseries.TruncatedSeries.max_abs_difference",
     ]
+
+
+def test_exploded_spans_record_the_sweep(spans):
+    # the per-layer exploded metrics read these spans; a refactor that moves
+    # the work off their sites would leave them reading 0
+    from tcores import identities
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        report = identities.verify_exploded_relations(3, 8)
+    finally:
+        tracer.uninstall()
+    assert report.passed
+    cores = report.details["cores_checked"]
+    calls = {name: total[0] for name, total in tracer.span_totals().items()}
+    assert calls.get("exploded.window") == cores > 0
+    assert calls.get("exploded.relations", 0) >= cores
+    assert calls.get("exploded.region_ledger", 0) >= cores

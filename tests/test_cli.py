@@ -197,6 +197,7 @@ def test_verify_flags_reach_the_verifier(capsys):
         ["verify", "sin-family", "--z", "0.3"],
         ["verify", "poly-s-family", "--s", "0.3"],
         ["verify", "sin-family", "--tvalue", "1.5"],
+        ["verify", "sin-family", "--tvalue", "0", "--samples", "9"],
     ],
     ids="_".join,
 )

@@ -6,7 +6,6 @@ import pytest
 from tcores.coding import bead_set, core_coding
 from tcores.exploded import (
     ExplodedWindow,
-    InfiniteSelectionError,
     check_fold,
     check_fold_ledger,
     check_translation_relations,
@@ -26,9 +25,12 @@ TABLE1 = Partition((8, 4, 3, 2, 2, 1))
 
 def test_window_geometry_table1():
     w = ExplodedWindow(TABLE1, 5)
+    xs, ys = w.z
     # margins: exactly t beyond [-M2, M1] x [-M1, M2]
-    assert w.x_hi == 2 * 10 and w.y_hi == 2 * 8
-    assert w.x_lo == 2 * (-8 - 5) and w.y_lo == 2 * (-10 - 5)
+    assert (xs[0], xs[-1]) == (2 * 10, 2 * (-8 - 5))
+    assert (ys[0], ys[-1]) == (2 * 8, 2 * (-10 - 5))
+    assert xs == list(range(xs[0], xs[-1] - 1, -2))
+    assert ys == list(range(ys[0], ys[-1] - 1, -2))
 
 
 def test_second_row_third_cell_lands_at_5_3():
@@ -61,14 +63,16 @@ def test_window_tests_each_side_for_a_core_once(monkeypatch):
     monkeypatch.setattr(Partition, "is_t_core", lambda p, t: calls.append(p) or real(p, t))
     w = ExplodedWindow(TABLE1, 5)
     assert calls == [TABLE1, TABLE1.conjugate()]
-    assert w.v1 == frozenset(core_coding(TABLE1, 5).twice)
-    assert w.v2 == frozenset(core_coding(TABLE1.conjugate(), 5).twice)
+    assert w.v == (
+        frozenset(core_coding(TABLE1, 5).twice),
+        frozenset(core_coding(TABLE1.conjugate(), 5).twice),
+    )
     # a non-core window has no coding on either side, and still renders
     calls.clear()
     w = ExplodedWindow(Partition((2, 2)), 2)
     assert calls == [Partition((2, 2))]
-    assert w.v1 == w.v2 == frozenset()
-    assert w.axis(0, "V") == w.axis(1, "V") == []
+    assert w.v == (frozenset(), frozenset())
+    assert w.wd == w.w
     assert "partition=2,2 t=2" in render(w, "ascii")
 
 
@@ -82,12 +86,13 @@ def test_translation_relations_table1():
 
 
 def test_translation_relations_can_fail():
-    # negative controls: a window whose coding sets are cut short
+    # negative controls: a window whose beads off the coding take in coding
+    # entries, as if its coding sets were cut short
     w = ExplodedWindow(TABLE1, 5)
-    w.v2 = frozenset()
+    w.wd = (w.wd[0], w.w[1])  # no coding on the y side
     assert check_translation_relations(w)["shift_down"] is False
     w = ExplodedWindow(TABLE1, 5)
-    w.v1 = w.v1 - {max(w.v1)}
+    w.wd = (sorted([*w.wd[0], max(w.v[0])], reverse=True), w.wd[1])
     rel = check_translation_relations(w)
     assert rel["shift_left"] is False and rel["shift_diagonal"] is False
 
@@ -110,9 +115,18 @@ def test_fold_table1_and_sweep():
         assert check_fold_ledger(w)
 
 
+def test_fold_can_fail():
+    # negative control: a window whose y side loses its top gap
+    w = ExplodedWindow(TABLE1, 5)
+    w.c = (w.c[0], w.c[1][1:])
+    assert check_fold(w)["fold_bijection"] is False
+    assert not check_fold_ledger(w)
+    assert not check_triangle_ledger(w)
+
+
 def test_delta_ledger_worked_example():
     w = ExplodedWindow(Partition((6, 3, 3, 2)), 5)
-    assert region_ledger(w, "delta", "W", "W") == WeightLedger(
+    assert region_ledger(*w.w, 5) == WeightLedger(
         {6: 3, 7: 3, 8: 2, 9: 2, 10: 1, 11: 1, 13: 1, 14: 1}
     )
 
@@ -124,14 +138,15 @@ def test_positive_band_on_coding_is_pairwise_differences():
     tally = Counter(
         a - b for a in base for b in base if 0 < a - b < t
     )
-    assert region_ledger(w, "gamma+", "V", "V") == WeightLedger(dict(tally))
+    xs, ys = (sorted(v, reverse=True) for v in w.v)
+    assert region_ledger(xs, ys, 0, t) == WeightLedger(dict(tally))
 
 
 def test_negative_band_counts_small_hooks():
     for t in (2, 3, 5):
         for lam in enumerate_t_cores(t, 12):
             w = ExplodedWindow(lam, t)
-            count = region_ledger(w, "gamma-", "Wd", "Wd").total_degree()
+            count = region_ledger(*w.wd, -t, 0).total_degree()
             assert count == sum(1 for h in lam.hooks() if h < t)
 
 
@@ -141,7 +156,7 @@ def test_gap_band_matches_small_hook_counts():
             w = ExplodedWindow(lam, t)
             beta = lam.small_hook_counts(t)
             want = WeightLedger({i: beta[i - 1] for i in range(1, t)})
-            assert region_ledger(w, "gamma+", "C", "C") == want
+            assert region_ledger(*w.c, 0, t) == want
 
 
 def test_triangle_ledger_empty_partition_and_sweep():
@@ -161,19 +176,7 @@ def test_no_entry_exactly_t_for_any_partition():
             assert all((x + y) // 2 != t for x, y in w.boxes())
 
 
-def test_infinite_selection_rejected():
-    w = ExplodedWindow(TABLE1, 5)
-    with pytest.raises(InfiniteSelectionError):
-        region_ledger(w, "gamma+", "Z", "W")
-    with pytest.raises(InfiniteSelectionError):
-        region_ledger(w, "delta", "Z", "Z")
-    # a finite partner set makes the lattice factor fine
-    assert region_ledger(w, "gamma+", "Z", "C") is not None
-
-
-_SETS = ("W", "Wd", "V", "C", "ray", "Z")
-_REGIONS = {"delta": lambda e, t: e > t, "gamma+": lambda e, t: 0 < e < t,
-            "gamma-": lambda e, t: -t < e < 0}
+_REGIONS = ((1, None), (0, 1), (-1, 0))  # delta, gamma+, gamma- in units of t
 
 
 def _lattice_members(lam, t, side):
@@ -185,33 +188,39 @@ def _lattice_members(lam, t, side):
     top = beads.top
     coords = range(top, -other.top - 2 * t - 1, -2)
     member = {
+        "Z": lambda tw: True,
         "W": lambda tw: tw in beads,
         "Wd": lambda tw: tw in beads and tw not in coding,
         "V": lambda tw: tw in coding,
         "C": lambda tw: tw not in beads,
-        "ray": lambda tw: True,
-        "Z": lambda tw: True,
     }
     return {name: [tw for tw in coords if keep(tw)] for name, keep in member.items()}
+
+
+def test_window_lists_match_lattice_members():
+    for t in range(2, 7):
+        for lam in enumerate_t_cores(t, 10):
+            w = ExplodedWindow(lam, t)
+            sides = [_lattice_members(lam, t, side) for side in (0, 1)]
+            for name, got in (("Z", w.z), ("W", w.w), ("Wd", w.wd), ("C", w.c)):
+                assert list(got) == [m[name] for m in sides], (t, lam, name)
+            assert w.v == tuple(frozenset(m["V"]) for m in sides), (t, lam)
 
 
 def test_region_ledger_matches_brute_force_tally():
     for t in range(2, 7):
         for lam in enumerate_t_cores(t, 10):
-            w = ExplodedWindow(lam, t)
-            xs, ys = _lattice_members(lam, t, 0), _lattice_members(lam, t, 1)
-            for xset in _SETS:
-                for yset in _SETS:
-                    infinite = "Z" in (xset, yset) and not {xset, yset} & {"V", "C"}
-                    entries = Counter(x + y for x in xs[xset] for y in ys[yset])
-                    for region, inside in _REGIONS.items():
-                        if infinite:
-                            with pytest.raises(InfiniteSelectionError):
-                                region_ledger(w, region, xset, yset)
-                            continue
-                        want = {e // 2: n for e, n in entries.items() if inside(e // 2, t)}
-                        got = region_ledger(w, region, xset, yset)
-                        assert got == WeightLedger(want), (t, lam, region, xset, yset)
+            xsides, ysides = (list(_lattice_members(lam, t, side).values()) for side in (0, 1))
+            for xs in xsides:
+                for ys in ysides:
+                    entries = Counter((x + y) // 2 for x in xs for y in ys)
+                    for lo, hi in _REGIONS:
+                        want = {
+                            e: n for e, n in entries.items()
+                            if e > lo * t and (hi is None or e < hi * t)
+                        }
+                        got = region_ledger(xs, ys, lo * t, None if hi is None else hi * t)
+                        assert got == WeightLedger(want), (t, lam, lo, hi)
 
 
 def test_render_ascii_golden():

@@ -118,6 +118,8 @@ def test_sin_family_numeric_and_exact():
     assert r.passed and r.deviation == "0"
     r = verify_sin_family(1, t_value=0, N=10)
     assert r.passed and r.deviation == "0" and r.ring == "QQ"
+    # left out, the panel size is 5 and the report says so
+    assert verify_sin_family(1, N=4).params["samples"] == 5
     # an integer t puts W = e^(itz) at Y^t
     r = verify_sin_family(2, t_value=2, N=8)
     assert r.passed and r.deviation == "0"
@@ -144,6 +146,14 @@ def test_singular_draw_is_redrawn():
     assert I * I % P == P - 1
     assert sample_point(Draws(I, 3), N=2) == 3
     assert sample_point(Draws(I), N=1) == I
+
+
+def test_sin_family_t0_rejects_samples():
+    # the exact t = 0 check draws no points, so a sample count would be ignored
+    with pytest.raises(ValueError, match="draws no sample points"):
+        verify_sin_family(1, t_value=0, N=4, samples=9)
+    # the seed is accepted: run_suite passes it to every seeded verifier
+    assert verify_sin_family(1, t_value=0, N=4, seed=3).passed
 
 
 def test_sin_family_takes_an_integer_t():
@@ -562,8 +572,8 @@ def test_multiset_formula_broken_round_trip_fails(monkeypatch):
 def test_exploded_relations_broken_ledger_fails(monkeypatch):
     real = identities.region_ledger
 
-    def bumped(window, region, xset="W", yset="W"):
-        return real(window, region, xset, yset) * WeightLedger({1: 1})
+    def bumped(xs, ys, lo, hi=None):
+        return real(xs, ys, lo, hi) * WeightLedger({1: 1})
 
     monkeypatch.setattr(identities, "region_ledger", bumped)
     r = verify_exploded_relations(3, 10)
