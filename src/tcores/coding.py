@@ -8,9 +8,10 @@ re-express the same data.
 
 Every bead and coding entry is held as the int equal to twice its value
 (integers for odd t, halves of odd integers for even t), so both size
-formulas are integer divisions checked for a remainder.  At the public
-boundary a bare int in a coding means a whole value and a `HalfInt` any
-value; `CoreCoding.parse` and `str` carry text such as "21/2".
+formulas are integer divisions checked for a remainder.  Raw values enter
+only through `CoreCoding(values, t)` (a bare int is a whole value, a
+`HalfInt` any value), `CoreCoding.parse` (text such as "21/2") and
+`validate_coding`; every other function takes a `CoreCoding`, with its t.
 """
 
 from __future__ import annotations
@@ -199,12 +200,12 @@ def core_coding(partition: Partition, t: int) -> CoreCoding:
     return _trusted(tuple(best.values()), t)
 
 
-def coding_size(coding, t: int | None = None) -> int:
+def coding_size(coding: CoreCoding) -> int:
     """Size of the t-core encoded by a coding: (sum of squares)/(2t) - (t^2-1)/24.
 
     On doubled entries this is (3 sum tw^2 - t^3 + t) / (24t), taken exactly.
     """
-    return _size(*_coerce(coding, t))
+    return _size(coding.twice, coding.t)
 
 
 def _size(twice: tuple[int, ...], t: int) -> int:
@@ -215,7 +216,7 @@ def _size(twice: tuple[int, ...], t: int) -> int:
     return size
 
 
-def coding_to_core(coding, t: int | None = None) -> Partition:
+def coding_to_core(coding: CoreCoding) -> Partition:
     """Rebuild the t-core from its coding.
 
     The bead set is the union of the descending arithmetic rays
@@ -223,11 +224,9 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
     decreasing order w_1 > w_2 > ... recovers part_i = w_i + i - (t+1)/2.
     A core of size n has at most n parts, so w_(n+1) = (t+1)/2 - (n+1) and
     the beads at or above it are exactly w_1, ..., w_(n+1): each ray is read
-    only that far.  A CoreCoding is valid by construction and is used as it
-    is; a bare sequence, or a CoreCoding read with another t, is validated.
+    only that far.  A CoreCoding is valid by construction, so it is not
+    validated again.
     """
-    if not (isinstance(coding, CoreCoding) and t in (None, coding.t)):
-        coding = CoreCoding(coding, t)
     values, t = coding.twice, coding.t
     n = _size(values, t)
     shift = t + 1
@@ -252,25 +251,22 @@ def coding_to_core(coding, t: int | None = None) -> Partition:
     return _trusted_partition(tuple(parts))
 
 
-def class_sorted_coding(coding, t: int | None = None) -> tuple[int, ...]:
+def class_sorted_coding(coding: CoreCoding) -> tuple[int, ...]:
     """Doubled coding entries reordered so the i-th one lies in class
     i + t_0 mod t."""
-    values, t = _coerce(coding, t)
+    t = coding.t
     tw0 = 0 if t % 2 else 1
-    by_class = {tw % (2 * t): tw for tw in values}
-    try:
-        return tuple(by_class[(tw0 + 2 * i) % (2 * t)] for i in range(t))
-    except KeyError as exc:
-        raise InvalidCodingError("coding does not cover all residue classes") from exc
+    by_class = {tw % (2 * t): tw for tw in coding.twice}
+    return tuple(by_class[(tw0 + 2 * i) % (2 * t)] for i in range(t))
 
 
-def content_coding(partition: Partition, t: int) -> Partition:
-    """Map a t-core to the partition mu with mu_i = v_i - t + i - min(v).
+def content_coding(coding: CoreCoding) -> Partition:
+    """Map a t-core's coding v to the partition mu, mu_i = v_i - t + i - min(v).
 
     The image consists of the partitions of length at most t-1 whose values
     mu_i - i (i = 1..t, trailing zeros included) cover all classes modulo t.
     """
-    twice = core_coding(partition, t).twice
+    twice, t = coding.twice, coding.t
     a_tw = -twice[-1]
     parts = []
     for i, v in enumerate(twice, start=1):

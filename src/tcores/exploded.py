@@ -105,7 +105,7 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     shift_diagonal the (-t, -t) move reaches all entries above -t on
                    (W1 minus coding) x (W2 minus coding)
     """
-    if not window.partition.is_t_core(window.t):
+    if not window.v[0]:
         raise RelationViolationError("translation relations assume a t-core")
     t = window.t
     w1, w2 = window.w
@@ -129,7 +129,7 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
 def check_fold(window: ExplodedWindow) -> dict[str, bool]:
     """Folding (x, y) -> (-y, -x) matches the negative band on non-coding
     beads with the positive band on the gap sets, negating entries."""
-    if not window.partition.is_t_core(window.t):
+    if not window.v[0]:
         raise RelationViolationError("the fold assumes a t-core")
     t = window.t
     negative = _pair_set(*window.wd, -t, 0)

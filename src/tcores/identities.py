@@ -35,6 +35,7 @@ from .coding import (
     content_coding_size,
     core_coding,
     cores_from_codings,
+    enumerate_codings,
     is_content_coding_image,
     validate_coding,
 )
@@ -173,27 +174,29 @@ def _first_failure(devs) -> str:
 def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int | None = None) -> VerificationReport:
     """Sweep every t-core up to max_size: coding round trip, both size
     formulas, the bead-set relations, and (up to ledger_max_size) the three
-    exponent-ledger identities with both parity normalizations.  The cores
-    come from codings; `classical-cross-checks` keeps the filter oracle."""
+    exponent-ledger identities with both parity normalizations.  Each core
+    is built once from its coding v and must give back core_coding(core) == v;
+    `classical-cross-checks` keeps the filter oracle."""
     t0 = time.perf_counter()
     if ledger_max_size is None:
         ledger_max_size = max_size
     failures = []
     checked = 0
-    for lam in cores_from_codings(t, max_size):
+    for v in enumerate_codings(t, max_size):
         checked += 1
+        lam = coding_to_core(v)
         coding = core_coding(lam, t)
         diag = validate_coding(coding)
         if not diag.valid:
             failures.append(f"{lam}: produced coding invalid: {diag.messages}")
             break
-        if coding_to_core(coding) != lam:
+        if coding != v:
             failures.append(f"{lam}: round trip failed")
             break
         if coding_size(coding) != lam.size:
             failures.append(f"{lam}: coding size formula mismatch")
             break
-        mu = content_coding(lam, t)
+        mu = content_coding(coding)
         if content_coding_size(mu, t) != lam.size:
             failures.append(f"{lam}: content-side size formula mismatch")
             break
@@ -208,18 +211,18 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
         if lam.size <= ledger_max_size:
             beta = lam.small_hook_counts(t)
             lhs = hook_shift_ledger(lam, t)
-            rhs = coding_difference_ledger(coding, beta, t)
+            rhs = coding_difference_ledger(coding, beta)
             if lhs != rhs:
                 failures.append(f"{lam}: hook-shift ledger != coding ledger")
                 break
             parity = next((
                 p for p in ("odd", "even")
-                if parity_normalize(rhs, p) != parity_coding_ledger(coding, t, p)
+                if parity_normalize(rhs, p) != parity_coding_ledger(coding, p)
             ), None)
             if parity:
                 failures.append(f"{lam}: parity ledger ({parity}) mismatch")
                 break
-            if content_ledger(lam, mu, t) != lhs:
+            if content_ledger(mu, beta, t) != lhs:
                 failures.append(f"{lam}: content ledger mismatch")
                 break
     params = {"t": t, "max_size": max_size, "ledger_max_size": ledger_max_size}
@@ -244,10 +247,9 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
             bad.append("fold_ledger")
         if not check_triangle_ledger(window):
             bad.append("triangle_ledger")
-        small = sum(1 for h in lam.hooks() if h < t)
-        if region_ledger(*window.wd, -t, 0).total_degree() != small:
-            bad.append("band_count")
         beta = lam.small_hook_counts(t)
+        if region_ledger(*window.wd, -t, 0).total_degree() != sum(beta):  # the hooks below t
+            bad.append("band_count")
         want = WeightLedger({i: beta[i - 1] for i in range(1, t)})
         if region_ledger(*window.c, 0, t) != want:
             bad.append("gap_band_counts")

@@ -92,13 +92,12 @@ def hook_shift_ledger(partition: Partition, t: int) -> WeightLedger:
     return _trusted(exps)
 
 
-def coding_difference_ledger(coding: CoreCoding, beta, t: int | None = None) -> WeightLedger:
+def coding_difference_ledger(coding: CoreCoding, beta) -> WeightLedger:
     """Ledger of the coding-side product:
 
     prod_i tau(-i)^(b_i) / tau(i)^(b_i + t - i) * prod_{i<j} tau(v_i - v_j).
     """
-    if t is None:
-        t = coding.t
+    t = coding.t
     exps: dict[int, int] = {}
     for i in range(1, t):
         b = beta[i - 1]
@@ -108,16 +107,15 @@ def coding_difference_ledger(coding: CoreCoding, beta, t: int | None = None) -> 
     return _trusted(exps)
 
 
-def parity_coding_ledger(coding: CoreCoding, t: int | None = None, parity: str = "odd") -> WeightLedger:
+def parity_coding_ledger(coding: CoreCoding, parity: str) -> WeightLedger:
     """Even/odd-weight form of the coding-side product, arguments normalized.
 
     With the coding reordered by congruence class (u_i in class i + t_0),
     the product is C / prod_k tau(k)^(t-k) * prod_{i<j} tau(u_i - u_j),
     where C = -1 exactly when t = 3 mod 4 and the weight is odd.
     """
-    if isinstance(coding, CoreCoding) and t is None:
-        t = coding.t
-    u = class_sorted_coding(coding, t)  # doubled entries
+    t = coding.t
+    u = class_sorted_coding(coding)  # doubled entries
     sign = -1 if (t % 4 == 3 and parity == "odd") else 1
     exps = {k: k - t for k in range(1, t)}
     _add_differences(exps, u)
@@ -132,9 +130,9 @@ def _add_differences(exps: dict[int, int], tw) -> None:
             exps[d] = exps.get(d, 0) + 1
 
 
-def content_ledger(partition: Partition, mu: Partition, t: int) -> WeightLedger:
-    """Ledger of prod_i (tau(-i)/tau(i))^(b_i) * prod over mu of tau(t+c)/tau(h)."""
-    beta = partition.small_hook_counts(t)
+def content_ledger(mu: Partition, beta, t: int) -> WeightLedger:
+    """Ledger of prod_i (tau(-i)/tau(i))^(b_i) * prod over mu of tau(t+c)/tau(h),
+    where b_i = beta[i-1] counts the hooks of length t - i of the core."""
     exps: dict[int, int] = {}
     for i in range(1, t):
         exps[-i] = beta[i - 1]

@@ -6,6 +6,7 @@ import pytest
 from tcores.coding import bead_set, core_coding
 from tcores.exploded import (
     ExplodedWindow,
+    RelationViolationError,
     check_fold,
     check_fold_ledger,
     check_translation_relations,
@@ -67,6 +68,10 @@ def test_window_tests_each_side_for_a_core_once(monkeypatch):
         frozenset(core_coding(TABLE1, 5).twice),
         frozenset(core_coding(TABLE1.conjugate(), 5).twice),
     )
+    # the relation checks read the window's codings and test nothing again
+    calls.clear()
+    assert all(check_translation_relations(w).values()) and all(check_fold(w).values())
+    assert calls == []
     # a non-core window has no coding on either side, and still renders
     calls.clear()
     w = ExplodedWindow(Partition((2, 2)), 2)
@@ -74,6 +79,10 @@ def test_window_tests_each_side_for_a_core_once(monkeypatch):
     assert w.v == (frozenset(), frozenset())
     assert w.wd == w.w
     assert "partition=2,2 t=2" in render(w, "ascii")
+    for check in (check_translation_relations, check_fold):
+        with pytest.raises(RelationViolationError, match="assume"):
+            check(w)
+    assert calls == [Partition((2, 2))]
 
 
 def test_translation_relations_table1():

@@ -1,12 +1,13 @@
 import inspect
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 
-from tcores import identities, qseries
+from tcores import coding, exploded, identities, qseries
 from tcores.identities import (
     PROFILES,
     VERIFIERS,
@@ -277,7 +278,7 @@ def test_coding_route_is_the_hook_side_at_beta_t_squared():
     for t in range(1, 9):
         coding_sum = [Fraction(0)] * (N + 1)
         for v in enumerate_codings(t, N):
-            coding_sum[coding_size(v)] += evaluate(parity_coding_ledger(v, t, "odd"), Fraction)
+            coding_sum[coding_size(v)] += evaluate(parity_coding_ledger(v, "odd"), Fraction)
         assert coding_sum == [Fraction(hooks[n][n][t], factorial(n) ** 2) for n in range(N + 1)], t
 
 
@@ -548,9 +549,9 @@ def test_hook_content_broken_sides_fail(monkeypatch):
 def test_multiset_formula_stops_at_first_parity_failure(monkeypatch):
     real = identities.parity_coding_ledger
 
-    def bumped(coding, t=None, parity="odd"):  # wrong for every nonempty core
-        out = real(coding, t, parity)
-        return out if coding_size(coding) == 0 else out * WeightLedger({1: 1})
+    def bumped(c, parity):  # wrong for every nonempty core
+        out = real(c, parity)
+        return out if coding_size(c) == 0 else out * WeightLedger({1: 1})
 
     monkeypatch.setattr(identities, "parity_coding_ledger", bumped)
     r = verify_multiset_formula(3, 10)
@@ -562,10 +563,11 @@ def test_multiset_formula_stops_at_first_parity_failure(monkeypatch):
 
 def test_multiset_formula_broken_round_trip_fails(monkeypatch):
     real = identities.coding_to_core
-    monkeypatch.setattr(identities, "coding_to_core", lambda c, t=None: real(c, t).conjugate())
+    monkeypatch.setattr(identities, "coding_to_core", lambda c: real(c).conjugate())
     r = verify_multiset_formula(5, 14)
-    # () and (1) are self-conjugate; (2), the third core, is the first that is not
-    assert not r.passed and r.deviation == "2: round trip failed"
+    # () and (1) are self-conjugate; (2), the third core, is the first that
+    # is not, and the sweep built it as its conjugate (1,1)
+    assert not r.passed and r.deviation == "1,1: round trip failed"
     assert r.details["cores_checked"] == 3
 
 
@@ -579,6 +581,41 @@ def test_exploded_relations_broken_ledger_fails(monkeypatch):
     r = verify_exploded_relations(3, 10)
     assert not r.passed and r.details["cores_checked"] == 1
     assert r.deviation == "-: ['band_count', 'gap_band_counts']"
+
+
+def count_calls(monkeypatch, sites):
+    """Wrap each (owner, name) site so that every call adds one to a tally
+    under `name`; a function imported into several modules is wrapped at
+    each of them."""
+    tally = Counter()
+    for owner, name in sites:
+        real = getattr(owner, name)
+
+        def counting(*args, _real=real, _name=name):
+            tally[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return tally
+
+
+def test_sweeps_derive_each_cores_data_once(monkeypatch):
+    tally = count_calls(monkeypatch, [
+        (identities, "coding_to_core"), (coding, "coding_to_core"),
+        (identities, "core_coding"), (coding, "core_coding"), (exploded, "core_coding"),
+        (Partition, "is_t_core"), (Partition, "hooks"),
+    ])
+    # one core built per coding; core_coding and the core test run once for
+    # the core and once for its conjugate in the bead relations; hooks are
+    # read for beta, the hook-shift ledger and mu's side of the content ledger
+    n = len(enumerate_codings(3, 10))
+    assert verify_multiset_formula(3, 10).passed
+    assert tally == {"coding_to_core": n, "core_coding": 2 * n, "is_t_core": 2 * n, "hooks": 3 * n}
+    # the exploded window tests each side once, and beta gives the band count
+    tally.clear()
+    r = verify_exploded_relations(3, 8)
+    assert r.passed and r.details["cores_checked"] == 10
+    assert tally["is_t_core"] == 20 and tally["hooks"] == 10
 
 
 def test_sweeps_build_no_halfint(monkeypatch):
