@@ -43,8 +43,8 @@ class ExplodedWindow:
     entry of the box (xtw, ytw) is the integer (xtw + ytw) // 2.  `z`, `w`,
     `wd` and `c` are pairs (x side, y side) of decreasing lists: every
     coordinate of the window, the beads, the beads off the coding and the
-    gaps.  `v` holds the two codings as sets (empty for a non-core) and
-    `beads` the two bead sets.
+    gaps.  `v` holds the two codings as sets (the y side's is the x side's
+    negated; both empty for a non-core) and `beads` the two bead sets.
     """
 
     __slots__ = ("partition", "conjugate", "t", "beads", "v", "z", "w", "wd", "c")
@@ -56,26 +56,17 @@ class ExplodedWindow:
         self.conjugate = partition.conjugate()
         self.t = t
         self.beads = (bead_set(partition, t), bead_set(self.conjugate, t))
-        try:  # the conjugate of a t-core is a t-core
-            self.v = tuple(frozenset(core_coding(p, t).twice) for p in (partition, self.conjugate))
+        try:  # the conjugate of a t-core is a t-core, coded by the negated coding
+            v = frozenset(core_coding(partition, t).twice)
         except NotACoreError:
-            self.v = (frozenset(), frozenset())
+            v = frozenset()
+        self.v = (v, frozenset(-tw for tw in v))
         beads1, beads2 = self.beads
         # a margin of t beyond [-M2, M1] x [-M1, M2]
         self.z, self.w, self.wd, self.c = zip(
             _side(beads1, self.v[0], -beads2.top - 2 * t),
             _side(beads2, self.v[1], -beads1.top - 2 * t),
         )
-
-    def region_of(self, entry: int) -> str:
-        t = self.t
-        if entry > t:
-            return "delta"
-        if 0 < entry < t:
-            return "gamma+"
-        if -t < entry < 0:
-            return "gamma-"
-        return "other"
 
     def boxes(self) -> list[tuple[int, int]]:
         """All boxes in the window as doubled (x, y) pairs, row-major from
@@ -149,23 +140,35 @@ def region_ledger(xs, ys, lo: int, hi: int | None = None) -> WeightLedger:
     return WeightLedger(Counter((xtw + ytw) // 2 for xtw, ytw in _pair_set(xs, ys, lo, hi)))
 
 
-def check_triangle_ledger(window: ExplodedWindow) -> bool:
-    """The positive band over beads x (everything below top2), minus the
-    same band over lattice x gaps, leaves exponent t-k at each k in 1..t-1."""
+def check_triangle_ledger(window: ExplodedWindow) -> dict[str, bool]:
+    """triangle_ledger: the positive band over beads x (everything below
+    top2), minus the same band over lattice x gaps, leaves exponent t-k at
+    each k in 1..t-1."""
     t = window.t
     plus = region_ledger(window.w[0], window.z[1], 0, t)
     minus = region_ledger(window.z[0], window.c[1], 0, t)
     want = WeightLedger({k: t - k for k in range(1, t)})
-    return plus / minus == want
+    return {"triangle_ledger": plus / minus == want}
 
 
-def check_fold_ledger(window: ExplodedWindow) -> bool:
-    """Ledger form of the fold: negative band on non-coding beads equals the
-    argument-negated positive band on the gap sets."""
+def check_fold_ledger(window: ExplodedWindow) -> dict[str, bool]:
+    """Ledger form of the fold, with the hook counts its two bands carry;
+    each band is tallied once, and beta = small_hook_counts(t).
+
+    fold_ledger     negative band on non-coding beads = argument-negated
+                    positive band on the gap sets
+    band_count      the negative band has one box per hook shorter than t
+    gap_band_counts the positive band has beta_i boxes of entry i
+    """
     t = window.t
     neg = region_ledger(*window.wd, -t, 0)
     pos = region_ledger(*window.c, 0, t)
-    return neg == pos.negate_arguments()
+    beta = window.partition.small_hook_counts(t)
+    return {
+        "fold_ledger": neg == pos.negate_arguments(),
+        "band_count": neg.total_degree() == sum(beta),
+        "gap_band_counts": pos == WeightLedger({i: beta[i - 1] for i in range(1, t)}),
+    }
 
 
 def render(window: ExplodedWindow, fmt: str = "ascii") -> str:
@@ -177,6 +180,16 @@ def render(window: ExplodedWindow, fmt: str = "ascii") -> str:
 
 
 _CELL = {"delta": "[{:3d}]", "gamma+": "({:3d})", "gamma-": "<{:3d}>", "other": " {:3d} "}
+
+
+def _region(entry: int, t: int) -> str:
+    if entry > t:
+        return "delta"
+    if 0 < entry < t:
+        return "gamma+"
+    if -t < entry < 0:
+        return "gamma-"
+    return "other"
 
 
 def _axis_label(value: int, marked: bool) -> str:
@@ -209,7 +222,7 @@ def render_ascii(window: ExplodedWindow) -> str:
         for xtw in xs:
             if has_y and xtw in beads1:
                 entry = (xtw + ytw) // 2
-                row.append(_CELL[window.region_of(entry)].format(entry).rjust(width))
+                row.append(_CELL[_region(entry, window.t)].format(entry).rjust(width))
             else:
                 row.append(" " * width)
         lines.append("".join(row).rstrip())
@@ -238,7 +251,7 @@ def render_svg(window: ExplodedWindow) -> str:
             if xtw not in beads1:
                 continue
             entry = (xtw + ytw) // 2
-            region = window.region_of(entry)
+            region = _region(entry, window.t)
             x0, y0 = px[xtw], py[ytw]
             parts.append(
                 f'<rect x="{x0}" y="{y0}" width="{unit}" height="{unit}" '

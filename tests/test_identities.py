@@ -572,15 +572,16 @@ def test_multiset_formula_broken_round_trip_fails(monkeypatch):
 
 
 def test_exploded_relations_broken_ledger_fails(monkeypatch):
-    real = identities.region_ledger
+    real = exploded.region_ledger
 
     def bumped(xs, ys, lo, hi=None):
         return real(xs, ys, lo, hi) * WeightLedger({1: 1})
 
-    monkeypatch.setattr(identities, "region_ledger", bumped)
+    monkeypatch.setattr(exploded, "region_ledger", bumped)
     r = verify_exploded_relations(3, 10)
     assert not r.passed and r.details["cores_checked"] == 1
-    assert r.deviation == "-: ['band_count', 'gap_band_counts']"
+    # the bump cancels in the triangle ledger's quotient, so that check holds
+    assert r.deviation == "-: ['fold_ledger', 'band_count', 'gap_band_counts']"
 
 
 def count_calls(monkeypatch, sites):
@@ -603,7 +604,7 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     tally = count_calls(monkeypatch, [
         (identities, "coding_to_core"), (coding, "coding_to_core"),
         (identities, "core_coding"), (coding, "core_coding"), (exploded, "core_coding"),
-        (Partition, "is_t_core"), (Partition, "hooks"),
+        (Partition, "is_t_core"), (Partition, "hooks"), (exploded, "region_ledger"),
     ])
     # one core built per coding; core_coding and the core test run once for
     # the core and once for its conjugate in the bead relations; hooks are
@@ -611,11 +612,15 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
     assert tally == {"coding_to_core": n, "core_coding": 2 * n, "is_t_core": 2 * n, "hooks": 3 * n}
-    # the exploded window tests each side once, and beta gives the band count
+    # one core built per coding, whose window reads one coding and negates it
+    # for the conjugate; the fold ledger tallies each band once and reads beta
+    # for the band counts, and the triangle ledger tallies two more regions
     tally.clear()
     r = verify_exploded_relations(3, 8)
     assert r.passed and r.details["cores_checked"] == 10
-    assert tally["is_t_core"] == 20 and tally["hooks"] == 10
+    assert tally == {
+        "coding_to_core": 10, "core_coding": 10, "is_t_core": 10, "hooks": 10, "region_ledger": 40,
+    }
 
 
 def test_sweeps_build_no_halfint(monkeypatch):
