@@ -222,17 +222,18 @@ def coding_to_core(coding: CoreCoding) -> Partition:
     The bead set is the union of the descending arithmetic rays
     {a, a-t, a-2t, ...} over coding entries a; reading the merged beads in
     decreasing order w_1 > w_2 > ... recovers part_i = w_i + i - (t+1)/2.
-    A core of size n has at most n parts, so w_(n+1) = (t+1)/2 - (n+1) and
-    the beads at or above it are exactly w_1, ..., w_(n+1): each ray is read
-    only that far.  A CoreCoding is valid by construction, so it is not
-    validated again.
+    Each ray reaches the smallest entry m, so every value at or below m in
+    its lattice is a bead: the read-off stops at m, whose part every later
+    bead repeats and which must therefore be 0.  A CoreCoding is valid by
+    construction, so it is not validated again.
     """
     values, t = coding.twice, coding.t
     n = _size(values, t)
     shift = t + 1
-    lo = shift - 2 * (n + 1)
+    m = values[-1]
     step = 2 * t
-    merged = sorted((tw for v in values for tw in range(v, lo - 1, -step)), reverse=True)
+    merged = sorted((tw for v in values[:-1] for tw in range(v, m, -step)), reverse=True)
+    merged.append(m)
     parts = []
     prev = None
     for i, w in enumerate(merged, start=1):
@@ -245,7 +246,8 @@ def coding_to_core(coding: CoreCoding) -> Partition:
         if lam > 0:
             parts.append(lam)
         prev = lam
-    if sum(parts) != n:
+    # a nonzero part at m repeats at every bead below it, without end
+    if prev or sum(parts) != n:
         raise InvalidCodingError("bead read-off does not match the size formula")
     # the loop above has checked every part positive and weakly decreasing
     return _trusted_partition(tuple(parts))
@@ -354,18 +356,22 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
     if t < 1:
         raise ValueError("t must be a positive integer")
     tw0 = 0 if t % 2 else 1
-    # doubled values: u_i = tw0 + 2i + 2t*k_i; sum must vanish
+    # doubled values: u_i = tw0 + 2i + 2t*k_i; the sum vanishes, so the
+    # first t - 1 entries fix the last one
     base = [tw0 + 2 * i for i in range(t)]
+    last, step = t - 1, 2 * t
     # bound on the sum of squared doubled values: size <= max_size exactly
     # when sum tw^2 <= 8t max_size + (t^3 - t)/3, and 3 divides (t-1)t(t+1)
     budget = 8 * t * max_size + (t * t * t - t) // 3
     by_size: dict[int, list[tuple[int, ...]]] = {}
 
     def rec(i, remaining_sum, remaining_budget, chosen):
-        if i == t:
-            if remaining_sum == 0:
-                # one entry per class, so distinct: a valid coding
-                values = tuple(sorted(chosen, reverse=True))
+        if i == last:
+            # the last entry cancels the others' sum; it must lie in the
+            # last class and fit the budget; one entry per class, so distinct
+            tw = remaining_sum
+            if (tw - base[last]) % step == 0 and tw * tw <= remaining_budget:
+                values = tuple(sorted(chosen + [tw], reverse=True))
                 size = _size(values, t)
                 if size <= max_size:
                     by_size.setdefault(size, []).append(values)
@@ -376,10 +382,10 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
             return
         b = base[i]
         s = math.isqrt(remaining_budget)
-        k_lo = -((s + b) // (2 * t))
-        k_hi = (s - b) // (2 * t)
+        k_lo = -((s + b) // step)
+        k_hi = (s - b) // step
         for k in range(k_lo, k_hi + 1):
-            tw = b + 2 * t * k
+            tw = b + step * k
             sq = tw * tw
             if sq > remaining_budget:
                 continue

@@ -197,41 +197,55 @@ def _axis_label(value: int, marked: bool) -> str:
     return f"_{text}_" if marked else text
 
 
+def _entry_texts(window: ExplodedWindow, cell) -> list[str]:
+    """cell(entry) for every entry of the window, from its largest down:
+    along a row the entries fall by one per column, so each row's cells are
+    one slice of this list."""
+    xs, ys = window.z
+    return [cell(e) for e in range((xs[0] + ys[0]) // 2, (xs[-1] + ys[-1]) // 2 - 1, -1)]
+
+
 def render_ascii(window: ExplodedWindow) -> str:
     """Fixed-width grid; coding coordinates are wrapped in underscores.
 
     x decreases left to right and y decreases top to bottom, so the region
     of large entries sits in the upper left like the shaded boxes of the
-    reference pictures.
+    reference pictures.  Bead membership is tested once per column and once
+    per row.
     """
     width = 6
+    t = window.t
     lines = [
         f"# exploded tableau: partition={window.partition} t={window.t}",
         "# regions: [delta] (gamma+) <gamma->  coding coordinates marked _v_",
     ]
     xs, ys = window.z
     (v1, v2), (beads1, beads2) = window.v, window.beads
-    header = " " * (width + 1)
-    for xtw in xs:
-        header += _axis_label(xtw, xtw in v1).rjust(width)
+    header = " " * (width + 1) + "".join(_axis_label(xtw, xtw in v1).rjust(width) for xtw in xs)
     lines.append(header.rstrip())
-    for ytw in ys:
+    texts = _entry_texts(window, lambda e: _CELL[_region(e, t)].format(e).rjust(width))
+    blank = " " * width
+    on = [xtw in beads1 for xtw in xs]
+    for j, ytw in enumerate(ys):
         label = _axis_label(ytw, ytw in v2).rjust(width) + "|"
-        row = [label]
-        has_y = ytw in beads2
-        for xtw in xs:
-            if has_y and xtw in beads1:
-                entry = (xtw + ytw) // 2
-                row.append(_CELL[_region(entry, window.t)].format(entry).rjust(width))
-            else:
-                row.append(" " * width)
-        lines.append("".join(row).rstrip())
+        if ytw in beads2:
+            row = texts[j:j + len(xs)]
+            label += "".join([text if bead else blank for text, bead in zip(row, on)]).rstrip()
+        lines.append(label)
     return "\n".join(lines) + "\n"
 
 
+_FILL = {"delta": "#c8c8c8", "gamma+": "#ffffff", "gamma-": "#f2f2e4", "other": "#e8f0ff"}
+
+
 def render_svg(window: ExplodedWindow) -> str:
-    """Deterministic SVG: 12 px per lattice unit, fixed viewBox."""
+    """Deterministic SVG: 12 px per lattice unit, fixed viewBox.
+
+    Each box's rect and text are joined from a prefix per bead column, a
+    middle per bead row and a tail per entry, so no cell formats a number.
+    """
     unit = 12
+    t = window.t
     xs, ys = window.z
     (v1, v2), (beads1, beads2) = window.v, window.beads
     ncols, nrows = len(xs), len(ys)
@@ -243,23 +257,23 @@ def render_svg(window: ExplodedWindow) -> str:
     ]
     px = {tw: (i + 1) * unit for i, tw in enumerate(xs)}
     py = {tw: (i + 1) * unit for i, tw in enumerate(ys)}
-    fill = {"delta": "#c8c8c8", "gamma+": "#ffffff", "gamma-": "#f2f2e4", "other": "#e8f0ff"}
-    for ytw in ys:
+    tails = _entry_texts(window, lambda e: (
+        f'{_FILL[_region(e, t)]}" stroke="#000000" stroke-width="0.5"/>', f"{e}</text>"
+    ))
+    cols = [
+        (i, f'<rect x="{px[xtw]}" y="', f'<text x="{px[xtw] + 6}" y="')
+        for i, xtw in enumerate(xs) if xtw in beads1
+    ]
+    for j, ytw in enumerate(ys):
         if ytw not in beads2:
             continue
-        for xtw in xs:
-            if xtw not in beads1:
-                continue
-            entry = (xtw + ytw) // 2
-            region = _region(entry, window.t)
-            x0, y0 = px[xtw], py[ytw]
-            parts.append(
-                f'<rect x="{x0}" y="{y0}" width="{unit}" height="{unit}" '
-                f'fill="{fill[region]}" stroke="#000000" stroke-width="0.5"/>'
-            )
-            parts.append(
-                f'<text x="{x0 + 6}" y="{y0 + 8}" text-anchor="middle">{entry}</text>'
-            )
+        y0 = py[ytw]
+        rect_mid = f'{y0}" width="{unit}" height="{unit}" fill="'
+        text_mid = f'{y0 + 8}" text-anchor="middle">'
+        for i, rect_pre, text_pre in cols:
+            rect_tail, text_tail = tails[i + j]
+            parts.append(rect_pre + rect_mid + rect_tail)
+            parts.append(text_pre + text_mid + text_tail)
     for xtw in xs:
         deco = ' text-decoration="underline"' if xtw in v1 else ""
         parts.append(
@@ -271,7 +285,6 @@ def render_svg(window: ExplodedWindow) -> str:
             f'<text x="4" y="{py[ytw] + 8}" text-anchor="middle"{deco}>{HalfInt(ytw)}</text>'
         )
     # boundary anti-diagonals x + y = t, 0, -t in lattice coordinates
-    t = window.t
     for level, dash in ((t, "none"), (0, "4,2"), (-t, "2,2")):
         # entry = (xtw + ytw)/2 = level along the drawn line; convert the two
         # endpoints where the line crosses the window edges

@@ -62,7 +62,7 @@ from .rings import P, PolynomialRing, PrimeField, RationalField
 from .weights import (
     coding_difference_ledger,
     content_ledger,
-    hook_shift_ledger,
+    hook_tally_shift_ledger,
     parity_coding_ledger,
     parity_normalize,
 )
@@ -207,8 +207,10 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
             failures.append(f"{lam}: bead relations failed: {bad}")
             break
         if lam.size <= ledger_max_size:
-            beta = lam.small_hook_counts(t)
-            lhs = hook_shift_ledger(lam, t)
+            # one hook read feeds beta (small_hook_counts) and the ledger
+            hooks = Counter(lam.hooks())
+            beta = tuple(hooks[t - i] for i in range(1, t))
+            lhs = hook_tally_shift_ledger(hooks, t)
             rhs = coding_difference_ledger(coding, beta)
             if lhs != rhs:
                 failures.append(f"{lam}: hook-shift ledger != coding ledger")

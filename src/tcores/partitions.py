@@ -111,7 +111,7 @@ class Partition:
         return bool(self.parts)
 
     def __str__(self):
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
+        return ",".join(map(str, self.parts)) if self.parts else "-"
 
     def __repr__(self):
         return f"Partition({self.parts})"

@@ -84,8 +84,14 @@ def _trusted(exps: dict[int, int], sign: int = 1) -> WeightLedger:
 
 def hook_shift_ledger(partition: Partition, t: int) -> WeightLedger:
     """Ledger of prod over hooks h of tau(h-t) tau(h+t) / tau(h)^2."""
+    return hook_tally_shift_ledger(Counter(partition.hooks()), t)
+
+
+def hook_tally_shift_ledger(tally: Counter, t: int) -> WeightLedger:
+    """hook_shift_ledger from a tally hook length -> multiplicity, for a
+    caller that reads other counts off the same hooks."""
     exps: dict[int, int] = {}
-    for h, m in Counter(partition.hooks()).items():
+    for h, m in tally.items():
         exps[h - t] = exps.get(h - t, 0) + m
         exps[h + t] = exps.get(h + t, 0) + m
         exps[h] = exps.get(h, 0) - 2 * m

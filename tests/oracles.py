@@ -4,13 +4,18 @@ The exact QQ[beta] forms of Nekrasov-Okounkov and r-multiplication, the
 `Poly` hook-content sides, the exp-log eta product and the cell/box map of
 the exploded tableau are the independent routes that the integer-point
 verifiers and the tests are checked against; none of them runs in a verifier.
+The per-cell renderers, the full-depth bead read-off and the full-loop
+coding enumeration are the plain routes that the renderers, `coding_to_core`
+and `enumerate_codings` are checked against byte for byte.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from tcores.exploded import ExplodedWindow, RelationViolationError
+from tcores.coding import InvalidCodingError, _size, _trusted
+from tcores.exploded import _CELL, ExplodedWindow, RelationViolationError, _axis_label, _region
+from tcores.halfint import HalfInt
 from tcores.partitions import Partition
 from tcores.qseries import (
     MacdonaldTerm,
@@ -199,3 +204,158 @@ def cell_box_map(window: ExplodedWindow) -> dict[tuple[int, int], tuple[int, int
     if image != delta_boxes or len(image) != len(mapping):
         raise RelationViolationError("cells do not match the boxes above entry t")
     return mapping
+
+
+def render_ascii_per_cell(window: ExplodedWindow) -> str:
+    """`exploded.render_ascii` with two bead tests and one format per cell."""
+    width = 6
+    lines = [
+        f"# exploded tableau: partition={window.partition} t={window.t}",
+        "# regions: [delta] (gamma+) <gamma->  coding coordinates marked _v_",
+    ]
+    xs, ys = window.z
+    (v1, v2), (beads1, beads2) = window.v, window.beads
+    header = " " * (width + 1)
+    for xtw in xs:
+        header += _axis_label(xtw, xtw in v1).rjust(width)
+    lines.append(header.rstrip())
+    for ytw in ys:
+        label = _axis_label(ytw, ytw in v2).rjust(width) + "|"
+        row = [label]
+        has_y = ytw in beads2
+        for xtw in xs:
+            if has_y and xtw in beads1:
+                entry = (xtw + ytw) // 2
+                row.append(_CELL[_region(entry, window.t)].format(entry).rjust(width))
+            else:
+                row.append(" " * width)
+        lines.append("".join(row).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def render_svg_per_cell(window: ExplodedWindow) -> str:
+    """`exploded.render_svg` with a bead test and two formats per cell."""
+    unit = 12
+    xs, ys = window.z
+    (v1, v2), (beads1, beads2) = window.v, window.beads
+    ncols, nrows = len(xs), len(ys)
+    w = (ncols + 2) * unit
+    h = (nrows + 2) * unit
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
+        f'width="{w}" height="{h}" font-size="6" font-family="monospace">'
+    ]
+    px = {tw: (i + 1) * unit for i, tw in enumerate(xs)}
+    py = {tw: (i + 1) * unit for i, tw in enumerate(ys)}
+    fill = {"delta": "#c8c8c8", "gamma+": "#ffffff", "gamma-": "#f2f2e4", "other": "#e8f0ff"}
+    for ytw in ys:
+        if ytw not in beads2:
+            continue
+        for xtw in xs:
+            if xtw not in beads1:
+                continue
+            entry = (xtw + ytw) // 2
+            region = _region(entry, window.t)
+            x0, y0 = px[xtw], py[ytw]
+            parts.append(
+                f'<rect x="{x0}" y="{y0}" width="{unit}" height="{unit}" '
+                f'fill="{fill[region]}" stroke="#000000" stroke-width="0.5"/>'
+            )
+            parts.append(
+                f'<text x="{x0 + 6}" y="{y0 + 8}" text-anchor="middle">{entry}</text>'
+            )
+    for xtw in xs:
+        deco = ' text-decoration="underline"' if xtw in v1 else ""
+        parts.append(
+            f'<text x="{px[xtw] + 6}" y="8" text-anchor="middle"{deco}>{HalfInt(xtw)}</text>'
+        )
+    for ytw in ys:
+        deco = ' text-decoration="underline"' if ytw in v2 else ""
+        parts.append(
+            f'<text x="4" y="{py[ytw] + 8}" text-anchor="middle"{deco}>{HalfInt(ytw)}</text>'
+        )
+    t = window.t
+    for level, dash in ((t, "none"), (0, "4,2"), (-t, "2,2")):
+        pts = []
+        for xtw in (xs[0], xs[-1]):
+            ytw = 2 * level - xtw
+            if ys[-1] <= ytw <= ys[0]:
+                pts.append((px[xtw] + unit / 2, py[ytw] + unit / 2))
+        for ytw in (ys[0], ys[-1]):
+            xtw = 2 * level - ytw
+            if xs[-1] <= xtw <= xs[0]:
+                pts.append((px[xtw] + unit / 2, py[ytw] + unit / 2))
+        pts = sorted(set(pts))[:2]
+        if len(pts) == 2:
+            (xa, ya), (xb, yb) = pts
+            dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
+            parts.append(
+                f'<line x1="{xa:g}" y1="{ya:g}" x2="{xb:g}" y2="{yb:g}" '
+                f'stroke="#d04040" stroke-width="0.8"{dash_attr}/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# coding routes
+
+
+def full_depth_coding_to_core(coding) -> Partition:
+    """`coding.coding_to_core` reading every ray down to (t+1)/2 - (n+1),
+    the bead w_(n+1) of a core of size n, with the same checks."""
+    values, t = coding.twice, coding.t
+    n = _size(values, t)
+    shift = t + 1
+    lo = shift - 2 * (n + 1)
+    step = 2 * t
+    merged = sorted((tw for v in values for tw in range(v, lo - 1, -step)), reverse=True)
+    parts = []
+    prev = None
+    for i, w in enumerate(merged, start=1):
+        tw = w + 2 * i - shift
+        if tw % 2:
+            raise InvalidCodingError("bead read-off produced a half-integer part")
+        lam = tw // 2
+        if lam < 0 or (prev is not None and lam > prev):
+            raise InvalidCodingError("bead read-off is not weakly decreasing")
+        if lam > 0:
+            parts.append(lam)
+        prev = lam
+    if sum(parts) != n:
+        raise InvalidCodingError("bead read-off does not match the size formula")
+    return Partition(tuple(parts))
+
+
+def full_loop_enumerate_codings(t: int, max_size: int) -> list:
+    """`coding.enumerate_codings` looping over every slot, the last one too,
+    and keeping the vectors whose sum vanishes."""
+    tw0 = 0 if t % 2 else 1
+    base = [tw0 + 2 * i for i in range(t)]
+    budget = 8 * t * max_size + (t * t * t - t) // 3
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+
+    def rec(i, remaining_sum, remaining_budget, chosen):
+        if i == t:
+            if remaining_sum == 0:
+                values = tuple(sorted(chosen, reverse=True))
+                size = _size(values, t)
+                if size <= max_size:
+                    by_size.setdefault(size, []).append(values)
+            return
+        if remaining_sum * remaining_sum > (t - i) * remaining_budget:
+            return
+        b = base[i]
+        s = isqrt(remaining_budget)
+        for k in range(-((s + b) // (2 * t)), (s - b) // (2 * t) + 1):
+            tw = b + 2 * t * k
+            sq = tw * tw
+            if sq > remaining_budget:
+                continue
+            chosen.append(tw)
+            rec(i + 1, remaining_sum - tw, remaining_budget - sq, chosen)
+            chosen.pop()
+
+    rec(0, 0, budget, [])
+    return [_trusted(values, t) for size in sorted(by_size)
+            for values in sorted(by_size.pop(size), reverse=True)]

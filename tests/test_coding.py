@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,9 @@ from tcores.coding import (
 )
 from tcores.halfint import HalfInt
 from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
+from tcores.qseries import euler_power
+
+from oracles import full_depth_coding_to_core, full_loop_enumerate_codings
 
 TABLE1 = Partition((8, 4, 3, 2, 2, 1))
 TABLE2 = Partition((8, 5, 4, 1, 1, 1))
@@ -289,6 +293,56 @@ def test_route_comparison_sees_a_dropped_coding(monkeypatch):
     real = coding.enumerate_codings
     monkeypatch.setattr(coding, "enumerate_codings", lambda t, n: real(t, n)[:-1])
     assert first_route_disagreement() == (1, 25)
+
+
+def core_count_series(t, N):
+    """Number of t-cores of each size 0..N, from the Garvan-Kim-Stanton
+    product prod_k (1 - q^(tk))^t / (1 - q^k) ("Cranks and t-cores",
+    Invent. Math. 101, 1990); no coding and no partition is involved."""
+    power = euler_power(t, N // t)  # prod (1 - q^k)^t, read at q^(tk)
+    inverse = euler_power(-1, N)
+    return [sum(power[k] * inverse[n - t * k] for k in range(n // t + 1)) for n in range(N + 1)]
+
+
+def first_count_mismatch(t, N, codings):
+    """The first size whose number of codings differs from the product's."""
+    counts = Counter(coding_size(c) for c in codings)
+    want = core_count_series(t, N)
+    return next((n for n in range(N + 1) if counts[n] != want[n]), None)
+
+
+def test_core_counts_match_garvan_kim_stanton_product():
+    for t, N in ((2, 200), (3, 150), (5, 150), (7, 70), (8, 60), (10, 45), (12, 40)):
+        assert first_count_mismatch(t, N, enumerate_codings(t, N)) is None, (t, N)
+
+
+def test_core_count_check_names_a_dropped_codings_size():
+    codings = enumerate_codings(5, 40)
+    assert first_count_mismatch(5, 40, codings[:-1]) == 40
+    dropped = next(i for i, c in enumerate(codings) if coding_size(c) == 17)
+    assert first_count_mismatch(5, 40, codings[:dropped] + codings[dropped + 1:]) == 17
+
+
+def test_coding_routes_match_full_loop_and_full_depth_oracles():
+    for t in range(1, 11):
+        for max_size in (0, 7, 30):
+            codings = enumerate_codings(t, max_size)
+            assert codings == full_loop_enumerate_codings(t, max_size), (t, max_size)
+        for c in codings:
+            assert coding_to_core(c) == full_depth_coding_to_core(c), (t, c)
+
+
+@pytest.mark.parametrize("read_off", [coding_to_core, full_depth_coding_to_core])
+def test_read_off_checks_still_fail(read_off):
+    # a zero-sum failure whose read-off falls short of the size formula
+    with pytest.raises(InvalidCodingError, match="does not match the size formula"):
+        read_off(coding._trusted((13, 11), 2))
+    # the part at the smallest entry, 2, repeats below it: the short read-off
+    # sums to the size formula's 2, so only the trailing-part check sees it
+    with pytest.raises(InvalidCodingError, match="does not match the size formula"):
+        read_off(coding._trusted((4,), 1))
+    with pytest.raises(NonIntegerSizeError):
+        read_off(coding._trusted((12, 0, -12), 3))
 
 
 def test_two_cores_are_triangular():

@@ -18,7 +18,7 @@ from tcores.halfint import HalfInt
 from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
 from tcores.weights import WeightLedger
 
-from oracles import cell_box_map
+from oracles import cell_box_map, render_ascii_per_cell, render_svg_per_cell
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLE1 = Partition((8, 4, 3, 2, 2, 1))
@@ -256,6 +256,17 @@ def test_render_svg_golden():
     assert svg == (GOLDEN / "explode_1_t3.svg").read_text()
     assert svg.startswith("<svg ")
     assert 'viewBox="0 0' in svg
+
+
+def test_renderers_match_per_cell_oracles():
+    # every t-core t = 2..8 of size <= 15, and every partition of size <= 6
+    # at t = 1..5, since explode accepts non-cores too
+    cases = [(lam, t) for t in range(2, 9) for lam in enumerate_t_cores(t, 15)]
+    cases += [(lam, t) for t in range(1, 6) for lam in partitions_up_to(6)]
+    for lam, t in cases:
+        w = ExplodedWindow(lam, t)
+        assert render(w, "ascii") == render_ascii_per_cell(w), (t, lam)
+        assert render(w, "svg") == render_svg_per_cell(w), (t, lam)
 
 
 def test_render_empty_partition():

@@ -33,7 +33,8 @@ from tcores.identities import (
     verify_tcore_lemmas,
     verifier,
 )
-from tcores.coding import coding_size, enumerate_codings
+from tcores.coding import BeadSet, coding_size, enumerate_codings
+from tcores.exploded import ExplodedWindow, render
 from tcores.halfint import HalfInt
 from tcores.partitions import Partition, enumerate_t_cores
 from tcores.qseries import (
@@ -608,10 +609,11 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     ])
     # one core built per coding; core_coding and the core test run once for
     # the core and once for its conjugate in the bead relations; hooks are
-    # read for beta, the hook-shift ledger and mu's side of the content ledger
+    # read once for beta and the hook-shift ledger, and once for mu's side
+    # of the content ledger
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"coding_to_core": n, "core_coding": 2 * n, "is_t_core": 2 * n, "hooks": 3 * n}
+    assert tally == {"coding_to_core": n, "core_coding": 2 * n, "is_t_core": 2 * n, "hooks": 2 * n}
     # one core built per coding, whose window reads one coding and negates it
     # for the conjugate; the fold ledger tallies each band once and reads beta
     # for the band counts, and the triangle ledger tallies two more regions
@@ -621,6 +623,19 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     assert tally == {
         "coding_to_core": 10, "core_coding": 10, "is_t_core": 10, "hooks": 10, "region_ledger": 40,
     }
+
+
+def test_render_tests_each_bead_row_and_column_once(monkeypatch):
+    # Table 1 (t = 5) and Table 2 (t = 6): one bead test per column and one
+    # per row of the window, in both formats
+    tally = count_calls(monkeypatch, [(BeadSet, "__contains__")])
+    for lam, t, want in (((8, 4, 3, 2, 2, 1), 5, 48), ((8, 5, 4, 1, 1, 1), 6, 52)):
+        window = ExplodedWindow(Partition(lam), t)
+        assert len(window.z[0]) + len(window.z[1]) == want
+        for fmt in ("ascii", "svg"):
+            tally.clear()
+            render(window, fmt)
+            assert tally["__contains__"] <= want, (t, fmt)
 
 
 def test_sweeps_build_no_halfint(monkeypatch):
