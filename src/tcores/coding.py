@@ -324,17 +324,15 @@ def bead_relation_checks(partition: Partition, coding: CoreCoding) -> dict[str, 
 
     ray_closure = all(h - 2 * t in beads1 for h in beads1.head)
 
-    w1_window = set(beads1.elements_down_to(-top2))
-    w2_window = set(beads2.elements_down_to(-top1))
-    mirror = {tw for tw in w1_window if -tw in w2_window}
+    # W1 and the negated W2 on the window [-M2, M1], as sets
+    w1 = set(beads1.elements_down_to(-top2))
+    neg_w2 = set(map(operator.neg, beads2.elements_down_to(-top1)))
     v1 = set(coding.twice)
-    mirror_intersection = mirror == v1
+    mirror_intersection = w1 & neg_w2 == v1
 
     conjugate_negation = coding2.twice == tuple(-v for v in reversed(coding.twice))
 
-    dagger_window = {tw for tw in w1_window if tw not in v1}
-    gaps2 = {-g for g in beads2.gaps()}
-    dagger_complement = dagger_window == gaps2
+    dagger_complement = w1 - v1 == set(map(operator.neg, beads2.gaps()))
 
     zero_sum = sum(coding.twice) == 0
 
@@ -370,11 +368,16 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
             # the last entry cancels the others' sum; it must lie in the
             # last class and fit the budget; one entry per class, so distinct
             tw = remaining_sum
-            if (tw - base[last]) % step == 0 and tw * tw <= remaining_budget:
+            rest = remaining_budget - tw * tw
+            if (tw - base[last]) % step == 0 and rest >= 0:
+                # sum tw^2 = budget - rest, so the size formula reads
+                # max_size - rest/(8t): no sum of squares, and at most max_size
+                drop, rem = divmod(rest, 8 * t)
+                if rem or drop > max_size:
+                    num = 3 * (budget - rest) - t * t * t + t
+                    raise NonIntegerSizeError(f"size formula gave {Fraction(num, 24 * t)}")
                 values = tuple(sorted(chosen + [tw], reverse=True))
-                size = _size(values, t)
-                if size <= max_size:
-                    by_size.setdefault(size, []).append(values)
+                by_size.setdefault(max_size - drop, []).append(values)
             return
         slots_left = t - i
         # Cauchy-Schwarz: the remaining doubled values must cover remaining_sum

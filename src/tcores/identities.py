@@ -46,7 +46,13 @@ from .exploded import (
     check_translation_relations,
     check_triangle_ledger,
 )
-from .partitions import Partition, enumerate_partitions, partitions_up_to
+from .partitions import (
+    Partition,
+    abacus_beads,
+    abacus_is_t_core,
+    enumerate_partitions,
+    partitions_up_to,
+)
 from .qseries import (
     TruncatedSeries,
     binomial_product,
@@ -63,8 +69,8 @@ from .weights import (
     coding_difference_ledger,
     content_ledger,
     hook_tally_shift_ledger,
-    parity_coding_ledger,
-    parity_normalize,
+    parity_coding_fold,
+    parity_fold,
 )
 
 GF = PrimeField()
@@ -215,9 +221,10 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
             if lhs != rhs:
                 failures.append(f"{lam}: hook-shift ledger != coding ledger")
                 break
+            # one fold per side serves both parities, odd first
+            folds = parity_fold(rhs), parity_coding_fold(coding)
             parity = next((
-                p for p in ("odd", "even")
-                if parity_normalize(rhs, p) != parity_coding_ledger(coding, p)
+                p for p in ("odd", "even") if folds[0].form(p) != folds[1].form(p)
             ), None)
             if parity:
                 failures.append(f"{lam}: parity ledger ({parity}) mismatch")
@@ -715,7 +722,9 @@ def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
 def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: int = 20) -> VerificationReport:
     """2-cores are exactly the staircases, and the coding-route enumeration
     of t-cores is the filter over all partitions, order included.  The
-    filter runs every t in one pass over the partitions up to either size."""
+    filter runs every t in one pass over the partitions up to either size,
+    and builds each partition's abacus bead set once for t = 2 and every t
+    up to t_max (the test of `Partition.is_t_core`)."""
     t0 = time.perf_counter()
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -730,11 +739,13 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
     found: list[Partition] = []
     filtered: dict[int, list[Partition]] = {t: [] for t in range(1, t_max + 1)}
     for p in partitions_up_to(max(max_size, enum_size)):
-        if p.size <= max_size and p.is_t_core(2):
+        beads = abacus_beads(p.parts)
+        size = p.size
+        if size <= max_size and abacus_is_t_core(beads, 2):
             found.append(p)
-        if p.size <= enum_size:
+        if size <= enum_size:
             for t, cores in filtered.items():
-                if p.is_t_core(t):
+                if abacus_is_t_core(beads, t):
                     cores.append(p)
     if sorted(p.parts for p in found) != sorted(p.parts for p in staircases):
         failures.append("2-cores are not the staircases")

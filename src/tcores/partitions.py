@@ -85,15 +85,11 @@ class Partition:
         return sum((i - 1) * p for i, p in enumerate(self.parts, start=1))
 
     def is_t_core(self, t: int) -> bool:
-        """Abacus test (Garvan-Kim-Stanton): with beads x_i = part_i - i,
-        lambda is a t-core iff every bead x has x - t on the abacus too,
-        either as a bead of the head or below -length, where every value is
-        a bead.  No hooks and no conjugate are built."""
+        """Abacus test (Garvan-Kim-Stanton), `abacus_is_t_core` on the
+        partition's `abacus_beads`.  No hooks and no conjugate are built."""
         if t < 1:
             raise ValueError("t must be a positive integer")
-        floor = -len(self.parts)
-        beads = {p - i for i, p in enumerate(self.parts, start=1)}
-        return all(x - t < floor or x - t in beads for x in beads)
+        return abacus_is_t_core(abacus_beads(self.parts), t)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
@@ -123,6 +119,21 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     p = object.__new__(Partition)
     p.parts = parts
     return p
+
+
+def abacus_beads(parts: tuple[int, ...]) -> set[int]:
+    """The beads x_i = part_i - i of the abacus, i = 1..length; every value
+    below -length is a bead too, so the set stands for the whole abacus."""
+    return {p - i for i, p in enumerate(parts, start=1)}
+
+
+def abacus_is_t_core(beads: set[int], t: int) -> bool:
+    """Whether an `abacus_beads` set is closed under x -> x - t down to the
+    floor -len(beads), below which every value is a bead: the partition is
+    a t-core iff it is (Garvan-Kim-Stanton).  A caller testing several t on
+    one partition builds its bead set once."""
+    lowest = t - len(beads)  # the beads x whose x - t is at or above the floor
+    return beads.issuperset([x - t for x in beads if x >= lowest])
 
 
 def _conjugate_parts(parts: tuple[int, ...]) -> list[int]:

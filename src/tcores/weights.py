@@ -8,6 +8,7 @@ every weight function at once by comparing exponent maps.
 from __future__ import annotations
 
 from collections import Counter
+from typing import NamedTuple
 
 from .coding import CoreCoding, class_sorted_coding
 from .partitions import Partition
@@ -118,14 +119,23 @@ def parity_coding_ledger(coding: CoreCoding, parity: str) -> WeightLedger:
 
     With the coding reordered by congruence class (u_i in class i + t_0),
     the product is C / prod_k tau(k)^(t-k) * prod_{i<j} tau(u_i - u_j),
-    where C = -1 exactly when t = 3 mod 4 and the weight is odd.
+    where C = -1 exactly when t = 3 mod 4 and the weight is odd.  The form
+    of `parity_coding_fold(coding)`.
     """
+    return parity_coding_fold(coding).form(parity)
+
+
+def parity_coding_fold(coding: CoreCoding) -> "ParityFold":
+    """Both parity forms of `parity_coding_ledger` from one class-sorted
+    coding and one pass over its differences: C rides in the odd flip."""
     t = coding.t
     u = class_sorted_coding(coding)  # doubled entries
-    sign = -1 if (t % 4 == 3 and parity == "odd") else 1
     exps = {k: k - t for k in range(1, t)}
     _add_differences(exps, u)
-    return parity_normalize(_trusted(exps, sign), parity)
+    fold = parity_fold(_trusted(exps))
+    if t % 4 == 3:
+        fold = fold._replace(flip=-fold.flip)
+    return fold
 
 
 def _add_differences(exps: dict[int, int], tw) -> None:
@@ -138,14 +148,30 @@ def _add_differences(exps: dict[int, int], tw) -> None:
 
 def content_ledger(mu: Partition, beta, t: int) -> WeightLedger:
     """Ledger of prod_i (tau(-i)/tau(i))^(b_i) * prod over mu of tau(t+c)/tau(h),
-    where b_i = beta[i-1] counts the hooks of length t - i of the core."""
+    where b_i = beta[i-1] counts the hooks of length t - i of the core.
+
+    Row i of mu holds the contents 1-i..mu_i-i, one run, so the tau(t+c)
+    tally is a running sum of +1 at each row's first argument t+1-i and -1
+    past its last; the hooks are tallied from one `hooks` read."""
     exps: dict[int, int] = {}
     for i in range(1, t):
         exps[-i] = beta[i - 1]
         exps[i] = -beta[i - 1]
-    for h, c in zip(mu.hooks(), mu.contents()):
-        exps[t + c] = exps.get(t + c, 0) + 1
-        exps[h] = exps.get(h, 0) - 1
+    parts = mu.parts
+    if parts:
+        n = len(parts)
+        lo = t + 1 - n  # the smallest argument t+c, at the last row's start
+        edges = [0] * (n + parts[0])
+        for i, p in enumerate(parts, start=1):
+            edges[n - i] += 1
+            edges[n - i + p] -= 1
+        run = 0
+        for k, d in enumerate(edges, start=lo):
+            run += d
+            if run:
+                exps[k] = exps.get(k, 0) + run
+    for h, m in Counter(mu.hooks()).items():
+        exps[h] = exps.get(h, 0) - m
     return _trusted(exps)
 
 
@@ -153,20 +179,45 @@ def parity_normalize(ledger: WeightLedger, parity: str) -> WeightLedger:
     """Rewrite all arguments positive using tau(-k) = tau(k) or -tau(k).
 
     Odd parity flips the sign once per unit of exponent at a negative
-    argument and forbids argument 0 (tau(0) = 0 there).
+    argument and forbids argument 0 (tau(0) = 0 there).  The form of
+    `parity_fold(ledger)`.
     """
-    if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
-    exps: dict[int, int] = {}
-    sign = ledger.sign
-    odd = parity == "odd"
-    for k, e in ledger.exps.items():
-        if k == 0 and odd:
+    return parity_fold(ledger).form(parity)
+
+
+class ParityFold(NamedTuple):
+    """A ledger with every argument k folded onto |k| in one pass, for both
+    parity forms at once.  `exps` is the folded map the forms share, `sign`
+    the ledger's sign, `flip` the odd form's extra sign (-1 when the
+    exponents at negative arguments sum to an odd number) and `zero` whether
+    argument 0 occurs, which only the odd form forbids."""
+
+    exps: dict[int, int]
+    sign: int
+    flip: int
+    zero: bool
+
+    def form(self, parity: str) -> WeightLedger:
+        """The odd- or even-weight form, as `parity_normalize` gives it."""
+        if parity == "even":
+            return _trusted(self.exps, self.sign)
+        if parity != "odd":
+            raise ValueError("parity must be 'odd' or 'even'")
+        if self.zero:
             raise ZeroArgumentError("tau(0) = 0 for an odd weight")
-        if k < 0 and odd and e % 2:
-            sign = -sign
-        exps[abs(k)] = exps.get(abs(k), 0) + e
-    return _trusted(exps, sign)
+        return _trusted(self.exps, self.sign * self.flip)
+
+
+def parity_fold(ledger: WeightLedger) -> ParityFold:
+    """Fold a ledger's negative arguments once for both parity forms."""
+    exps: dict[int, int] = {}
+    negative = 0
+    for k, e in ledger.exps.items():
+        if k < 0:
+            negative += e
+            k = -k
+        exps[k] = exps.get(k, 0) + e
+    return ParityFold(exps, ledger.sign, -1 if negative % 2 else 1, 0 in ledger.exps)
 
 
 def evaluate(ledger: WeightLedger, tau):

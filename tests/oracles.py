@@ -4,16 +4,17 @@ The exact QQ[beta] forms of Nekrasov-Okounkov and r-multiplication, the
 `Poly` hook-content sides, the exp-log eta product and the cell/box map of
 the exploded tableau are the independent routes that the integer-point
 verifiers and the tests are checked against; none of them runs in a verifier.
-The per-cell renderers, the full-depth bead read-off and the full-loop
-coding enumeration are the plain routes that the renderers, `coding_to_core`
-and `enumerate_codings` are checked against byte for byte.
+The per-cell renderers, the full-depth bead read-off, the full-loop
+coding enumeration, the per-cell content ledger and the one-parity fold are
+the plain routes that the renderers, `coding_to_core`, `enumerate_codings`,
+`content_ledger` and the parity folds are checked against byte for byte.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from tcores.coding import InvalidCodingError, _size, _trusted
+from tcores.coding import InvalidCodingError, _size, _trusted, class_sorted_coding
 from tcores.exploded import _CELL, ExplodedWindow, RelationViolationError, _axis_label, _region
 from tcores.halfint import HalfInt
 from tcores.partitions import Partition
@@ -25,6 +26,7 @@ from tcores.qseries import (
     schur_principal,
 )
 from tcores.rings import Poly, PolynomialRing, RationalField
+from tcores.weights import WeightLedger, ZeroArgumentError
 
 
 def cycle_sign(perm) -> int:
@@ -359,3 +361,50 @@ def full_loop_enumerate_codings(t: int, max_size: int) -> list:
     rec(0, 0, budget, [])
     return [_trusted(values, t) for size in sorted(by_size)
             for values in sorted(by_size.pop(size), reverse=True)]
+
+
+# ---------------------------------------------------------------------------
+# weight ledgers
+
+
+def per_cell_content_ledger(mu: Partition, beta, t: int) -> WeightLedger:
+    """`weights.content_ledger` walking mu cell by cell: one tau(t+c) and
+    one tau(h) per cell, from the contents and hooks in row-major order."""
+    exps: dict[int, int] = {}
+    for i in range(1, t):
+        exps[-i] = beta[i - 1]
+        exps[i] = -beta[i - 1]
+    for h, c in zip(mu.hooks(), mu.contents()):
+        exps[t + c] = exps.get(t + c, 0) + 1
+        exps[h] = exps.get(h, 0) - 1
+    return WeightLedger(exps)
+
+
+def one_parity_normalize(ledger: WeightLedger, parity: str) -> WeightLedger:
+    """`weights.parity_normalize` folding the ledger for one parity only,
+    flipping the sign at each odd exponent on a negative argument."""
+    if parity not in ("odd", "even"):
+        raise ValueError("parity must be 'odd' or 'even'")
+    exps: dict[int, int] = {}
+    sign = ledger.sign
+    odd = parity == "odd"
+    for k, e in ledger.exps.items():
+        if k == 0 and odd:
+            raise ZeroArgumentError("tau(0) = 0 for an odd weight")
+        if k < 0 and odd and e % 2:
+            sign = -sign
+        exps[abs(k)] = exps.get(abs(k), 0) + e
+    return WeightLedger(exps, sign)
+
+
+def one_parity_coding_ledger(coding, parity: str) -> WeightLedger:
+    """`weights.parity_coding_ledger` building the class-sorted product and
+    its differences again for each parity, with C = -1 in the sign."""
+    t = coding.t
+    u = class_sorted_coding(coding)
+    sign = -1 if (t % 4 == 3 and parity == "odd") else 1
+    exps = {k: k - t for k in range(1, t)}
+    for i, a in enumerate(u):
+        for b in u[i + 1:]:
+            exps[(a - b) // 2] = exps.get((a - b) // 2, 0) + 1
+    return one_parity_normalize(WeightLedger(exps, sign), parity)

@@ -246,6 +246,19 @@ def test_bead_relations_reject_the_conjugate_coding():
             assert checks["mirror_intersection"] is (lam == conj), (t, lam)
 
 
+def test_bead_relations_see_a_coding_entry_dropped():
+    # negative control: V1 short of one entry is a strict subset of the
+    # mirror set, and the dropped entry lands in the dagger window
+    for t in (3, 4, 5, 6):
+        for lam in enumerate_t_cores(t, 10):
+            twice = core_coding(lam, t).twice
+            for k in range(t):
+                short = coding._trusted(twice[:k] + twice[k + 1:], t)
+                checks = bead_relation_checks(lam, short)
+                assert not checks["mirror_intersection"], (t, lam, k)
+                assert not checks["dagger_complement"], (t, lam, k)
+
+
 def test_conjugate_coding_negates():
     for t in (3, 4, 5, 6):
         for lam in enumerate_t_cores(t, 10):
@@ -330,6 +343,16 @@ def test_coding_routes_match_full_loop_and_full_depth_oracles():
             assert codings == full_loop_enumerate_codings(t, max_size), (t, max_size)
         for c in codings:
             assert coding_to_core(c) == full_depth_coding_to_core(c), (t, c)
+
+
+def test_cores_from_codings_compute_each_size_once(monkeypatch):
+    # enumerate_codings reads a leaf's size off the running budget, so only
+    # coding_to_core's read-off check runs the size formula
+    calls = []
+    real = coding._size
+    monkeypatch.setattr(coding, "_size", lambda twice, t: calls.append(t) or real(twice, t))
+    cores = cores_from_codings(5, 20)
+    assert len(calls) == len(cores) == 164
 
 
 @pytest.mark.parametrize("read_off", [coding_to_core, full_depth_coding_to_core])

@@ -7,7 +7,7 @@ from math import factorial, prod
 
 import pytest
 
-from tcores import coding, exploded, identities, qseries
+from tcores import coding, exploded, identities, partitions, qseries, weights
 from tcores.identities import (
     PROFILES,
     VERIFIERS,
@@ -36,7 +36,7 @@ from tcores.identities import (
 from tcores.coding import BeadSet, coding_size, enumerate_codings
 from tcores.exploded import ExplodedWindow, render
 from tcores.halfint import HalfInt
-from tcores.partitions import Partition, enumerate_t_cores
+from tcores.partitions import Partition, abacus_beads, enumerate_t_cores
 from tcores.qseries import (
     TruncatedSeries,
     euler_power,
@@ -548,18 +548,73 @@ def test_hook_content_broken_sides_fail(monkeypatch):
 
 
 def test_multiset_formula_stops_at_first_parity_failure(monkeypatch):
-    real = identities.parity_coding_ledger
+    real = identities.parity_coding_fold
 
-    def bumped(c, parity):  # wrong for every nonempty core
-        out = real(c, parity)
-        return out if coding_size(c) == 0 else out * WeightLedger({1: 1})
+    def bumped(c):  # one more tau(1) in both forms of every nonempty core
+        fold = real(c)
+        if coding_size(c) == 0:
+            return fold
+        return fold._replace(exps={**fold.exps, 1: fold.exps.get(1, 0) + 1})
 
-    monkeypatch.setattr(identities, "parity_coding_ledger", bumped)
+    monkeypatch.setattr(identities, "parity_coding_fold", bumped)
     r = verify_multiset_formula(3, 10)
     assert not r.passed
     assert r.deviation == "1: parity ledger (odd) mismatch"
     # the empty core passes, the core (1) fails, and the sweep stops there
     assert r.details["cores_checked"] == 2 < len(enumerate_t_cores(3, 10))
+
+
+def test_multiset_formula_names_a_failing_even_form(monkeypatch):
+    real = identities.parity_coding_fold
+
+    def flipped(c):  # the even form's sign flipped, the odd form kept
+        fold = real(c)
+        if coding_size(c) == 0:
+            return fold
+        return fold._replace(sign=-fold.sign, flip=-fold.flip)
+
+    monkeypatch.setattr(identities, "parity_coding_fold", flipped)
+    r = verify_multiset_formula(3, 10)
+    assert r.deviation == "1: parity ledger (even) mismatch"
+    assert r.details["cores_checked"] == 2
+
+
+def test_multiset_formula_stops_at_first_content_failure(monkeypatch):
+    real = identities.content_ledger
+
+    def bumped(mu, beta, t):  # one more tau(t + c) for the first cell of mu
+        out = real(mu, beta, t)
+        return out * WeightLedger({t: 1}) if mu else out
+
+    monkeypatch.setattr(identities, "content_ledger", bumped)
+    r = verify_multiset_formula(3, 10)
+    assert r.deviation == "1: content ledger mismatch"
+    assert r.details["cores_checked"] == 2
+
+
+def test_multiset_formula_stops_at_first_mirror_failure(monkeypatch):
+    real = BeadSet.elements_down_to
+
+    def dropped(self, lo):  # a nonempty core's top bead, a coding entry, is lost
+        out = real(self, lo)
+        return out[1:] if self.head else out
+
+    monkeypatch.setattr(BeadSet, "elements_down_to", dropped)
+    r = verify_multiset_formula(3, 10)
+    assert r.deviation == "1: bead relations failed: ['mirror_intersection']"
+    assert r.details["cores_checked"] == 2
+
+
+def test_classical_crosschecks_see_one_dropped_filter_hit(monkeypatch):
+    real = identities.abacus_is_t_core
+    one = abacus_beads((1,))
+
+    def dropped(beads, t):  # the 3-core (1) is missed at t = 3 only
+        return False if (t == 3 and beads == one) else real(beads, t)
+
+    monkeypatch.setattr(identities, "abacus_is_t_core", dropped)
+    r = verify_classical_crosschecks(10, 5, 8)
+    assert not r.passed and r.deviation == "enumeration routes disagree for t=3"
 
 
 def test_multiset_formula_broken_round_trip_fails(monkeypatch):
@@ -623,6 +678,24 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     assert tally == {
         "coding_to_core": 10, "core_coding": 10, "is_t_core": 10, "hooks": 10, "region_ledger": 40,
     }
+
+
+def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
+    # the multiset sweep adds a core's coding differences once for the
+    # coding ledger and once, class-sorted, for both parity forms
+    tally = count_calls(monkeypatch, [
+        (weights, "_add_differences"), (weights, "class_sorted_coding"),
+        (partitions, "abacus_beads"), (identities, "abacus_beads"),
+    ])
+    n = len(enumerate_codings(3, 10))
+    assert verify_multiset_formula(3, 10).passed
+    # each is_t_core call of the sweep (2 per core) builds its own abacus
+    assert tally == {"_add_differences": 2 * n, "class_sorted_coding": n, "abacus_beads": 2 * n}
+    # the filter builds one abacus per partition of size <= 25 and tests
+    # t = 2 and t = 1..8 on it
+    tally.clear()
+    assert verify_classical_crosschecks(25, 8, 20).passed
+    assert tally == {"abacus_beads": 9296}
 
 
 def test_render_tests_each_bead_row_and_column_once(monkeypatch):

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from tcores.partitions import (
     InvalidPartitionError,
     Partition,
+    abacus_beads,
+    abacus_is_t_core,
     enumerate_partitions,
     enumerate_t_cores,
     partitions_up_to,
@@ -156,6 +158,18 @@ def test_is_t_core_abacus_matches_hook_oracle():
             lam = Partition(parts)
             for t in range(1, 10):
                 assert lam.is_t_core(t) == all(h % t for h in hooks), (parts, t)
+
+
+def test_one_abacus_serves_every_t():
+    # the filter of classical-cross-checks tests every t on one bead set
+    for n in range(14):
+        for parts in reference_partitions(n):
+            hooks = brute_hooks(parts)
+            beads = abacus_beads(parts)
+            kept = set(beads)
+            got = [abacus_is_t_core(beads, t) for t in range(1, 10)]
+            assert got == [all(h % t for h in hooks) for t in range(1, 10)], parts
+            assert beads == kept
 
 
 def test_is_t_core():

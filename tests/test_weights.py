@@ -4,8 +4,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from tcores import weights
-from tcores.coding import class_sorted_coding, core_coding, enumerate_codings
-from tcores.partitions import Partition, enumerate_t_cores
+from tcores.coding import class_sorted_coding, coding_to_core, core_coding, enumerate_codings
+from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
 from tcores.weights import (
     DivisionByZeroWeightError,
     WeightLedger,
@@ -14,14 +14,21 @@ from tcores.weights import (
     content_ledger,
     evaluate,
     hook_shift_ledger,
+    parity_coding_fold,
     parity_coding_ledger,
+    parity_fold,
     parity_normalize,
 )
 from tcores.coding import content_coding
 from tcores.qseries import TruncatedSeries
 from tcores.rings import RationalField
 
-from oracles import series_pow
+from oracles import (
+    one_parity_coding_ledger,
+    one_parity_normalize,
+    per_cell_content_ledger,
+    series_pow,
+)
 
 
 def test_ledger_basics():
@@ -105,6 +112,94 @@ def test_content_ledger_sweep():
             mu = content_coding(core_coding(lam, t))
             beta = lam.small_hook_counts(t)
             assert content_ledger(mu, beta, t) == hook_shift_ledger(lam, t), (t, lam)
+
+
+def content_cases():
+    """(mu, beta, t): every mu = content_coding(v) with its core's beta, for
+    t <= 9 and size <= 20, then every partition of size <= 10 as mu with its
+    own beta, t = 1..6."""
+    for t in range(1, 10):
+        for v in enumerate_codings(t, 20):
+            yield content_coding(v), coding_to_core(v).small_hook_counts(t), t
+    for t in range(1, 7):
+        for mu in partitions_up_to(10):
+            yield mu, mu.small_hook_counts(t), t
+
+
+def test_content_ledger_matches_per_cell_oracle():
+    cases = 0
+    for mu, beta, t in content_cases():
+        assert content_ledger(mu, beta, t) == per_cell_content_ledger(mu, beta, t), (t, mu)
+        cases += 1
+    assert cases > 3000
+
+
+# by hand: negative, zero and odd exponents, a pair k, -k that cancels on
+# folding, argument 0 alone and with others, and both signs
+HAND_LEDGERS = [
+    WeightLedger(),
+    WeightLedger({-1: 1}),
+    WeightLedger({-3: 1, 3: -1, 2: 5}, sign=-1),
+    WeightLedger({-2: 3, -1: -1, 1: 4, 7: -3}),
+    WeightLedger({-5: 2, 5: -2, -4: 1}),
+    WeightLedger({-6: -3, -2: -5}, sign=-1),
+    WeightLedger({0: 1}),
+    WeightLedger({0: -2, -1: 3, 1: 1}, sign=-1),
+    WeightLedger({0: 3, -7: 2, 7: 1}),
+]
+
+
+def fold_cases():
+    """Hand-made ledgers, the hook-shift ledgers of the content cases
+    (arguments h - t down to 1 - t, 0 included) and the coding-difference
+    ledgers of their codings."""
+    yield from HAND_LEDGERS
+    for mu, _, t in content_cases():
+        yield hook_shift_ledger(mu, t)
+    for t in range(1, 10):
+        for v in enumerate_codings(t, 20):
+            yield coding_difference_ledger(v, coding_to_core(v).small_hook_counts(t))
+
+
+def test_parity_fold_matches_one_parity_oracle():
+    zeros = 0
+    for ledger in fold_cases():
+        fold = parity_fold(ledger)
+        for parity in ("odd", "even"):
+            try:
+                want = one_parity_normalize(ledger, parity)
+            except ZeroArgumentError:
+                # argument 0 stops only the odd form, in every route
+                assert parity == "odd" and 0 in ledger.exps
+                with pytest.raises(ZeroArgumentError):
+                    fold.form(parity)
+                with pytest.raises(ZeroArgumentError):
+                    parity_normalize(ledger, parity)
+                zeros += 1
+                continue
+            assert fold.form(parity) == want == parity_normalize(ledger, parity), (ledger, parity)
+    assert zeros > 100
+    for t in range(1, 10):
+        for v in enumerate_codings(t, 20):
+            fold = parity_coding_fold(v)
+            for parity in ("odd", "even"):
+                assert fold.form(parity) == one_parity_coding_ledger(v, parity), (v, parity)
+
+
+def test_parity_fold_forms():
+    fold = parity_fold(WeightLedger({0: -2, -1: 3, -4: 2, 1: 1}, sign=-1))
+    assert fold.zero and fold.flip == -1  # 3 + 2 at negative arguments
+    assert fold.form("even") == WeightLedger({0: -2, 1: 4, 4: 2}, sign=-1)
+    with pytest.raises(ZeroArgumentError):
+        fold.form("odd")
+    fold = parity_fold(WeightLedger({-1: 3, -4: 3, 1: -3}))
+    assert not fold.zero and fold.flip == 1
+    assert fold.form("odd") == fold.form("even") == WeightLedger({4: 3})
+    for bad in ("Odd", None):
+        with pytest.raises(ValueError):
+            fold.form(bad)
+        with pytest.raises(ValueError):
+            parity_normalize(WeightLedger(), bad)
 
 
 def test_parity_normalize():
