@@ -294,3 +294,32 @@ def test_python_m_tcores_runs_the_default_suite():
     assert data["profile"] == "quick"
     assert len(data["results"]) == sum(len(row.quick) for row in VERIFIERS.values())
     assert {r["params"]["seed"] for r in data["results"] if r["identity"] == "sin-lemma"} == {7}
+
+
+# the eight requests of the benchmark's series-deep workload, poly-s-family at
+# three seeds, as `tcores verify` runs them
+SERIES_DEEP_ARGV = (
+    ("nekrasov-okounkov", "--trunc", "16"),
+    ("macdonald", "--t", "4", "--trunc", "6"),
+    ("multiplication", "--r", "2", "--trunc", "14"),
+    ("multiplication", "--r", "3", "--trunc", "15"),
+    ("hook-content", "--max-size", "9", "--max-n", "6"),
+    ("jacobi", "--trunc", "40"),
+    *(("poly-s-family", "--trunc", "12", "--seed", str(seed)) for seed in (1, 2, 3)),
+    ("sin-family", "--r", "1", "--tvalue", "0", "--trunc", "20"),
+)
+
+
+def series_deep_reports(capsys) -> str:
+    reports = []
+    for argv in SERIES_DEEP_ARGV:
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 0, argv
+        report = json.loads(out)
+        del report["ms"]
+        reports.append(report)
+    return json.dumps(reports, indent=1) + "\n"
+
+
+def test_series_deep_reports_match_golden(capsys):
+    assert series_deep_reports(capsys) == (GOLDEN / "series_deep.json").read_text()
