@@ -1,25 +1,32 @@
 """Truncated power series over the exact rings of `rings` (QQ, GF(p) and
 polynomials over either), plus the series builders used by the identity
-verifiers: partition sums weighted by hooks, finite products of binomials
-1 + c q^m (`binomial_product`, each factor applied in place in O(N) ring
-operations instead of a series product), the type-A Macdonald sum (its terms
-read off the t-core codings), and principal specializations of Schur
-polynomials.  A Schur principal specialization is computed as one integer:
-the Jacobi-Trudi determinant at p = X = 2^B, taken by fraction-free (Bareiss)
-elimination, whose base-2^B digits are its coefficients.  The product side of
-the r-multiplication identity (Nekrasov-Okounkov at r = 1) is likewise
+verifiers: partition sums weighted by hooks (each size's sorted hook
+multisets walked once, so a shared prefix is multiplied once, and one
+partition per conjugate class when the sum enumerates them), finite
+products of binomials 1 + c q^m (`binomial_product`, each factor applied in
+place in O(N) ring operations instead of a series product), the type-A
+Macdonald product (its (1 - q^m) runs interleaved with the root pairs, so
+partial products stay sparse) and sum (its terms read off the t-core
+codings), and principal specializations of Schur polynomials.  A Schur
+principal specialization is computed as one integer: the Jacobi-Trudi
+determinant at p = X = 2^B, taken by fraction-free (Bareiss) elimination,
+whose base-2^B digits are its coefficients.  The product side of the
+r-multiplication identity (Nekrasov-Okounkov at r = 1) is likewise
 integer-only at the points beta = r^2 s^2: integer powers of Euler's product
 by J. C. P. Miller's recurrence on the pentagonal series, in place of the
-exp-log eta product that the tests keep as its oracle."""
+exp-log eta product that the tests keep as its oracle.  Walking and
+reordering change no value: the arithmetic is exact and commutative, and
+truncation commutes with every binomial factor."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
 from .coding import coding_size, enumerate_codings
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _conjugate_parts, enumerate_partitions
 from .rings import Poly, PolynomialRing, RationalField
 
 
@@ -297,6 +304,47 @@ def multiplication_product_points(r: int, order: int) -> list[list[list[int]]]:
     return table
 
 
+def _conjugate_classes(n: int):
+    """(partition, weight) for each partition of n that is at least its
+    conjugate in the order of parts: weight 2 stands for the pair, 1 for a
+    self-conjugate partition.  The two share one hook multiset, for every r.
+    The first part against the length settles most comparisons, so only
+    partitions with lambda_1 = l(lambda) build the conjugate."""
+    for lam in enumerate_partitions(n):
+        parts = lam.parts
+        if parts and parts[0] != len(parts):
+            if parts[0] > len(parts):
+                yield lam, 2
+            continue
+        conj = tuple(_conjugate_parts(parts))
+        if parts > conj:
+            yield lam, 2
+        elif parts == conj:
+            yield lam, 1
+
+
+def _prefix_walk(keyed, start, step):
+    """Yield (key, value, weight) for each key of `keyed` (sorted tuple ->
+    weight) in sorted order, with value the fold of `step` over the key from
+    `start`.  A stack holds the value of every prefix of the last key, so a
+    key folds only the entries past the prefix it shares with the key
+    before: each distinct prefix is folded once, and no value outlives the
+    call."""
+    stack = [start]
+    last = ()
+    for key in sorted(keyed):
+        k = 0
+        for a, b in zip(key, last):
+            if a != b:
+                break
+            k += 1
+        del stack[k + 1 :]
+        for h in key[k:]:
+            stack.append(step(stack[-1], h))
+        last = key
+        yield key, stack[-1], keyed[key]
+
+
 def partition_sum_series(
     rho,
     r: int,
@@ -308,20 +356,28 @@ def partition_sum_series(
     """sum over partitions of q^size * prod of rho(h) over hooks divisible
     by r.
 
-    `source(n)` may supply the partitions of size n (e.g. a t-core filter);
-    by default all partitions are used.
+    `source(n)` may supply the partitions of size n (e.g. a t-core filter),
+    each weighted once; by default all partitions are used, one per
+    `_conjugate_classes` class, weighted 2 for a conjugate pair.  Each size's
+    sorted hook tuples are walked by `_prefix_walk` with the step
+    term * rho(h), so hook tuples with a common prefix share its product.
+    The arithmetic is exact and commutative and conjugates share their
+    hooks, so every coefficient is the one the per-partition loop gives.
     """
     if ring is None:
         ring = RationalField()
     coeffs = [ring.zero] * (order + 1)
     for n in range(order + 1):
-        parts = source(n) if source is not None else enumerate_partitions(n)
+        if source is None:
+            classes = _conjugate_classes(n)
+        else:
+            classes = ((lam, 1) for lam in source(n))
+        keyed = Counter()
+        for lam, weight in classes:
+            keyed[tuple(sorted(lam.hooks(r)))] += weight
         acc = ring.zero
-        for p in parts:
-            term = ring.one
-            for h in p.hooks(r):
-                term = term * rho(h)
-            acc = acc + term
+        for _, term, weight in _prefix_walk(keyed, ring.one, lambda term, h: term * rho(h)):
+            acc = acc + (term if weight == 1 else term * weight)
         coeffs[n] = acc
     return TruncatedSeries(ring, coeffs, var)
 
@@ -381,9 +437,20 @@ def _macdonald_ring(t: int) -> PolynomialRing:
 
 
 def macdonald_lhs(t: int, order: int) -> TruncatedSeries:
-    """prod_m (1-q^m)^(t-1) prod_{j<i} (1-(x_i/x_j) q^(m-1)) (1-(x_j/x_i) q^m)."""
+    """prod_m (1-q^m)^(t-1) prod_{j<i} (1-(x_i/x_j) q^(m-1)) (1-(x_j/x_i) q^m).
+
+    The root pairs (i, j) come in lex order, and each of the first t - 1 is
+    followed by one run of (1 - q^m), m = 1..order: by the triple product
+    that pair and run make a theta series, so every partial product is a
+    sparse series before the next pair comes in, instead of swelling before
+    it cancels.  The factors are the same multiset, the Laurent arithmetic is
+    exact and commutative, and truncation commutes with each binomial
+    factor, so every coefficient is the one of any other order.
+    """
     ring = _macdonald_ring(t)
+    run = [(-ring.one, m) for m in range(1, order + 1)]
     factors = []
+    pairs = 0
     for i in range(1, t + 1):
         for j in range(1, i):
             # ratio x_i / x_j carried as a Laurent monomial
@@ -394,7 +461,9 @@ def macdonald_lhs(t: int, order: int) -> TruncatedSeries:
             down = ring.monomial(tuple(-e for e in up))
             factors += [(-ratio, m) for m in range(order + 1)]
             factors += [(-down, m) for m in range(1, order + 1)]
-    factors += [(-ring.one, m) for m in range(1, order + 1)] * (t - 1)
+            pairs += 1
+            if pairs < t:
+                factors += run
     return binomial_product(ring, order, factors)
 
 

@@ -8,21 +8,26 @@ The per-cell renderers, the full-depth bead read-off, the full-loop
 coding enumeration, the per-cell content ledger and the one-parity fold are
 the plain routes that the renderers, `coding_to_core`, `enumerate_codings`,
 `content_ledger` and the parity folds are checked against byte for byte.
+The per-partition hook loops and the lex factor order of the Macdonald
+product are the unwalked routes of `partition_sum_series`,
+`multiplication_hook_points` and `macdonald_lhs`.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import factorial, isqrt, prod
 
 from tcores.coding import InvalidCodingError, _size, _trusted, class_sorted_coding
 from tcores.exploded import _CELL, ExplodedWindow, RelationViolationError, _axis_label, _region
 from tcores.halfint import HalfInt
-from tcores.partitions import Partition
+from tcores.partitions import Partition, enumerate_partitions
 from tcores.qseries import (
     MacdonaldTerm,
     TruncatedSeries,
+    _macdonald_ring,
     binomial_product,
-    partition_sum_series,
+    exact_div,
     schur_principal,
 )
 from tcores.rings import Poly, PolynomialRing, RationalField
@@ -125,6 +130,67 @@ def eta_like_product(exponent, order: int, ring=None, var: str = "q") -> Truncat
 
 
 # ---------------------------------------------------------------------------
+# the unwalked hook sums and the lex-order Macdonald product
+
+
+def per_partition_sum_series(rho, r: int, order: int, ring=None, source=None, var: str = "q"):
+    """sum over partitions of q^size prod rho(h) over the hooks divisible by
+    r, one partition at a time, each hook product from scratch; `source(n)`
+    may supply the partitions of size n."""
+    if ring is None:
+        ring = RationalField()
+    coeffs = [ring.zero] * (order + 1)
+    for n in range(order + 1):
+        parts = source(n) if source is not None else enumerate_partitions(n)
+        acc = ring.zero
+        for p in parts:
+            term = ring.one
+            for h in p.hooks(r):
+                term = term * rho(h)
+            acc = acc + term
+        coeffs[n] = acc
+    return TruncatedSeries(ring, coeffs, var)
+
+
+def per_partition_hook_points(r: int, N: int) -> list[list[list[int]]]:
+    """The hook side of r-multiplication at beta = r^2 s^2, s = 0..N//r, as
+    `identities.multiplication_hook_points` defines it: every partition's
+    hooks read, shapes counted, prod (g^2 - s^2) taken per shape and point."""
+    top = N // r
+    table = [[[0] * (top + 1) for _ in range(n // r + 1)] for n in range(N + 1)]
+    for n in range(N + 1):
+        shapes = Counter(
+            tuple(sorted(h // r for h in lam.hooks(r))) for lam in enumerate_partitions(n)
+        )
+        for gs, count in shapes.items():
+            w = len(gs)
+            c = exact_div(factorial(w), prod(gs))
+            scale = count * c * c
+            row = table[n][w]
+            for s in range(top + 1):
+                row[s] += scale * prod([g * g - s * s for g in gs])
+    return table
+
+
+def lex_macdonald_lhs(t: int, order: int) -> TruncatedSeries:
+    """The Macdonald product with every root-pair binomial, in lex order,
+    applied before the t - 1 runs of (1 - q^m)."""
+    ring = _macdonald_ring(t)
+    factors = []
+    for i in range(1, t + 1):
+        for j in range(1, i):
+            up = [0] * t
+            up[i - 1] = 1
+            up[j - 1] = -1
+            ratio = ring.monomial(tuple(up))
+            down = ring.monomial(tuple(-e for e in up))
+            factors += [(-ratio, m) for m in range(order + 1)]
+            factors += [(-down, m) for m in range(1, order + 1)]
+    factors += [(-ring.one, m) for m in range(1, order + 1)] * (t - 1)
+    return binomial_product(ring, order, factors)
+
+
+# ---------------------------------------------------------------------------
 # the polynomial routes of the integer-point verifiers
 
 
@@ -133,7 +199,7 @@ def nekrasov_okounkov_pair(N: int):
     1 - beta/h^2 and prod (1 - q^k)^(beta - 1)."""
     ring = PolynomialRing(("beta",))
     beta = ring.var("beta")
-    lhs = partition_sum_series(
+    lhs = per_partition_sum_series(
         lambda h: ring.one - beta * Fraction(1, h * h), 1, N, ring
     )
     rhs = eta_like_product(beta - 1, N, ring)
@@ -147,7 +213,7 @@ def multiplication_pair(r: int, N: int):
     ring = PolynomialRing(("beta", "x"))
     beta = ring.var("beta")
     x = ring.var("x")
-    lhs = partition_sum_series(
+    lhs = per_partition_sum_series(
         lambda h: x * (ring.one - beta * Fraction(1, h * h)), r, N, ring
     )
     inner = eta_like_product(beta * Fraction(1, r * r) - 1, N // r, ring)

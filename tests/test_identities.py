@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import pytest
 
@@ -51,6 +51,7 @@ from oracles import (
     macdonald_box_terms,
     multiplication_pair,
     nekrasov_okounkov_pair,
+    per_partition_hook_points,
     substitute,
 )
 
@@ -270,6 +271,29 @@ def test_integer_points_are_the_poly_route_at_beta(r, N, marked):
         assert poly_points(side, r, N, marked) == hooks
 
 
+@pytest.mark.parametrize("r, N", [(1, 16), (2, 14), (3, 15), (7, 5), (1, 1)])
+def test_hook_points_are_the_per_partition_table(r, N):
+    got = multiplication_hook_points(r, N)
+    want = per_partition_hook_points(r, N)
+    assert got == want
+    assert all(type(v) is int for row in got for entry in row for v in entry)
+
+
+def test_hook_points_read_one_hook_list_per_conjugate_class(monkeypatch):
+    # a partition and its conjugate share their hooks: 145 classes among
+    # the 272 partitions of size <= 12
+    classes = sum(
+        1 for n in range(13) for lam in partitions.enumerate_partitions(n)
+        if lam.parts >= lam.conjugate().parts
+    )
+    assert classes == 145
+    calls = []
+    real = Partition.hooks
+    monkeypatch.setattr(Partition, "hooks", lambda self, r=1: calls.append(self) or real(self, r))
+    multiplication_hook_points(1, 12)
+    assert len(calls) == classes
+
+
 def test_coding_route_is_the_hook_side_at_beta_t_squared():
     # Theorem 1.1 at tau(k) = k: the odd-weight coding product of a t-core is
     # prod (1 - t^2/h^2) over its hooks, and the hook sum at beta = t^2 keeps
@@ -307,7 +331,7 @@ def test_integer_points_edge_cases():
 def test_nekrasov_okounkov_broken_weight_fails(monkeypatch):
     # h^2 - beta becomes h^2 - beta + 1 at r = 1
     monkeypatch.setattr(
-        identities, "hook_weight_product", lambda gs, s: prod([g * g - s * s + 1 for g in gs])
+        identities, "hook_point_weights", lambda g, top: [g * g - s * s + 1 for s in range(top + 1)]
     )
     r = verify_nekrasov_okounkov(6)
     assert not r.passed and r.deviation == "q^1: beta=0: 2 != 1"
@@ -334,8 +358,8 @@ def test_broken_pentagonal_sign_fails(monkeypatch):
 def test_multiplication_broken_hook_weight_fails(monkeypatch):
     # only the weight of the hooks h = r changes: g^2 - s^2 + 1 at g = 1
     monkeypatch.setattr(
-        identities, "hook_weight_product",
-        lambda gs, s: prod([g * g - s * s + (g == 1) for g in gs]),
+        identities, "hook_point_weights",
+        lambda g, top: [g * g - s * s + (g == 1) for s in range(top + 1)],
     )
     r = verify_multiplication(2, 8)
     # (2) and (1,1) each have one hook 2, weighted 2 instead of 1 at beta = 0
@@ -603,6 +627,34 @@ def test_multiset_formula_stops_at_first_mirror_failure(monkeypatch):
     r = verify_multiset_formula(3, 10)
     assert r.deviation == "1: bead relations failed: ['mirror_intersection']"
     assert r.details["cores_checked"] == 2
+
+
+def test_multiset_formula_computes_each_size_once(monkeypatch):
+    # coding_to_core checks its read-off against the size formula, and the
+    # round trip then shows the core's coding is v: one _size per core
+    calls = []
+    real = coding._size
+    monkeypatch.setattr(coding, "_size", lambda twice, t: calls.append(t) or real(twice, t))
+    r = verify_multiset_formula(3, 10)
+    assert r.passed and r.details["cores_checked"] == 14
+    assert len(calls) == 14
+
+
+def test_multiset_formula_names_a_coding_its_read_off_rejects(monkeypatch):
+    # a read-off that fails is the sweep's first failure, naming the coding,
+    # not an exception out of the suite; the empty 3-core's coding is first
+    real = coding._size
+    monkeypatch.setattr(coding, "_size", lambda twice, t: real(twice, t) + 1)
+    r = verify_multiset_formula(3, 10)
+    assert not r.passed and r.details["cores_checked"] == 1
+    assert r.deviation == "coding 1,0,-1: bead read-off does not match the size formula"
+
+    def fractional(twice, t):
+        raise coding.NonIntegerSizeError("size formula gave 1/2")
+
+    monkeypatch.setattr(coding, "_size", fractional)
+    r = verify_multiset_formula(3, 10)
+    assert not r.passed and r.deviation == "coding 1,0,-1: size formula gave 1/2"
 
 
 def test_classical_crosschecks_see_one_dropped_filter_hit(monkeypatch):

@@ -26,7 +26,14 @@ from tcores.qseries import (
 )
 from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
 
-from oracles import eta_like_product, macdonald_box_terms, series_pow, substitute
+from oracles import (
+    eta_like_product,
+    lex_macdonald_lhs,
+    macdonald_box_terms,
+    per_partition_sum_series,
+    series_pow,
+    substitute,
+)
 
 QQ = RationalField()
 
@@ -221,6 +228,111 @@ def test_macdonald_exact_small():
     assert macdonald_lhs(2, 4) == macdonald_rhs(2, 4)
     assert macdonald_lhs(3, 3) == macdonald_rhs(3, 3)
     assert macdonald_lhs(4, 2) == macdonald_rhs(4, 2)
+
+
+# the walked kernels against their unwalked oracles, coefficient for
+# coefficient: equal values of equal type, not the ring's comparison rule
+
+
+def exact_coeffs(series):
+    """Each coefficient as (type, value); a Poly as its term dict of them."""
+    return [
+        {e: (type(v), v) for e, v in c.terms.items()} if isinstance(c, Poly) else (type(c), c)
+        for c in series.coeffs
+    ]
+
+
+def weight_case(name):
+    """(ring, rho, N) of one coefficient ring of the partition sums."""
+    if name == "QQ-one":
+        return QQ, lambda h: 1, 14
+    if name == "QQ[beta]":
+        ring = PolynomialRing(("beta",))
+        beta = ring.var("beta")
+        return ring, lambda h: ring.one - beta * Fraction(1, h * h), 12
+    if name == "GF(p)":
+        return PrimeField(), lambda h: pow(123456789, h, P) + h, 14
+    if name == "GF(p)[s]":
+        ring = PolynomialRing(("s",), base=PrimeField())
+        s = ring.var("s")
+        return ring, lambda h: s + (s - 1) * (s - 1) * pow(h + 2, -1, P), 12
+    ring = PolynomialRing(("beta", "x"))
+    beta, x = ring.var("beta"), ring.var("x")
+    return ring, lambda h: x * (ring.one - beta * Fraction(1, h * h)), 12
+
+
+def core_source(t, N):
+    """The t-cores by size, from the filter over all partitions."""
+    cores = {n: [] for n in range(N + 1)}
+    for lam in enumerate_t_cores(t, N):
+        cores[lam.size].append(lam)
+    return cores.__getitem__
+
+
+@pytest.mark.parametrize("cores", [False, True], ids=["all", "3-cores"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name", ["QQ-one", "QQ[beta]", "GF(p)", "GF(p)[s]", "QQ[beta,x]"])
+def test_partition_sum_is_the_per_partition_loop(name, r, cores):
+    ring, rho, N = weight_case(name)
+    source = core_source(3, N) if cores else None
+    got = partition_sum_series(rho, r, N, ring, source=source)
+    want = per_partition_sum_series(rho, r, N, ring, source=source)
+    assert exact_coeffs(got) == exact_coeffs(want)
+
+
+def test_a_source_is_never_doubled_by_conjugates():
+    # a source listing (2) without its conjugate (1,1): a sum that doubled
+    # conjugate pairs in a source would read q^2 as the full sum does
+    def source(n):
+        return [Partition((2,))] if n == 2 else list(enumerate_partitions(n))
+
+    def rho(h):
+        return Fraction(1, h + 1)
+
+    got = partition_sum_series(rho, 1, 4, source=source)
+    assert exact_coeffs(got) == exact_coeffs(per_partition_sum_series(rho, 1, 4, source=source))
+    assert got.coeffs[2] == Fraction(1, 6)
+    assert partition_sum_series(rho, 1, 4).coeffs[2] == Fraction(1, 3)
+    assert got.coeffs[:2] == partition_sum_series(rho, 1, 4).coeffs[:2]
+
+
+def test_partition_sum_shares_hook_prefixes():
+    # one ring product per distinct prefix of the sizes' sorted hook
+    # multisets, against sum n p(n) = 416 for one product per hook
+    ring, rho, N = weight_case("GF(p)[s]")
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return rho(h)
+
+    partition_sum_series(counting, 1, 8, ring)
+    assert len(calls) == 134
+    calls.clear()
+    per_partition_sum_series(counting, 1, 8, ring)
+    assert len(calls) == 416
+
+
+@pytest.mark.parametrize("t, N", [(2, 6), (3, 5), (4, 6), (5, 3)])
+def test_macdonald_lhs_is_the_lex_order_product(t, N):
+    assert exact_coeffs(macdonald_lhs(t, N)) == exact_coeffs(lex_macdonald_lhs(t, N))
+
+
+def test_macdonald_lhs_multiplies_sparse_partial_products(monkeypatch):
+    # coefficient term pairs of every Poly product in macdonald_lhs(4, 6)
+    pairs = []
+    real = Poly.__mul__
+
+    def counting(self, other):
+        pairs.append(len(self.terms) * len(other.terms) if isinstance(other, Poly) else len(self.terms))
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    macdonald_lhs(4, 6)
+    assert sum(pairs) == 11182
+    pairs.clear()
+    lex_macdonald_lhs(4, 6)
+    assert sum(pairs) == 21356
 
 
 @lru_cache(maxsize=None)
