@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -323,3 +324,25 @@ def series_deep_reports(capsys) -> str:
 
 def test_series_deep_reports_match_golden(capsys):
     assert series_deep_reports(capsys) == (GOLDEN / "series_deep.json").read_text()
+
+
+def enumerate_digests(capsys) -> dict[str, str]:
+    """sha256 of `tcores enumerate --via codings` output, in process, keyed
+    "t/max-size/format" for t = 1..10, max-size 0..30 and both formats."""
+    digests = {}
+    for t in range(1, 11):
+        for max_size in range(31):
+            for fmt in ("text", "json"):
+                code, out, _ = run(
+                    capsys, "enumerate", "--t", str(t), "--max-size", str(max_size),
+                    "--via", "codings", "--format", fmt,
+                )
+                assert code == 0, (t, max_size, fmt)
+                digests[f"{t}/{max_size}/{fmt}"] = hashlib.sha256(out.encode()).hexdigest()
+    return digests
+
+
+def test_enumerate_codings_match_golden(capsys):
+    golden = json.loads((GOLDEN / "enumerate_codings.json").read_text())
+    assert len(golden) == 620
+    assert enumerate_digests(capsys) == golden
