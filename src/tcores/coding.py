@@ -190,7 +190,12 @@ def core_coding(partition: Partition, t: int) -> CoreCoding:
     """
     if not partition.is_t_core(t):
         raise NotACoreError(f"{partition} has a hook length divisible by {t}")
-    beads = bead_set(partition, t)
+    return _class_tops(bead_set(partition, t))
+
+
+def _class_tops(beads: BeadSet) -> CoreCoding:
+    """The coding of a t-core's bead set: its largest bead in each class."""
+    t = beads.t
     # candidates in decreasing order: the head, then the top t ray elements,
     # which cover every class at least once; the first hit per class is its
     # largest bead, and the dict keeps the hits in that decreasing order
@@ -209,7 +214,7 @@ def coding_size(coding: CoreCoding) -> int:
 
 
 def _size(twice: tuple[int, ...], t: int) -> int:
-    num = 3 * sum(tw * tw for tw in twice) - t * t * t + t
+    num = 3 * sum(map(operator.mul, twice, twice)) - t * t * t + t
     size, rem = divmod(num, 24 * t)
     if rem or size < 0:
         raise NonIntegerSizeError(f"size formula gave {Fraction(num, 24 * t)}")
@@ -219,37 +224,43 @@ def _size(twice: tuple[int, ...], t: int) -> int:
 def coding_to_core(coding: CoreCoding) -> Partition:
     """Rebuild the t-core from its coding.
 
-    The bead set is the union of the descending arithmetic rays
-    {a, a-t, a-2t, ...} over coding entries a; reading the merged beads in
-    decreasing order w_1 > w_2 > ... recovers part_i = w_i + i - (t+1)/2.
-    Each ray reaches the smallest entry m, so every value at or below m in
-    its lattice is a bead: the read-off stops at m, whose part every later
-    bead repeats and which must therefore be 0.  A CoreCoding is valid by
-    construction, so it is not validated again.
+    The bead set is the union of the descending rays {a, a-t, a-2t, ...}
+    over coding entries a, so a position is a bead exactly when it lies at
+    or below the entry of its class.  Every class has an entry at or above
+    the smallest entry m, so every position at or below m is a bead, and a
+    bead's part is the number of gaps (non-beads) below it: one upward scan
+    from m + 1 to the largest entry reads every positive part, smallest
+    first.  The gap count never falls as the scan rises, so the parts come
+    out positive and weakly decreasing by construction.
+
+    A CoreCoding is valid by construction, so it is not validated again;
+    the checks left catch a trusted vector that is not a coding.  Entries
+    that miss a class, share one, or have the wrong parity for t fail the
+    class table.  With one entry per class, a nonzero sum shifts every bead
+    by the same c, which leaves the gap count alone but raises the size
+    formula by c^2/2, and entries out of order shorten the scan, which can
+    only lose parts or gaps; both read-offs fall short of the formula.
     """
     values, t = coding.twice, coding.t
     n = _size(values, t)
-    shift = t + 1
-    m = values[-1]
     step = 2 * t
-    merged = sorted((tw for v in values[:-1] for tw in range(v, m, -step)), reverse=True)
-    merged.append(m)
+    top = [None] * step  # entry of each class, indexed by doubled residue
+    for v in values:
+        top[v % step] = v
+    # t entries filling the t classes of t's parity fill each exactly once
+    if len(values) != t or None in top[(t + 1) % 2::2]:
+        raise InvalidCodingError("entries do not fill each class mod t once")
     parts = []
-    prev = None
-    for i, w in enumerate(merged, start=1):
-        tw = w + 2 * i - shift
-        if tw % 2:
-            raise InvalidCodingError("bead read-off produced a half-integer part")
-        lam = tw // 2
-        if lam < 0 or (prev is not None and lam > prev):
-            raise InvalidCodingError("bead read-off is not weakly decreasing")
-        if lam > 0:
-            parts.append(lam)
-        prev = lam
-    # a nonzero part at m repeats at every bead below it, without end
-    if prev or sum(parts) != n:
+    gaps = 0
+    for p in range(values[-1] + 2, values[0] + 1, 2):
+        if p <= top[p % step]:
+            if gaps:
+                parts.append(gaps)
+        else:
+            gaps += 1
+    if sum(parts) != n:
         raise InvalidCodingError("bead read-off does not match the size formula")
-    # the loop above has checked every part positive and weakly decreasing
+    parts.reverse()
     return _trusted_partition(tuple(parts))
 
 
@@ -317,9 +328,11 @@ def bead_relation_checks(partition: Partition, coding: CoreCoding) -> dict[str, 
     """
     t = coding.t
     conj = partition.conjugate()
-    coding2 = core_coding(conj, t)
+    if not conj.is_t_core(t):
+        raise NotACoreError(f"{conj} has a hook length divisible by {t}")
     beads1 = bead_set(partition, t)
     beads2 = bead_set(conj, t)
+    coding2 = _class_tops(beads2)
     top1, top2 = beads1.top, beads2.top
 
     ray_closure = all(h - 2 * t in beads1 for h in beads1.head)
@@ -353,30 +366,49 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
+    if t == 1:
+        # the only 1-core is the empty partition, coded by (0)
+        return [_trusted((0,), 1)] if max_size >= 0 else []
     tw0 = 0 if t % 2 else 1
     # doubled values: u_i = tw0 + 2i + 2t*k_i; the sum vanishes, so the
-    # first t - 1 entries fix the last one
+    # first t - 2 entries leave the last two a fixed sum
     base = [tw0 + 2 * i for i in range(t)]
-    last, step = t - 1, 2 * t
+    pair, last, step = t - 2, t - 1, 2 * t
     # bound on the sum of squared doubled values: size <= max_size exactly
     # when sum tw^2 <= 8t max_size + (t^3 - t)/3, and 3 divides (t-1)t(t+1)
     budget = 8 * t * max_size + (t * t * t - t) // 3
     by_size: dict[int, list[tuple[int, ...]]] = {}
 
     def rec(i, remaining_sum, remaining_budget, chosen):
-        if i == last:
-            # the last entry cancels the others' sum; it must lie in the
-            # last class and fit the budget; one entry per class, so distinct
-            tw = remaining_sum
-            rest = remaining_budget - tw * tw
-            if (tw - base[last]) % step == 0 and rest >= 0:
+        if i == pair:
+            # the last two entries x + y = s fit the budget B exactly when
+            # (2x - s)^2 <= 2B - s^2, so x runs over one interval of its class
+            s = remaining_sum
+            spread = 2 * remaining_budget - s * s
+            if spread < 0:
+                return
+            r = math.isqrt(spread)
+            b = base[pair]
+            k_lo = -((b - (s - r + 1) // 2) // step)
+            k_hi = ((s + r) // 2 - b) // step
+            for k in range(k_lo, k_hi + 1):
+                x = b + step * k
+                y = s - x
+                # cannot fail: the base values sum to t*tw0 + t(t-1), which is
+                # 0 mod 2t for either parity of t, so entries taking one from
+                # each class sum to 0 mod 2t; the first t - 1 take one from
+                # each of their classes and y brings the sum to 0, so y is in
+                # the last class, and distinct from every other entry
+                if (y - base[last]) % step:
+                    raise InvalidCodingError(f"last entry {y} left its class")
                 # sum tw^2 = budget - rest, so the size formula reads
                 # max_size - rest/(8t): no sum of squares, and at most max_size
+                rest = remaining_budget - x * x - y * y
                 drop, rem = divmod(rest, 8 * t)
                 if rem or drop > max_size:
                     num = 3 * (budget - rest) - t * t * t + t
                     raise NonIntegerSizeError(f"size formula gave {Fraction(num, 24 * t)}")
-                values = tuple(sorted(chosen + [tw], reverse=True))
+                values = tuple(sorted(chosen + [x, y], reverse=True))
                 by_size.setdefault(max_size - drop, []).append(values)
             return
         slots_left = t - i

@@ -66,3 +66,19 @@ def test_exploded_spans_record_the_sweep(spans):
     assert calls.get("exploded.window") == cores > 0
     assert calls.get("exploded.relations", 0) >= cores
     assert calls.get("exploded.region_ledger", 0) >= cores
+
+
+def test_coding_spans_record_the_enumeration(spans):
+    # the per-layer coding metrics read these spans; work moved off
+    # coding_to_core or enumerate_codings would leave them reading 0
+    from tcores import coding
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        cores = coding.cores_from_codings(5, 20)
+    finally:
+        tracer.uninstall()
+    calls = {name: total[0] for name, total in tracer.span_totals().items()}
+    assert calls.get("coding.coding_to_core") == len(cores) == 164
+    assert calls.get("coding.enumerate_codings", 0) >= 1

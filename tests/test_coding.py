@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcores import coding
 from tcores.coding import (
@@ -360,12 +361,59 @@ def test_read_off_checks_still_fail(read_off):
     # a zero-sum failure whose read-off falls short of the size formula
     with pytest.raises(InvalidCodingError, match="does not match the size formula"):
         read_off(coding._trusted((13, 11), 2))
-    # the part at the smallest entry, 2, repeats below it: the short read-off
-    # sums to the size formula's 2, so only the trailing-part check sees it
+    # the lone entry 2 moves every bead of the empty 1-core up by 2, which
+    # no gap count sees: the read-off is empty, the size formula reads 2
     with pytest.raises(InvalidCodingError, match="does not match the size formula"):
         read_off(coding._trusted((4,), 1))
     with pytest.raises(NonIntegerSizeError):
         read_off(coding._trusted((12, 0, -12), 3))
+    # zero-sum or not, each has an integral size, so only the read-off can
+    # reject it; a gap scan that trusted the classes would accept all three
+    for twice, t in (
+        ((7, 5, 3, -3, -5, -7), 6),  # 7/2 and -5/2 share a class mod 6, as do 5/2 and -7/2
+        ((6, 3, -1, -3, -5), 5),  # mixed parity: the integer 3 among halves
+        ((8, 4, 2, -8), 4),  # integers, where t = 4 needs halves
+    ):
+        assert coding._size(twice, t) > 0
+        with pytest.raises(InvalidCodingError):
+            read_off(coding._trusted(twice, t))
+
+
+def test_coding_to_core_sorts_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(coding, "sorted", lambda *a, **k: calls.append(a) or sorted(*a, **k),
+                        raising=False)
+    codings = enumerate_codings(6, 20)
+    calls.clear()
+    assert [coding_to_core(c) for c in codings] == enumerate_t_cores(6, 20)
+    assert calls == []
+    # the counter does see a sort in this module
+    enumerate_codings(3, 1)
+    assert calls
+
+
+# entries held doubled, |entry| <= 400; the first t - 1 share the bound so
+# that the last one, which cancels their sum, keeps it too
+@st.composite
+def large_codings(draw):
+    t = draw(st.integers(1, 12))
+    tw0, step = (t + 1) % 2, 2 * t
+    bound = 800 // max(t - 1, 1)
+    twice = [
+        draw(st.sampled_from(range(tw0 + 2 * i - step * ((bound + tw0 + 2 * i) // step),
+                                   bound + 1, step)))
+        for i in range(t - 1)
+    ]
+    twice.append(-sum(twice))
+    return CoreCoding([HalfInt(tw) for tw in sorted(twice, reverse=True)], t)
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(large_codings())
+def test_read_off_far_past_the_enumerated_sizes(c):
+    core = coding_to_core(c)
+    assert core == full_depth_coding_to_core(c)
+    assert core_coding(core, c.t) == c
 
 
 def test_two_cores_are_triangular():

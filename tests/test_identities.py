@@ -714,13 +714,14 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
         (identities, "core_coding"), (coding, "core_coding"), (exploded, "core_coding"),
         (Partition, "is_t_core"), (Partition, "hooks"), (exploded, "region_ledger"),
     ])
-    # one core built per coding; core_coding and the core test run once for
-    # the core and once for its conjugate in the bead relations; hooks are
-    # read once for beta and the hook-shift ledger, and once for mu's side
-    # of the content ledger
+    # one core built per coding; core_coding runs once, for the core, and
+    # the core test once for the core and once for its conjugate in the bead
+    # relations, which read the conjugate's coding off its bead set; hooks
+    # are read once for beta and the hook-shift ledger, and once for mu's
+    # side of the content ledger
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"coding_to_core": n, "core_coding": 2 * n, "is_t_core": 2 * n, "hooks": 2 * n}
+    assert tally == {"coding_to_core": n, "core_coding": n, "is_t_core": 2 * n, "hooks": 2 * n}
     # one core built per coding, whose window reads one coding and negates it
     # for the conjugate; the fold ledger tallies each band once and reads beta
     # for the band counts, and the triangle ledger tallies two more regions
@@ -730,6 +731,15 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     assert tally == {
         "coding_to_core": 10, "core_coding": 10, "is_t_core": 10, "hooks": 10, "region_ledger": 40,
     }
+
+
+def test_multiset_sweep_builds_three_bead_sets_per_core(monkeypatch):
+    # core_coding builds the core's bead set, and the bead relations build
+    # the core's again and the conjugate's once, reading its coding off it
+    tally = count_calls(monkeypatch, [(coding, "bead_set")])
+    n = len(enumerate_codings(3, 10))
+    assert verify_multiset_formula(3, 10).passed
+    assert tally == {"bead_set": 3 * n} and n == 14
 
 
 def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
