@@ -10,6 +10,7 @@ import pytest
 
 from tcores.cli import main
 from tcores.identities import VERIFIERS
+from tcores.partitions import partitions_up_to
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLE1_ARGV = ("core-map", "--partition", "8,4,3,2,2,1", "--t", "5")
@@ -346,3 +347,32 @@ def test_enumerate_codings_match_golden(capsys):
     golden = json.loads((GOLDEN / "enumerate_codings.json").read_text())
     assert len(golden) == 620
     assert enumerate_digests(capsys) == golden
+
+
+# the explode and core-map formats; core-map's non-core error is part of its
+# output, and a non-core's window renders with no coding marked
+WINDOW_FORMATS = (("explode", "text"), ("explode", "svg"), ("core-map", "text"), ("core-map", "json"))
+
+
+def window_digests(capsys) -> dict[str, str]:
+    """sha256 of the in-process exit code, stdout and stderr of `tcores
+    explode` and `tcores core-map`, keyed "command/format/t" for t = 1..6,
+    one digest over every partition of size <= 10, cores and non-cores."""
+    partitions = list(partitions_up_to(10))
+    digests = {}
+    for command, fmt in WINDOW_FORMATS:
+        for t in range(1, 7):
+            h = hashlib.sha256()
+            for lam in partitions:
+                code, out, err = run(
+                    capsys, command, f"--partition={lam}", "--t", str(t), "--format", fmt
+                )
+                h.update(f"{lam}\0{code}\0{out}\0{err}\0".encode())
+            digests[f"{command}/{fmt}/{t}"] = h.hexdigest()
+    return digests
+
+
+def test_window_outputs_match_golden(capsys):
+    golden = json.loads((GOLDEN / "cli_windows.json").read_text())
+    assert len(golden) == 24
+    assert window_digests(capsys) == golden
