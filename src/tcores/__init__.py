@@ -32,7 +32,6 @@ from .exploded import (
     ExplodedWindow,
     RelationViolationError,
     check_fold,
-    check_fold_ledger,
     check_translation_relations,
     check_triangle_ledger,
     region_ledger,

@@ -186,11 +186,20 @@ def bead_set(partition: Partition, t: int) -> BeadSet:
 def core_coding(partition: Partition, t: int) -> CoreCoding:
     """Largest bead in each congruence class modulo t, sorted decreasing.
 
-    Defined exactly on t-cores; raises NotACoreError otherwise.
+    Defined exactly on t-cores, whose bead sets are `_closed`; raises
+    NotACoreError otherwise.
     """
-    if not partition.is_t_core(t):
+    beads = bead_set(partition, t)
+    if not _closed(beads):
         raise NotACoreError(f"{partition} has a hook length divisible by {t}")
-    return _class_tops(bead_set(partition, t))
+    return _class_tops(beads)
+
+
+def _closed(beads: BeadSet) -> bool:
+    """Whether the bead set is closed under the step down by t, exactly when
+    its partition is a t-core (Garvan-Kim-Stanton); the ray always is."""
+    step = 2 * beads.t
+    return all(tw - step in beads for tw in beads.head)
 
 
 def _class_tops(beads: BeadSet) -> CoreCoding:
@@ -328,14 +337,14 @@ def bead_relation_checks(partition: Partition, coding: CoreCoding) -> dict[str, 
     """
     t = coding.t
     conj = partition.conjugate()
-    if not conj.is_t_core(t):
+    beads2 = bead_set(conj, t)
+    if not _closed(beads2):
         raise NotACoreError(f"{conj} has a hook length divisible by {t}")
     beads1 = bead_set(partition, t)
-    beads2 = bead_set(conj, t)
     coding2 = _class_tops(beads2)
     top1, top2 = beads1.top, beads2.top
 
-    ray_closure = all(h - 2 * t in beads1 for h in beads1.head)
+    ray_closure = _closed(beads1)
 
     # W1 and the negated W2 on the window [-M2, M1], as sets
     w1 = set(beads1.elements_down_to(-top2))

@@ -11,14 +11,14 @@ Each side of a window is read once from its bead set into decreasing lists
 of doubled coordinates: every coordinate Z, the beads W, the beads off the
 coding Wd and the gaps C.  The window ends at the top bead of each side, so
 inside it the ray below that bead and the whole lattice line Z are the same
-list.
+list.  The x side's bead set also gives the coding and the t-core test.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .coding import BeadSet, NotACoreError, bead_set, core_coding
+from .coding import BeadSet, _class_tops, _closed, bead_set
 from .halfint import HalfInt
 from .partitions import Partition
 from .weights import WeightLedger
@@ -43,8 +43,9 @@ class ExplodedWindow:
     entry of the box (xtw, ytw) is the integer (xtw + ytw) // 2.  `z`, `w`,
     `wd` and `c` are pairs (x side, y side) of decreasing lists: every
     coordinate of the window, the beads, the beads off the coding and the
-    gaps.  `v` holds the two codings as sets (the y side's is the x side's
-    negated; both empty for a non-core) and `beads` the two bead sets.
+    gaps.  `v` holds the two codings as sets (the x side's bead set read
+    when it is closed, the y side's negated: the conjugate of a t-core is a
+    t-core; both empty for a non-core) and `beads` the two bead sets.
     """
 
     __slots__ = ("partition", "conjugate", "t", "beads", "v", "z", "w", "wd", "c")
@@ -55,13 +56,9 @@ class ExplodedWindow:
         self.partition = partition
         self.conjugate = partition.conjugate()
         self.t = t
-        self.beads = (bead_set(partition, t), bead_set(self.conjugate, t))
-        try:  # the conjugate of a t-core is a t-core, coded by the negated coding
-            v = frozenset(core_coding(partition, t).twice)
-        except NotACoreError:
-            v = frozenset()
+        beads1, beads2 = self.beads = (bead_set(partition, t), bead_set(self.conjugate, t))
+        v = frozenset(_class_tops(beads1).twice) if _closed(beads1) else frozenset()
         self.v = (v, frozenset(-tw for tw in v))
-        beads1, beads2 = self.beads
         # a margin of t beyond [-M2, M1] x [-M1, M2]
         self.z, self.w, self.wd, self.c = zip(
             _side(beads1, self.v[0], -beads2.top - 2 * t),
@@ -98,46 +95,57 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     """
     if not window.v[0]:
         raise RelationViolationError("translation relations assume a t-core")
-    t = window.t
+    t, step = window.t, 2 * window.t
     w1, w2 = window.w
     w1d, w2d = window.wd
-    results = {}
-
     delta = _pair_set(w1, w2, t, None)
-
-    moved = {(x, y - 2 * t) for (x, y) in delta}
-    results["shift_down"] = moved == _pair_set(w1, w2d, 0, None, forbid=(t,))
-
-    moved = {(x - 2 * t, y) for (x, y) in delta}
-    results["shift_left"] = moved == _pair_set(w1d, w2, 0, None, forbid=(t,))
-
-    moved = {(x - 2 * t, y - 2 * t) for (x, y) in delta}
-    results["shift_diagonal"] = moved == _pair_set(w1d, w2d, -t, None, forbid=(0, t))
-
-    return results
+    return {
+        "shift_down": {(x, y - step) for x, y in delta} == _pair_set(w1, w2d, 0, None, forbid=(t,)),
+        "shift_left": {(x - step, y) for x, y in delta} == _pair_set(w1d, w2, 0, None, forbid=(t,)),
+        "shift_diagonal": {(x - step, y - step) for x, y in delta}
+        == _pair_set(w1d, w2d, -t, None, forbid=(0, t)),
+    }
 
 
 def check_fold(window: ExplodedWindow) -> dict[str, bool]:
-    """Folding (x, y) -> (-y, -x) matches the negative band on non-coding
-    beads with the positive band on the gap sets, negating entries."""
+    """The fold (x, y) -> (-y, -x) between the negative band (-t, 0) on
+    non-coding beads and the positive band (0, t) on the gap sets, in set
+    and ledger forms; each band is built and tallied once.
+
+    fold_bijection  the fold maps the negative band onto the positive one
+    entries_negate  the two bands' entry sets are negatives of each other
+    fold_ledger     negative band = argument-negated positive band
+    band_count      the negative band has one box per hook shorter than t
+    gap_band_counts the positive band has beta_i boxes of entry i, with
+                    beta = small_hook_counts(t)
+    """
     if not window.v[0]:
         raise RelationViolationError("the fold assumes a t-core")
     t = window.t
     negative = _pair_set(*window.wd, -t, 0)
     positive = _pair_set(*window.c, 0, t)
-    folded = {(-y, -x) for (x, y) in negative}
-    bijection = folded == positive
-    entries_negate = {-(x + y) // 2 for (x, y) in negative} == {
-        (x + y) // 2 for (x, y) in positive
+    neg, pos = _tally(negative), _tally(positive)
+    beta = window.partition.small_hook_counts(t)
+    return {
+        "fold_bijection": {(-y, -x) for (x, y) in negative} == positive,
+        "entries_negate": {-(x + y) // 2 for (x, y) in negative}
+        == {(x + y) // 2 for (x, y) in positive},
+        "fold_ledger": neg == pos.negate_arguments(),
+        "band_count": neg.total_degree() == sum(beta),
+        "gap_band_counts": pos == WeightLedger({i: beta[i - 1] for i in range(1, t)}),
     }
-    return {"fold_bijection": bijection, "entries_negate": entries_negate}
+
+
+def _tally(pairs) -> WeightLedger:
+    """Tally of the entries of a set of doubled-coordinate pairs."""
+    return WeightLedger(Counter((xtw + ytw) // 2 for xtw, ytw in pairs))
 
 
 def region_ledger(xs, ys, lo: int, hi: int | None = None) -> WeightLedger:
     """Tally of the entries lo < entry < hi over the boxes xs x ys, two
     lists of doubled coordinates; hi=None leaves the entries unbounded
     above."""
-    return WeightLedger(Counter((xtw + ytw) // 2 for xtw, ytw in _pair_set(xs, ys, lo, hi)))
+    return _tally(_pair_set(xs, ys, lo, hi))
 
 
 def check_triangle_ledger(window: ExplodedWindow) -> dict[str, bool]:
@@ -149,26 +157,6 @@ def check_triangle_ledger(window: ExplodedWindow) -> dict[str, bool]:
     minus = region_ledger(window.z[0], window.c[1], 0, t)
     want = WeightLedger({k: t - k for k in range(1, t)})
     return {"triangle_ledger": plus / minus == want}
-
-
-def check_fold_ledger(window: ExplodedWindow) -> dict[str, bool]:
-    """Ledger form of the fold, with the hook counts its two bands carry;
-    each band is tallied once, and beta = small_hook_counts(t).
-
-    fold_ledger     negative band on non-coding beads = argument-negated
-                    positive band on the gap sets
-    band_count      the negative band has one box per hook shorter than t
-    gap_band_counts the positive band has beta_i boxes of entry i
-    """
-    t = window.t
-    neg = region_ledger(*window.wd, -t, 0)
-    pos = region_ledger(*window.c, 0, t)
-    beta = window.partition.small_hook_counts(t)
-    return {
-        "fold_ledger": neg == pos.negate_arguments(),
-        "band_count": neg.total_degree() == sum(beta),
-        "gap_band_counts": pos == WeightLedger({i: beta[i - 1] for i in range(1, t)}),
-    }
 
 
 def render(window: ExplodedWindow, fmt: str = "ascii") -> str:

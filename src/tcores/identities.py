@@ -45,7 +45,6 @@ from .coding import (
 from .exploded import (
     ExplodedWindow,
     check_fold,
-    check_fold_ledger,
     check_translation_relations,
     check_triangle_ledger,
 )
@@ -251,7 +250,7 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
     t0 = time.perf_counter()
     failures = []
     checked = 0
-    checks = (check_translation_relations, check_fold, check_fold_ledger, check_triangle_ledger)
+    checks = (check_translation_relations, check_fold, check_triangle_ledger)
     for lam in cores_from_codings(t, max_size):
         checked += 1
         window = ExplodedWindow(lam, t)

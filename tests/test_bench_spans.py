@@ -43,9 +43,11 @@ def test_tracer_installs_on_current_tcores(spans):
         for site in (f"{m}.{q}" for m, q in sites) if site in tracer.missing
     ]
     # stale sites, listed for the next benchmark change in ROADMAP.md: the
-    # cell/box map is a test oracle now, and max_abs_difference is gone
+    # fold ledger is part of check_fold, the cell/box map is a test oracle
+    # now, and max_abs_difference is gone
     assert named_missing == [
-        "exploded.cell_box_map", "qseries.TruncatedSeries.max_abs_difference",
+        "exploded.check_fold_ledger", "exploded.cell_box_map",
+        "qseries.TruncatedSeries.max_abs_difference",
     ]
 
 

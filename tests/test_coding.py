@@ -106,6 +106,28 @@ def test_core_coding_single_cell_even_t():
 def test_core_coding_rejects_non_core():
     with pytest.raises(NotACoreError):
         core_coding(Partition((6, 3, 3, 2)), 2)
+    with pytest.raises(NotACoreError, match=r"^6,3,3,2 has a hook length divisible by 2$"):
+        core_coding(Partition((6, 3, 3, 2)), 2)
+
+
+def test_closed_bead_sets_are_the_t_cores():
+    # the coding route's core test against the filter's abacus test and the
+    # hook definition, on 915 partitions and t = 1..10
+    pairs = 0
+    for lam in partitions_up_to(16):
+        hooks = lam.hooks()
+        for t in range(1, 11):
+            want = all(h % t for h in hooks)
+            assert coding._closed(bead_set(lam, t)) == lam.is_t_core(t) == want, (lam, t)
+            pairs += 1
+    assert pairs == 9150
+
+
+def test_bead_relations_reject_a_non_core_conjugate():
+    # (3) is not a 3-core, and the relations test its conjugate (1,1,1)
+    c = core_coding(Partition(()), 3)
+    with pytest.raises(NotACoreError, match=r"^1,1,1 has a hook length divisible by 3$"):
+        bead_relation_checks(Partition((3,)), c)
 
 
 def test_gap_set_table1():

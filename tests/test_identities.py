@@ -680,12 +680,10 @@ def test_multiset_formula_broken_round_trip_fails(monkeypatch):
 
 
 def test_exploded_relations_broken_ledger_fails(monkeypatch):
-    real = exploded.region_ledger
-
-    def bumped(xs, ys, lo, hi=None):
-        return real(xs, ys, lo, hi) * WeightLedger({1: 1})
-
-    monkeypatch.setattr(exploded, "region_ledger", bumped)
+    # every ledger is tallied by the one helper, the fold's bands and the
+    # triangle's regions alike
+    real = exploded._tally
+    monkeypatch.setattr(exploded, "_tally", lambda pairs: real(pairs) * WeightLedger({1: 1}))
     r = verify_exploded_relations(3, 10)
     assert not r.passed and r.details["cores_checked"] == 1
     # the bump cancels in the triangle ledger's quotient, so that check holds
@@ -711,26 +709,27 @@ def count_calls(monkeypatch, sites):
 def test_sweeps_derive_each_cores_data_once(monkeypatch):
     tally = count_calls(monkeypatch, [
         (identities, "coding_to_core"), (coding, "coding_to_core"),
-        (identities, "core_coding"), (coding, "core_coding"), (exploded, "core_coding"),
+        (identities, "core_coding"), (coding, "core_coding"),
         (Partition, "is_t_core"), (Partition, "hooks"), (exploded, "region_ledger"),
     ])
     # one core built per coding; core_coding runs once, for the core, and
-    # the core test once for the core and once for its conjugate in the bead
-    # relations, which read the conjugate's coding off its bead set; hooks
-    # are read once for beta and the hook-shift ledger, and once for mu's
-    # side of the content ledger
+    # tests its bead set, and the bead relations test the conjugate's bead
+    # set and read its coding off it, so no abacus test runs; hooks are read
+    # once for beta and the hook-shift ledger, and once for mu's side of the
+    # content ledger
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"coding_to_core": n, "core_coding": n, "is_t_core": 2 * n, "hooks": 2 * n}
-    # one core built per coding, whose window reads one coding and negates it
-    # for the conjugate; the fold ledger tallies each band once and reads beta
-    # for the band counts, and the triangle ledger tallies two more regions
+    assert tally == {"coding_to_core": n, "core_coding": n, "hooks": 2 * n}
+    assert tally["is_t_core"] == 0
+    # one core built per coding, whose window reads its coding off its own
+    # bead set and negates it for the conjugate; the fold builds and tallies
+    # each band once and reads beta for the band counts, and only the
+    # triangle ledger's two regions go through region_ledger
     tally.clear()
     r = verify_exploded_relations(3, 8)
     assert r.passed and r.details["cores_checked"] == 10
-    assert tally == {
-        "coding_to_core": 10, "core_coding": 10, "is_t_core": 10, "hooks": 10, "region_ledger": 40,
-    }
+    assert tally == {"coding_to_core": 10, "hooks": 10, "region_ledger": 20}
+    assert tally["core_coding"] == tally["is_t_core"] == 0
 
 
 def test_multiset_sweep_builds_three_bead_sets_per_core(monkeypatch):
@@ -742,6 +741,15 @@ def test_multiset_sweep_builds_three_bead_sets_per_core(monkeypatch):
     assert tally == {"bead_set": 3 * n} and n == 14
 
 
+def test_exploded_sweep_builds_two_bead_sets_per_core(monkeypatch):
+    # the window builds one bead set per side and reads the coding and the
+    # core test off the x side's
+    tally = count_calls(monkeypatch, [(coding, "bead_set"), (exploded, "bead_set")])
+    r = verify_exploded_relations(3, 8)
+    assert r.passed and r.details["cores_checked"] == 10
+    assert tally == {"bead_set": 20}
+
+
 def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
     # the multiset sweep adds a core's coding differences once for the
     # coding ledger and once, class-sorted, for both parity forms
@@ -751,8 +759,9 @@ def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
     ])
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    # each is_t_core call of the sweep (2 per core) builds its own abacus
-    assert tally == {"_add_differences": 2 * n, "class_sorted_coding": n, "abacus_beads": 2 * n}
+    # the sweep tests bead sets, so it builds no abacus
+    assert tally == {"_add_differences": 2 * n, "class_sorted_coding": n}
+    assert tally["abacus_beads"] == 0
     # the filter builds one abacus per partition of size <= 25 and tests
     # t = 2 and t = 1..8 on it
     tally.clear()
