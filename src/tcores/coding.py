@@ -186,8 +186,8 @@ def bead_set(partition: Partition, t: int) -> BeadSet:
 def core_coding(partition: Partition, t: int) -> CoreCoding:
     """Largest bead in each congruence class modulo t, sorted decreasing.
 
-    Defined exactly on t-cores, whose bead sets are `_closed`; raises
-    NotACoreError otherwise.
+    Defined exactly on t-cores, whose bead sets are closed under the step
+    down by t (Garvan-Kim-Stanton); raises NotACoreError otherwise.
     """
     beads = bead_set(partition, t)
     if not _closed(beads):
@@ -196,10 +196,8 @@ def core_coding(partition: Partition, t: int) -> CoreCoding:
 
 
 def _closed(beads: BeadSet) -> bool:
-    """Whether the bead set is closed under the step down by t, exactly when
-    its partition is a t-core (Garvan-Kim-Stanton); the ray always is."""
-    step = 2 * beads.t
-    return all(tw - step in beads for tw in beads.head)
+    """Whether every bead keeps its step down by t (the ray does): a t-core."""
+    return all(tw - 2 * beads.t in beads for tw in beads.head)
 
 
 def _class_tops(beads: BeadSet) -> CoreCoding:

@@ -43,9 +43,9 @@ class ExplodedWindow:
     entry of the box (xtw, ytw) is the integer (xtw + ytw) // 2.  `z`, `w`,
     `wd` and `c` are pairs (x side, y side) of decreasing lists: every
     coordinate of the window, the beads, the beads off the coding and the
-    gaps.  `v` holds the two codings as sets (the x side's bead set read
-    when it is closed, the y side's negated: the conjugate of a t-core is a
-    t-core; both empty for a non-core) and `beads` the two bead sets.
+    gaps.  `v` holds the two codings as sets (the x side's read off its bead
+    set if that is closed, the y side's its negation, as a t-core's conjugate
+    is a t-core; both empty for a non-core) and `beads` the two bead sets.
     """
 
     __slots__ = ("partition", "conjugate", "t", "beads", "v", "z", "w", "wd", "c")
@@ -95,29 +95,35 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     """
     if not window.v[0]:
         raise RelationViolationError("translation relations assume a t-core")
-    t, step = window.t, 2 * window.t
+    t = window.t
     w1, w2 = window.w
     w1d, w2d = window.wd
+    results = {}
+
     delta = _pair_set(w1, w2, t, None)
-    return {
-        "shift_down": {(x, y - step) for x, y in delta} == _pair_set(w1, w2d, 0, None, forbid=(t,)),
-        "shift_left": {(x - step, y) for x, y in delta} == _pair_set(w1d, w2, 0, None, forbid=(t,)),
-        "shift_diagonal": {(x - step, y - step) for x, y in delta}
-        == _pair_set(w1d, w2d, -t, None, forbid=(0, t)),
-    }
+
+    moved = {(x, y - 2 * t) for (x, y) in delta}
+    results["shift_down"] = moved == _pair_set(w1, w2d, 0, None, forbid=(t,))
+
+    moved = {(x - 2 * t, y) for (x, y) in delta}
+    results["shift_left"] = moved == _pair_set(w1d, w2, 0, None, forbid=(t,))
+
+    moved = {(x - 2 * t, y - 2 * t) for (x, y) in delta}
+    results["shift_diagonal"] = moved == _pair_set(w1d, w2d, -t, None, forbid=(0, t))
+
+    return results
 
 
 def check_fold(window: ExplodedWindow) -> dict[str, bool]:
-    """The fold (x, y) -> (-y, -x) between the negative band (-t, 0) on
-    non-coding beads and the positive band (0, t) on the gap sets, in set
-    and ledger forms; each band is built and tallied once.
+    """The fold (x, y) -> (-y, -x) of the negative band (-t, 0) on non-coding
+    beads onto the positive band (0, t) on the gap sets, in set and ledger
+    forms; each band is built and tallied once, beta = small_hook_counts(t).
 
     fold_bijection  the fold maps the negative band onto the positive one
     entries_negate  the two bands' entry sets are negatives of each other
     fold_ledger     negative band = argument-negated positive band
     band_count      the negative band has one box per hook shorter than t
-    gap_band_counts the positive band has beta_i boxes of entry i, with
-                    beta = small_hook_counts(t)
+    gap_band_counts the positive band has beta_i boxes of entry i
     """
     if not window.v[0]:
         raise RelationViolationError("the fold assumes a t-core")

@@ -85,9 +85,8 @@ class Partition:
         return sum((i - 1) * p for i, p in enumerate(self.parts, start=1))
 
     def is_t_core(self, t: int) -> bool:
-        """The filter route's test (Garvan-Kim-Stanton): `abacus_is_t_core` on
-        the partition's `abacus_beads`, with no hook and no conjugate.  The
-        coding route tests the closure of its own bead sets instead."""
+        """The filter route's abacus test (Garvan-Kim-Stanton), `abacus_is_t_core`
+        on `abacus_beads`; the coding route tests its own bead sets instead."""
         if t < 1:
             raise ValueError("t must be a positive integer")
         return abacus_is_t_core(abacus_beads(self.parts), t)
