@@ -12,9 +12,9 @@ import sys
 from . import identities
 from .coding import (
     NotACoreError,
+    _read_coding,
     bead_set,
     coding_size,
-    core_coding,
     cores_from_codings,
 )
 from .exploded import ExplodedWindow, render
@@ -70,8 +70,8 @@ def _join(twice) -> str:
 
 
 def _core_map_data(partition: Partition, t: int) -> dict:
-    coding = core_coding(partition, t)
     beads = bead_set(partition, t)
+    coding = _read_coding(partition, beads)
     return {
         "partition": str(partition),
         "t": t,
@@ -85,19 +85,20 @@ def _core_map_data(partition: Partition, t: int) -> dict:
 
 def _core_map_text(partition: Partition, t: int) -> str:
     lines = [f"{'t':<10}{t}"]
-    for label, lam in (("lambda", partition), ("conjugate", partition.conjugate())):
-        coding = core_coding(lam, t)
-        beads = bead_set(lam, t)
+    sides = (("lambda", partition), ("conjugate", partition.conjugate()))
+    beads = [bead_set(lam, t) for _, lam in sides]
+    codings = [_read_coding(lam, b) for (_, lam), b in zip(sides, beads)]
+    for (label, lam), own, other, coding in zip(sides, beads, reversed(beads), codings):
         # non-coding beads above the ray are the negated gaps of the other side
-        dagger = sorted((-g for g in bead_set(lam.conjugate(), t).gaps()), reverse=True)
+        dagger = sorted((-g for g in other.gaps()), reverse=True)
         rows = [
             (label, str(lam)),
-            ("W head", _join(beads.head)),
+            ("W head", _join(own.head)),
             ("V", str(coding)),
             ("W+ head", _join(dagger)),
-            ("M", _half(beads.top)),
-            ("m", _half(beads.ray_top)),
-            ("C", _join(beads.gaps())),
+            ("M", _half(own.top)),
+            ("m", _half(own.ray_top)),
+            ("C", _join(own.gaps())),
             ("size", str(coding_size(coding))),
         ]
         for key, value in rows:
@@ -108,14 +109,14 @@ def _core_map_text(partition: Partition, t: int) -> str:
 
 def cmd_core_map(args) -> int:
     try:
-        data = _core_map_data(args.partition, args.t)
+        if args.format == "json":
+            out = json.dumps(_core_map_data(args.partition, args.t)) + "\n"
+        else:
+            out = _core_map_text(args.partition, args.t)
     except NotACoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(data))
-    else:
-        print(_core_map_text(args.partition, args.t), end="")
+    print(out, end="")
     return 0
 
 

@@ -189,9 +189,13 @@ def core_coding(partition: Partition, t: int) -> CoreCoding:
     Defined exactly on t-cores, whose bead sets are closed under the step
     down by t (Garvan-Kim-Stanton); raises NotACoreError otherwise.
     """
-    beads = bead_set(partition, t)
+    return _read_coding(partition, bead_set(partition, t))
+
+
+def _read_coding(partition: Partition, beads: BeadSet) -> CoreCoding:
+    """`core_coding` read off the partition's bead set, already built."""
     if not _closed(beads):
-        raise NotACoreError(f"{partition} has a hook length divisible by {t}")
+        raise NotACoreError(f"{partition} has a hook length divisible by {beads.t}")
     return _class_tops(beads)
 
 
@@ -321,9 +325,9 @@ def is_content_coding_image(mu: Partition, t: int) -> bool:
     return len(residues) == t
 
 
-def bead_relation_checks(partition: Partition, coding: CoreCoding) -> dict[str, bool]:
-    """Executable forms of the bead-set relations satisfied by a t-core and
-    its coding.
+def bead_relation_checks(partition: Partition, beads: BeadSet) -> dict[str, bool]:
+    """Executable forms of the bead-set relations satisfied by a t-core,
+    given with its bead set, and its coding, read off that set.
 
     ray_closure        every bead keeps its t-step predecessor in the set
     mirror_intersection coding = beads of the partition meeting the negated
@@ -333,19 +337,17 @@ def bead_relation_checks(partition: Partition, coding: CoreCoding) -> dict[str, 
                         the conjugate side
     zero_sum           the coding sums to zero
     """
-    t = coding.t
+    t = beads.t
     conj = partition.conjugate()
     beads2 = bead_set(conj, t)
-    if not _closed(beads2):
-        raise NotACoreError(f"{conj} has a hook length divisible by {t}")
-    beads1 = bead_set(partition, t)
-    coding2 = _class_tops(beads2)
-    top1, top2 = beads1.top, beads2.top
+    coding2 = _read_coding(conj, beads2)
+    coding = _class_tops(beads)
+    top1, top2 = beads.top, beads2.top
 
-    ray_closure = _closed(beads1)
+    ray_closure = _closed(beads)
 
     # W1 and the negated W2 on the window [-M2, M1], as sets
-    w1 = set(beads1.elements_down_to(-top2))
+    w1 = set(beads.elements_down_to(-top2))
     neg_w2 = set(map(operator.neg, beads2.elements_down_to(-top1)))
     v1 = set(coding.twice)
     mirror_intersection = w1 & neg_w2 == v1

@@ -23,6 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import factorial, isqrt, prod
 from operator import mul
@@ -31,7 +32,9 @@ from typing import NamedTuple
 from .coding import (
     InvalidCodingError,
     NonIntegerSizeError,
+    _read_coding,
     bead_relation_checks,
+    bead_set,
     coding_size,
     coding_to_core,
     content_coding,
@@ -57,8 +60,7 @@ from .partitions import (
 )
 from .qseries import (
     TruncatedSeries,
-    _conjugate_classes,
-    _prefix_walk,
+    _hook_walk,
     binomial_product,
     exact_div,
     geometric_multiples,
@@ -66,9 +68,10 @@ from .qseries import (
     macdonald_rhs,
     multiplication_product_points,
     partition_sum_series,
+    partition_sums_mod_p,
     schur_principal_at,
 )
-from .rings import P, PolynomialRing, PrimeField, RationalField
+from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
 from .weights import (
     coding_difference_ledger,
     content_ledger,
@@ -185,8 +188,9 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
     exponent-ledger identities with both parity normalizations.  Each core
     is built once from its coding v by `coding_to_core`, which checks its
     read-off against the coding size formula (a coding that fails is the
-    sweep's failure), and must give back core_coding(core) == v;
-    `classical-cross-checks` keeps the filter oracle."""
+    sweep's failure), and the coding read off its bead set must be v; the
+    bead relations reuse that bead set.  `classical-cross-checks` keeps the
+    filter oracle."""
     t0 = time.perf_counter()
     if ledger_max_size is None:
         ledger_max_size = max_size
@@ -199,7 +203,8 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
         except (InvalidCodingError, NonIntegerSizeError) as exc:
             failures.append(f"coding {v}: {exc}")
             break
-        coding = core_coding(lam, t)
+        beads = bead_set(lam, t)  # the core's one bead set: its coding and relations
+        coding = _read_coding(lam, beads)
         diag = validate_coding(coding)
         if not diag.valid:
             failures.append(f"{lam}: produced coding invalid: {diag.messages}")
@@ -214,7 +219,7 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
         if not is_content_coding_image(mu, t):
             failures.append(f"{lam}: image characterization fails for {mu}")
             break
-        relations = bead_relation_checks(lam, coding)
+        relations = bead_relation_checks(lam, beads)
         bad = [k for k, v in relations.items() if not v]
         if bad:
             failures.append(f"{lam}: bead relations failed: {bad}")
@@ -290,28 +295,24 @@ def multiplication_hook_points(r: int, N: int) -> list[list[list[int]]]:
     With h = r g that coefficient is sum (prod (g^2 - s^2)) / (prod g)^2 over
     the partitions of n with w such hooks; the g are the hooks of the
     r-quotient, whose sizes add up to w, so w!/prod g is an integer (checked).
-    Partitions with one multiset of g are weighted once: each conjugate
-    class (`_conjugate_classes`) reads its hooks once, and each size's
-    sorted g-tuples are walked by `_prefix_walk`, whose value is the vector
-    of prod (g^2 - s^2) over s, so g-tuples with a common prefix share its
+    The hooks are walked by `_hook_walk`, one hook read per conjugate class,
+    with the vector of prod (g^2 - s^2) over s as the value, multiplied
+    elementwise at each node, so hook tuples with a common prefix share its
     products.  The integers are exact, so no entry can change.  w is at
     most n//r.
     """
     top = N // r
-    weights = [None, *(hook_point_weights(g, top) for g in range(1, top + 1))]
+    weights = cache(lambda g: hook_point_weights(g, top))
     table = [[[0] * (top + 1) for _ in range(n // r + 1)] for n in range(N + 1)]
-    for n in range(N + 1):
-        shapes = Counter()
-        for lam, weight in _conjugate_classes(n):
-            shapes[tuple(sorted(h // r for h in lam.hooks(r)))] += weight
-        scales = {
-            gs: count * exact_div(factorial(len(gs)), prod(gs)) ** 2 for gs, count in shapes.items()
-        }
-        walk = _prefix_walk(scales, [1] * (top + 1), lambda vec, g: list(map(mul, vec, weights[g])))
-        for gs, vec, scale in walk:
-            row = table[n][len(gs)]
-            for s in range(top + 1):
-                row[s] += scale * vec[s]
+
+    def step(vec, h):
+        return list(map(mul, vec, weights(h // r)))
+
+    for n, hooks, vec, count in _hook_walk(r, N, [1] * (top + 1), step):
+        scale = count * exact_div(factorial(len(hooks)), prod(h // r for h in hooks)) ** 2
+        row = table[n][len(hooks)]
+        for s in range(top + 1):
+            row[s] += scale * vec[s]
     return table
 
 
@@ -368,18 +369,21 @@ def verify_nekrasov_okounkov(N: int = 12) -> VerificationReport:
     )
 
 
-def sin_hook_sum(r: int, Y: int, W: int, N: int, source=None) -> TruncatedSeries:
+def sin_hook_sums(r: int, points, N: int, source=None) -> list[TruncatedSeries]:
     """sum over partitions of q^size prod (1 - sin^2(t z)/sin^2(h z)) over
-    hooks divisible by r, in GF(p) at Y = e^(iz) and W = e^(itz)."""
-    s_t = _sin(W) ** 2
-    cache: dict[int, int] = {}
+    hooks divisible by r, in GF(p) at each (Y, W) = (e^(iz), e^(itz)) of
+    `points`: one `partition_sums_mod_p` walk, one vector slot per point."""
+    sin_t = [(Y, _sin(W) ** 2) for Y, W in points]
+    rho = {
+        h: [(1 - s_t * GF.inv(_sin(pow(Y, h, P)) ** 2)) % P for Y, s_t in sin_t]
+        for h in range(r, N + 1, r)  # a hook of a partition of n <= N is at most N
+    }
+    return partition_sums_mod_p(rho.__getitem__, len(points), r, N, source)
 
-    def rho(h):
-        if h not in cache:
-            cache[h] = (1 - s_t * GF.inv(_sin(pow(Y, h, P)) ** 2)) % P
-        return cache[h]
 
-    return partition_sum_series(rho, r, N, GF, source=source)
+def sin_hook_sum(r: int, Y: int, W: int, N: int, source=None) -> TruncatedSeries:
+    """`sin_hook_sums` at the one point (Y, W)."""
+    return sin_hook_sums(r, [(Y, W)], N, source)[0]
 
 
 def sin_family_rhs(r: int, Y: int, W: int, N: int) -> TruncatedSeries:
@@ -407,7 +411,11 @@ def verify_sin_family(
     check runs over the rationals, drawing no points, so `samples` is an
     error there.  Otherwise it runs in GF(p) at `samples` points (5 unless
     given) Y = e^(iz) drawn from `seed`, with W = e^(itz) drawn as well when
-    t_value is None, and W = Y^t for an integer t_value.
+    t_value is None, and W = Y^t for an integer t_value.  All points are
+    drawn first, in that order, and their hook sums come from one vector
+    walk (`sin_hook_sums`, one slot per point); the points are then
+    compared in order up to the first failure, and the report lists the
+    points up to that one.
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -424,16 +432,18 @@ def verify_sin_family(
     if samples is None:
         samples = 5
     rng = random.Random(seed)
-    points, dev = [], "0"
+    points = []
     for _ in range(samples):
         Y = sample_point(rng, N)
         W = sample_point(rng) if t_value is None else pow(Y, t_value, P)
         points.append({"Y": Y, "W": W})
-        ok, dev = _exact_compare(sin_hook_sum(r, Y, W, N), sin_family_rhs(r, Y, W, N))
+    dev = "no samples checked"
+    hook_sums = sin_hook_sums(r, [(pt["Y"], pt["W"]) for pt in points], N)
+    for i, (pt, lhs) in enumerate(zip(points, hook_sums)):
+        ok, dev = _exact_compare(lhs, sin_family_rhs(r, pt["Y"], pt["W"], N))
         if not ok:
+            del points[i + 1 :]  # report the points up to the failing one
             break
-    if not points:
-        dev = "no samples checked"
     params = {"r": r, "t": t_value, "samples": samples, "seed": seed, "points": points}
     return _finish("sin-family", params, N, GF.name, dev == "0", dev, t0)
 
@@ -443,64 +453,128 @@ def poly_s_weight(s, w):
     return s + (s - 1) * (s - 1) * w
 
 
-def poly_s_pair(Y: int, N: int):
-    """Both sides of the s-parameter form, coefficients in GF(p)[s], with
-    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz)."""
-    ring = PolynomialRing(("s",), base=GF)
-    s = ring.var("s")
+def _interpolation_basis(top: int) -> list[list[int]]:
+    """The inverse Vandermonde matrix at s = 0..top in GF(p): the polynomial
+    of degree at most top with the values v_0..v_top there has the
+    coefficient sum_s row_k[s] v_s at s^k.  Column s holds the Lagrange
+    basis polynomial prod_(j != s) (x - j)/(s - j), read off
+    prod_j (x - j) by one synthetic division, and its denominator is
+    s! (top - s)! (-1)^(top - s)."""
+    master = [1]  # prod_j (x - j), coefficients ascending
+    for j in range(top + 1):
+        master = [(low - j * high) % P for low, high in zip([0, *master], [*master, 0])]
+    basis = [[0] * (top + 1) for _ in range(top + 1)]
+    for s in range(top + 1):
+        scale = GF.inv(factorial(s) * factorial(top - s) * (-1) ** (top - s))
+        carry = 0
+        for k in range(top, -1, -1):
+            carry = (master[k + 1] + s * carry) % P
+            basis[k][s] = carry * scale % P
+    return basis
+
+
+def poly_s_hook_side(Y: int, N: int, extra=()):
+    """The hook side of the s-parameter form, coefficients in GF(p)[s], with
+    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz); and the GF(p) hook sums it is read
+    from, all from one `partition_sums_mod_p` walk: first those of the
+    weight at s = 0..2N, then those of each `extra` weight (a map hook ->
+    residue).
+
+    Each q^n coefficient is a sum of products of at most n weights
+    s + (s - 1)^2 w, so it has degree at most 2n <= 2N in s, and 0..2N are
+    distinct mod p: its values there determine it, and interpolation gives
+    the coefficients that the GF(p)[s] walk (`tests/oracles.py`) gives,
+    mod p.
+    """
     w = {m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2) for m in range(1, N + 1)}
-    rho = {h: poly_s_weight(s, w[h]) for h in w}
-    lhs = partition_sum_series(rho.__getitem__, 1, N, ring)
+    top = 2 * N
+    rho = {
+        h: [poly_s_weight(s, w[h]) % P for s in range(top + 1)] + [f[h] for f in extra]
+        for h in w
+    }
+    sums = partition_sums_mod_p(rho.__getitem__, top + 1 + len(extra), 1, N)
+    basis = _interpolation_basis(top)
+    ring = PolynomialRing(("s",), base=GF)
+    coeffs = []
+    for n in range(N + 1):
+        values = [sums[s].coeffs[n] for s in range(top + 1)]
+        terms = {(k,): sum(map(mul, row, values)) % P for k, row in enumerate(basis)}
+        coeffs.append(Poly(ring.names, terms))
+    return TruncatedSeries(ring, coeffs), sums
+
+
+def poly_s_exp_side(Y: int, N: int) -> TruncatedSeries:
+    """The exponential side of the s-parameter form in GF(p)[s] at Y = e^(iz):
+    exp of sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k))."""
+    ring = PolynomialRing(("s",), base=GF)
     coeffs = [ring.zero] * (N + 1)
     for k in range(1, N + 1):
+        w = GF.inv(4 * _sin(pow(Y, k, P)) ** 2)
         sk = ring.monomial((k,))
         s2k = ring.monomial((2 * k,))
-        p_k = ring.div_int(sk + (s2k - 2 * sk + 1) * w[k], k)
+        p_k = ring.div_int(sk + (s2k - 2 * sk + 1) * w, k)
         j = 0
         while k * (j + 1) <= N:
             coeffs[k * (j + 1)] = coeffs[k * (j + 1)] + ring.monomial((j * k,)) * p_k
             j += 1
-    rhs = TruncatedSeries(ring, coeffs).exp()
-    return lhs, rhs
+    return TruncatedSeries(ring, coeffs).exp()
+
+
+def poly_s_pair(Y: int, N: int):
+    """Both sides of the s-parameter form, coefficients in GF(p)[s], with
+    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz)."""
+    return poly_s_hook_side(Y, N)[0], poly_s_exp_side(Y, N)
 
 
 def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     """The substituted family with s free, in GF(p)[s] at a seeded point
     Y = e^(iz) (with the degree-2n bound per q^n), and its s = 0, cosine,
     hyperbolic (at R = e^z) and s = -1 cotangent specializations in GF(p).
+
+    One hook walk serves all of them: its vector holds the weight at
+    s = 0..2N, from which `poly_s_hook_side` interpolates the GF(p)[s]
+    side (each q^n coefficient has s-degree at most 2n by construction, and
+    0..2N are distinct mod p), then the cosine, hyperbolic and cotangent
+    weights.  The s = 0 check reads the s = 0 slot.  The degree bound
+    stays a check: 2N + 1 points allow s-degree 2N at every q^n.
     """
     t0 = time.perf_counter()
     if N < 1:
         raise ValueError("N must be at least 1")
     rng = random.Random(seed)
     Y, R = sample_point(rng, N), sample_point(rng, N)
-    lhs, rhs = poly_s_pair(Y, N)
+
+    def weights(f):
+        return {m: f(m) % P for m in range(1, N + 1)}  # a hook is at most N
+
+    # cosine form: 1/(2 - 2 cos(hz))
+    cosine = weights(lambda m: GF.inv(2 - 2 * _cos(pow(Y, m, P))))
+    # hyperbolic form at R = e^z: -1/(4 sinh^2(hz))
+    sinh = weights(lambda m: -GF.inv(4 * _sinh(pow(R, m, P)) ** 2))
+    # s = -1: cotangent form
+    cot2 = weights(lambda m: (_cos(pow(Y, m, P)) * GF.inv(_sin(pow(Y, m, P)))) ** 2)
+    lhs, sums = poly_s_hook_side(Y, N, (cosine, sinh, cot2))
+    cosine_sum, sinh_sum, cot2_sum = sums[2 * N + 1 :]
+    rhs = poly_s_exp_side(Y, N)
     degree_ok = all(
         c.degree_in("s") <= 2 * n for n, c in enumerate(lhs.coeffs)
     ) and all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
     details: dict = {"symbolic": _exact_compare(lhs, rhs)[1], "degree_bound": degree_ok}
 
-    def weights(f):
-        return {m: f(m) % P for m in range(1, N + 1)}  # a hook is at most N
-
-    def check(rho, pieces=None):
-        """Hook sum for the GF(p) weight rho against exp of the summed log
-        pieces, by default q^k rho(k)/k."""
+    def check(hook_sum, rho, pieces=None):
+        """The GF(p) hook sum of the weight rho against exp of the summed
+        log pieces, by default q^k rho(k)/k."""
         if pieces is None:
             pieces = [TruncatedSeries.monomial(GF, k, N, rho[k] * GF.inv(k) % P) for k in rho]
         log_rhs = TruncatedSeries.zero(GF, N)
         for piece in pieces:
             log_rhs = log_rhs + piece
-        return _exact_compare(partition_sum_series(rho.__getitem__, 1, N, GF), log_rhs.exp())[1]
+        return _exact_compare(hook_sum, log_rhs.exp())[1]
 
     # s = 0: product of 1/(4 sin^2)
-    details["s_zero"] = check(weights(lambda m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2)))
-    # cosine form: 1/(2 - 2 cos(hz))
-    details["cosine"] = check(weights(lambda m: GF.inv(2 - 2 * _cos(pow(Y, m, P)))))
-    # hyperbolic form at R = e^z: -1/(4 sinh^2(hz))
-    details["sinh"] = check(weights(lambda m: -GF.inv(4 * _sinh(pow(R, m, P)) ** 2)))
-    # s = -1: cotangent form
-    cot2 = weights(lambda m: (_cos(pow(Y, m, P)) * GF.inv(_sin(pow(Y, m, P)))) ** 2)
+    details["s_zero"] = check(sums[0], weights(lambda m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2)))
+    details["cosine"] = check(cosine_sum, cosine)
+    details["sinh"] = check(sinh_sum, sinh)
     pieces = []
     for m in range(1, N + 1):
         if m % 2:
@@ -513,7 +587,7 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
             pieces.append(TruncatedSeries(GF, coeffs))
         else:
             pieces.append(geometric_multiples(GF, m, N, GF.inv(m)))
-    details["cotangent"] = check(cot2, pieces)
+    details["cotangent"] = check(cot2_sum, cot2, pieces)
 
     dev = _first_failure(v for k, v in details.items() if k != "degree_bound")
     if dev == "0" and not degree_ok:

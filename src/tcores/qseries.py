@@ -1,8 +1,9 @@
 """Truncated power series over the exact rings of `rings` (QQ, GF(p) and
 polynomials over either), plus the series builders used by the identity
-verifiers: partition sums weighted by hooks (each size's sorted hook
-multisets walked once, so a shared prefix is multiplied once, and one
-partition per conjugate class when the sum enumerates them), finite
+verifiers: partition sums weighted by hooks (one walker, `_hook_walk`:
+each size's sorted hook multisets walked once, so a shared prefix is folded
+once, one partition per conjugate class when the sum enumerates them, and a
+vector of several weights' values folded elementwise in one walk), finite
 products of binomials 1 + c q^m (`binomial_product`, each factor applied in
 place in O(N) ring operations instead of a series product), the type-A
 Macdonald product (its (1 - q^m) runs interleaved with the root pairs, so
@@ -27,7 +28,7 @@ from math import factorial
 
 from .coding import coding_size, enumerate_codings
 from .partitions import Partition, _conjugate_parts, enumerate_partitions
-from .rings import Poly, PolynomialRing, RationalField
+from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
 
 
 class RingMismatchError(TypeError):
@@ -323,26 +324,43 @@ def _conjugate_classes(n: int):
             yield lam, 1
 
 
-def _prefix_walk(keyed, start, step):
-    """Yield (key, value, weight) for each key of `keyed` (sorted tuple ->
-    weight) in sorted order, with value the fold of `step` over the key from
-    `start`.  A stack holds the value of every prefix of the last key, so a
-    key folds only the entries past the prefix it shares with the key
-    before: each distinct prefix is folded once, and no value outlives the
-    call."""
-    stack = [start]
-    last = ()
-    for key in sorted(keyed):
-        k = 0
-        for a, b in zip(key, last):
-            if a != b:
-                break
-            k += 1
-        del stack[k + 1 :]
-        for h in key[k:]:
-            stack.append(step(stack[-1], h))
-        last = key
-        yield key, stack[-1], keyed[key]
+def _hook_walk(r: int, order: int, start, step, source=None):
+    """Yield (n, hooks, value, weight) for n = 0..order and each distinct
+    sorted tuple `hooks` of the hooks divisible by r of a partition of n,
+    `weight` partitions sharing it; `value` is the fold of `step` over
+    `hooks` from `start`.
+
+    `source(n)` may supply the partitions of size n, each weighted once; by
+    default each `_conjugate_classes` class is read once, weighted 2 for a
+    conjugate pair.  The tuples of a size are walked in sorted order with a
+    stack holding the value of every prefix of the last tuple, so a tuple
+    folds only the hooks past the prefix it shares with the one before:
+    each distinct prefix is folded once, and no value outlives its size.
+    The value may be a vector of several weights' values, folded by an
+    elementwise `step`: each size's hooks are then read once for all of
+    them.
+    """
+    for n in range(order + 1):
+        if source is None:
+            classes = _conjugate_classes(n)
+        else:
+            classes = ((lam, 1) for lam in source(n))
+        keyed = Counter()
+        for lam, weight in classes:
+            keyed[tuple(sorted(lam.hooks(r)))] += weight
+        stack = [start]
+        last = ()
+        for key in sorted(keyed):
+            k = 0
+            for a, b in zip(key, last):
+                if a != b:
+                    break
+                k += 1
+            del stack[k + 1 :]
+            for h in key[k:]:
+                stack.append(step(stack[-1], h))
+            last = key
+            yield n, key, stack[-1], keyed[key]
 
 
 def partition_sum_series(
@@ -358,28 +376,42 @@ def partition_sum_series(
 
     `source(n)` may supply the partitions of size n (e.g. a t-core filter),
     each weighted once; by default all partitions are used, one per
-    `_conjugate_classes` class, weighted 2 for a conjugate pair.  Each size's
-    sorted hook tuples are walked by `_prefix_walk` with the step
-    term * rho(h), so hook tuples with a common prefix share its product.
-    The arithmetic is exact and commutative and conjugates share their
-    hooks, so every coefficient is the one the per-partition loop gives.
+    conjugate class.  The hooks are walked by `_hook_walk` with the step
+    term * rho(h): one weight, held as a plain ring element rather than a
+    vector of width 1, whose list per node would cost more than the
+    product.  `partition_sums_mod_p` folds several GF(p) weights as one
+    vector; `identities.verify_poly_s_family` reads its GF(p)[s] side off
+    such a walk at s = 0..2N, since each q^n coefficient has s-degree at
+    most 2n by construction and 0..2N are distinct mod p.  The arithmetic
+    is exact and commutative and conjugates share their hooks, so every
+    coefficient is the one the per-partition loop gives.
     """
     if ring is None:
         ring = RationalField()
     coeffs = [ring.zero] * (order + 1)
-    for n in range(order + 1):
-        if source is None:
-            classes = _conjugate_classes(n)
-        else:
-            classes = ((lam, 1) for lam in source(n))
-        keyed = Counter()
-        for lam, weight in classes:
-            keyed[tuple(sorted(lam.hooks(r)))] += weight
-        acc = ring.zero
-        for _, term, weight in _prefix_walk(keyed, ring.one, lambda term, h: term * rho(h)):
-            acc = acc + (term if weight == 1 else term * weight)
-        coeffs[n] = acc
+    for n, _, term, weight in _hook_walk(r, order, ring.one, lambda term, h: term * rho(h), source):
+        coeffs[n] = coeffs[n] + (term if weight == 1 else term * weight)
     return TruncatedSeries(ring, coeffs, var)
+
+
+def partition_sums_mod_p(rho, width: int, r: int, order: int, source=None) -> list[TruncatedSeries]:
+    """`partition_sum_series` over GF(p) for `width` weights in one walk:
+    rho(h) is the vector of the weights' values at the hook h, and entry i
+    of the result is the hook sum of weight i.
+
+    Each node of `_hook_walk` multiplies its vector by rho(h) elementwise
+    and reduces mod p, so each size's hooks are read and sorted once
+    however many weights ride along, and no value at a node exceeds p.
+    """
+
+    def step(vec, h):
+        return [a * b % P for a, b in zip(vec, rho(h))]
+
+    sums = [[0] * width for _ in range(order + 1)]
+    for n, _, vec, weight in _hook_walk(r, order, [1] * width, step, source):
+        sums[n] = [a + weight * b for a, b in zip(sums[n], vec)]
+    field = PrimeField()
+    return [TruncatedSeries(field, [row[i] % P for row in sums]) for i in range(width)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ the plain routes that the renderers, `coding_to_core`, `enumerate_codings`,
 `content_ledger` and the parity folds are checked against byte for byte.
 The per-partition hook loops and the lex factor order of the Macdonald
 product are the unwalked routes of `partition_sum_series`,
-`multiplication_hook_points` and `macdonald_lhs`.
+`partition_sums_mod_p`, `multiplication_hook_points` and `macdonald_lhs`,
+and the GF(p)[s] polynomial hook side is the route that the interpolated
+side of the s-parameter form is checked against.
 """
 
 from collections import Counter
@@ -30,7 +32,7 @@ from tcores.qseries import (
     exact_div,
     schur_principal,
 )
-from tcores.rings import Poly, PolynomialRing, RationalField
+from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
 from tcores.weights import WeightLedger, ZeroArgumentError
 
 
@@ -229,6 +231,22 @@ def multiplication_pair(r: int, N: int):
     denom = binomial_product(ring, N, [(minus_one, k) for k in range(1, N + 1)])
     rhs = rhs * denom.inverse()
     return lhs, rhs
+
+
+def poly_s_hook_side_poly(Y: int, N: int) -> TruncatedSeries:
+    """The hook side of the s-parameter form as `identities.poly_s_hook_side`
+    defines it, by the GF(p)[s] polynomial route: every partition's hook
+    product of s + (s - 1)^2 w(h), w(h) = 1/(4 sin^2(hz)) at Y = e^(iz), with
+    sin(hz) = (Y^h - Y^-h)/(2i), and no evaluation at points."""
+    field = PrimeField()
+    ring = PolynomialRing(("s",), base=field)
+    s = ring.var("s")
+    two_i = 2 * pow(7, (P - 1) // 4, P)  # 7 is a non-residue mod P
+    w = {}
+    for h in range(1, N + 1):
+        sin = (pow(Y, h, P) - pow(Y, -h, P)) * pow(two_i, -1, P)
+        w[h] = pow(4 * sin * sin, -1, P)
+    return per_partition_sum_series(lambda h: s + (s - 1) * (s - 1) * w[h], 1, N, ring)
 
 
 def hook_content_sides(lam: Partition, n: int):

@@ -75,6 +75,24 @@ def test_core_map_rejects_non_core(capsys):
     assert "hook length divisible by 3" in err
 
 
+def test_core_map_text_builds_one_bead_set_per_side(capsys, monkeypatch):
+    # each side's coding, head, gaps and the other side's dagger row come
+    # from the two bead sets; json builds the partition's only
+    from tcores import cli, coding
+
+    calls = []
+    for owner in (cli, coding):
+        real = owner.bead_set
+        monkeypatch.setattr(owner, "bead_set", lambda *a, _real=real: calls.append(a) or _real(*a))
+    code, out, _ = run(capsys, *TABLE1_ARGV)
+    assert code == 0 and out == (GOLDEN / "table1.txt").read_text()
+    assert len(calls) == 2
+    calls.clear()
+    code, out, _ = run(capsys, *TABLE1_ARGV, "--format", "json")
+    assert code == 0 and out == (GOLDEN / "table1.json").read_text()
+    assert len(calls) == 1
+
+
 def test_explode_golden(capsys):
     code, out, _ = run(capsys, "explode", "--partition", "1", "--t", "3")
     assert code == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tcores import coding
 from tcores.coding import (
+    BeadSet,
     CoreCoding,
     InvalidCodingError,
     NonIntegerSizeError,
@@ -123,9 +124,8 @@ def test_closed_bead_sets_are_the_t_cores():
 
 def test_bead_relations_reject_a_non_core_conjugate():
     # (3) is not a 3-core, and the relations test its conjugate (1,1,1)
-    c = core_coding(Partition(()), 3)
     with pytest.raises(NotACoreError, match=r"^1,1,1 has a hook length divisible by 3$"):
-        bead_relation_checks(Partition((3,)), c)
+        bead_relation_checks(Partition((3,)), bead_set(Partition((3,)), 3))
 
 
 def test_gap_set_table1():
@@ -253,31 +253,37 @@ def test_content_coding_sweep():
 def test_bead_relations_sweep():
     for t in range(1, 7):
         for lam in enumerate_t_cores(t, 12):
-            checks = bead_relation_checks(lam, core_coding(lam, t))
+            checks = bead_relation_checks(lam, bead_set(lam, t))
             assert all(checks.values()), (t, lam, checks)
 
 
 def test_bead_relations_reject_the_conjugate_coding():
-    # negative control: the conjugate's coding is the coding only when the
-    # core is self-conjugate
+    # negative control: the conjugate's bead set, and so its coding, passes
+    # for the core only when the core is self-conjugate
     for t in (3, 4, 5):
         for lam in enumerate_t_cores(t, 10):
             conj = lam.conjugate()
-            checks = bead_relation_checks(lam, core_coding(conj, t))
+            checks = bead_relation_checks(lam, bead_set(conj, t))
             assert checks["mirror_intersection"] is (lam == conj), (t, lam)
 
 
 def test_bead_relations_see_a_coding_entry_dropped():
-    # negative control: V1 short of one entry is a strict subset of the
-    # mirror set, and the dropped entry lands in the dagger window
+    # negative control: a bead set short of one coding bead reads the next
+    # bead down that class as its entry, which the mirror set lacks; the
+    # coding then no longer negates the conjugate's or sums to zero
+    checked = 0
     for t in (3, 4, 5, 6):
         for lam in enumerate_t_cores(t, 10):
-            twice = core_coding(lam, t).twice
-            for k in range(t):
-                short = coding._trusted(twice[:k] + twice[k + 1:], t)
+            beads = bead_set(lam, t)
+            lo = beads.ray_top - 2 * t
+            members = beads.elements_down_to(lo)
+            for entry in core_coding(lam, t).twice:
+                short = BeadSet(tuple(x for x in members if x != entry), lo - 2, t)
                 checks = bead_relation_checks(lam, short)
-                assert not checks["mirror_intersection"], (t, lam, k)
-                assert not checks["dagger_complement"], (t, lam, k)
+                for relation in ("mirror_intersection", "conjugate_negation", "zero_sum"):
+                    assert not checks[relation], (t, lam, entry, relation)
+                checked += 1
+    assert checked == 797
 
 
 def test_conjugate_coding_negates():

@@ -13,6 +13,7 @@ from tcores.identities import (
     VERIFIERS,
     jacobi_pair,
     multiplication_hook_points,
+    poly_s_hook_side,
     poly_s_pair,
     run_suite,
     sample_point,
@@ -52,6 +53,7 @@ from oracles import (
     multiplication_pair,
     nekrasov_okounkov_pair,
     per_partition_hook_points,
+    poly_s_hook_side_poly,
     substitute,
 )
 
@@ -191,6 +193,20 @@ def test_poly_s_family():
     for s in (0, -1, 3):
         for a, b in zip(lhs.coeffs, rhs.coeffs):
             assert GF.eq(substitute(a, "s", s).coefficient(()), substitute(b, "s", s).coefficient(()))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("N", [6, 8, 12])
+def test_interpolated_hook_side_is_the_poly_route(N, seed):
+    # the verifier's first draw is Y; the interpolated side must be the
+    # GF(p)[s] walk coefficient for coefficient, mod p
+    Y = sample_point(random.Random(seed), N)
+    got = poly_s_hook_side(Y, N)[0]
+    want = poly_s_hook_side_poly(Y, N)
+    ring = got.ring
+    assert [ring.coerce(c) for c in want.coeffs] == got.coeffs
+    assert all(type(v) is int for c in got.coeffs for v in c.terms.values())
+    assert max(c.degree_in("s") for c in got.coeffs) == 2 * N
 
 
 def test_jacobi_and_collapse():
@@ -515,6 +531,55 @@ def test_poly_s_family_broken_weight_fails(monkeypatch):
     assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
 
 
+def bump_slot(monkeypatch, slot, hook):
+    """Add 1 to entry `slot` of the vector weight at `hook` in every
+    `partition_sums_mod_p` walk the verifiers make."""
+    real = identities.partition_sums_mod_p
+
+    def bumped(rho, width, *args):
+        def rho_bumped(h):
+            vec = list(rho(h))
+            vec[slot] += h == hook
+            return vec
+
+        return real(rho_bumped, width, *args)
+
+    monkeypatch.setattr(identities, "partition_sums_mod_p", bumped)
+
+
+def test_poly_s_family_broken_point_fails(monkeypatch):
+    # the weight of the hook 2 at s = 5 only: the interpolated q^2
+    # coefficient, the first with a hook 2, disagrees and breaks the degree
+    # bound, while the s = 0 slot and the specializations are untouched
+    bump_slot(monkeypatch, 5, hook=2)
+    r = verify_poly_s_family(N=6)
+    assert not r.passed and r.deviation == r.details["symbolic"]
+    assert r.deviation.startswith("q^2: ")
+    assert r.details["degree_bound"] is False
+    assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
+
+
+def test_poly_s_family_broken_cosine_slot_fails(monkeypatch):
+    # slots 0..2N are the s points; the cosine weight comes next
+    N = 6
+    bump_slot(monkeypatch, 2 * N + 1, hook=1)
+    r = verify_poly_s_family(N=N)
+    assert not r.passed and r.deviation == r.details["cosine"] != "0"
+    assert r.deviation.startswith("q^1: ")
+    assert r.details["degree_bound"] is True
+    assert all(r.details[k] == "0" for k in ("symbolic", "s_zero", "sinh", "cotangent"))
+
+
+def test_sin_family_broken_sample_weight_fails(monkeypatch):
+    # sample 3's weight at the hook 1: the check stops at that sample, and
+    # the report lists the points drawn up to it
+    drawn = verify_sin_family(1, N=6, samples=5).params["points"]
+    bump_slot(monkeypatch, 2, hook=1)
+    r = verify_sin_family(1, N=6, samples=5)
+    assert not r.passed and r.deviation.startswith("q^1: ")
+    assert r.params["points"] == drawn[:3]
+
+
 def test_sin_family_broken_exp_form_fails(monkeypatch):
     real = identities.geometric_multiples
     calls = []
@@ -712,15 +777,15 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
         (identities, "core_coding"), (coding, "core_coding"),
         (Partition, "is_t_core"), (Partition, "hooks"), (exploded, "region_ledger"),
     ])
-    # one core built per coding; core_coding runs once, for the core, and
-    # tests its bead set, and the bead relations test the conjugate's bead
-    # set and read its coding off it, so no abacus test runs; hooks are read
-    # once for beta and the hook-shift ledger, and once for mu's side of the
-    # content ledger
+    # one core built per coding; its coding is read off its own bead set,
+    # with no core_coding call, and the bead relations test the conjugate's
+    # bead set and read its coding off it, so no abacus test runs; hooks are
+    # read once for beta and the hook-shift ledger, and once for mu's side of
+    # the content ledger
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"coding_to_core": n, "core_coding": n, "hooks": 2 * n}
-    assert tally["is_t_core"] == 0
+    assert tally == {"coding_to_core": n, "hooks": 2 * n}
+    assert tally["core_coding"] == tally["is_t_core"] == 0
     # one core built per coding, whose window reads its coding off its own
     # bead set and negates it for the conjugate; the fold builds and tallies
     # each band once and reads beta for the band counts, and only the
@@ -732,13 +797,24 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     assert tally["core_coding"] == tally["is_t_core"] == 0
 
 
-def test_multiset_sweep_builds_three_bead_sets_per_core(monkeypatch):
-    # core_coding builds the core's bead set, and the bead relations build
-    # the core's again and the conjugate's once, reading its coding off it
-    tally = count_calls(monkeypatch, [(coding, "bead_set")])
+def test_multiset_sweep_builds_two_bead_sets_per_core(monkeypatch):
+    # the sweep builds the core's bead set and reads its coding off it, and
+    # the bead relations take that set and build the conjugate's once
+    tally = count_calls(monkeypatch, [(coding, "bead_set"), (identities, "bead_set")])
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"bead_set": 3 * n} and n == 14
+    assert tally == {"bead_set": 2 * n} and n == 14
+
+
+def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
+    # one walk per verifier call: 145 classes among the partitions of size
+    # <= 12, 38 among those of size <= 8, whatever the number of weights
+    tally = count_calls(monkeypatch, [(Partition, "hooks")])
+    assert verify_poly_s_family(N=12).passed
+    assert tally == {"hooks": 145}
+    tally.clear()
+    assert verify_sin_family(1, N=8, samples=5).passed
+    assert tally == {"hooks": 38}
 
 
 def test_exploded_sweep_builds_two_bead_sets_per_core(monkeypatch):

@@ -20,6 +20,7 @@ from tcores.qseries import (
     macdonald_terms,
     multiplication_product_points,
     partition_sum_series,
+    partition_sums_mod_p,
     residue_sign,
     schur_principal,
     schur_principal_at,
@@ -278,6 +279,21 @@ def test_partition_sum_is_the_per_partition_loop(name, r, cores):
     got = partition_sum_series(rho, r, N, ring, source=source)
     want = per_partition_sum_series(rho, r, N, ring, source=source)
     assert exact_coeffs(got) == exact_coeffs(want)
+
+
+@pytest.mark.parametrize("cores", [False, True], ids=["all", "3-cores"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_vector_walk_is_the_per_partition_loop_slot_by_slot(r, cores):
+    N = 12
+    source = core_source(3, N) if cores else None
+    weights = [lambda h, a=a: pow(a, h, P) + h for a in (3, 123456789, P - 2)]
+    got = partition_sums_mod_p(lambda h: [f(h) for f in weights], len(weights), r, N, source)
+    assert len(got) == len(weights)
+    for series, f in zip(got, weights):
+        want = per_partition_sum_series(f, r, N, PrimeField(), source=source)
+        assert series.ring.name == "GF(p)"
+        assert series.coeffs == [c % P for c in want.coeffs]
+        assert all(type(c) is int for c in series.coeffs)
 
 
 def test_a_source_is_never_doubled_by_conjugates():
