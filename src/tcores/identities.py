@@ -302,6 +302,8 @@ def multiplication_hook_points(r: int, N: int) -> list[list[list[int]]]:
     most n//r.
     """
     top = N // r
+    # lazy: the walk folds a tuple before its w!/prod g check, so a g past
+    # top (a hook tuple that is no partition's) must reach that check
     weights = cache(lambda g: hook_point_weights(g, top))
     table = [[[0] * (top + 1) for _ in range(n // r + 1)] for n in range(N + 1)]
 
@@ -438,7 +440,7 @@ def verify_sin_family(
         W = sample_point(rng) if t_value is None else pow(Y, t_value, P)
         points.append({"Y": Y, "W": W})
     dev = "no samples checked"
-    hook_sums = sin_hook_sums(r, [(pt["Y"], pt["W"]) for pt in points], N)
+    hook_sums = sin_hook_sums(r, [(pt["Y"], pt["W"]) for pt in points], N) if points else []
     for i, (pt, lhs) in enumerate(zip(points, hook_sums)):
         ok, dev = _exact_compare(lhs, sin_family_rhs(r, pt["Y"], pt["W"], N))
         if not ok:
@@ -473,10 +475,15 @@ def _interpolation_basis(top: int) -> list[list[int]]:
     return basis
 
 
-def poly_s_hook_side(Y: int, N: int, extra=()):
+def poly_s_sin_weights(Y: int, N: int) -> dict[int, int]:
+    """w(m) = 1/(4 sin^2(mz)) in GF(p) at Y = e^(iz), for m = 1..N."""
+    return {m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2) for m in range(1, N + 1)}
+
+
+def poly_s_hook_side(w: dict[int, int], N: int, extra=()):
     """The hook side of the s-parameter form, coefficients in GF(p)[s], with
-    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz); and the GF(p) hook sums it is read
-    from, all from one `partition_sums_mod_p` walk: first those of the
+    w the map m -> w(m) of `poly_s_sin_weights`; and the GF(p) hook sums it
+    is read from, all from one `partition_sums_mod_p` walk: first those of the
     weight at s = 0..2N, then those of each `extra` weight (a map hook ->
     residue).
 
@@ -486,7 +493,6 @@ def poly_s_hook_side(Y: int, N: int, extra=()):
     the coefficients that the GF(p)[s] walk (`tests/oracles.py`) gives,
     mod p.
     """
-    w = {m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2) for m in range(1, N + 1)}
     top = 2 * N
     rho = {
         h: [poly_s_weight(s, w[h]) % P for s in range(top + 1)] + [f[h] for f in extra]
@@ -503,16 +509,16 @@ def poly_s_hook_side(Y: int, N: int, extra=()):
     return TruncatedSeries(ring, coeffs), sums
 
 
-def poly_s_exp_side(Y: int, N: int) -> TruncatedSeries:
-    """The exponential side of the s-parameter form in GF(p)[s] at Y = e^(iz):
+def poly_s_exp_side(w: dict[int, int], N: int) -> TruncatedSeries:
+    """The exponential side of the s-parameter form in GF(p)[s], with w the
+    map k -> w(k) of `poly_s_sin_weights`:
     exp of sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k))."""
     ring = PolynomialRing(("s",), base=GF)
     coeffs = [ring.zero] * (N + 1)
     for k in range(1, N + 1):
-        w = GF.inv(4 * _sin(pow(Y, k, P)) ** 2)
         sk = ring.monomial((k,))
         s2k = ring.monomial((2 * k,))
-        p_k = ring.div_int(sk + (s2k - 2 * sk + 1) * w, k)
+        p_k = ring.div_int(sk + (s2k - 2 * sk + 1) * w[k], k)
         j = 0
         while k * (j + 1) <= N:
             coeffs[k * (j + 1)] = coeffs[k * (j + 1)] + ring.monomial((j * k,)) * p_k
@@ -523,7 +529,8 @@ def poly_s_exp_side(Y: int, N: int) -> TruncatedSeries:
 def poly_s_pair(Y: int, N: int):
     """Both sides of the s-parameter form, coefficients in GF(p)[s], with
     w(m) = 1/(4 sin^2(mz)) at Y = e^(iz)."""
-    return poly_s_hook_side(Y, N)[0], poly_s_exp_side(Y, N)
+    w = poly_s_sin_weights(Y, N)
+    return poly_s_hook_side(w, N)[0], poly_s_exp_side(w, N)
 
 
 def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
@@ -553,9 +560,10 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     sinh = weights(lambda m: -GF.inv(4 * _sinh(pow(R, m, P)) ** 2))
     # s = -1: cotangent form
     cot2 = weights(lambda m: (_cos(pow(Y, m, P)) * GF.inv(_sin(pow(Y, m, P)))) ** 2)
-    lhs, sums = poly_s_hook_side(Y, N, (cosine, sinh, cot2))
+    w = poly_s_sin_weights(Y, N)
+    lhs, sums = poly_s_hook_side(w, N, (cosine, sinh, cot2))
     cosine_sum, sinh_sum, cot2_sum = sums[2 * N + 1 :]
-    rhs = poly_s_exp_side(Y, N)
+    rhs = poly_s_exp_side(w, N)
     degree_ok = all(
         c.degree_in("s") <= 2 * n for n, c in enumerate(lhs.coeffs)
     ) and all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
@@ -572,7 +580,7 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
         return _exact_compare(hook_sum, log_rhs.exp())[1]
 
     # s = 0: product of 1/(4 sin^2)
-    details["s_zero"] = check(sums[0], weights(lambda m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2)))
+    details["s_zero"] = check(sums[0], w)
     details["cosine"] = check(cosine_sum, cosine)
     details["sinh"] = check(sinh_sum, sinh)
     pieces = []

@@ -268,13 +268,18 @@ def test_bead_relations_reject_the_conjugate_coding():
 
 
 def test_bead_relations_see_a_coding_entry_dropped():
-    # negative control: a bead set short of one coding bead reads the next
-    # bead down that class as its entry, which the mirror set lacks; the
-    # coding then no longer negates the conjugate's or sums to zero
-    checked = 0
+    # negative controls, each with one coding bead c no longer the entry of
+    # its class.  Removed: the set reads the next bead down, c - 2t, as the
+    # entry, which the mirror set lacks; the coding then no longer negates
+    # the conjugate's or sums to zero, and the non-coding beads lose c - 2t,
+    # which the dagger relation sees when it lies in the window above -M2.
+    # Raised to c + 2t: the set stays closed, but c is now a non-coding bead
+    # in the window, one more than the negated gaps of the conjugate.
+    checked = dagger_failed = 0
     for t in (3, 4, 5, 6):
         for lam in enumerate_t_cores(t, 10):
             beads = bead_set(lam, t)
+            top2 = bead_set(lam.conjugate(), t).top
             lo = beads.ray_top - 2 * t
             members = beads.elements_down_to(lo)
             for entry in core_coding(lam, t).twice:
@@ -282,8 +287,14 @@ def test_bead_relations_see_a_coding_entry_dropped():
                 checks = bead_relation_checks(lam, short)
                 for relation in ("mirror_intersection", "conjugate_negation", "zero_sum"):
                     assert not checks[relation], (t, lam, entry, relation)
+                in_window = entry - 2 * t >= -top2
+                assert checks["dagger_complement"] is not in_window, (t, lam, entry)
+                dagger_failed += in_window
+                raised = BeadSet(tuple(sorted({*members, entry + 2 * t}, reverse=True)), lo - 2, t)
+                checks = bead_relation_checks(lam, raised)
+                assert checks["ray_closure"] and not checks["dagger_complement"], (t, lam, entry)
                 checked += 1
-    assert checked == 797
+    assert (checked, dagger_failed) == (797, 398)
 
 
 def test_conjugate_coding_negates():

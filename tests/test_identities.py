@@ -15,6 +15,7 @@ from tcores.identities import (
     multiplication_hook_points,
     poly_s_hook_side,
     poly_s_pair,
+    poly_s_sin_weights,
     run_suite,
     sample_point,
     sin_hook_sum,
@@ -201,7 +202,7 @@ def test_interpolated_hook_side_is_the_poly_route(N, seed):
     # the verifier's first draw is Y; the interpolated side must be the
     # GF(p)[s] walk coefficient for coefficient, mod p
     Y = sample_point(random.Random(seed), N)
-    got = poly_s_hook_side(Y, N)[0]
+    got = poly_s_hook_side(poly_s_sin_weights(Y, N), N)[0]
     want = poly_s_hook_side_poly(Y, N)
     ring = got.ring
     assert [ring.coerce(c) for c in want.coeffs] == got.coeffs
@@ -815,6 +816,10 @@ def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
     tally.clear()
     assert verify_sin_family(1, N=8, samples=5).passed
     assert tally == {"hooks": 38}
+    tally.clear()
+    # no points, no walk
+    assert verify_sin_family(1, t_value=2, N=8, samples=0).deviation == "no samples checked"
+    assert tally == {}
 
 
 def test_exploded_sweep_builds_two_bead_sets_per_core(monkeypatch):
