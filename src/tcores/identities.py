@@ -1,17 +1,17 @@
 """One verifier per series/multiset identity, each returning a report.
 
 Every check is exact: a pass reports deviation "0", a failure its first
-mismatching coefficient.  The sine-weight identities are identities of
-rational functions in Y = e^(iz) (and W = e^(itz), R = e^z), so they are
-checked in GF(p), p = 2^61 - 31, at points drawn from a seeded generator,
-with sin(kz) = (Y^k - Y^-k)/(2i).  A draw at which a sine in a denominator
-vanishes is redrawn.  Two different rational functions of degree d agree
-at a random point with probability at most d/p (Schwartz-Zippel), which
-bounds the chance of a false pass.  Nekrasov-Okounkov and its
-r-multiplication form are polynomial in beta of known degree coefficient by
-coefficient, so they are checked in integers at enough fixed points
-beta = r^2 s^2 to determine them: a proof to the truncation order, not a
-sample.
+mismatching coefficient.  The sine-weight identities, in rational functions
+of Y = e^(iz) (and W = e^(itz), R = e^z), and Macdonald's, in Laurent
+polynomials of x_1..x_t, are checked in GF(p), p = 2^61 - 31, at points
+drawn from a seeded generator, with sin(kz) = (Y^k - Y^-k)/(2i); a draw at
+which a sine in a denominator vanishes is redrawn.  Two different rational
+functions of degree d agree at a random point with probability at most d/p
+(Schwartz-Zippel), which bounds the chance of a false pass.  The other
+series identities are checked in integers: Nekrasov-Okounkov and its
+r-multiplication form at enough points beta = r^2 s^2 to determine them,
+hook-content and Jacobi's at one point X = 2^B beyond their coefficients
+(Kronecker substitution).  Those are proofs to the truncation order.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .partitions import (
 from .qseries import (
     TruncatedSeries,
     _hook_walk,
+    balanced_digits,
     binomial_product,
     exact_div,
     geometric_multiples,
@@ -586,13 +587,9 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     pieces = []
     for m in range(1, N + 1):
         if m % 2:
-            # q^m cot^2(m z) / (m (1 + q^m)) = sum_j (-1)^(j-1) cot^2/m q^(jm)
-            coeffs = [0] * (N + 1)
-            j = 1
-            while j * m <= N:
-                coeffs[j * m] = (-1) ** (j - 1) * cot2[m] * GF.inv(m) % P
-                j += 1
-            pieces.append(TruncatedSeries(GF, coeffs))
+            # q^m cot^2(m z) / (m (1 + q^m)) = (q^m/(1 - q^m) - 2 q^(2m)/(1 - q^(2m))) cot^2/m
+            c = cot2[m] * GF.inv(m) % P
+            pieces += [geometric_multiples(GF, m, N, c), geometric_multiples(GF, 2 * m, N, -2 * c)]
         else:
             pieces.append(geometric_multiples(GF, m, N, GF.inv(m)))
     details["cotangent"] = check(cot2_sum, cot2, pieces)
@@ -612,48 +609,60 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     )
 
 
-def jacobi_pair(N: int):
-    """Triple product prod_(n>=0) (1 + a x^(n+1)) (1 - x^(n+1)) (1 + x^n / a)
-    and theta sum in QQ[a, 1/a], series variable x."""
-    ring = PolynomialRing(("a",), laurent=True)
-    a = ring.monomial((1,))
-    ainv = ring.monomial((-1,))
-    factors = [(ainv, 0)]
-    for n in range(1, N + 1):
-        factors += [(a, n), (-ring.one, n), (ainv, n)]
-    lhs = binomial_product(ring, N, factors, var="x")
-    coeffs = [ring.zero] * (N + 1)
+def jacobi_at(N: int, X: int) -> tuple[list[int], list[int]]:
+    """Both sides of the triple product identity times a^(N+1), at a = X, as
+    integers per power x^0..x^N: prod_(n=0..N) (a + x^n) prod_(n=1..N)
+    (1 + a x^n) (1 - x^n), and the theta sum of a^(m+N+1) x^(m(m+1)/2)."""
+    factors = [(c, n) for n in range(1, N + 1) for c in (X, -1)]  # 1 + a x^n, 1 - x^n
+    lhs = binomial_product(RationalField(), N, factors).coeffs
+    for n in range(N + 1):  # a + x^n, which is a (1 + x^n / a)
+        for k in range(N, -1, -1):
+            lhs[k] = X * lhs[k] + (lhs[k - n] if k >= n else 0)
+    rhs = [0] * (N + 1)
     k = (isqrt(8 * N + 1) - 1) // 2  # the largest k with k(k+1)/2 <= N
     for m in range(-k - 1, k + 1):
-        e = m * (m + 1) // 2
-        coeffs[e] = coeffs[e] + ring.monomial((m,))
-    rhs = TruncatedSeries(ring, coeffs, var="x")
+        rhs[m * (m + 1) // 2] += X ** (m + N + 1)
     return lhs, rhs
 
 
 def verify_jacobi(N: int = 10) -> VerificationReport:
+    """The triple product identity to order N by Kronecker substitution:
+    times a^(N+1) both sides are integer polynomials in a, compared at
+    a = X = 2^(3N+3) (`jacobi_at`).  The product's 3N + 1 factors have L1
+    norm 2 each and the theta sum's coefficients are 0 or 1, so each
+    coefficient of the difference is below 2^(3N+1) + 1 < X/2 in absolute
+    value, and equality at X is equality in Z[a] (see `verify_hook_content`).
+    A mismatch is named by the balanced base-X digits of both sides."""
     t0 = time.perf_counter()
-    lhs, rhs = jacobi_pair(N)
-    ok, dev = _exact_compare(lhs, rhs)
-    return _finish("jacobi", {}, N, lhs.ring.name, ok, dev, t0)
+    bits, dev = 3 * N + 3, "0"
+    for i, pair in enumerate(zip(*jacobi_at(N, 1 << bits))):
+        if pair[0] != pair[1]:
+            a, b = (str(Poly(("a",), balanced_digits(v, bits, -N - 1))) for v in pair)
+            dev = f"x^{i}: {a[:60]} != {b[:60]}"
+            break
+    return _finish("jacobi", {}, N, "QQ[a](Laurent)", dev == "0", dev, t0)
 
 
-def verify_macdonald(t: int = 2, N: int = 4) -> VerificationReport:
-    """Type-A product/sum identity, exact in Laurent polynomials.
-
-    The sum side runs over the orderings of the t-core codings of size at
-    most N (`macdonald_terms`); the size formula asserts that each term's
-    exponent is a nonnegative integer.
-    """
+def verify_macdonald(t: int = 2, N: int = 4, seed: int = 7) -> VerificationReport:
+    """Macdonald's type-A identity in GF(p) at a point x of {2..p-1}^t drawn
+    from `seed`.  Each side's q^n coefficient is a Laurent polynomial with
+    the terms x_i^(i - a_j) of the codings of size n; cleared by
+    prod x_i^(A - i), A the largest a_j, each has total degree
+    tA - t(t+1)/2 = t v_max.  So a nonzero difference of the sides vanishes
+    at x with probability at most d/(p-2) (Schwartz-Zippel), d = `sz_degree`
+    the largest of these.  `terms_enumerated` counts t! orderings a coding."""
     t0 = time.perf_counter()
     if t < 2:
         raise ValueError("t must be at least 2")
-    lhs = macdonald_lhs(t, N)
-    rhs = macdonald_rhs(t, N)  # exponents asserted integral by coding_size
-    ok, dev = _exact_compare(lhs, rhs)
-    # distinct vectors give distinct monomials, so each term is one monomial
-    terms = sum(len(c.terms) for c in rhs.coeffs)
-    return _finish("macdonald", {"t": t}, N, lhs.ring.name, ok, dev, t0, terms_enumerated=terms)
+    rng = random.Random(seed)
+    x = [rng.randrange(2, P) for _ in range(t)]
+    ok, dev = _exact_compare(macdonald_lhs(t, N, x), macdonald_rhs(t, N, x))
+    codings = enumerate_codings(t, N)
+    return _finish(
+        "macdonald", {"t": t, "seed": seed, "x": x}, N, GF.name, ok, dev, t0,
+        terms_enumerated=factorial(t) * len(codings),
+        sz_degree=t * max(c.twice[0] for c in codings) // 2,
+    )
 
 
 def tcore_lemma_series(t: int, Y: int, N: int):
@@ -859,30 +868,21 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
 def verify_golden_tables() -> VerificationReport:
     """The two worked coding tables, field for field."""
     t0 = time.perf_counter()
-    failures = []
-    lam = Partition((8, 4, 3, 2, 2, 1))
-    c = core_coding(lam, 5)
+    lam, lam2 = Partition((8, 4, 3, 2, 2, 1)), Partition((8, 5, 4, 1, 1, 1))
+    c, c2 = core_coding(lam, 5), core_coding(lam2, 6)
     checks = {
         "V": str(c) == "10,3,1,-6,-8",
         "conjugate": str(lam.conjugate()) == "6,5,3,2,1,1,1,1",
         "size": coding_size(c) == 20,
         "roundtrip": coding_to_core(c) == lam,
+        "V_even": str(c2) == "21/2,13/2,-1/2,-7/2,-9/2,-17/2",
+        "conjugate_even": str(lam2.conjugate()) == "6,3,3,3,2,1,1,1",
+        "size_even": coding_size(c2) == 20,
+        "roundtrip_even": coding_to_core(c2) == lam2,
     }
-    lam2 = Partition((8, 5, 4, 1, 1, 1))
-    c2 = core_coding(lam2, 6)
-    checks.update(
-        {
-            "V_even": str(c2) == "21/2,13/2,-1/2,-7/2,-9/2,-17/2",
-            "conjugate_even": str(lam2.conjugate()) == "6,3,3,3,2,1,1,1",
-            "size_even": coding_size(c2) == 20,
-            "roundtrip_even": coding_to_core(c2) == lam2,
-        }
-    )
     failures = [k for k, v in checks.items() if not v]
-    ok = not failures
-    return _finish(
-        "golden-tables", {}, None, "exact", ok, "0" if ok else str(failures), t0
-    )
+    dev = str(failures) if failures else "0"
+    return _finish("golden-tables", {}, None, "exact", not failures, dev, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ each size's sorted hook multisets walked once, so a shared prefix is folded
 once, one partition per conjugate class when the sum enumerates them, and a
 vector of several weights' values folded elementwise in one walk), finite
 products of binomials 1 + c q^m (`binomial_product`, each factor applied in
-place in O(N) ring operations instead of a series product), the type-A
-Macdonald product (its (1 - q^m) runs interleaved with the root pairs, so
-partial products stay sparse) and sum (its terms read off the t-core
-codings), and principal specializations of Schur polynomials.  A Schur
+place in O(N) ring operations instead of a series product), both sides
+of the type-A Macdonald identity in GF(p) at a point x (the product one
+`binomial_product`, the sum one determinant mod p per t-core coding), and
+principal specializations of Schur polynomials.  A Schur
 principal specialization is computed as one integer: the Jacobi-Trudi
 determinant at p = X = 2^B, taken by fraction-free (Bareiss) elimination,
 whose base-2^B digits are its coefficients.  The product side of the
@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 from .coding import coding_size, enumerate_codings
 from .partitions import Partition, _conjugate_parts, enumerate_partitions
-from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
+from .rings import P, Poly, PrimeField, RationalField
 
 
 class RingMismatchError(TypeError):
@@ -222,13 +223,17 @@ def binomial_product(ring, order: int, factors, var: str = "q") -> TruncatedSeri
     Each factor is applied in place, k running from `order` down to m so
     that out[k - m] still holds the previous product: O(order) ring
     operations per factor.  m = 0 scales every coefficient by 1 + c, a pair
-    with m > order changes nothing, and a power is a repeated pair.
+    with m > order changes nothing, and a power is a repeated pair.  Over
+    GF(p) each coefficient is reduced into [0, p) as it is made, so none
+    outgrows a residue however many factors there are.
     """
     out = [ring.zero] * (order + 1)
     out[0] = ring.one
+    prime = isinstance(ring, PrimeField)
     for c, m in factors:
         for k in range(order, m - 1, -1):
-            out[k] = out[k] + c * out[k - m]
+            v = out[k] + c * out[k - m]
+            out[k] = v % P if prime else v
     return TruncatedSeries(ring, out, var)
 
 
@@ -379,12 +384,10 @@ def partition_sum_series(
     conjugate class.  The hooks are walked by `_hook_walk` with the step
     term * rho(h): one weight, held as a plain ring element rather than a
     vector of width 1, whose list per node would cost more than the
-    product.  `partition_sums_mod_p` folds several GF(p) weights as one
-    vector; `identities.verify_poly_s_family` reads its GF(p)[s] side off
-    such a walk at s = 0..2N, since each q^n coefficient has s-degree at
-    most 2n by construction and 0..2N are distinct mod p.  The arithmetic
-    is exact and commutative and conjugates share their hooks, so every
-    coefficient is the one the per-partition loop gives.
+    product; `partition_sums_mod_p` folds several GF(p) weights as one
+    vector.  The arithmetic is exact and commutative and conjugates share
+    their hooks, so every coefficient is the one the per-partition loop
+    gives.
     """
     if ring is None:
         ring = RationalField()
@@ -427,24 +430,16 @@ class MacdonaldTerm:
 
 def residue_sign(a, t: int) -> int:
     """Sign of the residues of `a` as a permutation of res(1..t); 0 on repeats."""
-    res = [x % t for x in a]
-    if len(set(res)) != t:
+    perm = [(x - 1) % t for x in a]  # the residue of i in 1..t sits at i - 1
+    if len(set(perm)) != t:
         return 0
-    target = [(i % t) for i in range(1, t + 1)]
-    pos = {r: i for i, r in enumerate(target)}
-    perm = [pos[r] for r in res]
-    sign = 1
-    for i in range(t):
-        for j in range(i + 1, t):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    inversions = sum(u > v for i, u in enumerate(perm) for v in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
 def macdonald_terms(t: int, order: int) -> list[MacdonaldTerm]:
     """All vectors with entry sum 1+...+t whose sign is nonzero and whose
-    q-exponent is at most the truncation order, sorted by exponent, then
-    vector.
+    q-exponent is at most the truncation order, by exponent, then vector.
 
     The sign is nonzero exactly when v = a - (t+1)/2 takes one value in
     each class modulo t; then v sums to zero, so v sorted decreasing is a
@@ -464,49 +459,52 @@ def macdonald_terms(t: int, order: int) -> list[MacdonaldTerm]:
     return out
 
 
-def _macdonald_ring(t: int) -> PolynomialRing:
-    return PolynomialRing(tuple(f"x{i}" for i in range(1, t + 1)), laurent=True)
+def _det_mod_p(rows: list[list[int]]) -> int:
+    """Determinant of a square matrix of residues by Gaussian elimination
+    mod p, swapping in the first nonzero pivot of each column."""
+    m, det = [list(row) for row in rows], 1
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], det = m[pivot], m[k], -det
+        top = m[k]
+        det, inv = det * top[k] % P, pow(top[k], -1, P)
+        for row in m[k + 1 :]:
+            f = row[k] * inv % P
+            row[k:] = [(u - f * v) % P for u, v in zip(row[k:], top[k:])]
+    return det
 
 
-def macdonald_lhs(t: int, order: int) -> TruncatedSeries:
-    """prod_m (1-q^m)^(t-1) prod_{j<i} (1-(x_i/x_j) q^(m-1)) (1-(x_j/x_i) q^m).
-
-    The root pairs (i, j) come in lex order, and each of the first t - 1 is
-    followed by one run of (1 - q^m), m = 1..order: by the triple product
-    that pair and run make a theta series, so every partial product is a
-    sparse series before the next pair comes in, instead of swelling before
-    it cancels.  The factors are the same multiset, the Laurent arithmetic is
-    exact and commutative, and truncation commutes with each binomial
-    factor, so every coefficient is the one of any other order.
-    """
-    ring = _macdonald_ring(t)
-    run = [(-ring.one, m) for m in range(1, order + 1)]
-    factors = []
-    pairs = 0
-    for i in range(1, t + 1):
-        for j in range(1, i):
-            # ratio x_i / x_j carried as a Laurent monomial
-            up = [0] * t
-            up[i - 1] = 1
-            up[j - 1] = -1
-            ratio = ring.monomial(tuple(up))
-            down = ring.monomial(tuple(-e for e in up))
-            factors += [(-ratio, m) for m in range(order + 1)]
-            factors += [(-down, m) for m in range(1, order + 1)]
-            pairs += 1
-            if pairs < t:
-                factors += run
-    return binomial_product(ring, order, factors)
+def macdonald_lhs(t: int, order: int, x) -> TruncatedSeries:
+    """prod_m (1-q^m)^(t-1) prod_{j<i} (1-(x_i/x_j) q^(m-1)) (1-(x_j/x_i) q^m)
+    in GF(p) at the point x = (x_1, ..., x_t) of nonzero residues: one
+    `binomial_product` with c = -x_i/x_j and c = -x_j/x_i for each root pair."""
+    inv = [pow(v, -1, P) for v in x]
+    factors = [(-1, m) for m in range(1, order + 1)] * (t - 1)
+    for i in range(t):
+        for j in range(i):
+            factors += [(-x[i] * inv[j] % P, m) for m in range(order + 1)]
+            factors += [(-x[j] * inv[i] % P, m) for m in range(1, order + 1)]
+    return binomial_product(PrimeField(), order, factors)
 
 
-def macdonald_rhs(t: int, order: int) -> TruncatedSeries:
-    """sum over vectors of sign * q^omega * x_1^(1-a_1) ... x_t^(t-a_t)."""
-    ring = _macdonald_ring(t)
-    # per q-power, exponents -> sign; distinct vectors give distinct monomials
-    signs: list[dict] = [{} for _ in range(order + 1)]
-    for term in macdonald_terms(t, order):
-        signs[term.omega][tuple(i + 1 - term.a[i] for i in range(t))] = term.epsilon
-    return TruncatedSeries(ring, [Poly(ring.names, row) for row in signs])
+def macdonald_rhs(t: int, order: int, x) -> TruncatedSeries:
+    """sum over vectors of sign * q^omega * x_1^(1-a_1) ... x_t^(t-a_t), in
+    GF(p) at the point x.  The vectors are the orderings of a = v + (t+1)/2
+    for the codings v of size at most `order` (`macdonald_terms`), and
+    reordering a by s multiplies its sign by sgn(s): so the t! orderings of
+    one coding sum to residue_sign(a) det[x_i^(i - a_j)], which is
+    residue_sign(a) prod x_i^i det[x_i^(-a_j)], the Weyl denominator form."""
+    power = cache(lambda i, e: pow(x[i - 1], e, P))  # codings share entries
+    coeffs = [0] * (order + 1)
+    for coding in enumerate_codings(t, order):
+        a = [(tw + t + 1) // 2 for tw in coding.twice]
+        det = _det_mod_p([[power(i, i - e) for e in a] for i in range(1, t + 1)])
+        n = coding_size(coding)
+        coeffs[n] = (coeffs[n] + residue_sign(a, t) * det) % P
+    return TruncatedSeries(PrimeField(), coeffs)
 
 
 def _h_principal_at(k: int, n: int, X: int, cache: dict) -> int:
@@ -570,20 +568,23 @@ def schur_principal_at(partition: Partition, n: int, X: int, cache: dict) -> int
 # no verifier calls this: kept as the only site of benchmark span qseries.schur_principal
 def schur_principal(partition: Partition, n: int) -> Poly:
     """Schur polynomial at 1, p, ..., p^(n-1), read off as the base-2^B
-    digits of `schur_principal_at` at X = 2^B, B = |lambda| bitlen(n) + 1.
+    digits of `schur_principal_at` at X = 2^B, B = |lambda| bitlen(n) + 2.
 
     The coefficients are nonnegative and sum to the number of semistandard
-    tableaux with entries at most n, which is at most n^|lambda| < 2^B, so
-    each digit is one coefficient.  Zero when the partition has more than n
+    tableaux with entries at most n, which is at most n^|lambda| < 2^(B-1),
+    so each digit is one coefficient.  Zero when the partition has more than n
     rows."""
-    bits = partition.size * n.bit_length() + 1
-    value = schur_principal_at(partition, n, 1 << bits, {})
-    mask = (1 << bits) - 1
-    terms = {}
-    e = 0
+    bits = partition.size * n.bit_length() + 2
+    return Poly(("p",), balanced_digits(schur_principal_at(partition, n, 1 << bits, {}), bits))
+
+
+def balanced_digits(value: int, bits: int, low: int = 0) -> dict[tuple[int], int]:
+    """The digits of `value` in base X = 2^bits >= 4, each in [-X/2, X/2),
+    as the terms {(e,): digit} of a polynomial with e counting up from
+    `low`: the one polynomial with all coefficients below X/2 in absolute
+    value whose value at X, times X^(-low), is `value`."""
+    terms, half, e = {}, 1 << (bits - 1), low
     while value:
-        if value & mask:
-            terms[(e,)] = value & mask
-        value >>= bits
-        e += 1
-    return Poly(("p",), terms)
+        d = ((value + half) & ((1 << bits) - 1)) - half
+        terms[(e,)], value, e = d, (value - d) >> bits, e + 1
+    return terms

@@ -3,11 +3,10 @@ polynomials over either.
 
 Every ring is exact.  Polynomials are sparse maps from exponent tuples to
 int or Fraction coefficients, never floats; an integral value is held as an
-int, so the integer rings (and GF(p), whose residues are ints) do plain
-integer arithmetic.  Negative exponents are allowed when the ring is created
-as a Laurent ring.  The rationals compare by equality, the prime field GF(p)
-compares ints modulo p, and a polynomial ring compares coefficientwise by
-the rule of its base.
+int.  The rationals compare by equality, GF(p) compares ints modulo p, and a
+polynomial ring compares coefficientwise by the rule of its base.  Laurent
+rings (negative exponents allowed) serve only the tests' oracles: Macdonald's
+identity is checked at points of GF(p) and Jacobi's as integers at a = 2^B.
 
 The verifiers work in ints and GF(p) residues.  A Fraction is made in
 `src/` only by `identities.partition_gf` (its log terms 1/k, and its `exp`

@@ -8,11 +8,14 @@ The per-cell renderers, the full-depth bead read-off, the full-loop
 coding enumeration, the per-cell content ledger and the one-parity fold are
 the plain routes that the renderers, `coding_to_core`, `enumerate_codings`,
 `content_ledger` and the parity folds are checked against byte for byte.
-The per-partition hook loops and the lex factor order of the Macdonald
-product are the unwalked routes of `partition_sum_series`,
-`partition_sums_mod_p`, `multiplication_hook_points` and `macdonald_lhs`,
-and the GF(p)[s] polynomial hook side is the route that the interpolated
-side of the s-parameter form is checked against.
+The per-partition hook loops are the unwalked routes of
+`partition_sum_series`, `partition_sums_mod_p` and
+`multiplication_hook_points`, and the GF(p)[s] polynomial hook side is the
+route that the interpolated side of the s-parameter form is checked
+against.  The Laurent sides of Macdonald's identity in x1..xt (the product
+with its root pairs interleaved with the runs of (1 - q^m), and in lex
+order) and of Jacobi's in a are the exact routes that the GF(p) point
+evaluation and the Kronecker integers of the verifiers are checked against.
 """
 
 from collections import Counter
@@ -27,9 +30,10 @@ from tcores.partitions import Partition, enumerate_partitions
 from tcores.qseries import (
     MacdonaldTerm,
     TruncatedSeries,
-    _macdonald_ring,
     binomial_product,
+    euler_power,
     exact_div,
+    macdonald_terms,
     schur_principal,
 )
 from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
@@ -132,6 +136,85 @@ def eta_like_product(exponent, order: int, ring=None, var: str = "q") -> Truncat
 
 
 # ---------------------------------------------------------------------------
+# the Laurent routes of Macdonald's and Jacobi's identities
+
+
+def macdonald_ring(t: int) -> PolynomialRing:
+    return PolynomialRing(tuple(f"x{i}" for i in range(1, t + 1)), laurent=True)
+
+
+def laurent_macdonald_lhs(t: int, order: int) -> TruncatedSeries:
+    """prod_m (1-q^m)^(t-1) prod_{j<i} (1-(x_i/x_j) q^(m-1)) (1-(x_j/x_i) q^m)
+    in the Laurent ring of x1..xt.
+
+    The root pairs (i, j) come in lex order, and each of the first t - 1 is
+    followed by one run of (1 - q^m), m = 1..order: by the triple product
+    that pair and run make a theta series, so every partial product is a
+    sparse series before the next pair comes in, instead of swelling before
+    it cancels.
+    """
+    ring = macdonald_ring(t)
+    run = [(-ring.one, m) for m in range(1, order + 1)]
+    factors = []
+    pairs = 0
+    for i in range(1, t + 1):
+        for j in range(1, i):
+            # ratio x_i / x_j carried as a Laurent monomial
+            up = [0] * t
+            up[i - 1] = 1
+            up[j - 1] = -1
+            ratio = ring.monomial(tuple(up))
+            down = ring.monomial(tuple(-e for e in up))
+            factors += [(-ratio, m) for m in range(order + 1)]
+            factors += [(-down, m) for m in range(1, order + 1)]
+            pairs += 1
+            if pairs < t:
+                factors += run
+    return binomial_product(ring, order, factors)
+
+
+def laurent_macdonald_rhs(t: int, order: int) -> TruncatedSeries:
+    """sum over vectors of sign * q^omega * x_1^(1-a_1) ... x_t^(t-a_t), one
+    Laurent monomial per term of `macdonald_terms`."""
+    ring = macdonald_ring(t)
+    # per q-power, exponents -> sign; distinct vectors give distinct monomials
+    signs: list[dict] = [{} for _ in range(order + 1)]
+    for term in macdonald_terms(t, order):
+        signs[term.omega][tuple(i + 1 - term.a[i] for i in range(t))] = term.epsilon
+    return TruncatedSeries(ring, [Poly(ring.names, row) for row in signs])
+
+
+def jacobi_pair(N: int):
+    """Triple product prod_(n>=0) (1 + a x^(n+1)) (1 - x^(n+1)) (1 + x^n / a)
+    and theta sum in QQ[a, 1/a], series variable x."""
+    ring = PolynomialRing(("a",), laurent=True)
+    a = ring.monomial((1,))
+    ainv = ring.monomial((-1,))
+    factors = [(ainv, 0)]
+    for n in range(1, N + 1):
+        factors += [(a, n), (-ring.one, n), (ainv, n)]
+    lhs = binomial_product(ring, N, factors, var="x")
+    coeffs = [ring.zero] * (N + 1)
+    k = (isqrt(8 * N + 1) - 1) // 2  # the largest k with k(k+1)/2 <= N
+    for m in range(-k - 1, k + 1):
+        e = m * (m + 1) // 2
+        coeffs[e] = coeffs[e] + ring.monomial((m,))
+    rhs = TruncatedSeries(ring, coeffs, var="x")
+    return lhs, rhs
+
+
+def laurent_at(poly: Poly, point) -> int:
+    """A Laurent polynomial's value mod p at a point of nonzero residues."""
+    total = 0
+    for exps, c in poly.terms.items():
+        term = c
+        for v, e in zip(point, exps):
+            term = term * pow(v, e, P) % P
+        total += term
+    return total % P
+
+
+# ---------------------------------------------------------------------------
 # the unwalked hook sums and the lex-order Macdonald product
 
 
@@ -177,7 +260,7 @@ def per_partition_hook_points(r: int, N: int) -> list[list[list[int]]]:
 def lex_macdonald_lhs(t: int, order: int) -> TruncatedSeries:
     """The Macdonald product with every root-pair binomial, in lex order,
     applied before the t - 1 runs of (1 - q^m)."""
-    ring = _macdonald_ring(t)
+    ring = macdonald_ring(t)
     factors = []
     for i in range(1, t + 1):
         for j in range(1, i):
@@ -385,6 +468,15 @@ def render_svg_per_cell(window: ExplodedWindow) -> str:
 
 # ---------------------------------------------------------------------------
 # coding routes
+
+
+def core_count_series(t, N):
+    """Number of t-cores of each size 0..N, from the Garvan-Kim-Stanton
+    product prod_k (1 - q^(tk))^t / (1 - q^k) ("Cranks and t-cores",
+    Invent. Math. 101, 1990); no coding and no partition is involved."""
+    power = euler_power(t, N // t)  # prod (1 - q^k)^t, read at q^(tk)
+    inverse = euler_power(-1, N)
+    return [sum(power[k] * inverse[n - t * k] for k in range(n // t + 1)) for n in range(N + 1)]
 
 
 def full_depth_coding_to_core(coding) -> Partition:

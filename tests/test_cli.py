@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from tcores.cli import main
 from tcores.identities import VERIFIERS
 from tcores.partitions import partitions_up_to
+from tcores.rings import P
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLE1_ARGV = ("core-map", "--partition", "8,4,3,2,2,1", "--t", "5")
@@ -169,7 +171,7 @@ def test_verify_with_explicit_sample(capsys):
     assert data["params"]["t"] == 2 and data["ring"] == "GF(p)"
 
 
-@pytest.mark.parametrize("identity", ["sin-family", "poly-s-family", "tcore-lemmas", "sin-lemma"])
+@pytest.mark.parametrize("identity", ["sin-family", "poly-s-family", "tcore-lemmas", "sin-lemma", "macdonald"])
 def test_verify_seed_reproducible(capsys, identity):
     outputs = []
     for _ in range(2):
@@ -180,6 +182,20 @@ def test_verify_seed_reproducible(capsys, identity):
         outputs.append(data)
     assert outputs[0] == outputs[1]
     assert outputs[0]["params"]["seed"] == 3 and outputs[0]["deviation"] == "0"
+
+
+def test_verify_macdonald_records_its_seed_and_point(capsys):
+    points = []
+    for seed in ("3", "4"):
+        code, out, _ = run(capsys, "verify", "macdonald", "--t", "3", "--seed", seed, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        rng = random.Random(int(seed))
+        assert data["params"] == {"t": 3, "seed": int(seed), "x": [rng.randrange(2, P) for _ in range(3)]}
+        assert data["ring"] == "GF(p)" and data["deviation"] == "0"
+        assert data["details"] == {"terms_enumerated": 36, "sz_degree": 12}
+        points.append(data["params"]["x"])
+    assert points[0] != points[1]
 
 
 def test_verify_flags_reach_the_verifier(capsys):

@@ -26,9 +26,8 @@ from tcores.coding import (
 )
 from tcores.halfint import HalfInt
 from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
-from tcores.qseries import euler_power
 
-from oracles import full_depth_coding_to_core, full_loop_enumerate_codings
+from oracles import core_count_series, full_depth_coding_to_core, full_loop_enumerate_codings
 
 TABLE1 = Partition((8, 4, 3, 2, 2, 1))
 TABLE2 = Partition((8, 5, 4, 1, 1, 1))
@@ -344,15 +343,6 @@ def test_route_comparison_sees_a_dropped_coding(monkeypatch):
     real = coding.enumerate_codings
     monkeypatch.setattr(coding, "enumerate_codings", lambda t, n: real(t, n)[:-1])
     assert first_route_disagreement() == (1, 25)
-
-
-def core_count_series(t, N):
-    """Number of t-cores of each size 0..N, from the Garvan-Kim-Stanton
-    product prod_k (1 - q^(tk))^t / (1 - q^k) ("Cranks and t-cores",
-    Invent. Math. 101, 1990); no coding and no partition is involved."""
-    power = euler_power(t, N // t)  # prod (1 - q^k)^t, read at q^(tk)
-    inverse = euler_power(-1, N)
-    return [sum(power[k] * inverse[n - t * k] for k in range(n // t + 1)) for n in range(N + 1)]
 
 
 def first_count_mismatch(t, N, codings):

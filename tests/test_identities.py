@@ -11,7 +11,7 @@ from tcores import coding, exploded, identities, partitions, qseries, weights
 from tcores.identities import (
     PROFILES,
     VERIFIERS,
-    jacobi_pair,
+    jacobi_at,
     multiplication_hook_points,
     poly_s_hook_side,
     poly_s_pair,
@@ -49,7 +49,9 @@ from tcores.rings import P, PrimeField
 from tcores.weights import WeightLedger, evaluate, parity_coding_ledger
 
 from oracles import (
+    core_count_series,
     hook_content_sides,
+    jacobi_pair,
     macdonald_box_terms,
     multiplication_pair,
     nekrasov_okounkov_pair,
@@ -233,6 +235,71 @@ def test_macdonald():
     assert verify_macdonald(3, 3).passed
     with pytest.raises(ValueError):
         verify_macdonald(1, 3)
+
+
+def test_macdonald_runs_past_the_old_frontier():
+    # t! orderings of each t-core of size <= N, counted by the
+    # Garvan-Kim-Stanton product
+    for t, N in ((8, 12), (6, 8)):
+        r = verify_macdonald(t, N)
+        assert r.passed and r.deviation == "0" and r.ring == "GF(p)"
+        assert r.details["terms_enumerated"] == factorial(t) * sum(core_count_series(t, N))
+
+
+def test_macdonald_flipped_sign_fails_at_its_size(monkeypatch):
+    t, N = 3, 6
+    coding = enumerate_codings(t, N)[-1]
+    flip = [(tw + t + 1) // 2 for tw in coding.twice]
+    real = qseries.residue_sign
+    monkeypatch.setattr(qseries, "residue_sign", lambda a, t: -real(a, t) if list(a) == flip else real(a, t))
+    r = verify_macdonald(t, N)
+    assert not r.passed and r.deviation.startswith(f"q^{coding_size(coding)}: ")
+
+
+def test_macdonald_dropped_run_fails_at_q1(monkeypatch):
+    real = qseries.binomial_product
+
+    def one_run_short(ring, order, factors, var="q"):
+        run = [(-1, m) for m in range(1, order + 1)]
+        i = next(i for i in range(len(factors)) if factors[i : i + order] == run)
+        return real(ring, order, factors[:i] + factors[i + order :], var)
+
+    monkeypatch.setattr(qseries, "binomial_product", one_run_short)
+    r = verify_macdonald(3, 4)
+    assert not r.passed and r.deviation.startswith("q^1: ")
+
+
+@pytest.mark.parametrize("N", [8, 10, 40])
+def test_jacobi_integers_are_the_laurent_pair_at_x(N):
+    X = 1 << (3 * N + 3)
+    for side, series in zip(jacobi_at(N, X), jacobi_pair(N)):
+        # times a^(N+1) each coefficient is a polynomial in a, its
+        # coefficients at most 2^(3N+1), the L1 norm of the product
+        assert all(e + N + 1 >= 0 and abs(c) <= 2 ** (3 * N + 1)
+                   for coeff in series.coeffs for (e,), c in coeff.terms.items())
+        assert side == [
+            sum(c * X ** (e + N + 1) for (e,), c in coeff.terms.items()) for coeff in series.coeffs
+        ]
+
+
+@pytest.mark.parametrize("N, m", [(10, 2), (10, -3), (40, -8)])
+def test_jacobi_flipped_theta_sign_names_the_laurent_mismatch(monkeypatch, N, m):
+    e = m * (m + 1) // 2
+    real = identities.jacobi_at
+
+    def flipped(N, X):
+        lhs, rhs = real(N, X)
+        rhs[e] -= 2 * X ** (m + N + 1)
+        return lhs, rhs
+
+    monkeypatch.setattr(identities, "jacobi_at", flipped)
+    r = verify_jacobi(N)
+    # the same flip on the Laurent route, and its mismatch text
+    lhs, rhs = jacobi_pair(N)
+    rhs.coeffs[e] = rhs.coeffs[e] - 2 * rhs.ring.monomial((m,))
+    ok, want = identities._exact_compare(lhs, rhs)
+    assert not ok and want.startswith(f"x^{e}: ")
+    assert not r.passed and r.deviation == want
 
 
 def test_tcore_lemmas():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,9 +9,11 @@ from hypothesis import given, strategies as st
 from tcores.partitions import Partition, enumerate_partitions, enumerate_t_cores
 from tcores.qseries import (
     _bareiss,
+    _det_mod_p,
     BadConstantTermError,
     RingMismatchError,
     TruncatedSeries,
+    balanced_digits,
     binomial_product,
     euler_power,
     geometric_multiples,
@@ -29,6 +31,10 @@ from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
 
 from oracles import (
     eta_like_product,
+    jacobi_pair,
+    laurent_at,
+    laurent_macdonald_lhs,
+    laurent_macdonald_rhs,
     lex_macdonald_lhs,
     macdonald_box_terms,
     per_partition_sum_series,
@@ -198,7 +204,7 @@ def test_macdonald_terms_match_box_oracle(t, N):
     box = macdonald_box_terms(t, N)
     assert macdonald_terms(t, N) == box
     # the sum side, against the box terms added one monomial at a time
-    rhs = macdonald_rhs(t, N)
+    rhs = laurent_macdonald_rhs(t, N)
     want = [rhs.ring.zero] * (N + 1)
     for term in box:
         exps = tuple(i + 1 - a for i, a in enumerate(term.a))
@@ -217,8 +223,8 @@ def test_macdonald_terms_lose_a_dropped_coding(monkeypatch):
 
 
 def test_macdonald_constant_term_t2():
-    lhs = macdonald_lhs(2, 0)
-    rhs = macdonald_rhs(2, 0)
+    lhs = laurent_macdonald_lhs(2, 0)
+    rhs = laurent_macdonald_rhs(2, 0)
     ring = lhs.ring
     want = ring.one - ring.monomial((-1, 1))  # 1 - x2/x1
     assert lhs.coeffs[0] == want
@@ -226,9 +232,94 @@ def test_macdonald_constant_term_t2():
 
 
 def test_macdonald_exact_small():
-    assert macdonald_lhs(2, 4) == macdonald_rhs(2, 4)
-    assert macdonald_lhs(3, 3) == macdonald_rhs(3, 3)
-    assert macdonald_lhs(4, 2) == macdonald_rhs(4, 2)
+    assert laurent_macdonald_lhs(2, 4) == laurent_macdonald_rhs(2, 4)
+    assert laurent_macdonald_lhs(3, 3) == laurent_macdonald_rhs(3, 3)
+    assert laurent_macdonald_lhs(4, 2) == laurent_macdonald_rhs(4, 2)
+
+
+# the sizes at which the GF(p) Macdonald sides meet their Laurent oracles
+MACDONALD_SIZES = [(2, 4), (3, 4), (4, 6), (5, 4)]
+
+
+def macdonald_point(t, seed):
+    """The point x that `verify_macdonald` draws from `seed`."""
+    rng = random.Random(seed)
+    return [rng.randrange(2, P) for _ in range(t)]
+
+
+@lru_cache(maxsize=None)
+def laurent_macdonald_pair(t, N):
+    return laurent_macdonald_lhs(t, N), laurent_macdonald_rhs(t, N)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t, N", MACDONALD_SIZES)
+def test_gf_macdonald_sides_are_the_laurent_sides_at_x(t, N, seed):
+    x = macdonald_point(t, seed)
+    lhs, rhs = laurent_macdonald_pair(t, N)
+    assert macdonald_lhs(t, N, x).coeffs == [laurent_at(c, x) for c in lhs.coeffs]
+    assert macdonald_rhs(t, N, x).coeffs == [laurent_at(c, x) for c in rhs.coeffs]
+
+
+@pytest.mark.parametrize("t, N", MACDONALD_SIZES)
+def test_sz_degree_is_the_laurent_exponent_spread(t, N):
+    from tcores.identities import verify_macdonald
+
+    # each q^n coefficient cleared by the monomial of its smallest exponents
+    degrees = []
+    for c in laurent_macdonald_pair(t, N)[0].coeffs:
+        if c.terms:
+            low = [min(column) for column in zip(*c.terms)]
+            degrees.append(max(sum(e - m for e, m in zip(exps, low)) for exps in c.terms))
+    assert verify_macdonald(t, N).details["sz_degree"] == max(degrees)
+
+
+def test_gf_products_stay_residues():
+    from tcores.identities import sample_point, tcore_lemma_series
+
+    Y = sample_point(random.Random(7), 10)
+    x = macdonald_point(8, 7)
+    series = [*tcore_lemma_series(5, Y, 10), macdonald_lhs(8, 12, x), macdonald_rhs(8, 12, x)]
+    values = [c for s in series for c in s.coeffs]
+    assert all(0 <= c < P for c in values)
+    assert max(c.bit_length() for c in values) <= 61
+
+
+def leibniz_det_mod_p(rows):
+    """The determinant as the signed sum over permutations, mod p."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * rows[i][j] % P
+        total += term
+    return total % P
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_det_mod_p_matches_leibniz(seed):
+    rng = random.Random(seed)
+    for n in range(5):
+        # mostly zeros and small values, so zero pivots and singular matrices occur
+        rows = [[rng.choice([0, 0, 1, P - 1, rng.randrange(P)]) for _ in range(n)] for _ in range(n)]
+        assert _det_mod_p(rows) == leibniz_det_mod_p(rows), rows
+    assert _det_mod_p([[0, 1], [1, 0]]) == P - 1
+    assert _det_mod_p([[1, 2], [2, 4]]) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_balanced_digits_read_back_small_coefficients(seed):
+    rng = random.Random(seed)
+    bits = rng.randint(2, 40)
+    half = 1 << (bits - 1)
+    coeffs = [rng.randrange(-half, half) for _ in range(rng.randint(0, 8))]
+    low = rng.randint(-5, 5)
+    value = sum(c << (bits * i) for i, c in enumerate(coeffs))
+    want = {(low + i,): c for i, c in enumerate(coeffs)}
+    got = balanced_digits(value, bits, low)
+    assert {e: c for e, c in got.items() if c} == {e: c for e, c in want.items() if c}
 
 
 # the walked kernels against their unwalked oracles, coefficient for
@@ -331,11 +422,11 @@ def test_partition_sum_shares_hook_prefixes():
 
 @pytest.mark.parametrize("t, N", [(2, 6), (3, 5), (4, 6), (5, 3)])
 def test_macdonald_lhs_is_the_lex_order_product(t, N):
-    assert exact_coeffs(macdonald_lhs(t, N)) == exact_coeffs(lex_macdonald_lhs(t, N))
+    assert exact_coeffs(laurent_macdonald_lhs(t, N)) == exact_coeffs(lex_macdonald_lhs(t, N))
 
 
 def test_macdonald_lhs_multiplies_sparse_partial_products(monkeypatch):
-    # coefficient term pairs of every Poly product in macdonald_lhs(4, 6)
+    # coefficient term pairs of every Poly product in laurent_macdonald_lhs(4, 6)
     pairs = []
     real = Poly.__mul__
 
@@ -344,7 +435,7 @@ def test_macdonald_lhs_multiplies_sparse_partial_products(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(Poly, "__mul__", counting)
-    macdonald_lhs(4, 6)
+    laurent_macdonald_lhs(4, 6)
     assert sum(pairs) == 11182
     pairs.clear()
     lex_macdonald_lhs(4, 6)
@@ -667,15 +758,15 @@ def exact_values(series):
 
 def test_exact_series_hold_no_float():
     from oracles import multiplication_pair, nekrasov_okounkov_pair
-    from tcores.identities import jacobi_pair, partition_gf
+    from tcores.identities import partition_gf
 
     series = [
         partition_gf(12),
         *nekrasov_okounkov_pair(8),
         *multiplication_pair(2, 8),
         *jacobi_pair(8),
-        macdonald_lhs(3, 3),
-        macdonald_rhs(3, 3),
+        laurent_macdonald_lhs(3, 3),
+        laurent_macdonald_rhs(3, 3),
         # the exact t = 0 sine-family check: this against partition_gf
         partition_sum_series(lambda h: 1, 1, 12),
     ]
@@ -702,10 +793,12 @@ def test_exact_series_hold_no_float():
 
 def test_integer_rings_hold_ints():
     # no coefficient of an integer ring is ever a Fraction, not even 1/1
-    from tcores.identities import jacobi_pair, poly_s_pair, sample_point
+    from tcores.identities import poly_s_pair, sample_point
 
     Y = sample_point(random.Random(7), 8)
-    series = [*jacobi_pair(10), macdonald_lhs(3, 4), macdonald_rhs(3, 4), *poly_s_pair(Y, 8)]
+    series = [
+        *jacobi_pair(10), laurent_macdonald_lhs(3, 4), laurent_macdonald_rhs(3, 4), *poly_s_pair(Y, 8)
+    ]
     values = [v for s in series for v in exact_values(s)]
     assert values and all(type(v) is int for v in values)
 
