@@ -63,6 +63,7 @@ from .qseries import (
     _hook_walk,
     balanced_digits,
     binomial_product,
+    euler_power,
     exact_div,
     geometric_multiples,
     macdonald_lhs,
@@ -70,7 +71,7 @@ from .qseries import (
     multiplication_product_points,
     partition_sum_series,
     partition_sums_mod_p,
-    schur_principal_at,
+    schur_branching_at,
 )
 from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
 from .weights import (
@@ -272,15 +273,6 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
 # q-series identities
 
 
-def partition_gf(N: int) -> TruncatedSeries:
-    """exp(sum_k q^k / (k (1-q^k))), the partition generating function."""
-    ring = RationalField()
-    total = TruncatedSeries.zero(ring, N)
-    for k in range(1, N + 1):
-        total = total + geometric_multiples(ring, k, N, Fraction(1, k))
-    return total.exp()
-
-
 def hook_point_weights(g: int, top: int) -> list[int]:
     """g^2 - s^2 for s = 0..top: the hook weight 1 - beta/h^2 at the hook
     h = r g and beta = r^2 s^2, times g^2."""
@@ -410,11 +402,14 @@ def verify_sin_family(
 ) -> VerificationReport:
     """The sine-weight hook sum against its exponential form.
 
-    With t = 0 both sides are the partition generating function and the
-    check runs over the rationals, drawing no points, so `samples` is an
-    error there.  Otherwise it runs in GF(p) at `samples` points (5 unless
-    given) Y = e^(iz) drawn from `seed`, with W = e^(itz) drawn as well when
-    t_value is None, and W = Y^t for an integer t_value.  All points are
+    With t = 0 both sides are the partition generating function, and the
+    check compares integers, drawing no points, so `samples` is an error
+    there: the hook sum of the weight 1 against prod (1 - q^k)^(-1) by
+    `euler_power`, the exponential form exp(sum_k q^k/(k(1 - q^k))) in
+    closed form; the report's `ring` still names QQ.  Otherwise it runs in
+    GF(p) at `samples` points (5 unless given) Y = e^(iz) drawn from
+    `seed`, with W = e^(itz) drawn as well when t_value is None, and
+    W = Y^t for an integer t_value.  All points are
     drawn first, in that order, and their hook sums come from one vector
     walk (`sin_hook_sums`, one slot per point); the points are then
     compared in order up to the first failure, and the report lists the
@@ -427,8 +422,7 @@ def verify_sin_family(
         if samples is not None:
             raise ValueError("the exact t = 0 check draws no sample points")
         lhs = partition_sum_series(lambda h: 1, r, N)
-        rhs = partition_gf(N)
-        ok, dev = _exact_compare(lhs, rhs)
+        ok, dev = _exact_compare(lhs, TruncatedSeries(lhs.ring, euler_power(-1, N)))
         return _finish(
             "sin-family", {"r": r, "t": 0}, N, "QQ", ok, dev, t0
         )
@@ -510,28 +504,22 @@ def poly_s_hook_side(w: dict[int, int], N: int, extra=()):
     return TruncatedSeries(ring, coeffs), sums
 
 
-def poly_s_exp_side(w: dict[int, int], N: int) -> TruncatedSeries:
-    """The exponential side of the s-parameter form in GF(p)[s], with w the
-    map k -> w(k) of `poly_s_sin_weights`:
-    exp of sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k))."""
-    ring = PolynomialRing(("s",), base=GF)
-    coeffs = [ring.zero] * (N + 1)
-    for k in range(1, N + 1):
-        sk = ring.monomial((k,))
-        s2k = ring.monomial((2 * k,))
-        p_k = ring.div_int(sk + (s2k - 2 * sk + 1) * w[k], k)
-        j = 0
-        while k * (j + 1) <= N:
-            coeffs[k * (j + 1)] = coeffs[k * (j + 1)] + ring.monomial((j * k,)) * p_k
-            j += 1
-    return TruncatedSeries(ring, coeffs).exp()
-
-
-def poly_s_pair(Y: int, N: int):
-    """Both sides of the s-parameter form, coefficients in GF(p)[s], with
-    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz)."""
-    w = poly_s_sin_weights(Y, N)
-    return poly_s_hook_side(w, N)[0], poly_s_exp_side(w, N)
+def poly_s_exp_points(w: dict[int, int], N: int) -> list[TruncatedSeries]:
+    """The exponential side of the s-parameter form at s = 0..2N in GF(p),
+    with w the map k -> w(k) of `poly_s_sin_weights`: at each s, exp of
+    sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k)), whose q^m
+    coefficient is sum over k | m of s^(m - k) (s^k + (s^k - 1)^2 w(k))/k."""
+    inverse = [0] + [GF.inv(k) for k in range(1, N + 1)]
+    sides = []
+    for s in range(2 * N + 1):
+        power = [pow(s, e, P) for e in range(N + 1)]  # s^0 = 1 at s = 0 too
+        log = [0] * (N + 1)
+        for k in range(1, N + 1):
+            p_k = (power[k] + (power[k] - 1) ** 2 * w[k]) * inverse[k] % P
+            for m in range(k, N + 1, k):
+                log[m] += power[m - k] * p_k
+        sides.append(TruncatedSeries(GF, [c % P for c in log]).exp())
+    return sides
 
 
 def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
@@ -540,11 +528,15 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     hyperbolic (at R = e^z) and s = -1 cotangent specializations in GF(p).
 
     One hook walk serves all of them: its vector holds the weight at
-    s = 0..2N, from which `poly_s_hook_side` interpolates the GF(p)[s]
-    side (each q^n coefficient has s-degree at most 2n by construction, and
-    0..2N are distinct mod p), then the cosine, hyperbolic and cotangent
-    weights.  The s = 0 check reads the s = 0 slot.  The degree bound
-    stays a check: 2N + 1 points allow s-degree 2N at every q^n.
+    s = 0..2N, then the cosine, hyperbolic and cotangent weights.  The
+    `symbolic` detail compares the hook sums at s = 0..2N with the
+    exponential side at the same points (`poly_s_exp_points`), q^n
+    ascending, then s.  Every q^n coefficient on either side has s-degree
+    at most 2n by construction, and 0..2N are distinct mod p, so agreement
+    at these 2N + 1 points is the GF(p)[s] identity.  The degree bound of
+    the hook side stays a check: `poly_s_hook_side` interpolates it from
+    the same values, and 2N + 1 points allow s-degree 2N at every q^n.  The
+    s = 0 check reads the s = 0 slot.
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -564,11 +556,15 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     w = poly_s_sin_weights(Y, N)
     lhs, sums = poly_s_hook_side(w, N, (cosine, sinh, cot2))
     cosine_sum, sinh_sum, cot2_sum = sums[2 * N + 1 :]
-    rhs = poly_s_exp_side(w, N)
-    degree_ok = all(
-        c.degree_in("s") <= 2 * n for n, c in enumerate(lhs.coeffs)
-    ) and all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
-    details: dict = {"symbolic": _exact_compare(lhs, rhs)[1], "degree_bound": degree_ok}
+    degree_ok = all(c.degree_in("s") <= 2 * n for n, c in enumerate(lhs.coeffs))
+    exp_sides = poly_s_exp_points(w, N)
+    symbolic = next((
+        f"q^{n}: s={s}: {GF.coerce(a.coeffs[n])} != {GF.coerce(b.coeffs[n])}"
+        for n in range(N + 1)
+        for s, (a, b) in enumerate(zip(sums, exp_sides))
+        if not GF.eq(a.coeffs[n], b.coeffs[n])
+    ), "0")
+    details: dict = {"symbolic": symbolic, "degree_bound": degree_ok}
 
     def check(hook_sum, rho, pieces=None):
         """The GF(p) hook sum of the weight rho against exp of the summed
@@ -729,21 +725,39 @@ def verify_multiplication(r: int = 1, N: int = 10) -> VerificationReport:
     return _finish("multiplication", {"r": r}, N, ring.name, dev == "0", dev, t0)
 
 
+def _times_one_minus_powers(v: int, exponents, bits: int) -> int:
+    """v prod (1 - X^e) over `exponents` at X = 2^bits: each factor is
+    v - (v << bits e), a shift and a subtraction."""
+    for e in exponents:
+        v -= v << bits * e
+    return v
+
+
 def hook_content_at(lam: Partition, n: int, X: int, cache: dict) -> tuple[int, int]:
     """Both sides of the hook-content identity at p = X, as integers: the
     Schur value times prod (1 - X^h) over the hooks, and X^(row moment)
-    times prod (1 - X^(n + c)) over the contents (zero when some n + c is
-    0).  `cache` carries the h_k values of one sweep."""
-    lhs = schur_principal_at(lam, n, X, cache)
-    for h in lam.hooks():
-        lhs *= 1 - X**h
-    shifts = [n + c for c in lam.contents()]
-    if 0 in shifts:
+    times prod (1 - X^(n + c)) over the contents, which is zero when lambda
+    has more than n rows (the cell in row n + 1 of column 1 has content -n).
+
+    X must be a power of two 2^B >= 4 (ValueError otherwise): every power
+    of X is then a left shift by a multiple of B, and every factor
+    (1 - X^e) a shift and a subtraction.  The Schur value comes from the
+    branching rule (`schur_branching_at`), not from a determinant.  `cache`
+    carries one sweep's values: the Schur values, keyed (parts, n, B), and
+    each partition's hook product and contents, keyed (parts, B), so those
+    are taken once per partition whatever n."""
+    if X < 4 or X & (X - 1):
+        raise ValueError(f"X must be a power of two >= 4, not {X}")
+    bits = X.bit_length() - 1
+    parts = lam.parts
+    known = cache.get((parts, bits))
+    if known is None:
+        known = cache[parts, bits] = _times_one_minus_powers(1, lam.hooks(), bits), lam.contents()
+    hooks, contents = known
+    lhs = schur_branching_at(parts, n, bits, cache) * hooks
+    if len(parts) > n:  # a factor 1 - X^0
         return lhs, 0
-    rhs = X ** lam.row_moment()
-    for e in shifts:
-        rhs *= 1 - X**e
-    return lhs, rhs
+    return lhs, _times_one_minus_powers(1 << bits * lam.row_moment(), (n + c for c in contents), bits)
 
 
 def verify_hook_content(max_size: int = 8, max_n: int = 5) -> VerificationReport:

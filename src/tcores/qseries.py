@@ -8,10 +8,13 @@ products of binomials 1 + c q^m (`binomial_product`, each factor applied in
 place in O(N) ring operations instead of a series product), both sides
 of the type-A Macdonald identity in GF(p) at a point x (the product one
 `binomial_product`, the sum one determinant mod p per t-core coding), and
-principal specializations of Schur polynomials.  A Schur
-principal specialization is computed as one integer: the Jacobi-Trudi
-determinant at p = X = 2^B, taken by fraction-free (Bareiss) elimination,
-whose base-2^B digits are its coefficients.  The product side of the
+principal specializations of Schur polynomials.  A Schur principal
+specialization is computed as one integer at p = X = 2^B, whose base-2^B
+digits are its coefficients, two ways: by the branching rule over
+horizontal strips, each power of X a shift (`schur_branching_at`, which the
+hook-content check runs), and by the Jacobi-Trudi determinant, taken by
+fraction-free (Bareiss) elimination (`schur_principal_at`, its oracle in
+the tests and the route of `schur_principal`).  The product side of the
 r-multiplication identity (Nekrasov-Okounkov at r = 1) is likewise
 integer-only at the points beta = r^2 s^2: integer powers of Euler's product
 by J. C. P. Miller's recurrence on the pentagonal series, in place of the
@@ -24,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 from .coding import coding_size, enumerate_codings
@@ -563,6 +566,39 @@ def schur_principal_at(partition: Partition, n: int, X: int, cache: dict) -> int
         [_h_principal_at(parts[i] - i + j, n, X, cache) for j in range(ell)]
         for i in range(ell)
     ])
+
+
+def schur_branching_at(parts: tuple[int, ...], n: int, bits: int, memo: dict) -> int:
+    """s_lambda(1, X, ..., X^(n-1)) at X = 2^bits as an integer, by the
+    branching rule (I. G. Macdonald, Symmetric Functions and Hall
+    Polynomials, I.5.11): the sum over mu with lambda/mu a horizontal strip
+    of s_mu(1, X, ..., X^(n-2)) X^((n-1)|lambda/mu|), each power of X a left
+    shift.  Zero when the partition has more than n rows, 1 at n = 1.
+
+    `memo` maps (parts, n, bits) to the values found so far, so the calls
+    may come in any order; a sweep holds one for its duration.  The value is
+    the integer of `schur_principal_at` at X, which the tests check.
+    """
+    ell = len(parts)
+    if ell > n:
+        return 0
+    if n == 1 or not ell:
+        return 1
+    key = (parts, n, bits)
+    value = memo.get(key)
+    if value is None:
+        shift, size = bits * (n - 1), sum(parts)
+        # mu_i runs from lambda_(i+1) to lambda_i; only the last row can be
+        # emptied, and it must be when lambda has n rows (mu has n - 1 variables)
+        rows = [range(low, high + 1) for high, low in zip(parts, parts[1:])]
+        rows.append(range(parts[-1] + 1 if ell < n else 1))
+        value = 0
+        for mu in product(*rows):
+            if not mu[-1]:
+                mu = mu[:-1]
+            value += schur_branching_at(mu, n - 1, bits, memo) << shift * (size - sum(mu))
+        memo[key] = value
+    return value
 
 
 # no verifier calls this: kept as the only site of benchmark span qseries.schur_principal

@@ -9,10 +9,10 @@ rings (negative exponents allowed) serve only the tests' oracles: Macdonald's
 identity is checked at points of GF(p) and Jacobi's as integers at a = 2^B.
 
 The verifiers work in ints and GF(p) residues.  A Fraction is made in
-`src/` only by `identities.partition_gf` (its log terms 1/k, and its `exp`
-dividing through `RationalField.div_int`), by `RationalField`'s `div_int`
-and `inv`, and in error text (the size formulas of `coding`, and the
-mismatch text of the r-multiplication check).
+`src/` only by `RationalField`'s `div_int` and `inv`, which no verifier
+calls (the exp-log routes of the tests' oracles do), and in error text (the
+size formulas of `coding`, and the mismatch text of the r-multiplication
+check).
 """
 
 from __future__ import annotations

@@ -12,10 +12,14 @@ The per-partition hook loops are the unwalked routes of
 `partition_sum_series`, `partition_sums_mod_p` and
 `multiplication_hook_points`, and the GF(p)[s] polynomial hook side is the
 route that the interpolated side of the s-parameter form is checked
-against.  The Laurent sides of Macdonald's identity in x1..xt (the product
-with its root pairs interleaved with the runs of (1 - q^m), and in lex
-order) and of Jacobi's in a are the exact routes that the GF(p) point
-evaluation and the Kronecker integers of the verifiers are checked against.
+against; its GF(p)[s] exponential side (`poly_s_exp_side`) is the route
+that the verifier's exponential sides at s = 0..2N are checked against, and
+the exp-log partition generating function (`partition_gf`) the route of
+the integers of the t = 0 sine-family panel.  The Laurent sides of
+Macdonald's identity in x1..xt (the product with its root pairs
+interleaved with the runs of (1 - q^m), and in lex order) and of Jacobi's
+in a are the exact routes that the GF(p) point evaluation and the
+Kronecker integers of the verifiers are checked against.
 """
 
 from collections import Counter
@@ -26,6 +30,7 @@ from math import factorial, isqrt, prod
 from tcores.coding import InvalidCodingError, _size, _trusted, class_sorted_coding
 from tcores.exploded import _CELL, ExplodedWindow, RelationViolationError, _axis_label, _region
 from tcores.halfint import HalfInt
+from tcores.identities import poly_s_hook_side, poly_s_sin_weights
 from tcores.partitions import Partition, enumerate_partitions
 from tcores.qseries import (
     MacdonaldTerm,
@@ -33,6 +38,7 @@ from tcores.qseries import (
     binomial_product,
     euler_power,
     exact_div,
+    geometric_multiples,
     macdonald_terms,
     schur_principal,
 )
@@ -330,6 +336,42 @@ def poly_s_hook_side_poly(Y: int, N: int) -> TruncatedSeries:
         sin = (pow(Y, h, P) - pow(Y, -h, P)) * pow(two_i, -1, P)
         w[h] = pow(4 * sin * sin, -1, P)
     return per_partition_sum_series(lambda h: s + (s - 1) * (s - 1) * w[h], 1, N, ring)
+
+
+def poly_s_exp_side(w: dict[int, int], N: int) -> TruncatedSeries:
+    """The exponential side of the s-parameter form in GF(p)[s], with w the
+    map k -> w(k) of `identities.poly_s_sin_weights`: exp of
+    sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k)), one `Poly` exp
+    and no evaluation at points."""
+    ring = PolynomialRing(("s",), base=PrimeField())
+    coeffs = [ring.zero] * (N + 1)
+    for k in range(1, N + 1):
+        sk = ring.monomial((k,))
+        s2k = ring.monomial((2 * k,))
+        p_k = ring.div_int(sk + (s2k - 2 * sk + 1) * w[k], k)
+        j = 0
+        while k * (j + 1) <= N:
+            coeffs[k * (j + 1)] = coeffs[k * (j + 1)] + ring.monomial((j * k,)) * p_k
+            j += 1
+    return TruncatedSeries(ring, coeffs).exp()
+
+
+def poly_s_pair(Y: int, N: int):
+    """Both sides of the s-parameter form, coefficients in GF(p)[s], with
+    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz): the interpolated hook side of the
+    verifier and the `Poly` exponential side."""
+    w = poly_s_sin_weights(Y, N)
+    return poly_s_hook_side(w, N)[0], poly_s_exp_side(w, N)
+
+
+def partition_gf(N: int) -> TruncatedSeries:
+    """exp(sum_k q^k / (k (1-q^k))) over QQ, the partition generating
+    function by exp-log."""
+    ring = RationalField()
+    total = TruncatedSeries.zero(ring, N)
+    for k in range(1, N + 1):
+        total = total + geometric_multiples(ring, k, N, Fraction(1, k))
+    return total.exp()
 
 
 def hook_content_sides(lam: Partition, n: int):

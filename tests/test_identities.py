@@ -14,7 +14,6 @@ from tcores.identities import (
     jacobi_at,
     multiplication_hook_points,
     poly_s_hook_side,
-    poly_s_pair,
     poly_s_sin_weights,
     run_suite,
     sample_point,
@@ -56,7 +55,9 @@ from oracles import (
     multiplication_pair,
     nekrasov_okounkov_pair,
     per_partition_hook_points,
+    poly_s_exp_side,
     poly_s_hook_side_poly,
+    poly_s_pair,
     substitute,
 )
 
@@ -210,6 +211,21 @@ def test_interpolated_hook_side_is_the_poly_route(N, seed):
     assert [ring.coerce(c) for c in want.coeffs] == got.coeffs
     assert all(type(v) is int for c in got.coeffs for v in c.terms.values())
     assert max(c.degree_in("s") for c in got.coeffs) == 2 * N
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_poly_exp_side_degree_and_values_at_the_points(N):
+    # the premise of the points route: every q^n coefficient of the GF(p)[s]
+    # exponential side has s-degree <= 2n, so its values at s = 0..2N, the
+    # verifier's GF(p) exponential sides, determine it
+    w = poly_s_sin_weights(sample_point(random.Random(7), N), N)
+    rhs = poly_s_exp_side(w, N)
+    assert all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
+    sides = identities.poly_s_exp_points(w, N)
+    assert len(sides) == 2 * N + 1
+    for s, side in enumerate(sides):
+        values = [sum(v * s ** e for (e,), v in c.terms.items()) % P for c in rhs.coeffs]
+        assert side.coeffs == values, s
 
 
 def test_jacobi_and_collapse():
@@ -638,6 +654,37 @@ def test_poly_s_family_broken_cosine_slot_fails(monkeypatch):
     assert all(r.details[k] == "0" for k in ("symbolic", "s_zero", "sinh", "cotangent"))
 
 
+def test_poly_s_family_broken_exp_point_fails(monkeypatch):
+    # one coefficient of the exponential side at one point s: the symbolic
+    # detail names that q^n and that s, and no specialization reads it
+    real = identities.poly_s_exp_points
+
+    def bumped(w, N):
+        sides = real(w, N)
+        sides[7].coeffs[3] = (sides[7].coeffs[3] + 1) % P
+        return sides
+
+    monkeypatch.setattr(identities, "poly_s_exp_points", bumped)
+    r = verify_poly_s_family(N=6)
+    assert not r.passed and r.deviation == r.details["symbolic"]
+    assert r.deviation.startswith("q^3: s=7: ")
+    assert r.details["degree_bound"] is True
+    assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
+
+
+def test_sin_family_t0_broken_euler_coefficient_fails(monkeypatch):
+    real = identities.euler_power
+
+    def bumped(alpha, order):
+        g = real(alpha, order)
+        g[7] += 1
+        return g
+
+    monkeypatch.setattr(identities, "euler_power", bumped)
+    r = verify_sin_family(1, t_value=0, N=12)
+    assert not r.passed and r.deviation == "q^7: 15 != 16"
+
+
 def test_sin_family_broken_sample_weight_fails(monkeypatch):
     # sample 3's weight at the hook 1: the check stops at that sample, and
     # the report lists the points drawn up to it
@@ -673,6 +720,13 @@ def test_sin_lemma_broken_pair_factor_fails(monkeypatch):
     monkeypatch.setattr(identities, "exp_pair_product", wrong_first_factor)
     r = verify_sin_lemma(3)
     assert not r.passed and r.deviation.startswith("pairwise")
+
+
+@pytest.mark.parametrize("X", [-4, 0, 1, 2, 3, 6, 12, (1 << 40) + 1])
+def test_hook_content_at_takes_only_a_power_of_two_from_four(X):
+    # its factors (1 - X^e) are shifts by multiples of B, X = 2^B
+    with pytest.raises(ValueError, match="power of two"):
+        identities.hook_content_at(Partition((2, 1)), 3, X, {})
 
 
 # the hook-content sweep compares two integers per pair: a broken side must

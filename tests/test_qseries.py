@@ -24,6 +24,7 @@ from tcores.qseries import (
     partition_sum_series,
     partition_sums_mod_p,
     residue_sign,
+    schur_branching_at,
     schur_principal,
     schur_principal_at,
 )
@@ -37,6 +38,7 @@ from oracles import (
     laurent_macdonald_rhs,
     lex_macdonald_lhs,
     macdonald_box_terms,
+    partition_gf,
     per_partition_sum_series,
     series_pow,
     substitute,
@@ -557,6 +559,36 @@ def test_bareiss_raises_on_a_zero_pivot():
         _bareiss([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("bits", [2, 50])
+def test_branching_schur_is_the_jacobi_trudi_value(bits):
+    # every partition of size <= 12 at n = 1..7, the tall ones' zeros
+    # included; 50 is the hook-content sweep's B at (12, 7)
+    memo, cache = {}, {}
+    for size in range(13):
+        for lam in enumerate_partitions(size):
+            for n in range(1, 8):
+                got = schur_branching_at(lam.parts, n, bits, memo)
+                assert got == schur_principal_at(lam, n, 1 << bits, cache), (lam, n)
+                assert (got == 0) == (len(lam.parts) > n), (lam, n)
+
+
+def test_branching_memo_fills_in_any_order():
+    pairs = [
+        (lam.parts, n) for size in range(13) for lam in enumerate_partitions(size) for n in range(1, 8)
+    ]
+    forward, backward = {}, {}
+    want = [schur_branching_at(parts, n, 50, forward) for parts, n in pairs]
+    got = [schur_branching_at(parts, n, 50, backward) for parts, n in reversed(pairs)]
+    assert got[::-1] == want
+    assert backward == forward
+
+
+def test_partition_gf_is_euler_power_minus_one():
+    # the t = 0 sine-family panel reads prod (1 - q^k)^(-1) off euler_power;
+    # the exp-log partition generating function is its oracle
+    assert euler_power(-1, 24) == partition_gf(24).coeffs
+
+
 def test_series_str_and_json():
     f = qq_series([1, Fraction(3, 2), 0, 2])
     assert str(f) == "1 + 3/2*q + 2*q^3 (+O(q^4))"
@@ -758,7 +790,6 @@ def exact_values(series):
 
 def test_exact_series_hold_no_float():
     from oracles import multiplication_pair, nekrasov_okounkov_pair
-    from tcores.identities import partition_gf
 
     series = [
         partition_gf(12),
@@ -776,7 +807,8 @@ def test_exact_series_hold_no_float():
     assert all(type(v) in (int, Fraction) for v in gaussian_binomial(8, 4).terms.values())
 
     # the GF(p) series hold ints only
-    from tcores.identities import poly_s_pair, sin_family_rhs, sin_hook_sum, tcore_lemma_series
+    from oracles import poly_s_pair
+    from tcores.identities import sin_family_rhs, sin_hook_sum, tcore_lemma_series
 
     Y, W = 123456789, 987654321
     gf_series = [
@@ -793,7 +825,8 @@ def test_exact_series_hold_no_float():
 
 def test_integer_rings_hold_ints():
     # no coefficient of an integer ring is ever a Fraction, not even 1/1
-    from tcores.identities import poly_s_pair, sample_point
+    from oracles import poly_s_pair
+    from tcores.identities import sample_point
 
     Y = sample_point(random.Random(7), 8)
     series = [
