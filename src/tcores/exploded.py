@@ -16,6 +16,7 @@ list.  The x side's bead set also gives the coding and the t-core test.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 
 from .coding import BeadSet, _class_tops, _closed, bead_set
@@ -74,12 +75,19 @@ class ExplodedWindow:
 
 def _pair_set(xs, ys, lo, hi, forbid=()):
     """Doubled-coordinate pairs of xs x ys with lo < entry < hi and the entry
-    not in `forbid`; hi=None leaves the entries unbounded above."""
+    not in `forbid`; hi=None leaves the entries unbounded above.
+
+    ys is decreasing, so for each x the entries (x + y) // 2 do not rise
+    along it and the y in the band are one slice: lo < (x + y) // 2 iff
+    y >= 2 lo + 2 - x, and (x + y) // 2 < hi iff y < 2 hi - x.  Both ends
+    are found by bisection on the increasing list -ys."""
+    neg = [-ytw for ytw in ys]
     out = set()
     for xtw in xs:
-        for ytw in ys:
-            entry = (xtw + ytw) // 2
-            if entry > lo and (hi is None or entry < hi) and entry not in forbid:
+        start = 0 if hi is None else bisect_right(neg, xtw - 2 * hi)
+        stop = bisect_right(neg, xtw - 2 * lo - 2)
+        for ytw in ys[start:stop]:
+            if (xtw + ytw) // 2 not in forbid:
                 out.add((xtw, ytw))
     return out
 
@@ -149,8 +157,8 @@ def _tally(pairs) -> WeightLedger:
 
 def region_ledger(xs, ys, lo: int, hi: int | None = None) -> WeightLedger:
     """Tally of the entries lo < entry < hi over the boxes xs x ys, two
-    lists of doubled coordinates; hi=None leaves the entries unbounded
-    above."""
+    decreasing lists of doubled coordinates; hi=None leaves the entries
+    unbounded above."""
     return _tally(_pair_set(xs, ys, lo, hi))
 
 

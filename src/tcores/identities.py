@@ -69,7 +69,6 @@ from .qseries import (
     macdonald_lhs,
     macdonald_rhs,
     multiplication_product_points,
-    partition_sum_series,
     partition_sums_mod_p,
     schur_branching_at,
 )
@@ -167,13 +166,22 @@ def _sweep_report(identity, params, ring, failures, t0, **counts) -> Verificatio
     return _finish(identity, params, None, ring, ok, "0" if ok else failures[0], t0, **counts)
 
 
-def _exact_compare(lhs: TruncatedSeries, rhs: TruncatedSeries):
-    miss = lhs.first_mismatch(rhs)
+def _exact_compare(lhs, rhs):
+    """(True, "0") if two series over one ring agree, else False and their
+    first mismatching coefficient; two lists of ints are compared as
+    coefficients of q in Z."""
+    if isinstance(lhs, TruncatedSeries):
+        var, miss = lhs.var, lhs.first_mismatch(rhs)
+        if miss is not None:
+            i, a, b = miss
+            miss = i, lhs.ring.coerce(a), lhs.ring.coerce(b)  # residues, not representatives
+    else:
+        var = "q"
+        miss = next(((i, a, b) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
     if miss is None:
         return True, "0"
     i, a, b = miss
-    a, b = lhs.ring.coerce(a), lhs.ring.coerce(b)  # residues, not representatives
-    return False, f"{lhs.var}^{i}: {str(a)[:60]} != {str(b)[:60]}"
+    return False, f"{var}^{i}: {str(a)[:60]} != {str(b)[:60]}"
 
 
 def _first_failure(devs) -> str:
@@ -404,9 +412,12 @@ def verify_sin_family(
 
     With t = 0 both sides are the partition generating function, and the
     check compares integers, drawing no points, so `samples` is an error
-    there: the hook sum of the weight 1 against prod (1 - q^k)^(-1) by
-    `euler_power`, the exponential form exp(sum_k q^k/(k(1 - q^k))) in
-    closed form; the report's `ring` still names QQ.  Otherwise it runs in
+    there.  Every hook then has the weight 1, whatever r is, so the hook
+    sum's q^n coefficient is the number of partitions of n, counted from
+    `enumerate_partitions(n)` with no hook read; it is compared with
+    prod (1 - q^k)^(-1) by `euler_power`, the exponential form
+    exp(sum_k q^k/(k(1 - q^k))) in closed form.  The report's `ring` still
+    names QQ.  Otherwise it runs in
     GF(p) at `samples` points (5 unless given) Y = e^(iz) drawn from
     `seed`, with W = e^(itz) drawn as well when t_value is None, and
     W = Y^t for an integer t_value.  All points are
@@ -418,11 +429,13 @@ def verify_sin_family(
     t0 = time.perf_counter()
     if N < 1:
         raise ValueError("N must be at least 1")
+    if r < 1:
+        raise ValueError("r must be a positive integer")
     if t_value == 0:
         if samples is not None:
             raise ValueError("the exact t = 0 check draws no sample points")
-        lhs = partition_sum_series(lambda h: 1, r, N)
-        ok, dev = _exact_compare(lhs, TruncatedSeries(lhs.ring, euler_power(-1, N)))
+        counts = [sum(1 for _ in enumerate_partitions(n)) for n in range(N + 1)]
+        ok, dev = _exact_compare(counts, euler_power(-1, N))
         return _finish(
             "sin-family", {"r": r, "t": 0}, N, "QQ", ok, dev, t0
         )
@@ -536,7 +549,8 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     at these 2N + 1 points is the GF(p)[s] identity.  The degree bound of
     the hook side stays a check: `poly_s_hook_side` interpolates it from
     the same values, and 2N + 1 points allow s-degree 2N at every q^n.  The
-    s = 0 check reads the s = 0 slot.
+    s = 0 check reads the s = 0 slot against the exponential side's s = 0
+    point, so it takes no `exp` of its own.
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -576,8 +590,8 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
             log_rhs = log_rhs + piece
         return _exact_compare(hook_sum, log_rhs.exp())[1]
 
-    # s = 0: product of 1/(4 sin^2)
-    details["s_zero"] = check(sums[0], w)
+    # s = 0: product of 1/(4 sin^2), whose exponential side is the s = 0 point's
+    details["s_zero"] = _exact_compare(sums[0], exp_sides[0])[1]
     details["cosine"] = check(cosine_sum, cosine)
     details["sinh"] = check(sinh_sum, sinh)
     pieces = []

@@ -7,7 +7,9 @@ verifiers and the tests are checked against; none of them runs in a verifier.
 The per-cell renderers, the full-depth bead read-off, the full-loop
 coding enumeration, the per-cell content ledger and the one-parity fold are
 the plain routes that the renderers, `coding_to_core`, `enumerate_codings`,
-`content_ledger` and the parity folds are checked against byte for byte.
+`content_ledger` and the parity folds are checked against byte for byte,
+and the double loop over every box the route of the exploded window's
+banded pair sets.
 The per-partition hook loops are the unwalked routes of
 `partition_sum_series`, `partition_sums_mod_p` and
 `multiplication_hook_points`, and the GF(p)[s] polynomial hook side is the
@@ -395,6 +397,19 @@ def hook_content_sides(lam: Partition, n: int):
 
 # ---------------------------------------------------------------------------
 # exploded tableau
+
+
+def double_loop_pair_set(xs, ys, lo, hi, forbid=()):
+    """`exploded._pair_set` by testing every box of xs x ys: the pairs with
+    lo < entry < hi (hi=None: no upper bound) and the entry not in
+    `forbid`."""
+    out = set()
+    for xtw in xs:
+        for ytw in ys:
+            entry = (xtw + ytw) // 2
+            if entry > lo and (hi is None or entry < hi) and entry not in forbid:
+                out.add((xtw, ytw))
+    return out
 
 
 def cell_box_map(window: ExplodedWindow) -> dict[tuple[int, int], tuple[int, int]]:

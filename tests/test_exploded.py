@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from tcores.coding import bead_set, core_coding
 from tcores.exploded import (
     ExplodedWindow,
     RelationViolationError,
+    _pair_set,
     check_fold,
     check_translation_relations,
     check_triangle_ledger,
@@ -17,7 +19,7 @@ from tcores.halfint import HalfInt
 from tcores.partitions import Partition, enumerate_t_cores, partitions_up_to
 from tcores.weights import WeightLedger
 
-from oracles import cell_box_map, render_ascii_per_cell, render_svg_per_cell
+from oracles import cell_box_map, double_loop_pair_set, render_ascii_per_cell, render_svg_per_cell
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLE1 = Partition((8, 4, 3, 2, 2, 1))
@@ -244,6 +246,26 @@ def test_region_ledger_matches_brute_force_tally():
                         }
                         got = region_ledger(xs, ys, lo * t, None if hi is None else hi * t)
                         assert got == WeightLedger(want), (t, lam, lo, hi)
+
+
+def test_pair_set_slices_match_double_loop():
+    # decreasing lists of both parities (odd, even and mixed), with and
+    # without an upper bound and forbidden entries, empty lists included
+    rng = random.Random(11)
+
+    def decreasing(parity):
+        values = rng.sample(range(-30, 31), rng.randint(0, 14))
+        if parity is not None:
+            values = [2 * v + parity for v in values]
+        return sorted(values, reverse=True)
+
+    for _ in range(3000):
+        xs, ys = decreasing(rng.choice((0, 1, None))), decreasing(rng.choice((0, 1, None)))
+        lo = rng.randint(-40, 40)
+        hi = rng.choice((None, lo + rng.randint(-2, 40)))
+        forbid = tuple(rng.sample(range(-40, 41), rng.randint(0, 3)))
+        want = double_loop_pair_set(xs, ys, lo, hi, forbid)
+        assert _pair_set(xs, ys, lo, hi, forbid) == want, (xs, ys, lo, hi, forbid)
 
 
 def test_render_ascii_golden():

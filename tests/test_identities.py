@@ -931,7 +931,10 @@ def test_multiset_sweep_builds_two_bead_sets_per_core(monkeypatch):
 def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
     # one walk per verifier call: 145 classes among the partitions of size
     # <= 12, 38 among those of size <= 8, whatever the number of weights
-    tally = count_calls(monkeypatch, [(Partition, "hooks")])
+    tally = count_calls(monkeypatch, [
+        (Partition, "hooks"),
+        *((m, "partition_sum_series") for m in (qseries, identities) if hasattr(m, "partition_sum_series")),
+    ])
     assert verify_poly_s_family(N=12).passed
     assert tally == {"hooks": 145}
     tally.clear()
@@ -941,6 +944,43 @@ def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
     # no points, no walk
     assert verify_sin_family(1, t_value=2, N=8, samples=0).deviation == "no samples checked"
     assert tally == {}
+    # t = 0: every hook weighs 1, so the hook side is a partition count and
+    # no hook list is read
+    assert verify_sin_family(1, t_value=0, N=12).passed
+    assert tally == {}
+
+
+def test_poly_s_family_takes_one_exp_per_point_and_specialization(monkeypatch):
+    # 2N + 1 points of the exponential side, then the cosine, hyperbolic and
+    # cotangent forms; the s = 0 check reuses the s = 0 point
+    tally = count_calls(monkeypatch, [(TruncatedSeries, "exp")])
+    assert verify_poly_s_family(N=12).passed
+    assert tally == {"exp": 2 * 12 + 1 + 3}
+
+
+def test_sin_family_t0_dropped_partition_fails(monkeypatch):
+    # the count misses one partition of 7 while Euler's product does not
+    real = identities.enumerate_partitions
+
+    def dropping(n):
+        parts = list(real(n))
+        return parts[1:] if n == 7 else parts
+
+    monkeypatch.setattr(identities, "enumerate_partitions", dropping)
+    r = verify_sin_family(1, t_value=0, N=12)
+    assert not r.passed and r.deviation == "q^7: 14 != 15"
+
+
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("panel", [
+    {"t_value": 0},
+    {"t_value": 2},
+    {"t_value": 2, "samples": 0},
+    {},
+], ids=["t0", "integer_t", "integer_t_no_samples", "sampled"])
+def test_sin_family_rejects_r_below_1(r, panel):
+    with pytest.raises(ValueError, match="r must be a positive integer"):
+        verify_sin_family(r, N=5, **panel)
 
 
 def test_exploded_sweep_builds_two_bead_sets_per_core(monkeypatch):

@@ -798,7 +798,8 @@ def test_exact_series_hold_no_float():
         *jacobi_pair(8),
         laurent_macdonald_lhs(3, 3),
         laurent_macdonald_rhs(3, 3),
-        # the exact t = 0 sine-family check: this against partition_gf
+        # the hook sum of the weight 1, which the t = 0 sine-family panel
+        # takes as a partition count
         partition_sum_series(lambda h: 1, 1, 12),
     ]
     for s in series:
