@@ -7,11 +7,16 @@ polynomials of x_1..x_t, are checked in GF(p), p = 2^61 - 31, at points
 drawn from a seeded generator, with sin(kz) = (Y^k - Y^-k)/(2i); a draw at
 which a sine in a denominator vanishes is redrawn.  Two different rational
 functions of degree d agree at a random point with probability at most d/p
-(Schwartz-Zippel), which bounds the chance of a false pass.  The other
-series identities are checked in integers: Nekrasov-Okounkov and its
-r-multiplication form at enough points beta = r^2 s^2 to determine them,
-hook-content and Jacobi's at one point X = 2^B beyond their coefficients
-(Kronecker substitution).  Those are proofs to the truncation order.
+(Schwartz-Zippel), which bounds the chance of a false pass.  Every
+sine-weight exponential side is one `exp` of a Lambert-series log
+sum_k a_k q^k/(1 - s^k q^k), built by `_lambert_exp`.  The s-parameter
+family, polynomial in s, is compared at s = 0..2N, and its degree bound is
+read off forward differences of the same values, so no verifier builds a
+polynomial ring.  The other series identities are checked in integers:
+Nekrasov-Okounkov and its r-multiplication form at enough points
+beta = r^2 s^2 to determine them, hook-content and Jacobi's at one point
+X = 2^B beyond their coefficients (Kronecker substitution).  Those are
+proofs to the truncation order.
 """
 
 from __future__ import annotations
@@ -65,14 +70,13 @@ from .qseries import (
     binomial_product,
     euler_power,
     exact_div,
-    geometric_multiples,
     macdonald_lhs,
     macdonald_rhs,
     multiplication_product_points,
     partition_sums_mod_p,
     schur_branching_at,
 )
-from .rings import P, Poly, PolynomialRing, PrimeField, RationalField
+from .rings import P, Poly, PrimeField, RationalField
 from .weights import (
     coding_difference_ledger,
     content_ledger,
@@ -158,26 +162,47 @@ def _finish(identity, params, N, ring, ok, deviation, t0, **details) -> Verifica
     )
 
 
-def _sweep_report(identity, params, ring, failures, t0, **counts) -> VerificationReport:
-    """Report of a sweep that stopped at its first failure.  A count still at
-    zero fails it too: a sweep that checked nothing must not pass."""
-    failures = failures + [f"nothing checked: {k} = 0" for k, v in counts.items() if not v]
-    ok = not failures
-    return _finish(identity, params, None, ring, ok, "0" if ok else failures[0], t0, **counts)
+def _sweep(identity, params, ring, t0, counter, items, check) -> VerificationReport:
+    """Report of a sweep that runs `check` on each item and stops at the
+    first that returns failure text, with the count of items checked (the
+    failing one included) under `counter`.  A sweep that checked nothing
+    fails too: it must not pass."""
+    checked, dev = 0, "0"
+    for item in items:
+        checked += 1
+        failure = check(item)
+        if failure is not None:
+            dev = failure
+            break
+    if not checked:
+        dev = f"nothing checked: {counter} = 0"
+    return _finish(identity, params, None, ring, dev == "0", dev, t0, **{counter: checked})
+
+
+def _order_mismatch(lhs, rhs) -> str | None:
+    """"order m != n" for two coefficient lists of different lengths: a side
+    built short must not pass on the other's leading terms."""
+    if len(lhs) == len(rhs):
+        return None
+    return f"order {len(lhs) - 1} != {len(rhs) - 1}"
 
 
 def _exact_compare(lhs, rhs):
     """(True, "0") if two series over one ring agree, else False and their
-    first mismatching coefficient; two lists of ints are compared as
-    coefficients of q in Z."""
+    first mismatching coefficient, or both orders if those differ; two lists
+    of ints are compared as coefficients of q in Z."""
     if isinstance(lhs, TruncatedSeries):
         var, miss = lhs.var, lhs.first_mismatch(rhs)
         if miss is not None:
             i, a, b = miss
             miss = i, lhs.ring.coerce(a), lhs.ring.coerce(b)  # residues, not representatives
+        lhs, rhs = lhs.coeffs, rhs.coeffs
     else:
         var = "q"
         miss = next(((i, a, b) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
+    orders = _order_mismatch(lhs, rhs)
+    if orders is not None:
+        return False, orders
     if miss is None:
         return True, "0"
     i, a, b = miss
@@ -204,58 +229,49 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
     t0 = time.perf_counter()
     if ledger_max_size is None:
         ledger_max_size = max_size
-    failures = []
-    checked = 0
-    for v in enumerate_codings(t, max_size):
-        checked += 1
+
+    def check(v):
         try:
             lam = coding_to_core(v)
         except (InvalidCodingError, NonIntegerSizeError) as exc:
-            failures.append(f"coding {v}: {exc}")
-            break
+            return f"coding {v}: {exc}"
         beads = bead_set(lam, t)  # the core's one bead set: its coding and relations
         coding = _read_coding(lam, beads)
         diag = validate_coding(coding)
         if not diag.valid:
-            failures.append(f"{lam}: produced coding invalid: {diag.messages}")
-            break
+            return f"{lam}: produced coding invalid: {diag.messages}"
         if coding != v:
-            failures.append(f"{lam}: round trip failed")
-            break
+            return f"{lam}: round trip failed"
         mu = content_coding(coding)
         if content_coding_size(mu, t) != lam.size:
-            failures.append(f"{lam}: content-side size formula mismatch")
-            break
+            return f"{lam}: content-side size formula mismatch"
         if not is_content_coding_image(mu, t):
-            failures.append(f"{lam}: image characterization fails for {mu}")
-            break
+            return f"{lam}: image characterization fails for {mu}"
         relations = bead_relation_checks(lam, beads)
-        bad = [k for k, v in relations.items() if not v]
+        bad = [k for k, ok in relations.items() if not ok]
         if bad:
-            failures.append(f"{lam}: bead relations failed: {bad}")
-            break
-        if lam.size <= ledger_max_size:
-            # one hook read feeds beta (small_hook_counts) and the ledger
-            hooks = Counter(lam.hooks())
-            beta = tuple(hooks[t - i] for i in range(1, t))
-            lhs = hook_tally_shift_ledger(hooks, t)
-            rhs = coding_difference_ledger(coding, beta)
-            if lhs != rhs:
-                failures.append(f"{lam}: hook-shift ledger != coding ledger")
-                break
-            # one fold per side serves both parities, odd first
-            folds = parity_fold(rhs), parity_coding_fold(coding)
-            parity = next((
-                p for p in ("odd", "even") if folds[0].form(p) != folds[1].form(p)
-            ), None)
-            if parity:
-                failures.append(f"{lam}: parity ledger ({parity}) mismatch")
-                break
-            if content_ledger(mu, beta, t) != lhs:
-                failures.append(f"{lam}: content ledger mismatch")
-                break
+            return f"{lam}: bead relations failed: {bad}"
+        if lam.size > ledger_max_size:
+            return None
+        # one hook read feeds beta (small_hook_counts) and the ledger
+        hooks = Counter(lam.hooks())
+        beta = tuple(hooks[t - i] for i in range(1, t))
+        lhs = hook_tally_shift_ledger(hooks, t)
+        rhs = coding_difference_ledger(coding, beta)
+        if lhs != rhs:
+            return f"{lam}: hook-shift ledger != coding ledger"
+        # one fold per side serves both parities, odd first
+        folds = parity_fold(rhs), parity_coding_fold(coding)
+        parity = next((p for p in ("odd", "even") if folds[0].form(p) != folds[1].form(p)), None)
+        if parity:
+            return f"{lam}: parity ledger ({parity}) mismatch"
+        if content_ledger(mu, beta, t) != lhs:
+            return f"{lam}: content ledger mismatch"
+        return None
+
     params = {"t": t, "max_size": max_size, "ledger_max_size": ledger_max_size}
-    return _sweep_report("multiset-formula", params, "exact", failures, t0, cores_checked=checked)
+    codings = enumerate_codings(t, max_size)
+    return _sweep("multiset-formula", params, "exact", t0, "cores_checked", codings, check)
 
 
 def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationReport:
@@ -263,18 +279,16 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
     (set and ledger forms, with the band counts), and the triangle ledger, on
     the cores from codings; the first core with a failing check names it."""
     t0 = time.perf_counter()
-    failures = []
-    checked = 0
     checks = (check_translation_relations, check_fold, check_triangle_ledger)
-    for lam in cores_from_codings(t, max_size):
-        checked += 1
+
+    def check(lam):
         window = ExplodedWindow(lam, t)
         bad = [k for check in checks for k, ok in check(window).items() if not ok]
-        if bad:
-            failures.append(f"{lam}: {bad}")
-            break
+        return f"{lam}: {bad}" if bad else None
+
     params = {"t": t, "max_size": max_size}
-    return _sweep_report("exploded-relations", params, "exact", failures, t0, cores_checked=checked)
+    cores = cores_from_codings(t, max_size)
+    return _sweep("exploded-relations", params, "exact", t0, "cores_checked", cores, check)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +368,18 @@ def verify_nekrasov_okounkov(N: int = 12) -> VerificationReport:
     if N < 1:
         raise ValueError("N must be at least 1")
     hooks, dev = _first_point_mismatch(1, N, marked=False)
-    ring = PolynomialRing(("beta",))
-    beta = ring.var("beta")
     # (1!)^2 [q^1], of degree <= 1 in beta, at beta = 0 and beta = 1
     y0, y1 = hooks[1][1][:2]
-    q1 = ring.coerce(y0) + beta * (y1 - y0)
-    q1_ok = ring.eq(q1, ring.one - beta)
+    q1_ok = (y0, y1 - y0) == (1, -1)
     return _finish(
         "nekrasov-okounkov",
         {},
         N,
-        ring.name,
+        "QQ[beta](poly)",
         dev == "0" and q1_ok,
         dev if dev != "0" or q1_ok else "q^1 coefficient is not 1-beta",
         t0,
-        q1_coefficient=str(q1),
+        q1_coefficient=str(Poly(("beta",), {(0,): y0, (1,): y1 - y0})),
     )
 
 
@@ -389,16 +400,25 @@ def sin_hook_sum(r: int, Y: int, W: int, N: int, source=None) -> TruncatedSeries
     return sin_hook_sums(r, [(Y, W)], N, source)[0]
 
 
+def _lambert_exp(a, N: int, s: int = 1) -> TruncatedSeries:
+    """exp(sum_k a_k q^k/(1 - s^k q^k)) in GF(p) to order N, for a map
+    k -> a_k on 1..N: the log's q^m coefficient is the sum over k | m of
+    s^(m - k) a_k.  With s = 0 (and 0^0 = 1) that is a_m alone."""
+    power = [pow(s, e, P) for e in range(N + 1)]
+    log = [0] * (N + 1)
+    for k in range(1, N + 1):
+        for m in range(k, N + 1, k):
+            log[m] += power[m - k] * a[k]
+    return TruncatedSeries(GF, [c % P for c in log]).exp()
+
+
 def sin_family_rhs(r: int, Y: int, W: int, N: int) -> TruncatedSeries:
     """exp(sum_k q^k/(k(1-q^k)) - r q^(rk)/(k(1-q^(rk))) sin^2(tkz)/sin^2(rkz)),
     in GF(p) at Y = e^(iz) and W = e^(itz)."""
-    total = TruncatedSeries.zero(GF, N)
-    for k in range(1, N + 1):
-        total = total + geometric_multiples(GF, k, N, GF.inv(k))
-        if r * k <= N:
-            c = r * _sin(pow(W, k, P)) ** 2 * GF.inv(_sin(pow(Y, r * k, P)) ** 2 * k) % P
-            total = total - geometric_multiples(GF, r * k, N, c)
-    return total.exp()
+    a = [0] + [GF.inv(k) for k in range(1, N + 1)]
+    for k in range(1, N // r + 1):
+        a[r * k] -= r * _sin(pow(W, k, P)) ** 2 * GF.inv(_sin(pow(Y, r * k, P)) ** 2 * k)
+    return _lambert_exp(a, N)
 
 
 def verify_sin_family(
@@ -463,24 +483,15 @@ def poly_s_weight(s, w):
     return s + (s - 1) * (s - 1) * w
 
 
-def _interpolation_basis(top: int) -> list[list[int]]:
-    """The inverse Vandermonde matrix at s = 0..top in GF(p): the polynomial
-    of degree at most top with the values v_0..v_top there has the
-    coefficient sum_s row_k[s] v_s at s^k.  Column s holds the Lagrange
-    basis polynomial prod_(j != s) (x - j)/(s - j), read off
-    prod_j (x - j) by one synthetic division, and its denominator is
-    s! (top - s)! (-1)^(top - s)."""
-    master = [1]  # prod_j (x - j), coefficients ascending
-    for j in range(top + 1):
-        master = [(low - j * high) % P for low, high in zip([0, *master], [*master, 0])]
-    basis = [[0] * (top + 1) for _ in range(top + 1)]
-    for s in range(top + 1):
-        scale = GF.inv(factorial(s) * factorial(top - s) * (-1) ** (top - s))
-        carry = 0
-        for k in range(top, -1, -1):
-            carry = (master[k + 1] + s * carry) % P
-            basis[k][s] = carry * scale % P
-    return basis
+def _degree_at_most(values: list[int], d: int) -> bool:
+    """Whether the polynomial of degree < len(values) through `values` at
+    s = 0, 1, 2, ... has degree at most d in GF(p): in Newton form its s^(k)
+    coefficient is the k-th forward difference at 0 over k!, a unit for
+    k < p, so it has degree <= d exactly when every forward difference of
+    order > d vanishes mod p, that is, when the (d + 1)-th differences do."""
+    for _ in range(d + 1):
+        values = [(b - a) % P for a, b in zip(values, values[1:])]
+    return not any(v % P for v in values)
 
 
 def poly_s_sin_weights(Y: int, N: int) -> dict[int, int]:
@@ -488,50 +499,39 @@ def poly_s_sin_weights(Y: int, N: int) -> dict[int, int]:
     return {m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2) for m in range(1, N + 1)}
 
 
-def poly_s_hook_side(w: dict[int, int], N: int, extra=()):
-    """The hook side of the s-parameter form, coefficients in GF(p)[s], with
-    w the map m -> w(m) of `poly_s_sin_weights`; and the GF(p) hook sums it
-    is read from, all from one `partition_sums_mod_p` walk: first those of the
-    weight at s = 0..2N, then those of each `extra` weight (a map hook ->
-    residue).
+def poly_s_hook_side(w: dict[int, int], N: int, extra=()) -> list[TruncatedSeries]:
+    """The GF(p) hook sums of the s-parameter form from one
+    `partition_sums_mod_p` walk, with w the map m -> w(m) of
+    `poly_s_sin_weights`: first those of the weight s + (s - 1)^2 w at
+    s = 0..2N, then those of each `extra` weight (a map hook -> residue).
 
-    Each q^n coefficient is a sum of products of at most n weights
-    s + (s - 1)^2 w, so it has degree at most 2n <= 2N in s, and 0..2N are
-    distinct mod p: its values there determine it, and interpolation gives
-    the coefficients that the GF(p)[s] walk (`tests/oracles.py`) gives,
-    mod p.
+    Each q^n coefficient of the hook side in GF(p)[s] is a sum of products
+    of at most n such weights, so it has degree at most 2n <= 2N in s, and
+    0..2N are distinct mod p: its values there, entries 0..2N, determine it
+    (the GF(p)[s] walk in `tests/oracles.py` takes the same values there).
     """
     top = 2 * N
     rho = {
         h: [poly_s_weight(s, w[h]) % P for s in range(top + 1)] + [f[h] for f in extra]
         for h in w
     }
-    sums = partition_sums_mod_p(rho.__getitem__, top + 1 + len(extra), 1, N)
-    basis = _interpolation_basis(top)
-    ring = PolynomialRing(("s",), base=GF)
-    coeffs = []
-    for n in range(N + 1):
-        values = [sums[s].coeffs[n] for s in range(top + 1)]
-        terms = {(k,): sum(map(mul, row, values)) % P for k, row in enumerate(basis)}
-        coeffs.append(Poly(ring.names, terms))
-    return TruncatedSeries(ring, coeffs), sums
+    return partition_sums_mod_p(rho.__getitem__, top + 1 + len(extra), 1, N)
 
 
 def poly_s_exp_points(w: dict[int, int], N: int) -> list[TruncatedSeries]:
     """The exponential side of the s-parameter form at s = 0..2N in GF(p),
     with w the map k -> w(k) of `poly_s_sin_weights`: at each s, exp of
-    sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k)), whose q^m
-    coefficient is sum over k | m of s^(m - k) (s^k + (s^k - 1)^2 w(k))/k."""
+    sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k)), a Lambert series
+    in q whose q^m coefficient is sum over k | m of
+    s^(m - k) (s^k + (s^k - 1)^2 w(k))/k."""
     inverse = [0] + [GF.inv(k) for k in range(1, N + 1)]
     sides = []
     for s in range(2 * N + 1):
-        power = [pow(s, e, P) for e in range(N + 1)]  # s^0 = 1 at s = 0 too
-        log = [0] * (N + 1)
+        a = [0] * (N + 1)
         for k in range(1, N + 1):
-            p_k = (power[k] + (power[k] - 1) ** 2 * w[k]) * inverse[k] % P
-            for m in range(k, N + 1, k):
-                log[m] += power[m - k] * p_k
-        sides.append(TruncatedSeries(GF, [c % P for c in log]).exp())
+            sk = pow(s, k, P)
+            a[k] = (sk + (sk - 1) ** 2 * w[k]) * inverse[k]
+        sides.append(_lambert_exp(a, N, s))
     return sides
 
 
@@ -547,10 +547,11 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     ascending, then s.  Every q^n coefficient on either side has s-degree
     at most 2n by construction, and 0..2N are distinct mod p, so agreement
     at these 2N + 1 points is the GF(p)[s] identity.  The degree bound of
-    the hook side stays a check: `poly_s_hook_side` interpolates it from
-    the same values, and 2N + 1 points allow s-degree 2N at every q^n.  The
-    s = 0 check reads the s = 0 slot against the exponential side's s = 0
-    point, so it takes no `exp` of its own.
+    the hook side stays a check, `degree_bound`, read off the same values:
+    at each q^n every forward difference of order > 2n over s = 0..2N
+    vanishes mod p.  The s = 0 check reads the s = 0 slot against the
+    exponential side's s = 0 point, so it takes no `exp` of its own.  Every
+    exponential side is one `exp` of a Lambert-series log (`_lambert_exp`).
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -568,9 +569,11 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     # s = -1: cotangent form
     cot2 = weights(lambda m: (_cos(pow(Y, m, P)) * GF.inv(_sin(pow(Y, m, P)))) ** 2)
     w = poly_s_sin_weights(Y, N)
-    lhs, sums = poly_s_hook_side(w, N, (cosine, sinh, cot2))
+    sums = poly_s_hook_side(w, N, (cosine, sinh, cot2))
     cosine_sum, sinh_sum, cot2_sum = sums[2 * N + 1 :]
-    degree_ok = all(c.degree_in("s") <= 2 * n for n, c in enumerate(lhs.coeffs))
+    degree_ok = all(
+        _degree_at_most([side.coeffs[n] for side in sums[: 2 * N + 1]], 2 * n) for n in range(N + 1)
+    )
     exp_sides = poly_s_exp_points(w, N)
     symbolic = next((
         f"q^{n}: s={s}: {GF.coerce(a.coeffs[n])} != {GF.coerce(b.coeffs[n])}"
@@ -579,30 +582,25 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
         if not GF.eq(a.coeffs[n], b.coeffs[n])
     ), "0")
     details: dict = {"symbolic": symbolic, "degree_bound": degree_ok}
+    inverse = [0] + [GF.inv(k) for k in range(1, N + 1)]
 
-    def check(hook_sum, rho, pieces=None):
-        """The GF(p) hook sum of the weight rho against exp of the summed
-        log pieces, by default q^k rho(k)/k."""
-        if pieces is None:
-            pieces = [TruncatedSeries.monomial(GF, k, N, rho[k] * GF.inv(k) % P) for k in rho]
-        log_rhs = TruncatedSeries.zero(GF, N)
-        for piece in pieces:
-            log_rhs = log_rhs + piece
-        return _exact_compare(hook_sum, log_rhs.exp())[1]
+    def check(hook_sum, a, s):
+        return _exact_compare(hook_sum, _lambert_exp(a, N, s))[1]
 
     # s = 0: product of 1/(4 sin^2), whose exponential side is the s = 0 point's
     details["s_zero"] = _exact_compare(sums[0], exp_sides[0])[1]
-    details["cosine"] = check(cosine_sum, cosine)
-    details["sinh"] = check(sinh_sum, sinh)
-    pieces = []
+    # the cosine and hyperbolic forms are s = 0 forms too: log sum_k q^k rho(k)/k
+    details["cosine"] = check(cosine_sum, [0] + [cosine[k] * inverse[k] for k in cosine], 0)
+    details["sinh"] = check(sinh_sum, [0] + [sinh[k] * inverse[k] for k in sinh], 0)
+    # q^m cot^2(mz)/(m (1 + q^m)) = (q^m/(1 - q^m) - 2 q^(2m)/(1 - q^(2m))) cot^2(mz)/m
+    # for odd m, and q^m/(m (1 - q^m)) for even m; a q^(2m) term past N is not read
+    cot_a = [0] * (2 * N + 1)
     for m in range(1, N + 1):
+        c = (cot2[m] if m % 2 else 1) * inverse[m]
+        cot_a[m] += c
         if m % 2:
-            # q^m cot^2(m z) / (m (1 + q^m)) = (q^m/(1 - q^m) - 2 q^(2m)/(1 - q^(2m))) cot^2/m
-            c = cot2[m] * GF.inv(m) % P
-            pieces += [geometric_multiples(GF, m, N, c), geometric_multiples(GF, 2 * m, N, -2 * c)]
-        else:
-            pieces.append(geometric_multiples(GF, m, N, GF.inv(m)))
-    details["cotangent"] = check(cot2_sum, cot2, pieces)
+            cot_a[2 * m] -= 2 * c
+    details["cotangent"] = check(cot2_sum, cot_a, 1)
 
     dev = _first_failure(v for k, v in details.items() if k != "degree_bound")
     if dev == "0" and not degree_ok:
@@ -611,7 +609,7 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
         "poly-s-family",
         {"seed": seed, "Y": Y, "R": R},
         N,
-        lhs.ring.name,
+        "GF(p)[s](poly)",
         dev == "0",
         dev,
         t0,
@@ -644,12 +642,13 @@ def verify_jacobi(N: int = 10) -> VerificationReport:
     value, and equality at X is equality in Z[a] (see `verify_hook_content`).
     A mismatch is named by the balanced base-X digits of both sides."""
     t0 = time.perf_counter()
-    bits, dev = 3 * N + 3, "0"
-    for i, pair in enumerate(zip(*jacobi_at(N, 1 << bits))):
-        if pair[0] != pair[1]:
-            a, b = (str(Poly(("a",), balanced_digits(v, bits, -N - 1))) for v in pair)
-            dev = f"x^{i}: {a[:60]} != {b[:60]}"
-            break
+    bits = 3 * N + 3
+    sides = jacobi_at(N, 1 << bits)
+    dev = _order_mismatch(*sides) or "0"
+    i = next((i for i, (a, b) in enumerate(zip(*sides)) if a != b), None)
+    if dev == "0" and i is not None:
+        a, b = (str(Poly(("a",), balanced_digits(side[i], bits, -N - 1))) for side in sides)
+        dev = f"x^{i}: {a[:60]} != {b[:60]}"
     return _finish("jacobi", {}, N, "QQ[a](Laurent)", dev == "0", dev, t0)
 
 
@@ -735,8 +734,7 @@ def verify_multiplication(r: int = 1, N: int = 10) -> VerificationReport:
     if r < 1:
         raise ValueError("r must be a positive integer")
     _, dev = _first_point_mismatch(r, N, marked=True)
-    ring = PolynomialRing(("beta", "x"))
-    return _finish("multiplication", {"r": r}, N, ring.name, dev == "0", dev, t0)
+    return _finish("multiplication", {"r": r}, N, "QQ[beta,x](poly)", dev == "0", dev, t0)
 
 
 def _times_one_minus_powers(v: int, exponents, bits: int) -> int:
@@ -791,22 +789,19 @@ def verify_hook_content(max_size: int = 8, max_n: int = 5) -> VerificationReport
     t0 = time.perf_counter()
     X = 1 << (max_size * (2 * max_n).bit_length() + 2)
     cache: dict = {}
-    failures = []
-    checked = 0
-    for size in range(max_size + 1):
-        for lam in enumerate_partitions(size):
-            for n in range(1, max_n + 1):
-                checked += 1
-                lhs, rhs = hook_content_at(lam, n, X, cache)
-                if lhs != rhs:
-                    failures.append(f"{lam} at n={n}")
-                    break
-            if failures:
-                break
-        if failures:
-            break
+    pairs = (
+        (lam, n)
+        for size in range(max_size + 1)
+        for lam in enumerate_partitions(size)
+        for n in range(1, max_n + 1)
+    )
+
+    def check(pair):
+        lhs, rhs = hook_content_at(*pair, X, cache)
+        return f"{pair[0]} at n={pair[1]}" if lhs != rhs else None
+
     params = {"max_size": max_size, "max_n": max_n}
-    return _sweep_report("hook-content", params, "QQ[p]", failures, t0, pairs_checked=checked)
+    return _sweep("hook-content", params, "QQ[p]", t0, "pairs_checked", pairs, check)
 
 
 def sine_pair_product(U) -> int:
@@ -890,7 +885,8 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
             failures.append(f"enumeration routes disagree for t={t}")
             break
     params = {"max_size": max_size, "t_max": t_max, "enum_size": enum_size}
-    return _sweep_report("classical-cross-checks", params, "exact", failures, t0)
+    dev = failures[0] if failures else "0"
+    return _finish("classical-cross-checks", params, None, "exact", not failures, dev, t0)
 
 
 def verify_golden_tables() -> VerificationReport:

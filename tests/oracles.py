@@ -13,9 +13,10 @@ banded pair sets.
 The per-partition hook loops are the unwalked routes of
 `partition_sum_series`, `partition_sums_mod_p` and
 `multiplication_hook_points`, and the GF(p)[s] polynomial hook side is the
-route that the interpolated side of the s-parameter form is checked
-against; its GF(p)[s] exponential side (`poly_s_exp_side`) is the route
-that the verifier's exponential sides at s = 0..2N are checked against, and
+route that the verifier's hook sums of the s-parameter form at
+s = 0..2N are checked against; its GF(p)[s] exponential side
+(`poly_s_exp_side`) is the route that the verifier's exponential sides at
+the same points are checked against, and
 the exp-log partition generating function (`partition_gf`) the route of
 the integers of the t = 0 sine-family panel.  The Laurent sides of
 Macdonald's identity in x1..xt (the product with its root pairs
@@ -32,7 +33,7 @@ from math import factorial, isqrt, prod
 from tcores.coding import InvalidCodingError, _size, _trusted, class_sorted_coding
 from tcores.exploded import _CELL, ExplodedWindow, RelationViolationError, _axis_label, _region
 from tcores.halfint import HalfInt
-from tcores.identities import poly_s_hook_side, poly_s_sin_weights
+from tcores.identities import poly_s_sin_weights
 from tcores.partitions import Partition, enumerate_partitions
 from tcores.qseries import (
     MacdonaldTerm,
@@ -325,10 +326,11 @@ def multiplication_pair(r: int, N: int):
 
 
 def poly_s_hook_side_poly(Y: int, N: int) -> TruncatedSeries:
-    """The hook side of the s-parameter form as `identities.poly_s_hook_side`
-    defines it, by the GF(p)[s] polynomial route: every partition's hook
-    product of s + (s - 1)^2 w(h), w(h) = 1/(4 sin^2(hz)) at Y = e^(iz), with
-    sin(hz) = (Y^h - Y^-h)/(2i), and no evaluation at points."""
+    """The hook side of the s-parameter form, whose values at s = 0..2N
+    `identities.poly_s_hook_side` takes, by the GF(p)[s] polynomial route:
+    every partition's hook product of s + (s - 1)^2 w(h),
+    w(h) = 1/(4 sin^2(hz)) at Y = e^(iz), with sin(hz) = (Y^h - Y^-h)/(2i),
+    and no evaluation at points."""
     field = PrimeField()
     ring = PolynomialRing(("s",), base=field)
     s = ring.var("s")
@@ -360,10 +362,9 @@ def poly_s_exp_side(w: dict[int, int], N: int) -> TruncatedSeries:
 
 def poly_s_pair(Y: int, N: int):
     """Both sides of the s-parameter form, coefficients in GF(p)[s], with
-    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz): the interpolated hook side of the
-    verifier and the `Poly` exponential side."""
-    w = poly_s_sin_weights(Y, N)
-    return poly_s_hook_side(w, N)[0], poly_s_exp_side(w, N)
+    w(m) = 1/(4 sin^2(mz)) at Y = e^(iz): the `Poly` hook walk and the
+    `Poly` exponential side."""
+    return poly_s_hook_side_poly(Y, N), poly_s_exp_side(poly_s_sin_weights(Y, N), N)
 
 
 def partition_gf(N: int) -> TruncatedSeries:

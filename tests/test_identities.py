@@ -44,7 +44,7 @@ from tcores.qseries import (
     exact_div,
     multiplication_product_points,
 )
-from tcores.rings import P, PrimeField
+from tcores.rings import P, Poly, PrimeField
 from tcores.weights import WeightLedger, evaluate, parity_coding_ledger
 
 from oracles import (
@@ -202,15 +202,20 @@ def test_poly_s_family():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("N", [6, 8, 12])
 def test_interpolated_hook_side_is_the_poly_route(N, seed):
-    # the verifier's first draw is Y; the interpolated side must be the
-    # GF(p)[s] walk coefficient for coefficient, mod p
+    # the verifier's first draw is Y; its hook sums at s = 0..2N must be the
+    # GF(p)[s] walk's coefficients evaluated there, mod p.  The walk's
+    # coefficients have s-degree at most 2N, reached at q^N, so these 2N + 1
+    # values are the polynomial side: interpolating them gives it back
     Y = sample_point(random.Random(seed), N)
-    got = poly_s_hook_side(poly_s_sin_weights(Y, N), N)[0]
+    sums = poly_s_hook_side(poly_s_sin_weights(Y, N), N)
     want = poly_s_hook_side_poly(Y, N)
-    ring = got.ring
-    assert [ring.coerce(c) for c in want.coeffs] == got.coeffs
-    assert all(type(v) is int for c in got.coeffs for v in c.terms.values())
-    assert max(c.degree_in("s") for c in got.coeffs) == 2 * N
+    assert len(sums) == 2 * N + 1
+    for s, side in enumerate(sums):
+        values = [sum(v * s ** e for (e,), v in c.terms.items()) % P for c in want.coeffs]
+        assert side.coeffs == values, s
+        assert all(type(v) is int for v in side.coeffs)
+    assert all(c.degree_in("s") <= 2 * n for n, c in enumerate(want.coeffs))
+    assert max(c.degree_in("s") for c in want.coeffs) == 2 * N
 
 
 @pytest.mark.parametrize("N", [8, 12])
@@ -316,6 +321,29 @@ def test_jacobi_flipped_theta_sign_names_the_laurent_mismatch(monkeypatch, N, m)
     ok, want = identities._exact_compare(lhs, rhs)
     assert not ok and want.startswith(f"x^{e}: ")
     assert not r.passed and r.deviation == want
+
+
+def test_exact_compare_fails_sides_of_different_orders():
+    # a side built one order short must not pass on the other's leading terms
+    compare = identities._exact_compare
+    assert compare([1, 2], [1, 2, 3]) == (False, "order 1 != 2")
+    assert compare([1, 2, 3], [1, 2]) == (False, "order 2 != 1")
+    assert compare([1, 2, 3], [1, 2, 3]) == (True, "0")
+    short, full = TruncatedSeries(GF, [1, 5]), TruncatedSeries(GF, [1, 5, 7])
+    assert compare(short, full) == (False, "order 1 != 2")
+    assert compare(full, TruncatedSeries(GF, [1, 5 + P, 7 - P])) == (True, "0")
+
+
+def test_jacobi_side_one_coefficient_short_fails(monkeypatch):
+    real = identities.jacobi_at
+
+    def short(N, X):
+        lhs, rhs = real(N, X)
+        return lhs, rhs[:-1]
+
+    monkeypatch.setattr(identities, "jacobi_at", short)
+    r = verify_jacobi(10)
+    assert not r.passed and r.deviation == "order 10 != 9"
 
 
 def test_tcore_lemmas():
@@ -672,6 +700,59 @@ def test_poly_s_family_broken_exp_point_fails(monkeypatch):
     assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 7, 16, 24])
+def test_degree_by_forward_differences_is_degree_in(d):
+    # values at s = 0..24 of random GF(p)[s] polynomials of exact degree d:
+    # the difference check holds for every bound from d up and fails below
+    rng = random.Random(d)
+    top = 24
+    for _ in range(4):
+        terms = {(e,): rng.randrange(P) for e in range(d)}
+        terms[(d,)] = rng.randrange(1, P)
+        f = Poly(("s",), terms)
+        values = [sum(c * s ** e for (e,), c in f.terms.items()) % P for s in range(top + 1)]
+        assert f.degree_in("s") == d
+        for bound in range(-1, top + 1):
+            assert identities._degree_at_most(values, bound) == (bound >= d), bound
+
+
+@pytest.mark.parametrize("slot, name", [(2, "sinh"), (3, "cotangent")])
+def test_poly_s_family_broken_specialization_slot_fails(monkeypatch, slot, name):
+    # after the cosine weight at slot 2N + 1 come the hyperbolic and
+    # cotangent weights
+    N = 6
+    bump_slot(monkeypatch, 2 * N + slot, hook=1)
+    r = verify_poly_s_family(N=N)
+    assert not r.passed and r.deviation == r.details[name] != "0"
+    assert r.deviation.startswith("q^1: ")
+    assert r.details["degree_bound"] is True
+    assert all(r.details[k] == "0" for k in ("symbolic", *SPECIALIZATIONS) if k != name)
+
+
+def test_poly_s_family_dropped_cotangent_term_fails(monkeypatch):
+    # the exponential sides are built in order: the 2N + 1 points, then the
+    # cosine, hyperbolic and cotangent forms.  Drop the cotangent log's
+    # -2 q^2/(1 - q^2) cot^2(z) of m = 1: its a_2 gets back 2 a_1 = 2 cot^2(z)
+    N = 6
+    real = identities._lambert_exp
+    calls = []
+
+    def dropped(a, n, s=1):
+        calls.append(s)
+        if len(calls) == 2 * N + 4:
+            a = list(a)
+            a[2] += 2 * a[1]
+        return real(a, n, s)
+
+    monkeypatch.setattr(identities, "_lambert_exp", dropped)
+    r = verify_poly_s_family(N=N)
+    assert len(calls) == 2 * N + 4 and calls[-1] == 1
+    assert not r.passed and r.deviation == r.details["cotangent"]
+    assert r.deviation.startswith("q^2: ")
+    assert r.details["degree_bound"] is True
+    assert all(r.details[k] == "0" for k in ("symbolic", "s_zero", "cosine", "sinh"))
+
+
 def test_sin_family_t0_broken_euler_coefficient_fails(monkeypatch):
     real = identities.euler_power
 
@@ -696,18 +777,18 @@ def test_sin_family_broken_sample_weight_fails(monkeypatch):
 
 
 def test_sin_family_broken_exp_form_fails(monkeypatch):
-    real = identities.geometric_multiples
-    calls = []
+    # at r = 1 the log's q/(1-q) coefficient is a_1 = 1 - sin^2(tz)/sin^2(z);
+    # flip the sign of its sine term, 1 + sin^2(tz)/sin^2(z) = 2 - a_1
+    real = identities._lambert_exp
 
-    def flip_second(ring, step, order, coeff, var="q"):
-        calls.append(step)
-        if len(calls) == 2:  # the first sine term, -q/(1-q) sin^2(tz)/sin^2(z)
-            coeff = -coeff
-        return real(ring, step, order, coeff, var)
+    def flip_first_sine_term(a, N, s=1):
+        a = list(a)
+        a[1] = 2 - a[1]
+        return real(a, N, s)
 
-    monkeypatch.setattr(identities, "geometric_multiples", flip_second)
+    monkeypatch.setattr(identities, "_lambert_exp", flip_first_sine_term)
     r = verify_sin_family(1, N=6, samples=2)
-    assert not r.passed and r.deviation.startswith("q^")
+    assert not r.passed and r.deviation.startswith("q^1: ")
 
 
 def test_sin_lemma_broken_pair_factor_fails(monkeypatch):
@@ -956,6 +1037,20 @@ def test_poly_s_family_takes_one_exp_per_point_and_specialization(monkeypatch):
     tally = count_calls(monkeypatch, [(TruncatedSeries, "exp")])
     assert verify_poly_s_family(N=12).passed
     assert tally == {"exp": 2 * 12 + 1 + 3}
+
+
+def test_full_suite_adds_no_polynomials_or_series(monkeypatch):
+    # every GF(p) exponential side is one exp of a log list, poly-s reads
+    # its degree bound off forward differences, and the ring names are
+    # literals: no verifier adds or multiplies a Poly or adds series
+    tally = count_calls(monkeypatch, [
+        (Poly, "__add__"), (Poly, "__mul__"), (Poly, "degree_in"),
+        (TruncatedSeries, "__add__"), (TruncatedSeries, "__sub__"),
+        *((m, "geometric_multiples") for m in (qseries, identities) if hasattr(m, "geometric_multiples")),
+    ])
+    reports = run_suite("full", 1)
+    assert reports and all(r.passed for r in reports)
+    assert tally == {}
 
 
 def test_sin_family_t0_dropped_partition_fails(monkeypatch):
