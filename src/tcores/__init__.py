@@ -48,7 +48,7 @@ from .weights import (
     parity_coding_ledger,
     parity_normalize,
 )
-from .rings import Poly, PolynomialRing, PrimeField, RationalField
+from .rings import Poly, PrimeField, RationalField
 from .qseries import (
     BadConstantTermError,
     MacdonaldTerm,

@@ -164,13 +164,18 @@ def _finish(identity, params, N, ring, ok, deviation, t0, **details) -> Verifica
 
 def _sweep(identity, params, ring, t0, counter, items, check) -> VerificationReport:
     """Report of a sweep that runs `check` on each item and stops at the
-    first that returns failure text, with the count of items checked (the
-    failing one included) under `counter`.  A sweep that checked nothing
-    fails too: it must not pass."""
+    first that returns failure text or raises, with the count of items
+    checked (the failing one included) under `counter`.  An exception is
+    that item's failure, named with its type, not an abort of the sweep or
+    of the suite.  A sweep that checked nothing fails too: it must not
+    pass."""
     checked, dev = 0, "0"
     for item in items:
         checked += 1
-        failure = check(item)
+        try:
+            failure = check(item)
+        except Exception as exc:  # a check that cannot finish fails its item
+            failure = f"{item}: {type(exc).__name__}: {exc}"
         if failure is not None:
             dev = failure
             break

@@ -1,20 +1,20 @@
-"""Truncated power series over the exact rings of `rings` (QQ, GF(p) and
-polynomials over either), plus the series builders used by the identity
-verifiers: partition sums weighted by hooks (one walker, `_hook_walk`:
-each size's sorted hook multisets walked once, so a shared prefix is folded
-once, one partition per conjugate class when the sum enumerates them, and a
-vector of several weights' values folded elementwise in one walk), finite
+"""Truncated power series over the exact rings of `rings` (QQ and GF(p);
+the tests' oracles add polynomial rings over either), plus the series
+builders used by the identity verifiers: partition sums weighted by hooks
+(one walker, `_hook_walk`: each size's sorted hook multisets walked once,
+so a shared prefix is folded once, one partition per conjugate class when
+the sum enumerates them, and a vector of several weights' values folded
+elementwise in one walk), finite
 products of binomials 1 + c q^m (`binomial_product`, each factor applied in
 place in O(N) ring operations instead of a series product), both sides
 of the type-A Macdonald identity in GF(p) at a point x (the product one
 `binomial_product`, the sum one determinant mod p per t-core coding), and
 principal specializations of Schur polynomials.  A Schur principal
 specialization is computed as one integer at p = X = 2^B, whose base-2^B
-digits are its coefficients, two ways: by the branching rule over
-horizontal strips, each power of X a shift (`schur_branching_at`, which the
-hook-content check runs), and by the Jacobi-Trudi determinant, taken by
-fraction-free (Bareiss) elimination (`schur_principal_at`, its oracle in
-the tests and the route of `schur_principal`).  The product side of the
+digits are its coefficients, by the branching rule over horizontal strips,
+each power of X a shift (`schur_branching_at`, which the hook-content check
+runs and `schur_principal` reads as a polynomial); the Jacobi-Trudi
+determinant is its oracle in the tests.  The product side of the
 r-multiplication identity (Nekrasov-Okounkov at r = 1) is likewise
 integer-only at the points beta = r^2 s^2: integer powers of Euler's product
 by J. C. P. Miller's recurrence on the pentagonal series, in place of the
@@ -107,9 +107,6 @@ class TruncatedSeries:
             self.var,
         )
 
-    def __neg__(self):
-        return TruncatedSeries(self.ring, [-c for c in self.coeffs], self.var)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(
@@ -128,9 +125,6 @@ class TruncatedSeries:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(ring, out, self.var)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     # no verifier calls this: kept as the only site of benchmark span qseries.inverse
     def inverse(self) -> "TruncatedSeries":
@@ -207,17 +201,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries[{self.ring.name}]({self})"
-
-
-def geometric_multiples(ring, step: int, order: int, coeff, var: str = "q") -> TruncatedSeries:
-    """coeff * (q^step + q^(2 step) + ...) truncated; the expansion of
-    coeff * q^step / (1 - q^step)."""
-    c = [ring.zero] * (order + 1)
-    k = step
-    while k <= order:
-        c[k] = c[k] + coeff
-        k += step
-    return TruncatedSeries(ring, c, var)
 
 
 def binomial_product(ring, order: int, factors, var: str = "q") -> TruncatedSeries:
@@ -511,64 +494,6 @@ def macdonald_rhs(t: int, order: int, x) -> TruncatedSeries:
     return TruncatedSeries(PrimeField(), coeffs)
 
 
-def _h_principal_at(k: int, n: int, X: int, cache: dict) -> int:
-    """h_k(1, X, ..., X^(n-1)), the p-binomial [n+k-1 choose k] at p = X.
-
-    Built as the exact quotients prod_{i<=k} (X^(n+i-1) - 1) / (X^i - 1):
-    every partial product is itself a p-binomial at X, so each `//` is exact.
-    `cache` maps (n, X) to the values h_0, h_1, ... found so far.
-    """
-    if k < 0:
-        return 0
-    hs = cache.setdefault((n, X), [1])
-    while len(hs) <= k:
-        i = len(hs)
-        hs.append(hs[-1] * (X ** (n + i - 1) - 1) // (X**i - 1))
-    return hs[k]
-
-
-def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination: every division is exact.  It swaps no rows, so a zero
-    pivot raises AssertionError; the Jacobi-Trudi matrices of
-    `schur_principal_at` have none."""
-    m = [list(row) for row in rows]
-    size = len(m)
-    if size == 0:
-        return 1
-    prev = 1
-    for k in range(size - 1):
-        pivot, top = m[k][k], m[k]
-        if pivot == 0:
-            raise AssertionError(f"zero pivot in row {k}")
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return m[-1][-1]
-
-
-def schur_principal_at(partition: Partition, n: int, X: int, cache: dict) -> int:
-    """s_lambda(1, X, ..., X^(n-1)) as an integer, by the Jacobi-Trudi
-    determinant det h_(lambda_i - i + j) of integer h_k values.
-
-    Zero when the partition has more than n rows.  Otherwise every leading
-    principal minor is the Schur value of the first rows of lambda, a
-    polynomial with nonnegative coefficients, so for X >= 2 no pivot
-    vanishes.  `cache` keeps the h_k values between calls; a sweep holds
-    one for its duration.
-    """
-    parts = partition.parts
-    ell = len(parts)
-    if ell > n:
-        return 0
-    return _bareiss([
-        [_h_principal_at(parts[i] - i + j, n, X, cache) for j in range(ell)]
-        for i in range(ell)
-    ])
-
-
 def schur_branching_at(parts: tuple[int, ...], n: int, bits: int, memo: dict) -> int:
     """s_lambda(1, X, ..., X^(n-1)) at X = 2^bits as an integer, by the
     branching rule (I. G. Macdonald, Symmetric Functions and Hall
@@ -577,8 +502,8 @@ def schur_branching_at(parts: tuple[int, ...], n: int, bits: int, memo: dict) ->
     shift.  Zero when the partition has more than n rows, 1 at n = 1.
 
     `memo` maps (parts, n, bits) to the values found so far, so the calls
-    may come in any order; a sweep holds one for its duration.  The value is
-    the integer of `schur_principal_at` at X, which the tests check.
+    may come in any order; a sweep holds one for its duration.  The tests
+    check the value against the Jacobi-Trudi determinant at X, their oracle.
     """
     ell = len(parts)
     if ell > n:
@@ -605,14 +530,14 @@ def schur_branching_at(parts: tuple[int, ...], n: int, bits: int, memo: dict) ->
 # no verifier calls this: kept as the only site of benchmark span qseries.schur_principal
 def schur_principal(partition: Partition, n: int) -> Poly:
     """Schur polynomial at 1, p, ..., p^(n-1), read off as the base-2^B
-    digits of `schur_principal_at` at X = 2^B, B = |lambda| bitlen(n) + 2.
+    digits of `schur_branching_at` at X = 2^B, B = |lambda| bitlen(n) + 2.
 
     The coefficients are nonnegative and sum to the number of semistandard
     tableaux with entries at most n, which is at most n^|lambda| < 2^(B-1),
     so each digit is one coefficient.  Zero when the partition has more than n
     rows."""
     bits = partition.size * n.bit_length() + 2
-    return Poly(("p",), balanced_digits(schur_principal_at(partition, n, 1 << bits, {}), bits))
+    return Poly(("p",), balanced_digits(schur_branching_at(partition.parts, n, bits, {}), bits))
 
 
 def balanced_digits(value: int, bits: int, low: int = 0) -> dict[tuple[int], int]:

@@ -1,12 +1,14 @@
-"""Coefficient rings for truncated series: rationals, a prime field, and
-polynomials over either.
+"""Coefficient rings for truncated series, the rationals and a prime field,
+and the sparse polynomial `Poly`.
 
 Every ring is exact.  Polynomials are sparse maps from exponent tuples to
 int or Fraction coefficients, never floats; an integral value is held as an
-int.  The rationals compare by equality, GF(p) compares ints modulo p, and a
-polynomial ring compares coefficientwise by the rule of its base.  Laurent
-rings (negative exponents allowed) serve only the tests' oracles: Macdonald's
-identity is checked at points of GF(p) and Jacobi's as integers at a = 2^B.
+int.  The rationals compare by equality and GF(p) compares ints modulo p.
+No verifier builds a polynomial ring.  In the package `Poly` is the value
+of `schur_principal` and prints the jacobi mismatch and the
+Nekrasov-Okounkov q^1 coefficient; the polynomial and Laurent rings over QQ
+or GF(p) live with the tests' oracles (Macdonald's identity is checked at
+points of GF(p) and Jacobi's as integers at a = 2^B).
 
 The verifiers work in ints and GF(p) residues.  A Fraction is made in
 `src/` only by `RationalField`'s `div_int` and `inv`, which no verifier
@@ -99,8 +101,6 @@ class Poly:
             else:
                 del terms[e]
         return _settled(self.names, terms)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return _settled(self.names, {e: -c for e, c in self._terms.items()})
@@ -257,62 +257,3 @@ class PrimeField:
 
     def str_coeff(self, a) -> str:
         return str(a % P)
-
-
-class PolynomialRing:
-    """Polynomials (or Laurent polynomials) over QQ or GF(p); coefficients
-    are coerced, compared, divided and inverted by the base ring."""
-
-    def __init__(self, names, base=None, laurent: bool = False):
-        self.names = tuple(names)
-        self.base = base if base is not None else RationalField()
-        self.laurent = laurent
-        kind = "Laurent" if laurent else "poly"
-        self.name = f"{self.base.name}[{','.join(self.names)}]({kind})"
-
-    @property
-    def zero(self):
-        return Poly(self.names, {})
-
-    @property
-    def one(self):
-        return Poly.constant(self.names, self.base.one)
-
-    def var(self, name: str) -> Poly:
-        return Poly.variable(self.names, name, self.base.one)
-
-    def monomial(self, exps, coeff=1) -> Poly:
-        exps = tuple(exps)
-        if not self.laurent and any(e < 0 for e in exps):
-            raise ValueError("negative exponents need a Laurent ring")
-        return Poly(self.names, {exps: self.base.coerce(coeff)})
-
-    def coerce(self, value) -> Poly:
-        if isinstance(value, Poly):
-            if value.names != self.names:
-                raise ValueError("polynomial from a different ring")
-            return self._map(value, self.base.coerce)
-        return Poly.constant(self.names, self.base.coerce(value))
-
-    def _map(self, a: Poly, f) -> Poly:
-        return Poly(self.names, {e: f(c) for e, c in a.terms.items()})
-
-    def eq(self, a, b) -> bool:
-        return self.is_zero(a - b)
-
-    def is_zero(self, a) -> bool:
-        return all(map(self.base.is_zero, a.terms.values()))
-
-    def div_int(self, a: Poly, n: int) -> Poly:
-        return self._map(a, lambda c: self.base.div_int(c, n))
-
-    def inv(self, a: Poly) -> Poly:
-        if len(a.terms) != 1:
-            raise ZeroDivisionError("only monomials are invertible here")
-        (exps, coeff), = a.terms.items()
-        if any(exps) and not self.laurent:
-            raise ZeroDivisionError("nonconstant monomial needs a Laurent ring")
-        return Poly(self.names, {tuple(-e for e in exps): self.base.inv(coeff)})
-
-    def str_coeff(self, a) -> str:
-        return f"({a})"

@@ -1,7 +1,11 @@
 """Reference routes and brute-force oracles shared by several test modules.
 
-The exact QQ[beta] forms of Nekrasov-Okounkov and r-multiplication, the
-`Poly` hook-content sides, the exp-log eta product and the cell/box map of
+The polynomial and Laurent rings (`PolynomialRing`) over QQ or GF(p) are
+the tests' own; no verifier builds one.  The exact QQ[beta] forms of
+Nekrasov-Okounkov and r-multiplication, the `Poly` hook-content sides (their
+Schur side by the Jacobi-Trudi determinant under fraction-free Bareiss
+elimination, `schur_principal_at`, which is also the oracle of the
+branching rule), the exp-log eta product and the cell/box map of
 the exploded tableau are the independent routes that the integer-point
 verifiers and the tests are checked against; none of them runs in a verifier.
 The per-cell renderers, the full-depth bead read-off, the full-loop
@@ -38,14 +42,13 @@ from tcores.partitions import Partition, enumerate_partitions
 from tcores.qseries import (
     MacdonaldTerm,
     TruncatedSeries,
+    balanced_digits,
     binomial_product,
     euler_power,
     exact_div,
-    geometric_multiples,
     macdonald_terms,
-    schur_principal,
 )
-from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
+from tcores.rings import P, Poly, PrimeField, RationalField
 from tcores.weights import WeightLedger, ZeroArgumentError
 
 
@@ -90,6 +93,76 @@ def macdonald_box_terms(t: int, N: int) -> list[MacdonaldTerm]:
 
 # ---------------------------------------------------------------------------
 # ring and series helpers
+
+
+class PolynomialRing:
+    """Polynomials (or Laurent polynomials) over QQ or GF(p); coefficients
+    are coerced, compared, divided and inverted by the base ring."""
+
+    def __init__(self, names, base=None, laurent: bool = False):
+        self.names = tuple(names)
+        self.base = base if base is not None else RationalField()
+        self.laurent = laurent
+        kind = "Laurent" if laurent else "poly"
+        self.name = f"{self.base.name}[{','.join(self.names)}]({kind})"
+
+    @property
+    def zero(self):
+        return Poly(self.names, {})
+
+    @property
+    def one(self):
+        return Poly.constant(self.names, self.base.one)
+
+    def var(self, name: str) -> Poly:
+        return Poly.variable(self.names, name, self.base.one)
+
+    def monomial(self, exps, coeff=1) -> Poly:
+        exps = tuple(exps)
+        if not self.laurent and any(e < 0 for e in exps):
+            raise ValueError("negative exponents need a Laurent ring")
+        return Poly(self.names, {exps: self.base.coerce(coeff)})
+
+    def coerce(self, value) -> Poly:
+        if isinstance(value, Poly):
+            if value.names != self.names:
+                raise ValueError("polynomial from a different ring")
+            return self._map(value, self.base.coerce)
+        return Poly.constant(self.names, self.base.coerce(value))
+
+    def _map(self, a: Poly, f) -> Poly:
+        return Poly(self.names, {e: f(c) for e, c in a.terms.items()})
+
+    def eq(self, a, b) -> bool:
+        return self.is_zero(a - b)
+
+    def is_zero(self, a) -> bool:
+        return all(map(self.base.is_zero, a.terms.values()))
+
+    def div_int(self, a: Poly, n: int) -> Poly:
+        return self._map(a, lambda c: self.base.div_int(c, n))
+
+    def inv(self, a: Poly) -> Poly:
+        if len(a.terms) != 1:
+            raise ZeroDivisionError("only monomials are invertible here")
+        (exps, coeff), = a.terms.items()
+        if any(exps) and not self.laurent:
+            raise ZeroDivisionError("nonconstant monomial needs a Laurent ring")
+        return Poly(self.names, {tuple(-e for e in exps): self.base.inv(coeff)})
+
+    def str_coeff(self, a) -> str:
+        return f"({a})"
+
+
+def geometric_multiples(ring, step: int, order: int, coeff, var: str = "q") -> TruncatedSeries:
+    """coeff * (q^step + q^(2 step) + ...) truncated; the expansion of
+    coeff * q^step / (1 - q^step)."""
+    c = [ring.zero] * (order + 1)
+    k = step
+    while k <= order:
+        c[k] = c[k] + coeff
+        k += step
+    return TruncatedSeries(ring, c, var)
 
 
 def substitute(poly: Poly, name: str, value) -> Poly:
@@ -377,12 +450,73 @@ def partition_gf(N: int) -> TruncatedSeries:
     return total.exp()
 
 
+def _h_principal_at(k: int, n: int, X: int, cache: dict) -> int:
+    """h_k(1, X, ..., X^(n-1)), the p-binomial [n+k-1 choose k] at p = X.
+
+    Built as the exact quotients prod_{i<=k} (X^(n+i-1) - 1) / (X^i - 1):
+    every partial product is itself a p-binomial at X, so each `//` is exact.
+    `cache` maps (n, X) to the values h_0, h_1, ... found so far.
+    """
+    if k < 0:
+        return 0
+    hs = cache.setdefault((n, X), [1])
+    while len(hs) <= k:
+        i = len(hs)
+        hs.append(hs[-1] * (X ** (n + i - 1) - 1) // (X**i - 1))
+    return hs[k]
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination: every division is exact.  It swaps no rows, so a zero
+    pivot raises AssertionError; the Jacobi-Trudi matrices of
+    `schur_principal_at` have none."""
+    m = [list(row) for row in rows]
+    size = len(m)
+    if size == 0:
+        return 1
+    prev = 1
+    for k in range(size - 1):
+        pivot, top = m[k][k], m[k]
+        if pivot == 0:
+            raise AssertionError(f"zero pivot in row {k}")
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return m[-1][-1]
+
+
+def schur_principal_at(partition: Partition, n: int, X: int, cache: dict) -> int:
+    """s_lambda(1, X, ..., X^(n-1)) as an integer, by the Jacobi-Trudi
+    determinant det h_(lambda_i - i + j) of integer h_k values: the oracle
+    of `qseries.schur_branching_at`.
+
+    Zero when the partition has more than n rows.  Otherwise every leading
+    principal minor is the Schur value of the first rows of lambda, a
+    polynomial with nonnegative coefficients, so for X >= 2 no pivot
+    vanishes.  `cache` keeps the h_k values between calls.
+    """
+    parts = partition.parts
+    ell = len(parts)
+    if ell > n:
+        return 0
+    return _bareiss([
+        [_h_principal_at(parts[i] - i + j, n, X, cache) for j in range(ell)]
+        for i in range(ell)
+    ])
+
+
 def hook_content_sides(lam: Partition, n: int):
     """Schur side times the hook factors, and the content-product side, as
-    polynomials in p."""
+    polynomials in p.  The Schur side is the Jacobi-Trudi value read off in
+    base 2^B, B = |lambda| bitlen(n) + 2, not the branching rule that the
+    verifier runs."""
     names = ("p",)
     one = Poly.constant(names, 1)
-    lhs = schur_principal(lam, n)
+    bits = lam.size * n.bit_length() + 2
+    lhs = Poly(names, balanced_digits(schur_principal_at(lam, n, 1 << bits, {}), bits))
     for h in lam.hooks():
         lhs = lhs * (one - Poly(names, {(h,): 1}))
     shifts = [n + c for c in lam.contents()]

@@ -246,6 +246,20 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("identity, deviation", [
+    ("multiset-formula", "5/2,-5/2: NotACoreError: 3 has a hook length divisible by 2"),
+    ("exploded-relations", "3: RelationViolationError: translation relations assume a t-core"),
+])
+def test_verify_sweep_whose_check_raises_exits_1(capsys, non_core_at_size_3, identity, deviation):
+    # the non-core (3) met as a 2-core is a failed check, not a usage error
+    # or an exception out of main
+    code, out, err = run(capsys, "verify", identity, "--t", "2", "--max-size", "6", "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    assert report["status"] == "fail" and report["deviation"] == deviation
+    assert report["details"]["cores_checked"] == 3
+
+
 def test_second_call_builds_no_parser(capsys, monkeypatch):
     assert run(capsys, *TABLE1_ARGV)[0] == 0  # the parser exists from here on
     added = []

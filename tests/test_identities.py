@@ -37,7 +37,7 @@ from tcores.identities import (
 from tcores.coding import BeadSet, coding_size, enumerate_codings
 from tcores.exploded import ExplodedWindow, render
 from tcores.halfint import HalfInt
-from tcores.partitions import Partition, abacus_beads, enumerate_t_cores
+from tcores.partitions import Partition, abacus_beads, enumerate_partitions, enumerate_t_cores
 from tcores.qseries import (
     TruncatedSeries,
     euler_power,
@@ -536,6 +536,18 @@ def test_hook_content_integer_sides_are_the_poly_sides_at_x(monkeypatch):
             assert 2 * sum(abs(c) for c in side.terms.values()) < X, (lam, n)
 
 
+def test_hook_content_oracle_is_independent_of_the_branching_rule(monkeypatch):
+    # the oracle's Schur side is its own Jacobi-Trudi copy: a broken branching
+    # rule fails the verifier and leaves the oracle's sides as they were
+    pairs = [(lam, n) for size in range(5) for lam in enumerate_partitions(size) for n in (1, 2, 3)]
+    before = [hook_content_sides(lam, n) for lam, n in pairs]
+    real = qseries.schur_branching_at
+    for owner in (qseries, identities):
+        monkeypatch.setattr(owner, "schur_branching_at", lambda *args: real(*args) + 1)
+    assert not verify_hook_content(4, 3).passed
+    assert [hook_content_sides(lam, n) for lam, n in pairs] == before
+
+
 def test_sin_lemma():
     r = verify_sin_lemma(4, seed=3)
     assert r.passed and r.deviation == "0" and r.ring == "GF(p)"
@@ -923,6 +935,29 @@ def test_multiset_formula_names_a_coding_its_read_off_rejects(monkeypatch):
     monkeypatch.setattr(coding, "_size", fractional)
     r = verify_multiset_formula(3, 10)
     assert not r.passed and r.deviation == "coding 1,0,-1: size formula gave 1/2"
+
+
+def test_sweep_reports_a_raising_check_as_its_items_failure(non_core_at_size_3):
+    # the check of (3) raises (NotACoreError, RelationViolationError): that
+    # is the sweep's failure at its third core, not an exception
+    r = verify_multiset_formula(2, 6)
+    assert r.status == "fail" and r.details["cores_checked"] == 3
+    assert r.deviation == "5/2,-5/2: NotACoreError: 3 has a hook length divisible by 2"
+    r = verify_exploded_relations(2, 6)
+    assert r.status == "fail" and r.details["cores_checked"] == 3
+    assert r.deviation == "3: RelationViolationError: translation relations assume a t-core"
+
+
+def test_run_suite_returns_every_report_when_a_sweep_raises(non_core_at_size_3):
+    reports = run_suite("quick")
+    assert [r.identity for r in reports] == [
+        identity for identity, row in VERIFIERS.items() for _ in row.quick
+    ]
+    failed = [(r.identity, r.params.get("t")) for r in reports if not r.passed]
+    # the cross-checks compare the swapped list with the filter route
+    assert failed == [
+        ("multiset-formula", 2), ("exploded-relations", 2), ("classical-cross-checks", None),
+    ]
 
 
 def test_classical_crosschecks_see_one_dropped_filter_hit(monkeypatch):

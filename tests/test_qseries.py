@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from tcores.partitions import Partition, enumerate_partitions, enumerate_t_cores
 from tcores.qseries import (
-    _bareiss,
     _det_mod_p,
     BadConstantTermError,
     RingMismatchError,
@@ -16,7 +15,6 @@ from tcores.qseries import (
     balanced_digits,
     binomial_product,
     euler_power,
-    geometric_multiples,
     macdonald_lhs,
     macdonald_rhs,
     macdonald_terms,
@@ -26,12 +24,14 @@ from tcores.qseries import (
     residue_sign,
     schur_branching_at,
     schur_principal,
-    schur_principal_at,
 )
-from tcores.rings import P, Poly, PolynomialRing, PrimeField, RationalField
+from tcores.rings import P, Poly, PrimeField, RationalField
 
 from oracles import (
+    PolynomialRing,
+    _bareiss,
     eta_like_product,
+    geometric_multiples,
     jacobi_pair,
     laurent_at,
     laurent_macdonald_lhs,
@@ -40,6 +40,7 @@ from oracles import (
     macdonald_box_terms,
     partition_gf,
     per_partition_sum_series,
+    schur_principal_at,
     series_pow,
     substitute,
 )
