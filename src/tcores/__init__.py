@@ -61,6 +61,7 @@ from .qseries import (
     schur_principal,
 )
 from .identities import (
+    ParameterError,
     VerificationReport,
     run_suite,
     verify_classical_crosschecks,

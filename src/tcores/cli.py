@@ -149,9 +149,12 @@ def cmd_verify(args) -> int:
         return 2
     try:
         report = fn(**kwargs)
-    except ValueError as exc:  # parameters the verifier rejects
+    except identities.ParameterError as exc:  # parameters the verifier rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a verifier that cannot finish failed its check
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         print(report.to_json())
     else:

@@ -44,38 +44,37 @@ class BadConstantTermError(ValueError):
 
 
 class TruncatedSeries:
-    """A power series modulo q^(N+1), coefficients in a fixed ring.
+    """A power series in q modulo q^(N+1), coefficients in a fixed ring.
 
     Mixed-order arithmetic truncates to the smaller order.  Comparisons use
     the ring's rule: equality over QQ, equality modulo p over GF(p), and
     coefficientwise by the base ring's rule over a polynomial ring.
     """
 
-    __slots__ = ("ring", "coeffs", "var")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring, coeffs, var: str = "q"):
+    def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = list(coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
-        self.var = var
 
     @classmethod
-    def zero(cls, ring, order: int, var: str = "q") -> "TruncatedSeries":
-        return cls(ring, [ring.zero] * (order + 1), var)
+    def zero(cls, ring, order: int) -> "TruncatedSeries":
+        return cls(ring, [ring.zero] * (order + 1))
 
     @classmethod
-    def one(cls, ring, order: int, var: str = "q") -> "TruncatedSeries":
+    def one(cls, ring, order: int) -> "TruncatedSeries":
         c = [ring.zero] * (order + 1)
         c[0] = ring.one
-        return cls(ring, c, var)
+        return cls(ring, c)
 
     @classmethod
-    def monomial(cls, ring, k: int, order: int, coeff=None, var: str = "q") -> "TruncatedSeries":
+    def monomial(cls, ring, k: int, order: int, coeff=None) -> "TruncatedSeries":
         c = [ring.zero] * (order + 1)
         if 0 <= k <= order:
             c[k] = ring.one if coeff is None else coeff
-        return cls(ring, c, var)
+        return cls(ring, c)
 
     @property
     def order(self) -> int:
@@ -94,24 +93,18 @@ class TruncatedSeries:
     def __add__(self, other):
         n = self._align(other)
         return TruncatedSeries(
-            self.ring,
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)],
-            self.var,
+            self.ring, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
         )
 
     def __sub__(self, other):
         n = self._align(other)
         return TruncatedSeries(
-            self.ring,
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)],
-            self.var,
+            self.ring, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
         )
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(
-                self.ring, [c * other for c in self.coeffs], self.var
-            )
+            return TruncatedSeries(self.ring, [c * other for c in self.coeffs])
         n = self._align(other)
         ring = self.ring
         out = [ring.zero] * (n + 1)
@@ -124,7 +117,7 @@ class TruncatedSeries:
                 if ring.is_zero(b):
                     continue
                 out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(ring, out, self.var)
+        return TruncatedSeries(ring, out)
 
     # no verifier calls this: kept as the only site of benchmark span qseries.inverse
     def inverse(self) -> "TruncatedSeries":
@@ -144,7 +137,7 @@ class TruncatedSeries:
                     continue
                 acc = acc + a * out[k - i]
             out[k] = -(c0inv * acc)
-        return TruncatedSeries(ring, out, self.var)
+        return TruncatedSeries(ring, out)
 
     def exp(self) -> "TruncatedSeries":
         ring = self.ring
@@ -161,7 +154,7 @@ class TruncatedSeries:
                     continue
                 acc = acc + (a * out[k - i]) * i
             out[k] = ring.div_int(acc, k)
-        return TruncatedSeries(ring, out, self.var)
+        return TruncatedSeries(ring, out)
 
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(c) for c in self.coeffs)
@@ -193,17 +186,17 @@ class TruncatedSeries:
             if i == 0:
                 chunks.append(cs)
             elif i == 1:
-                chunks.append(f"{cs}*{self.var}")
+                chunks.append(f"{cs}*q")
             else:
-                chunks.append(f"{cs}*{self.var}^{i}")
+                chunks.append(f"{cs}*q^{i}")
         body = " + ".join(chunks) if chunks else "0"
-        return f"{body} (+O({self.var}^{self.order + 1}))"
+        return f"{body} (+O(q^{self.order + 1}))"
 
     def __repr__(self):
         return f"TruncatedSeries[{self.ring.name}]({self})"
 
 
-def binomial_product(ring, order: int, factors, var: str = "q") -> TruncatedSeries:
+def binomial_product(ring, order: int, factors) -> TruncatedSeries:
     """prod (1 + c q^m) over the (c, m) pairs of `factors`, truncated.
 
     Each factor is applied in place, k running from `order` down to m so
@@ -220,7 +213,7 @@ def binomial_product(ring, order: int, factors, var: str = "q") -> TruncatedSeri
         for k in range(order, m - 1, -1):
             v = out[k] + c * out[k - m]
             out[k] = v % P if prime else v
-    return TruncatedSeries(ring, out, var)
+    return TruncatedSeries(ring, out)
 
 
 def exact_div(a: int, b: int) -> int:
@@ -355,14 +348,7 @@ def _hook_walk(r: int, order: int, start, step, source=None):
 
 
 # no verifier calls this: kept as the site of benchmark span qseries.partition_sum
-def partition_sum_series(
-    rho,
-    r: int,
-    order: int,
-    ring=None,
-    source=None,
-    var: str = "q",
-) -> TruncatedSeries:
+def partition_sum_series(rho, r: int, order: int, ring=None, source=None) -> TruncatedSeries:
     """sum over partitions of q^size * prod of rho(h) over hooks divisible
     by r.
 
@@ -381,7 +367,7 @@ def partition_sum_series(
     coeffs = [ring.zero] * (order + 1)
     for n, _, term, weight in _hook_walk(r, order, ring.one, lambda term, h: term * rho(h), source):
         coeffs[n] = coeffs[n] + (term if weight == 1 else term * weight)
-    return TruncatedSeries(ring, coeffs, var)
+    return TruncatedSeries(ring, coeffs)
 
 
 def partition_sums_mod_p(rho, width: int, r: int, order: int, source=None) -> list[TruncatedSeries]:
@@ -415,8 +401,10 @@ class MacdonaldTerm:
     omega: int
 
 
-def residue_sign(a, t: int) -> int:
-    """Sign of the residues of `a` as a permutation of res(1..t); 0 on repeats."""
+def residue_sign(a) -> int:
+    """Sign of the residues of `a` as a permutation of res(1..t), t = len(a);
+    0 on repeats."""
+    t = len(a)
     perm = [(x - 1) % t for x in a]  # the residue of i in 1..t sits at i - 1
     if len(set(perm)) != t:
         return 0
@@ -441,7 +429,7 @@ def macdonald_terms(t: int, order: int) -> list[MacdonaldTerm]:
         omega = coding_size(coding)
         for twice in permutations(coding.twice):
             a = tuple((tw + t + 1) // 2 for tw in twice)
-            out.append(MacdonaldTerm(a, residue_sign(a, t), omega))
+            out.append(MacdonaldTerm(a, residue_sign(a), omega))
     out.sort(key=lambda term: (term.omega, term.a))
     return out
 
@@ -464,10 +452,12 @@ def _det_mod_p(rows: list[list[int]]) -> int:
     return det
 
 
-def macdonald_lhs(t: int, order: int, x) -> TruncatedSeries:
+def macdonald_lhs(order: int, x) -> TruncatedSeries:
     """prod_m (1-q^m)^(t-1) prod_{j<i} (1-(x_i/x_j) q^(m-1)) (1-(x_j/x_i) q^m)
-    in GF(p) at the point x = (x_1, ..., x_t) of nonzero residues: one
-    `binomial_product` with c = -x_i/x_j and c = -x_j/x_i for each root pair."""
+    in GF(p) at the point x = (x_1, ..., x_t) of nonzero residues, t = len(x):
+    one `binomial_product` with c = -x_i/x_j and c = -x_j/x_i for each root
+    pair."""
+    t = len(x)
     inv = [pow(v, -1, P) for v in x]
     factors = [(-1, m) for m in range(1, order + 1)] * (t - 1)
     for i in range(t):
@@ -477,20 +467,21 @@ def macdonald_lhs(t: int, order: int, x) -> TruncatedSeries:
     return binomial_product(PrimeField(), order, factors)
 
 
-def macdonald_rhs(t: int, order: int, x) -> TruncatedSeries:
+def macdonald_rhs(order: int, x) -> TruncatedSeries:
     """sum over vectors of sign * q^omega * x_1^(1-a_1) ... x_t^(t-a_t), in
-    GF(p) at the point x.  The vectors are the orderings of a = v + (t+1)/2
+    GF(p) at the point x, t = len(x).  The vectors are the orderings of a = v + (t+1)/2
     for the codings v of size at most `order` (`macdonald_terms`), and
     reordering a by s multiplies its sign by sgn(s): so the t! orderings of
     one coding sum to residue_sign(a) det[x_i^(i - a_j)], which is
     residue_sign(a) prod x_i^i det[x_i^(-a_j)], the Weyl denominator form."""
+    t = len(x)
     power = cache(lambda i, e: pow(x[i - 1], e, P))  # codings share entries
     coeffs = [0] * (order + 1)
     for coding in enumerate_codings(t, order):
         a = [(tw + t + 1) // 2 for tw in coding.twice]
         det = _det_mod_p([[power(i, i - e) for e in a] for i in range(1, t + 1)])
         n = coding_size(coding)
-        coeffs[n] = (coeffs[n] + residue_sign(a, t) * det) % P
+        coeffs[n] = (coeffs[n] + residue_sign(a) * det) % P
     return TruncatedSeries(PrimeField(), coeffs)
 
 

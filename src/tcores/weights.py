@@ -146,13 +146,15 @@ def _add_differences(exps: dict[int, int], tw) -> None:
             exps[d] = exps.get(d, 0) + 1
 
 
-def content_ledger(mu: Partition, beta, t: int) -> WeightLedger:
+def content_ledger(mu: Partition, beta) -> WeightLedger:
     """Ledger of prod_i (tau(-i)/tau(i))^(b_i) * prod over mu of tau(t+c)/tau(h),
-    where b_i = beta[i-1] counts the hooks of length t - i of the core.
+    where b_i = beta[i-1] counts the hooks of length t - i of the core, so
+    t = len(beta) + 1.
 
     Row i of mu holds the contents 1-i..mu_i-i, one run, so the tau(t+c)
     tally is a running sum of +1 at each row's first argument t+1-i and -1
     past its last; the hooks are tallied from one `hooks` read."""
+    t = len(beta) + 1
     exps: dict[int, int] = {}
     for i in range(1, t):
         exps[-i] = beta[i - 1]

@@ -20,3 +20,14 @@ def non_core_at_size_3(monkeypatch):
     monkeypatch.setattr(
         identities, "cores_from_codings", lambda t, n: [swap(lam, t) for lam in real_cores(t, n)]
     )
+
+
+@pytest.fixture
+def tcore_lemmas_raise_mid_run(monkeypatch):
+    """Make `tcore_lemma_series` raise ValueError("mid-run"), after the
+    verifier has accepted its parameters: a verifier that cannot finish."""
+
+    def raising(t, Y, N):
+        raise ValueError("mid-run")
+
+    monkeypatch.setattr(identities, "tcore_lemma_series", raising)

@@ -154,7 +154,7 @@ class PolynomialRing:
         return f"({a})"
 
 
-def geometric_multiples(ring, step: int, order: int, coeff, var: str = "q") -> TruncatedSeries:
+def geometric_multiples(ring, step: int, order: int, coeff) -> TruncatedSeries:
     """coeff * (q^step + q^(2 step) + ...) truncated; the expansion of
     coeff * q^step / (1 - q^step)."""
     c = [ring.zero] * (order + 1)
@@ -162,7 +162,7 @@ def geometric_multiples(ring, step: int, order: int, coeff, var: str = "q") -> T
     while k <= order:
         c[k] = c[k] + coeff
         k += step
-    return TruncatedSeries(ring, c, var)
+    return TruncatedSeries(ring, c)
 
 
 def substitute(poly: Poly, name: str, value) -> Poly:
@@ -182,7 +182,7 @@ def series_pow(f: TruncatedSeries, n: int) -> TruncatedSeries:
     """f^n by repeated squaring; a negative n inverts f first."""
     if n < 0:
         return series_pow(f.inverse(), -n)
-    result = TruncatedSeries.one(f.ring, f.order, f.var)
+    result = TruncatedSeries.one(f.ring, f.order)
     base = f
     while n:
         if n & 1:
@@ -193,17 +193,17 @@ def series_pow(f: TruncatedSeries, n: int) -> TruncatedSeries:
     return result
 
 
-def log_one_minus_power(ring, m: int, order: int, var: str = "q") -> TruncatedSeries:
+def log_one_minus_power(ring, m: int, order: int) -> TruncatedSeries:
     """log(1 - q^m) = -sum_j q^(j m) / j, truncated."""
     c = [ring.zero] * (order + 1)
     j = 1
     while j * m <= order:
         c[j * m] = c[j * m] - ring.coerce(Fraction(1, j))
         j += 1
-    return TruncatedSeries(ring, c, var)
+    return TruncatedSeries(ring, c)
 
 
-def eta_like_product(exponent, order: int, ring=None, var: str = "q") -> TruncatedSeries:
+def eta_like_product(exponent, order: int, ring=None) -> TruncatedSeries:
     """prod_m (1 - q^m)^exponent, with a ring-element exponent.
 
     Computed as exp(exponent * sum_m log(1 - q^m)); factors with m beyond
@@ -211,10 +211,10 @@ def eta_like_product(exponent, order: int, ring=None, var: str = "q") -> Truncat
     """
     if ring is None:
         ring = RationalField()
-    total = TruncatedSeries.zero(ring, order, var)
+    total = TruncatedSeries.zero(ring, order)
     for m in range(1, order + 1):
-        total = total + log_one_minus_power(ring, m, order, var)
-    return TruncatedSeries(ring, [c * exponent for c in total.coeffs], var).exp()
+        total = total + log_one_minus_power(ring, m, order)
+    return TruncatedSeries(ring, [c * exponent for c in total.coeffs]).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +268,20 @@ def laurent_macdonald_rhs(t: int, order: int) -> TruncatedSeries:
 
 def jacobi_pair(N: int):
     """Triple product prod_(n>=0) (1 + a x^(n+1)) (1 - x^(n+1)) (1 + x^n / a)
-    and theta sum in QQ[a, 1/a], series variable x."""
+    and theta sum in QQ[a, 1/a], as series in x (printed in q)."""
     ring = PolynomialRing(("a",), laurent=True)
     a = ring.monomial((1,))
     ainv = ring.monomial((-1,))
     factors = [(ainv, 0)]
     for n in range(1, N + 1):
         factors += [(a, n), (-ring.one, n), (ainv, n)]
-    lhs = binomial_product(ring, N, factors, var="x")
+    lhs = binomial_product(ring, N, factors)
     coeffs = [ring.zero] * (N + 1)
     k = (isqrt(8 * N + 1) - 1) // 2  # the largest k with k(k+1)/2 <= N
     for m in range(-k - 1, k + 1):
         e = m * (m + 1) // 2
         coeffs[e] = coeffs[e] + ring.monomial((m,))
-    rhs = TruncatedSeries(ring, coeffs, var="x")
+    rhs = TruncatedSeries(ring, coeffs)
     return lhs, rhs
 
 
@@ -300,7 +300,7 @@ def laurent_at(poly: Poly, point) -> int:
 # the unwalked hook sums and the lex-order Macdonald product
 
 
-def per_partition_sum_series(rho, r: int, order: int, ring=None, source=None, var: str = "q"):
+def per_partition_sum_series(rho, r: int, order: int, ring=None, source=None):
     """sum over partitions of q^size prod rho(h) over the hooks divisible by
     r, one partition at a time, each hook product from scratch; `source(n)`
     may supply the partitions of size n."""
@@ -316,7 +316,7 @@ def per_partition_sum_series(rho, r: int, order: int, ring=None, source=None, va
                 term = term * rho(h)
             acc = acc + term
         coeffs[n] = acc
-    return TruncatedSeries(ring, coeffs, var)
+    return TruncatedSeries(ring, coeffs)
 
 
 def per_partition_hook_points(r: int, N: int) -> list[list[list[int]]]:

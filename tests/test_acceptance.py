@@ -164,7 +164,7 @@ def test_criterion_09_macdonald(full):
             vector_checks &= term.epsilon in (-1, 1) and term.omega >= 0
             vector_checks &= len({x % t for x in term.a}) == t
         # repeated residues force sign zero
-        vector_checks &= residue_sign((1,) * t, t) == 0
+        vector_checks &= residue_sign((1,) * t) == 0
     announce(9, exact(reports) and vector_checks)
 
 

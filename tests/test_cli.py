@@ -246,6 +246,26 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_whose_verifier_raises_mid_run_exits_1(capsys, tcore_lemmas_raise_mid_run):
+    # an exception past the parameter checks is a failed check, not a usage error
+    code, out, err = run(capsys, "verify", "tcore-lemmas")
+    assert (code, out, err) == (1, "", "error: ValueError: mid-run\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "tcore-lemmas", "--t", "4"], "t must be an odd integer >= 3"),
+        (["verify", "sin-family", "--tvalue", "0", "--samples", "2"],
+         "the exact t = 0 check draws no sample points"),
+        (["verify", "macdonald", "--t", "1"], "t must be at least 2"),
+    ],
+    ids=lambda v: "_".join(v) if isinstance(v, list) else "",
+)
+def test_verifier_parameter_errors_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("identity, deviation", [
     ("multiset-formula", "5/2,-5/2: NotACoreError: 3 has a hook length divisible by 2"),
     ("exploded-relations", "3: RelationViolationError: translation relations assume a t-core"),

@@ -207,7 +207,7 @@ def test_interpolated_hook_side_is_the_poly_route(N, seed):
     # coefficients have s-degree at most 2N, reached at q^N, so these 2N + 1
     # values are the polynomial side: interpolating them gives it back
     Y = sample_point(random.Random(seed), N)
-    sums = poly_s_hook_side(poly_s_sin_weights(Y, N), N)
+    sums = poly_s_hook_side(poly_s_sin_weights(Y, N))
     want = poly_s_hook_side_poly(Y, N)
     assert len(sums) == 2 * N + 1
     for s, side in enumerate(sums):
@@ -226,7 +226,7 @@ def test_poly_exp_side_degree_and_values_at_the_points(N):
     w = poly_s_sin_weights(sample_point(random.Random(7), N), N)
     rhs = poly_s_exp_side(w, N)
     assert all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
-    sides = identities.poly_s_exp_points(w, N)
+    sides = identities.poly_s_exp_points(w)
     assert len(sides) == 2 * N + 1
     for s, side in enumerate(sides):
         values = [sum(v * s ** e for (e,), v in c.terms.items()) % P for c in rhs.coeffs]
@@ -272,7 +272,7 @@ def test_macdonald_flipped_sign_fails_at_its_size(monkeypatch):
     coding = enumerate_codings(t, N)[-1]
     flip = [(tw + t + 1) // 2 for tw in coding.twice]
     real = qseries.residue_sign
-    monkeypatch.setattr(qseries, "residue_sign", lambda a, t: -real(a, t) if list(a) == flip else real(a, t))
+    monkeypatch.setattr(qseries, "residue_sign", lambda a: -real(a) if list(a) == flip else real(a))
     r = verify_macdonald(t, N)
     assert not r.passed and r.deviation.startswith(f"q^{coding_size(coding)}: ")
 
@@ -280,10 +280,10 @@ def test_macdonald_flipped_sign_fails_at_its_size(monkeypatch):
 def test_macdonald_dropped_run_fails_at_q1(monkeypatch):
     real = qseries.binomial_product
 
-    def one_run_short(ring, order, factors, var="q"):
+    def one_run_short(ring, order, factors):
         run = [(-1, m) for m in range(1, order + 1)]
         i = next(i for i in range(len(factors)) if factors[i : i + order] == run)
-        return real(ring, order, factors[:i] + factors[i + order :], var)
+        return real(ring, order, factors[:i] + factors[i + order :])
 
     monkeypatch.setattr(qseries, "binomial_product", one_run_short)
     r = verify_macdonald(3, 4)
@@ -319,6 +319,7 @@ def test_jacobi_flipped_theta_sign_names_the_laurent_mismatch(monkeypatch, N, m)
     lhs, rhs = jacobi_pair(N)
     rhs.coeffs[e] = rhs.coeffs[e] - 2 * rhs.ring.monomial((m,))
     ok, want = identities._exact_compare(lhs, rhs)
+    want = want.replace("q^", "x^", 1)  # the Laurent series are in x, printed in q
     assert not ok and want.startswith(f"x^{e}: ")
     assert not r.passed and r.deviation == want
 
@@ -636,10 +637,10 @@ def test_sample_points_reproducible(identity):
 def test_tcore_lemmas_broken_product_fails(monkeypatch):
     real = identities.binomial_product
 
-    def weakened(ring, order, factors, var="q"):
+    def weakened(ring, order, factors):
         factors = list(factors)
         factors.remove((-1, 1))  # (1 - q)^(t-1) becomes (1 - q)^(t-2)
-        return real(ring, order, factors, var)
+        return real(ring, order, factors)
 
     monkeypatch.setattr(identities, "binomial_product", weakened)
     r = verify_tcore_lemmas(5, N=8)
@@ -699,8 +700,8 @@ def test_poly_s_family_broken_exp_point_fails(monkeypatch):
     # detail names that q^n and that s, and no specialization reads it
     real = identities.poly_s_exp_points
 
-    def bumped(w, N):
-        sides = real(w, N)
+    def bumped(w):
+        sides = real(w)
         sides[7].coeffs[3] = (sides[7].coeffs[3] + 1) % P
         return sides
 
@@ -749,12 +750,12 @@ def test_poly_s_family_dropped_cotangent_term_fails(monkeypatch):
     real = identities._lambert_exp
     calls = []
 
-    def dropped(a, n, s=1):
+    def dropped(a, s=1):
         calls.append(s)
         if len(calls) == 2 * N + 4:
             a = list(a)
             a[2] += 2 * a[1]
-        return real(a, n, s)
+        return real(a, s)
 
     monkeypatch.setattr(identities, "_lambert_exp", dropped)
     r = verify_poly_s_family(N=N)
@@ -793,10 +794,10 @@ def test_sin_family_broken_exp_form_fails(monkeypatch):
     # flip the sign of its sine term, 1 + sin^2(tz)/sin^2(z) = 2 - a_1
     real = identities._lambert_exp
 
-    def flip_first_sine_term(a, N, s=1):
+    def flip_first_sine_term(a, s=1):
         a = list(a)
         a[1] = 2 - a[1]
-        return real(a, N, s)
+        return real(a, s)
 
     monkeypatch.setattr(identities, "_lambert_exp", flip_first_sine_term)
     r = verify_sin_family(1, N=6, samples=2)
@@ -886,9 +887,9 @@ def test_multiset_formula_names_a_failing_even_form(monkeypatch):
 def test_multiset_formula_stops_at_first_content_failure(monkeypatch):
     real = identities.content_ledger
 
-    def bumped(mu, beta, t):  # one more tau(t + c) for the first cell of mu
-        out = real(mu, beta, t)
-        return out * WeightLedger({t: 1}) if mu else out
+    def bumped(mu, beta):  # one more tau(t + c) for the first cell of mu
+        out = real(mu, beta)
+        return out * WeightLedger({len(beta) + 1: 1}) if mu else out
 
     monkeypatch.setattr(identities, "content_ledger", bumped)
     r = verify_multiset_formula(3, 10)
@@ -958,6 +959,31 @@ def test_run_suite_returns_every_report_when_a_sweep_raises(non_core_at_size_3):
     assert failed == [
         ("multiset-formula", 2), ("exploded-relations", 2), ("classical-cross-checks", None),
     ]
+
+
+def test_run_suite_reports_a_verifier_that_raises_as_one_failure(tcore_lemmas_raise_mid_run):
+    # the plan runs on past the raising verifier, which is one failed report
+    reports = run_suite("quick")
+    assert len(reports) == 20
+    assert [r.identity for r in reports] == [
+        identity for identity, row in VERIFIERS.items() for _ in row.quick
+    ]
+    failed = [r for r in reports if not r.passed]
+    assert [(r.identity, r.deviation) for r in failed] == [("tcore-lemmas", "ValueError: mid-run")]
+    assert failed[0].params == {"t": 3, "N": 8, "seed": 7} and failed[0].N == 8
+
+
+def test_verifier_parameter_checks_raise_parameter_error():
+    for call in (
+        lambda: verify_tcore_lemmas(4),
+        lambda: verify_sin_family(1, t_value=0, samples=2),
+        lambda: verify_macdonald(1),
+        lambda: verify_nekrasov_okounkov(0),
+        lambda: verify_multiplication(0, 4),
+        lambda: verify_classical_crosschecks(5, 0, 5),
+    ):
+        with pytest.raises(identities.ParameterError):
+            call()
 
 
 def test_classical_crosschecks_see_one_dropped_filter_hit(monkeypatch):
