@@ -10,9 +10,11 @@ functions of degree d agree at a random point with probability at most d/p
 (Schwartz-Zippel), which bounds the chance of a false pass.  Every
 sine-weight exponential side is one `exp` of a Lambert-series log
 sum_k a_k q^k/(1 - s^k q^k), built by `_lambert_exp`.  The s-parameter
-family, polynomial in s, is compared at s = 0..2N, and its degree bound is
-read off forward differences of the same values, so no verifier builds a
-polynomial ring.  The other series identities are checked in integers:
+family, polynomial in s, is compared at points (w, s) of its hook weight
+s + (s - 1)^2 w: at s = 0..2N, with its degree bound read off forward
+differences of the same values, so no verifier builds a polynomial ring,
+and at three more points that are its cosine, hyperbolic and cotangent
+forms.  The other series identities are checked in integers:
 Nekrasov-Okounkov and its r-multiplication form at enough points
 beta = r^2 s^2 to determine them, hook-content and Jacobi's at one point
 X = 2^B beyond their coefficients (Kronecker substitution).  Those are
@@ -154,13 +156,15 @@ class VerificationReport:
         return json.dumps(self.to_dict())
 
 
-def _finish(identity, params, N, ring, ok, deviation, t0, **details) -> VerificationReport:
+def _finish(identity, params, N, ring, deviation, t0, **details) -> VerificationReport:
+    """The report of a check whose first failure is `deviation`: it passes
+    exactly when that is "0"."""
     return VerificationReport(
         identity=identity,
         params=params,
         N=N,
         ring=ring,
-        status="pass" if ok else "fail",
+        status="pass" if deviation == "0" else "fail",
         deviation=deviation,
         ms=(time.perf_counter() - t0) * 1000.0,
         details=details,
@@ -186,7 +190,7 @@ def _sweep(identity, params, ring, t0, counter, items, check) -> VerificationRep
             break
     if not checked:
         dev = f"nothing checked: {counter} = 0"
-    return _finish(identity, params, None, ring, dev == "0", dev, t0, **{counter: checked})
+    return _finish(identity, params, None, ring, dev, t0, **{counter: checked})
 
 
 def _order_mismatch(lhs, rhs) -> str | None:
@@ -236,6 +240,8 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
     bead relations reuse that bead set.  `classical-cross-checks` keeps the
     filter oracle."""
     t0 = time.perf_counter()
+    if t < 1:
+        raise ParameterError("t must be a positive integer")
     if ledger_max_size is None:
         ledger_max_size = max_size
 
@@ -288,6 +294,8 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
     (set and ledger forms, with the band counts), and the triangle ledger, on
     the cores from codings; the first core with a failing check names it."""
     t0 = time.perf_counter()
+    if t < 1:
+        raise ParameterError("t must be a positive integer")
     checks = (check_translation_relations, check_fold, check_triangle_ledger)
 
     def check(lam):
@@ -379,14 +387,14 @@ def verify_nekrasov_okounkov(N: int = 12) -> VerificationReport:
     hooks, dev = _first_point_mismatch(1, N, marked=False)
     # (1!)^2 [q^1], of degree <= 1 in beta, at beta = 0 and beta = 1
     y0, y1 = hooks[1][1][:2]
-    q1_ok = (y0, y1 - y0) == (1, -1)
+    if dev == "0" and (y0, y1 - y0) != (1, -1):
+        dev = "q^1 coefficient is not 1-beta"
     return _finish(
         "nekrasov-okounkov",
         {},
         N,
         "QQ[beta](poly)",
-        dev == "0" and q1_ok,
-        dev if dev != "0" or q1_ok else "q^1 coefficient is not 1-beta",
+        dev,
         t0,
         q1_coefficient=str(Poly(("beta",), {(0,): y0, (1,): y1 - y0})),
     )
@@ -466,10 +474,8 @@ def verify_sin_family(
         if samples is not None:
             raise ParameterError("the exact t = 0 check draws no sample points")
         counts = [sum(1 for _ in enumerate_partitions(n)) for n in range(N + 1)]
-        ok, dev = _exact_compare(counts, euler_power(-1, N))
-        return _finish(
-            "sin-family", {"r": r, "t": 0}, N, "QQ", ok, dev, t0
-        )
+        _, dev = _exact_compare(counts, euler_power(-1, N))
+        return _finish("sin-family", {"r": r, "t": 0}, N, "QQ", dev, t0)
     if samples is None:
         samples = 5
     rng = random.Random(seed)
@@ -486,7 +492,7 @@ def verify_sin_family(
             del points[i + 1 :]  # report the points up to the failing one
             break
     params = {"r": r, "t": t_value, "samples": samples, "seed": seed, "points": points}
-    return _finish("sin-family", params, N, GF.name, dev == "0", dev, t0)
+    return _finish("sin-family", params, N, GF.name, dev, t0)
 
 
 def poly_s_weight(s, w):
@@ -510,124 +516,86 @@ def poly_s_sin_weights(Y: int, N: int) -> dict[int, int]:
     return {m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2) for m in range(1, N + 1)}
 
 
-def poly_s_hook_side(w: dict[int, int], extra=()) -> list[TruncatedSeries]:
-    """The GF(p) hook sums of the s-parameter form to order N = len(w) from
-    one `partition_sums_mod_p` walk, with w the map m -> w(m), m = 1..N, of
-    `poly_s_sin_weights`: first those of the weight s + (s - 1)^2 w at
-    s = 0..2N, then those of each `extra` weight (a map hook -> residue).
+def poly_s_hook_side(points) -> list[TruncatedSeries]:
+    """The GF(p) hook sums of the s-parameter form at each point (w, s) of
+    `points` from one `partition_sums_mod_p` walk, to order N = len(w), with
+    w a map m -> w(m), m = 1..N: slot i has the hook weight
+    s_i + (s_i - 1)^2 w_i(h) (`poly_s_weight`).
 
     Each q^n coefficient of the hook side in GF(p)[s] is a sum of products
     of at most n such weights, so it has degree at most 2n <= 2N in s, and
-    0..2N are distinct mod p: its values there, entries 0..2N, determine it
-    (the GF(p)[s] walk in `tests/oracles.py` takes the same values there).
+    0..2N are distinct mod p: for one w, its values at s = 0..2N determine
+    it (the GF(p)[s] walk in `tests/oracles.py` takes the same values there).
     """
-    N = len(w)
-    top = 2 * N
-    rho = {
-        h: [poly_s_weight(s, w[h]) % P for s in range(top + 1)] + [f[h] for f in extra]
-        for h in w
-    }
-    return partition_sums_mod_p(rho.__getitem__, top + 1 + len(extra), 1, N)
+    N = len(points[0][0])
+    rho = {h: [poly_s_weight(s, w[h]) % P for w, s in points] for h in range(1, N + 1)}
+    return partition_sums_mod_p(rho.__getitem__, len(points), 1, N)
 
 
-def poly_s_exp_points(w: dict[int, int]) -> list[TruncatedSeries]:
-    """The exponential side of the s-parameter form at s = 0..2N in GF(p), to
-    order N = len(w), with w the map k -> w(k), k = 1..N, of
-    `poly_s_sin_weights`: at each s, exp of
+def poly_s_exp_at(w: dict[int, int], s: int) -> TruncatedSeries:
+    """The exponential side of the s-parameter form at the point (w, s) in
+    GF(p), to order N = len(w), with w a map k -> w(k), k = 1..N: exp of
     sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k)), a Lambert series
     in q whose q^m coefficient is sum over k | m of
     s^(m - k) (s^k + (s^k - 1)^2 w(k))/k."""
     N = len(w)
-    inverse = [0] + [GF.inv(k) for k in range(1, N + 1)]
-    sides = []
-    for s in range(2 * N + 1):
-        a = [0] * (N + 1)
-        for k in range(1, N + 1):
-            sk = pow(s, k, P)
-            a[k] = (sk + (sk - 1) ** 2 * w[k]) * inverse[k]
-        sides.append(_lambert_exp(a, s))
-    return sides
+    a = [0] * (N + 1)
+    for k in range(1, N + 1):
+        sk = pow(s, k, P)
+        a[k] = (sk + (sk - 1) ** 2 * w[k]) * GF.inv(k)
+    return _lambert_exp(a, s)
 
 
 def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     """The substituted family with s free, in GF(p)[s] at a seeded point
-    Y = e^(iz) (with the degree-2n bound per q^n), and its s = 0, cosine,
-    hyperbolic (at R = e^z) and s = -1 cotangent specializations in GF(p).
+    Y = e^(iz) (with the degree-2n bound per q^n), and its cosine,
+    hyperbolic (at R = e^z) and cotangent specializations in GF(p).
 
-    One hook walk serves all of them: its vector holds the weight at
-    s = 0..2N, then the cosine, hyperbolic and cotangent weights.  The
-    `symbolic` detail compares the hook sums at s = 0..2N with the
-    exponential side at the same points (`poly_s_exp_points`), q^n
-    ascending, then s.  Every q^n coefficient on either side has s-degree
-    at most 2n by construction, and 0..2N are distinct mod p, so agreement
-    at these 2N + 1 points is the GF(p)[s] identity.  The degree bound of
-    the hook side stays a check, `degree_bound`, read off the same values:
-    at each q^n every forward difference of order > 2n over s = 0..2N
-    vanishes mod p.  The s = 0 check reads the s = 0 slot against the
-    exponential side's s = 0 point, so it takes no `exp` of its own.  Every
-    exponential side is one `exp` of a Lambert-series log (`_lambert_exp`).
+    Every detail compares the two sides at points (w, s): the hook sums of
+    one `poly_s_hook_side` walk, one slot per point, against one `exp` per
+    point (`poly_s_exp_at`).  The `symbolic` detail takes the points
+    (w_sin, s), s = 0..2N, with w_sin(m) = 1/(4 sin^2(mz)), q^n ascending,
+    then s.  Every q^n coefficient on either side has s-degree at most 2n by
+    construction, and 0..2N are distinct mod p, so agreement at these 2N + 1
+    points is the GF(p)[s] identity.  The degree bound of the hook side stays
+    a check, `degree_bound`, read off the same values: at each q^n every
+    forward difference of order > 2n over s = 0..2N vanishes mod p.  The
+    specializations are three more points: the cosine and hyperbolic forms
+    are s = 0 with the weights 1/(2 - 2 cos(mz)) and -1/(4 sinh^2(mz)), and
+    the cotangent form is (w_sin, -1), whose weight -1 + 4 w_sin is cot^2.
     """
     t0 = time.perf_counter()
     if N < 1:
         raise ParameterError("N must be at least 1")
     rng = random.Random(seed)
     Y, R = sample_point(rng, N), sample_point(rng, N)
-
-    def weights(f):
-        return {m: f(m) % P for m in range(1, N + 1)}  # a hook is at most N
-
-    # cosine form: 1/(2 - 2 cos(hz))
-    cosine = weights(lambda m: GF.inv(2 - 2 * _cos(pow(Y, m, P))))
-    # hyperbolic form at R = e^z: -1/(4 sinh^2(hz))
-    sinh = weights(lambda m: -GF.inv(4 * _sinh(pow(R, m, P)) ** 2))
-    # s = -1: cotangent form
-    cot2 = weights(lambda m: (_cos(pow(Y, m, P)) * GF.inv(_sin(pow(Y, m, P)))) ** 2)
     w = poly_s_sin_weights(Y, N)
-    sums = poly_s_hook_side(w, (cosine, sinh, cot2))
-    cosine_sum, sinh_sum, cot2_sum = sums[2 * N + 1 :]
+    top = 2 * N
+    specializations = {
+        "cosine": ({m: GF.inv(2 - 2 * _cos(pow(Y, m, P))) for m in w}, 0),
+        "sinh": ({m: -GF.inv(4 * _sinh(pow(R, m, P)) ** 2) for m in w}, 0),
+        "cotangent": (w, P - 1),  # s = -1
+    }
+    points = [(w, s) for s in range(top + 1)] + list(specializations.values())
+    sums = poly_s_hook_side(points)
+    exp_sides = [poly_s_exp_at(*point) for point in points]
     degree_ok = all(
-        _degree_at_most([side.coeffs[n] for side in sums[: 2 * N + 1]], 2 * n) for n in range(N + 1)
+        _degree_at_most([side.coeffs[n] for side in sums[: top + 1]], 2 * n) for n in range(N + 1)
     )
-    exp_sides = poly_s_exp_points(w)
     symbolic = next((
         f"q^{n}: s={s}: {GF.coerce(a.coeffs[n])} != {GF.coerce(b.coeffs[n])}"
         for n in range(N + 1)
-        for s, (a, b) in enumerate(zip(sums, exp_sides))
+        for s, (a, b) in enumerate(zip(sums[: top + 1], exp_sides))
         if not GF.eq(a.coeffs[n], b.coeffs[n])
     ), "0")
     details: dict = {"symbolic": symbolic, "degree_bound": degree_ok}
-    inverse = [0] + [GF.inv(k) for k in range(1, N + 1)]
-
-    def check(hook_sum, a, s):
-        return _exact_compare(hook_sum, _lambert_exp(a, s))[1]
-
-    # s = 0: product of 1/(4 sin^2), whose exponential side is the s = 0 point's
-    details["s_zero"] = _exact_compare(sums[0], exp_sides[0])[1]
-    # the cosine and hyperbolic forms are s = 0 forms too: log sum_k q^k rho(k)/k
-    details["cosine"] = check(cosine_sum, [0] + [cosine[k] * inverse[k] for k in cosine], 0)
-    details["sinh"] = check(sinh_sum, [0] + [sinh[k] * inverse[k] for k in sinh], 0)
-    # q^m cot^2(mz)/(m (1 + q^m)) = (q^m/(1 - q^m) - 2 q^(2m)/(1 - q^(2m))) cot^2(mz)/m
-    # for odd m, and q^m/(m (1 - q^m)) for even m; a q^(2m) term past N is dropped
-    cot_a = [0] * (N + 1)
-    for m in range(1, N + 1):
-        c = (cot2[m] if m % 2 else 1) * inverse[m]
-        cot_a[m] += c
-        if m % 2 and 2 * m <= N:
-            cot_a[2 * m] -= 2 * c
-    details["cotangent"] = check(cot2_sum, cot_a, 1)
-
+    for name, lhs, rhs in zip(specializations, sums[top + 1 :], exp_sides[top + 1 :]):
+        details[name] = _exact_compare(lhs, rhs)[1]
     dev = _first_failure(v for k, v in details.items() if k != "degree_bound")
     if dev == "0" and not degree_ok:
         dev = "s-degree of a q^n coefficient exceeds 2n"
     return _finish(
-        "poly-s-family",
-        {"seed": seed, "Y": Y, "R": R},
-        N,
-        "GF(p)[s](poly)",
-        dev == "0",
-        dev,
-        t0,
-        **details,
+        "poly-s-family", {"seed": seed, "Y": Y, "R": R}, N, "GF(p)[s](poly)", dev, t0, **details
     )
 
 
@@ -656,6 +624,8 @@ def verify_jacobi(N: int = 10) -> VerificationReport:
     value, and equality at X is equality in Z[a] (see `verify_hook_content`).
     A mismatch is named by the balanced base-X digits of both sides."""
     t0 = time.perf_counter()
+    if N < 1:
+        raise ParameterError("N must be at least 1")
     bits = 3 * N + 3
     sides = jacobi_at(N, 1 << bits)
     dev = _order_mismatch(*sides) or "0"
@@ -663,7 +633,7 @@ def verify_jacobi(N: int = 10) -> VerificationReport:
     if dev == "0" and i is not None:
         a, b = (str(Poly(("a",), balanced_digits(side[i], bits, -N - 1))) for side in sides)
         dev = f"x^{i}: {a[:60]} != {b[:60]}"
-    return _finish("jacobi", {}, N, "QQ[a](Laurent)", dev == "0", dev, t0)
+    return _finish("jacobi", {}, N, "QQ[a](Laurent)", dev, t0)
 
 
 def verify_macdonald(t: int = 2, N: int = 4, seed: int = 7) -> VerificationReport:
@@ -677,12 +647,14 @@ def verify_macdonald(t: int = 2, N: int = 4, seed: int = 7) -> VerificationRepor
     t0 = time.perf_counter()
     if t < 2:
         raise ParameterError("t must be at least 2")
+    if N < 0:
+        raise ParameterError("N must be nonnegative")
     rng = random.Random(seed)
     x = [rng.randrange(2, P) for _ in range(t)]
-    ok, dev = _exact_compare(macdonald_lhs(N, x), macdonald_rhs(N, x))
+    _, dev = _exact_compare(macdonald_lhs(N, x), macdonald_rhs(N, x))
     codings = enumerate_codings(t, N)
     return _finish(
-        "macdonald", {"t": t, "seed": seed, "x": x}, N, GF.name, ok, dev, t0,
+        "macdonald", {"t": t, "seed": seed, "x": x}, N, GF.name, dev, t0,
         terms_enumerated=factorial(t) * len(codings),
         sz_degree=t * max(c.twice[0] for c in codings) // 2,
     )
@@ -726,7 +698,7 @@ def verify_tcore_lemmas(t: int = 3, N: int = 10, seed: int = 7) -> VerificationR
     }
     dev = _first_failure(details.values())
     return _finish(
-        "tcore-lemmas", {"t": t, "seed": seed, "Y": Y}, N, GF.name, dev == "0", dev, t0, **details
+        "tcore-lemmas", {"t": t, "seed": seed, "Y": Y}, N, GF.name, dev, t0, **details
     )
 
 
@@ -748,7 +720,7 @@ def verify_multiplication(r: int = 1, N: int = 10) -> VerificationReport:
     if r < 1:
         raise ParameterError("r must be a positive integer")
     _, dev = _first_point_mismatch(r, N, marked=True)
-    return _finish("multiplication", {"r": r}, N, "QQ[beta,x](poly)", dev == "0", dev, t0)
+    return _finish("multiplication", {"r": r}, N, "QQ[beta,x](poly)", dev, t0)
 
 
 def _times_one_minus_powers(v: int, exponents, bits: int) -> int:
@@ -801,6 +773,8 @@ def verify_hook_content(max_size: int = 8, max_n: int = 5) -> VerificationReport
     its lowest nonzero coefficient is not a multiple of X.
     """
     t0 = time.perf_counter()
+    if max_size < 0:
+        raise ParameterError("max_size must be nonnegative")
     X = 1 << (max_size * (2 * max_n).bit_length() + 2)
     cache: dict = {}
     pairs = (
@@ -857,7 +831,7 @@ def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
     if not points:
         dev = "no samples checked"
     params = {"samples": samples, "seed": seed, "points": points}
-    return _finish("sin-lemma", params, None, GF.name, dev == "0", dev, t0)
+    return _finish("sin-lemma", params, None, GF.name, dev, t0)
 
 
 def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: int = 20) -> VerificationReport:
@@ -895,8 +869,7 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
             failures.append(f"enumeration routes disagree for t={t}")
             break
     params = {"max_size": max_size, "t_max": t_max, "enum_size": enum_size}
-    dev = failures[0] if failures else "0"
-    return _finish("classical-cross-checks", params, None, "exact", not failures, dev, t0)
+    return _finish("classical-cross-checks", params, None, "exact", _first_failure(failures), t0)
 
 
 def verify_golden_tables() -> VerificationReport:
@@ -915,8 +888,7 @@ def verify_golden_tables() -> VerificationReport:
         "roundtrip_even": coding_to_core(c2) == lam2,
     }
     failures = [k for k, v in checks.items() if not v]
-    dev = str(failures) if failures else "0"
-    return _finish("golden-tables", {}, None, "exact", not failures, dev, t0)
+    return _finish("golden-tables", {}, None, "exact", str(failures) if failures else "0", t0)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,5 +972,5 @@ def run_suite(profile: str = "quick", seed: int = 7) -> list[VerificationReport]
             except Exception as exc:  # one failed check, not an abort of the suite
                 dev = f"{type(exc).__name__}: {exc}"
                 params = {**kwargs, **extra}
-                reports.append(_finish(identity, params, kwargs.get("N"), "unknown", False, dev, t0))
+                reports.append(_finish(identity, params, kwargs.get("N"), "unknown", dev, t0))
     return reports

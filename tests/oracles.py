@@ -20,7 +20,9 @@ The per-partition hook loops are the unwalked routes of
 route that the verifier's hook sums of the s-parameter form at
 s = 0..2N are checked against; its GF(p)[s] exponential side
 (`poly_s_exp_side`) is the route that the verifier's exponential sides at
-the same points are checked against, and
+the same points are checked against, the Lambert rewrite of the cotangent
+form at s = 1 (`cotangent_exp_side`) the route of its exponential side at
+the point s = -1, and
 the exp-log partition generating function (`partition_gf`) the route of
 the integers of the t = 0 sine-family panel.  The Laurent sides of
 Macdonald's identity in x1..xt (the product with its root pairs
@@ -438,6 +440,26 @@ def poly_s_pair(Y: int, N: int):
     w(m) = 1/(4 sin^2(mz)) at Y = e^(iz): the `Poly` hook walk and the
     `Poly` exponential side."""
     return poly_s_hook_side_poly(Y, N), poly_s_exp_side(poly_s_sin_weights(Y, N), N)
+
+
+def cotangent_exp_side(Y: int, N: int) -> TruncatedSeries:
+    """The exponential side of the cotangent form in GF(p) at Y = e^(iz),
+    exp of sum_m q^m c_m/(m (1 + q^m)) with c_m = cot^2(mz) for odd m, plus
+    sum_m q^m/(m (1 - q^m)) over even m, by its Lambert rewrite at s = 1:
+    q^m/(1 + q^m) = q^m/(1 - q^m) - 2 q^(2m)/(1 - q^(2m)), so the log's q^n
+    coefficient is the sum over m | n of the resulting a_m; a q^(2m) term
+    past N is dropped.  cot(mz) = i (u + 1/u)/(u - 1/u) at u = Y^m."""
+    i = pow(7, (P - 1) // 4, P)  # 7 is a non-residue mod P
+    a = [0] * (N + 1)
+    for m in range(1, N + 1):
+        u = pow(Y, m, P)
+        cot = i * (u + pow(u, -1, P)) * pow(u - pow(u, -1, P), -1, P)
+        c = (cot * cot if m % 2 else 1) * pow(m, -1, P)
+        a[m] += c
+        if m % 2 and 2 * m <= N:
+            a[2 * m] -= 2 * c
+    log = [sum(a[k] for k in range(1, n + 1) if n % k == 0) % P for n in range(N + 1)]
+    return TruncatedSeries(PrimeField(), log).exp()
 
 
 def partition_gf(N: int) -> TruncatedSeries:

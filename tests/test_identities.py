@@ -49,6 +49,7 @@ from tcores.weights import WeightLedger, evaluate, parity_coding_ledger
 
 from oracles import (
     core_count_series,
+    cotangent_exp_side,
     hook_content_sides,
     jacobi_pair,
     macdonald_box_terms,
@@ -86,7 +87,8 @@ def test_report_shape():
     lambda: verify_sin_family(1, t_value=0, N=0),
     lambda: verify_poly_s_family(N=0),
     lambda: verify_tcore_lemmas(3, N=0),
-], ids=["multiplication", "sin-family", "sin-family-t0", "poly-s-family", "tcore-lemmas"])
+    lambda: verify_jacobi(0),
+], ids=["multiplication", "sin-family", "sin-family-t0", "poly-s-family", "tcore-lemmas", "jacobi"])
 def test_series_verifiers_reject_n_zero(verify):
     # at N = 0 only q^0 is compared, and 1 = 1 would pass with nothing checked
     with pytest.raises(ValueError, match="N must be at least 1"):
@@ -184,7 +186,7 @@ def test_empty_checks_fail():
         assert empty in report.deviation
 
 
-SPECIALIZATIONS = ("s_zero", "cosine", "sinh", "cotangent")
+SPECIALIZATIONS = ("cosine", "sinh", "cotangent")
 
 
 def test_poly_s_family():
@@ -207,7 +209,8 @@ def test_interpolated_hook_side_is_the_poly_route(N, seed):
     # coefficients have s-degree at most 2N, reached at q^N, so these 2N + 1
     # values are the polynomial side: interpolating them gives it back
     Y = sample_point(random.Random(seed), N)
-    sums = poly_s_hook_side(poly_s_sin_weights(Y, N))
+    w = poly_s_sin_weights(Y, N)
+    sums = poly_s_hook_side([(w, s) for s in range(2 * N + 1)])
     want = poly_s_hook_side_poly(Y, N)
     assert len(sums) == 2 * N + 1
     for s, side in enumerate(sums):
@@ -226,7 +229,7 @@ def test_poly_exp_side_degree_and_values_at_the_points(N):
     w = poly_s_sin_weights(sample_point(random.Random(7), N), N)
     rhs = poly_s_exp_side(w, N)
     assert all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
-    sides = identities.poly_s_exp_points(w)
+    sides = [identities.poly_s_exp_at(w, s) for s in range(2 * N + 1)]
     assert len(sides) == 2 * N + 1
     for s, side in enumerate(sides):
         values = [sum(v * s ** e for (e,), v in c.terms.items()) % P for c in rhs.coeffs]
@@ -649,11 +652,14 @@ def test_tcore_lemmas_broken_product_fails(monkeypatch):
 
 
 def test_poly_s_family_broken_weight_fails(monkeypatch):
-    # (s - 1)^2 becomes s^2 - 3s + 1 on the hook-sum side only
+    # (s - 1)^2 becomes s^2 - 3s + 1 on the hook-sum side only.  The two
+    # differ by -s, so the s = 0 forms are untouched, but at the cotangent's
+    # point s = -1 the weight is -1 + 5w, not -1 + 4w
     monkeypatch.setattr(identities, "poly_s_weight", lambda s, w: s + (s * s - 3 * s + 1) * w)
     r = verify_poly_s_family(N=6)
     assert not r.passed and r.deviation == r.details["symbolic"] != "0"
-    assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
+    assert r.details["cosine"] == r.details["sinh"] == "0"
+    assert r.details["cotangent"].startswith("q^1: ")
 
 
 def bump_slot(monkeypatch, slot, hook):
@@ -692,20 +698,21 @@ def test_poly_s_family_broken_cosine_slot_fails(monkeypatch):
     assert not r.passed and r.deviation == r.details["cosine"] != "0"
     assert r.deviation.startswith("q^1: ")
     assert r.details["degree_bound"] is True
-    assert all(r.details[k] == "0" for k in ("symbolic", "s_zero", "sinh", "cotangent"))
+    assert all(r.details[k] == "0" for k in ("symbolic", "sinh", "cotangent"))
 
 
 def test_poly_s_family_broken_exp_point_fails(monkeypatch):
     # one coefficient of the exponential side at one point s: the symbolic
     # detail names that q^n and that s, and no specialization reads it
-    real = identities.poly_s_exp_points
+    real = identities.poly_s_exp_at
 
-    def bumped(w):
-        sides = real(w)
-        sides[7].coeffs[3] = (sides[7].coeffs[3] + 1) % P
-        return sides
+    def bumped(w, s):
+        side = real(w, s)
+        if s == 7:
+            side.coeffs[3] = (side.coeffs[3] + 1) % P
+        return side
 
-    monkeypatch.setattr(identities, "poly_s_exp_points", bumped)
+    monkeypatch.setattr(identities, "poly_s_exp_at", bumped)
     r = verify_poly_s_family(N=6)
     assert not r.passed and r.deviation == r.details["symbolic"]
     assert r.deviation.startswith("q^3: s=7: ")
@@ -742,28 +749,26 @@ def test_poly_s_family_broken_specialization_slot_fails(monkeypatch, slot, name)
     assert all(r.details[k] == "0" for k in ("symbolic", *SPECIALIZATIONS) if k != name)
 
 
-def test_poly_s_family_dropped_cotangent_term_fails(monkeypatch):
-    # the exponential sides are built in order: the 2N + 1 points, then the
-    # cosine, hyperbolic and cotangent forms.  Drop the cotangent log's
-    # -2 q^2/(1 - q^2) cot^2(z) of m = 1: its a_2 gets back 2 a_1 = 2 cot^2(z)
-    N = 6
-    real = identities._lambert_exp
-    calls = []
-
-    def dropped(a, s=1):
-        calls.append(s)
-        if len(calls) == 2 * N + 4:
-            a = list(a)
-            a[2] += 2 * a[1]
-        return real(a, s)
-
-    monkeypatch.setattr(identities, "_lambert_exp", dropped)
-    r = verify_poly_s_family(N=N)
-    assert len(calls) == 2 * N + 4 and calls[-1] == 1
+def test_poly_s_family_weight_wrong_at_minus_one_fails_only_cotangent(monkeypatch):
+    # the cotangent form is the point (w_sin, -1) of the one hook weight,
+    # whose value there is -1 + 4 w_sin = cot^2: a weight wrong only at
+    # s = p - 1 breaks that slot alone, at the hook 1
+    real = identities.poly_s_weight
+    monkeypatch.setattr(identities, "poly_s_weight", lambda s, w: real(s, w) + (s == P - 1))
+    r = verify_poly_s_family(N=6)
     assert not r.passed and r.deviation == r.details["cotangent"]
-    assert r.deviation.startswith("q^2: ")
+    assert r.deviation.startswith("q^1: ")
     assert r.details["degree_bound"] is True
-    assert all(r.details[k] == "0" for k in ("symbolic", "s_zero", "cosine", "sinh"))
+    assert all(r.details[k] == "0" for k in ("symbolic", "cosine", "sinh"))
+
+
+@pytest.mark.parametrize("N", range(1, 15))
+def test_cotangent_exp_point_is_the_lambert_rewrite(N):
+    # the exponential side at s = -1 is the cotangent form's Lambert log
+    # rewritten at s = 1, coefficient for coefficient
+    Y = sample_point(random.Random(N), N)
+    got = identities.poly_s_exp_at(poly_s_sin_weights(Y, N), P - 1)
+    assert got.coeffs == cotangent_exp_side(Y, N).coeffs
 
 
 def test_sin_family_t0_broken_euler_coefficient_fails(monkeypatch):
@@ -981,6 +986,11 @@ def test_verifier_parameter_checks_raise_parameter_error():
         lambda: verify_nekrasov_okounkov(0),
         lambda: verify_multiplication(0, 4),
         lambda: verify_classical_crosschecks(5, 0, 5),
+        lambda: verify_jacobi(-1),
+        lambda: verify_macdonald(2, -1),
+        lambda: verify_multiset_formula(0, 5),
+        lambda: verify_exploded_relations(0, 5),
+        lambda: verify_hook_content(-1, 3),
     ):
         with pytest.raises(identities.ParameterError):
             call()
@@ -1094,7 +1104,7 @@ def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
 
 def test_poly_s_family_takes_one_exp_per_point_and_specialization(monkeypatch):
     # 2N + 1 points of the exponential side, then the cosine, hyperbolic and
-    # cotangent forms; the s = 0 check reuses the s = 0 point
+    # cotangent forms, three more points
     tally = count_calls(monkeypatch, [(TruncatedSeries, "exp")])
     assert verify_poly_s_family(N=12).passed
     assert tally == {"exp": 2 * 12 + 1 + 3}
