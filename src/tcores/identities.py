@@ -244,6 +244,8 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
         raise ParameterError("t must be a positive integer")
     if ledger_max_size is None:
         ledger_max_size = max_size
+    if min(max_size, ledger_max_size) < 0:
+        raise ParameterError("max_size and ledger_max_size must be nonnegative")
 
     def check(v):
         try:
@@ -296,6 +298,8 @@ def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationRep
     t0 = time.perf_counter()
     if t < 1:
         raise ParameterError("t must be a positive integer")
+    if max_size < 0:
+        raise ParameterError("max_size must be nonnegative")
     checks = (check_translation_relations, check_fold, check_triangle_ledger)
 
     def check(lam):
@@ -400,21 +404,20 @@ def verify_nekrasov_okounkov(N: int = 12) -> VerificationReport:
     )
 
 
-def sin_hook_sums(r: int, points, N: int, source=None) -> list[TruncatedSeries]:
+def sin_weights(r: int, Y: int, W: int, N: int) -> dict[int, int]:
+    """h -> 1 - sin^2(t z)/sin^2(h z) in GF(p) at (Y, W) = (e^(iz), e^(itz)),
+    for the hooks h = r, 2r, ... of partitions of n <= N (no hook exceeds N)."""
+    s_t = _sin(W) ** 2
+    return {h: (1 - s_t * GF.inv(_sin(pow(Y, h, P)) ** 2)) % P for h in range(r, N + 1, r)}
+
+
+def sin_hook_sums(r: int, points, N: int) -> list[TruncatedSeries]:
     """sum over partitions of q^size prod (1 - sin^2(t z)/sin^2(h z)) over
     hooks divisible by r, in GF(p) at each (Y, W) = (e^(iz), e^(itz)) of
     `points`: one `partition_sums_mod_p` walk, one vector slot per point."""
-    sin_t = [(Y, _sin(W) ** 2) for Y, W in points]
-    rho = {
-        h: [(1 - s_t * GF.inv(_sin(pow(Y, h, P)) ** 2)) % P for Y, s_t in sin_t]
-        for h in range(r, N + 1, r)  # a hook of a partition of n <= N is at most N
-    }
-    return partition_sums_mod_p(rho.__getitem__, len(points), r, N, source)
-
-
-def sin_hook_sum(r: int, Y: int, W: int, N: int, source=None) -> TruncatedSeries:
-    """`sin_hook_sums` at the one point (Y, W)."""
-    return sin_hook_sums(r, [(Y, W)], N, source)[0]
+    weights = [sin_weights(r, Y, W, N) for Y, W in points]
+    rho = {h: [w[h] for w in weights] for h in range(r, N + 1, r)}
+    return partition_sums_mod_p(rho.__getitem__, len(points), r, N)
 
 
 def _lambert_exp(a, s: int = 1) -> TruncatedSeries:
@@ -478,6 +481,8 @@ def verify_sin_family(
         return _finish("sin-family", {"r": r, "t": 0}, N, "QQ", dev, t0)
     if samples is None:
         samples = 5
+    if samples < 1:
+        raise ParameterError("samples must be at least 1")
     rng = random.Random(seed)
     points = []
     for _ in range(samples):
@@ -661,15 +666,17 @@ def verify_macdonald(t: int = 2, N: int = 4, seed: int = 7) -> VerificationRepor
 
 
 def tcore_lemma_series(t: int, Y: int, N: int):
-    """LHS of the core-restricted sine sum two ways, and both closed forms,
-    in GF(p) at Y = e^(iz).  The cores come from codings, and the
-    exponential form is the r = 1 sine-family side at W = Y^t."""
-    cores: dict[int, list[Partition]] = {n: [] for n in range(N + 1)}
-    for lam in cores_from_codings(t, N):
-        cores[lam.size].append(lam)
+    """The sine hook sum over the t-cores, the full sum at W = Y^t, and both
+    closed forms, in GF(p) at Y = e^(iz).  One weight map serves both sums:
+    the full sum walks it once, and the restricted sum adds its product over
+    the hooks of each core from `cores_from_codings`.  The exponential form
+    is the r = 1 sine-family side at W = Y^t."""
     W = pow(Y, t, P)
-    lhs_full = sin_hook_sum(1, Y, W, N)
-    lhs_restricted = sin_hook_sum(1, Y, W, N, source=cores.__getitem__)
+    rho = sin_weights(1, Y, W, N)
+    restricted = [0] * (N + 1)
+    for lam in cores_from_codings(t, N):
+        restricted[lam.size] += prod(rho[h] for h in lam.hooks())
+    full = partition_sums_mod_p(lambda h: [rho[h]], 1, 1, N)[0]
     powers = range(1, N + 1)
     factors = [(-1, m) for m in powers] * (t - 1)
     for i in range(1, t):
@@ -677,16 +684,16 @@ def tcore_lemma_series(t: int, Y: int, N: int):
             c = -pow(Y, phase * 2 * (t - i), P)  # -e^(+-2iz(t-i))
             factors += [(c, m) for m in powers] * i
     product = binomial_product(GF, N, factors)
-    return lhs_restricted, lhs_full, product, sin_family_rhs(1, Y, W, N)
+    return TruncatedSeries(GF, [c % P for c in restricted]), full, product, sin_family_rhs(1, Y, W, N)
 
 
 def verify_tcore_lemmas(t: int = 3, N: int = 10, seed: int = 7) -> VerificationReport:
-    """Core-restricted sine sums at a seeded point Y = e^(iz) of GF(p): the
-    restricted and full sums agree, and both match the product and
-    exponential closed forms."""
+    """Core-restricted sine sums at a seeded point Y = e^(iz) of GF(p), for
+    every t >= 1: the sum over the t-cores equals the full sum at W = Y^t,
+    and both match the product and exponential closed forms."""
     t0 = time.perf_counter()
-    if t < 3 or t % 2 == 0:
-        raise ParameterError("t must be an odd integer >= 3")
+    if t < 1:
+        raise ParameterError("t must be a positive integer")
     if N < 1:
         raise ParameterError("N must be at least 1")
     Y = sample_point(random.Random(seed), N)
@@ -773,8 +780,8 @@ def verify_hook_content(max_size: int = 8, max_n: int = 5) -> VerificationReport
     its lowest nonzero coefficient is not a multiple of X.
     """
     t0 = time.perf_counter()
-    if max_size < 0:
-        raise ParameterError("max_size must be nonnegative")
+    if max_size < 0 or max_n < 1:
+        raise ParameterError("max_size must be nonnegative and max_n at least 1")
     X = 1 << (max_size * (2 * max_n).bit_length() + 2)
     cache: dict = {}
     pairs = (
@@ -815,6 +822,8 @@ def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
     the inverse of the product of the others) the pairwise sine product
     equals the pairwise (e^(2iu_i) - e^(2iu_j))/(2i) product."""
     t0 = time.perf_counter()
+    if samples < 1:
+        raise ParameterError("samples must be at least 1")
     rng = random.Random(seed)
     points, dev = [], "0"
     for _ in range(samples):

@@ -2,9 +2,8 @@
 the tests' oracles add polynomial rings over either), plus the series
 builders used by the identity verifiers: partition sums weighted by hooks
 (one walker, `_hook_walk`: each size's sorted hook multisets walked once,
-so a shared prefix is folded once, one partition per conjugate class when
-the sum enumerates them, and a vector of several weights' values folded
-elementwise in one walk), finite
+so a shared prefix is folded once, one partition per conjugate class, and
+a vector of several weights' values folded elementwise in one walk), finite
 products of binomials 1 + c q^m (`binomial_product`, each factor applied in
 place in O(N) ring operations instead of a series product), both sides
 of the type-A Macdonald identity in GF(p) at a point x (the product one
@@ -308,14 +307,13 @@ def _conjugate_classes(n: int):
             yield lam, 1
 
 
-def _hook_walk(r: int, order: int, start, step, source=None):
+def _hook_walk(r: int, order: int, start, step):
     """Yield (n, hooks, value, weight) for n = 0..order and each distinct
     sorted tuple `hooks` of the hooks divisible by r of a partition of n,
     `weight` partitions sharing it; `value` is the fold of `step` over
     `hooks` from `start`.
 
-    `source(n)` may supply the partitions of size n, each weighted once; by
-    default each `_conjugate_classes` class is read once, weighted 2 for a
+    Each `_conjugate_classes` class is read once, weighted 2 for a
     conjugate pair.  The tuples of a size are walked in sorted order with a
     stack holding the value of every prefix of the last tuple, so a tuple
     folds only the hooks past the prefix it shares with the one before:
@@ -325,12 +323,8 @@ def _hook_walk(r: int, order: int, start, step, source=None):
     them.
     """
     for n in range(order + 1):
-        if source is None:
-            classes = _conjugate_classes(n)
-        else:
-            classes = ((lam, 1) for lam in source(n))
         keyed = Counter()
-        for lam, weight in classes:
+        for lam, weight in _conjugate_classes(n):
             keyed[tuple(sorted(lam.hooks(r)))] += weight
         stack = [start]
         last = ()
@@ -348,32 +342,30 @@ def _hook_walk(r: int, order: int, start, step, source=None):
 
 
 # no verifier calls this: kept as the site of benchmark span qseries.partition_sum
-def partition_sum_series(rho, r: int, order: int, ring=None, source=None) -> TruncatedSeries:
-    """sum over partitions of q^size * prod of rho(h) over hooks divisible
-    by r.
+def partition_sum_series(rho, r: int, order: int, ring=None) -> TruncatedSeries:
+    """sum over all partitions of q^size * prod of rho(h) over hooks
+    divisible by r.
 
-    `source(n)` may supply the partitions of size n (e.g. a t-core filter),
-    each weighted once; by default all partitions are used, one per
-    conjugate class.  The hooks are walked by `_hook_walk` with the step
-    term * rho(h): one weight, held as a plain ring element rather than a
-    vector of width 1, whose list per node would cost more than the
-    product; `partition_sums_mod_p` folds several GF(p) weights as one
-    vector.  The arithmetic is exact and commutative and conjugates share
-    their hooks, so every coefficient is the one the per-partition loop
-    gives.
+    The hooks are walked by `_hook_walk`, one partition per conjugate
+    class, with the step term * rho(h): one weight, held as a plain ring
+    element rather than a vector of width 1, whose list per node would cost
+    more than the product; `partition_sums_mod_p` folds several GF(p)
+    weights as one vector.  The arithmetic is exact and commutative and
+    conjugates share their hooks, so every coefficient is the one the
+    per-partition loop gives.
     """
     if ring is None:
         ring = RationalField()
     coeffs = [ring.zero] * (order + 1)
-    for n, _, term, weight in _hook_walk(r, order, ring.one, lambda term, h: term * rho(h), source):
+    for n, _, term, weight in _hook_walk(r, order, ring.one, lambda term, h: term * rho(h)):
         coeffs[n] = coeffs[n] + (term if weight == 1 else term * weight)
     return TruncatedSeries(ring, coeffs)
 
 
-def partition_sums_mod_p(rho, width: int, r: int, order: int, source=None) -> list[TruncatedSeries]:
+def partition_sums_mod_p(rho, width: int, r: int, order: int) -> list[TruncatedSeries]:
     """`partition_sum_series` over GF(p) for `width` weights in one walk:
     rho(h) is the vector of the weights' values at the hook h, and entry i
-    of the result is the hook sum of weight i.
+    of the result is the hook sum of weight i over all partitions.
 
     Each node of `_hook_walk` multiplies its vector by rho(h) elementwise
     and reduces mod p, so each size's hooks are read and sorted once
@@ -384,7 +376,7 @@ def partition_sums_mod_p(rho, width: int, r: int, order: int, source=None) -> li
         return [a * b % P for a, b in zip(vec, rho(h))]
 
     sums = [[0] * width for _ in range(order + 1)]
-    for n, _, vec, weight in _hook_walk(r, order, [1] * width, step, source):
+    for n, _, vec, weight in _hook_walk(r, order, [1] * width, step):
         sums[n] = [a + weight * b for a, b in zip(sums[n], vec)]
     field = PrimeField()
     return [TruncatedSeries(field, [row[i] % P for row in sums]) for i in range(width)]

@@ -160,6 +160,13 @@ def test_verify_text(capsys):
     assert out.startswith("PASS")
 
 
+def test_verify_tcore_lemmas_at_an_even_t(capsys):
+    # every t >= 1 is a check, even t included
+    code, out, err = run(capsys, "verify", "tcore-lemmas", "--t", "4")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS")
+
+
 def test_verify_with_explicit_sample(capsys):
     code, out, _ = run(
         capsys, "verify", "sin-family", "--r", "2", "--tvalue", "2", "--trunc", "6",
@@ -217,7 +224,7 @@ def test_verify_flags_reach_the_verifier(capsys):
         ["explode", "--partition", "1", "--t", "0"],
         ["enumerate", "--t", "0"],
         ["enumerate", "--t", "2", "--max-size", "-1"],
-        ["verify", "tcore-lemmas", "--t", "4"],
+        ["verify", "tcore-lemmas", "--t", "0"],
         ["verify", "macdonald", "--t", "1"],
         ["verify", "jacobi", "--trunc", "-1"],
         ["verify", "sin-family", "--tvalue", "1.5", "--z", "0.7853981633974483", "--trunc", "6"],
@@ -255,7 +262,6 @@ def test_verify_whose_verifier_raises_mid_run_exits_1(capsys, tcore_lemmas_raise
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "tcore-lemmas", "--t", "4"], "t must be an odd integer >= 3"),
         (["verify", "sin-family", "--tvalue", "0", "--samples", "2"],
          "the exact t = 0 check draws no sample points"),
         (["verify", "macdonald", "--t", "1"], "t must be at least 2"),

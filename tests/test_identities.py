@@ -17,8 +17,8 @@ from tcores.identities import (
     poly_s_sin_weights,
     run_suite,
     sample_point,
-    sin_hook_sum,
     sin_family_rhs,
+    sin_hook_sums,
     verify_classical_crosschecks,
     verify_exploded_relations,
     verify_golden_tables,
@@ -174,13 +174,18 @@ def test_sin_family_takes_an_integer_t():
         verify_sin_family(1, z=0.37 + 0.11j, N=4)  # no float sample points
 
 
-def test_empty_checks_fail():
+def test_empty_checks_fail(monkeypatch):
+    # sizes and sample counts out of range raise ParameterError; a sweep or a
+    # sample loop that still meets nothing fails rather than passes
+    monkeypatch.setattr(identities, "enumerate_partitions", lambda n: iter(()))
+    monkeypatch.setattr(identities, "enumerate_codings", lambda t, n: [])
+    monkeypatch.setattr(identities, "cores_from_codings", lambda t, n: [])
+    monkeypatch.setattr(identities, "sin_hook_sums", lambda r, points, N: [])
     for report, empty in (
-        (verify_hook_content(max_n=0), "pairs_checked = 0"),
-        (verify_multiset_formula(3, -1), "cores_checked = 0"),
-        (verify_exploded_relations(3, -1), "cores_checked = 0"),
-        (verify_sin_family(samples=0), "no samples"),
-        (verify_sin_lemma(samples=0), "no samples"),
+        (verify_hook_content(), "pairs_checked = 0"),
+        (verify_multiset_formula(3), "cores_checked = 0"),
+        (verify_exploded_relations(3), "cores_checked = 0"),
+        (verify_sin_family(samples=2), "no samples"),
     ):
         assert report.status == "fail", report.identity
         assert empty in report.deviation
@@ -355,7 +360,34 @@ def test_tcore_lemmas():
     assert r.passed and r.deviation == "0" and r.ring == "GF(p)"
     assert r.details == {"restricted_vs_full": "0", "product_form": "0", "exp_form": "0"}
     with pytest.raises(ValueError):
-        verify_tcore_lemmas(4)
+        verify_tcore_lemmas(0)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 6, 8])
+def test_tcore_lemmas_take_every_t(t):
+    # t = 1: the empty partition is the only 1-core, and the product is 1
+    r = verify_tcore_lemmas(t, N=12)
+    assert r.passed and r.params["t"] == t, r.details
+    assert r.details == {"restricted_vs_full": "0", "product_form": "0", "exp_form": "0"}
+
+
+def test_tcore_lemma_series_walks_once(monkeypatch):
+    # the full sum walks the partitions; the restricted one reads the cores
+    tally = count_calls(monkeypatch, [(qseries, "_hook_walk"), (identities, "_hook_walk")])
+    Y = sample_point(random.Random(7), 10)
+    identities.tcore_lemma_series(5, Y, 10)
+    assert tally == {"_hook_walk": 1}
+
+
+def test_tcore_lemmas_see_the_largest_core_dropped(monkeypatch):
+    real = identities.cores_from_codings
+    monkeypatch.setattr(identities, "cores_from_codings", lambda t, n: real(t, n)[:-1])
+    for t, N in ((3, 10), (5, 10), (7, 12)):
+        size = real(t, N)[-1].size
+        r = verify_tcore_lemmas(t, N=N)
+        assert not r.passed and r.deviation == r.details["restricted_vs_full"]
+        for key in ("restricted_vs_full", "product_form", "exp_form"):
+            assert r.details[key].startswith(f"q^{size}: "), (t, key, r.details)
 
 
 def test_exact_panels_pass_where_floats_failed():
@@ -593,7 +625,7 @@ def test_jacobi_specializes_to_sin_family_at_t2():
     """
     N = 10
     Y = sample_point(random.Random(5), N)
-    lhs = sin_hook_sum(1, Y, pow(Y, 2, P), N)
+    lhs = sin_hook_sums(1, [(Y, pow(Y, 2, P))], N)[0]
     # independent closed form from telescoping the staircase hook products
     closed = [0] * (N + 1)
     k = 0
@@ -980,7 +1012,7 @@ def test_run_suite_reports_a_verifier_that_raises_as_one_failure(tcore_lemmas_ra
 
 def test_verifier_parameter_checks_raise_parameter_error():
     for call in (
-        lambda: verify_tcore_lemmas(4),
+        lambda: verify_tcore_lemmas(0),
         lambda: verify_sin_family(1, t_value=0, samples=2),
         lambda: verify_macdonald(1),
         lambda: verify_nekrasov_okounkov(0),
@@ -991,6 +1023,14 @@ def test_verifier_parameter_checks_raise_parameter_error():
         lambda: verify_multiset_formula(0, 5),
         lambda: verify_exploded_relations(0, 5),
         lambda: verify_hook_content(-1, 3),
+        lambda: verify_hook_content(3, 0),
+        lambda: verify_multiset_formula(3, 5, ledger_max_size=-1),
+        lambda: verify_multiset_formula(3, -1),
+        lambda: verify_exploded_relations(3, -1),
+        lambda: verify_sin_family(1, None, 4, samples=0),
+        lambda: verify_sin_family(1, None, 4, samples=-1),
+        lambda: verify_sin_lemma(0),
+        lambda: verify_sin_lemma(-2),
     ):
         with pytest.raises(identities.ParameterError):
             call()
@@ -1094,7 +1134,8 @@ def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
     assert tally == {"hooks": 38}
     tally.clear()
     # no points, no walk
-    assert verify_sin_family(1, t_value=2, N=8, samples=0).deviation == "no samples checked"
+    with pytest.raises(identities.ParameterError):
+        verify_sin_family(1, t_value=2, N=8, samples=0)
     assert tally == {}
     # t = 0: every hook weighs 1, so the hook side is a partition count and
     # no hook list is read

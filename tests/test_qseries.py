@@ -364,46 +364,49 @@ def core_source(t, N):
     return cores.__getitem__
 
 
-@pytest.mark.parametrize("cores", [False, True], ids=["all", "3-cores"])
+# every walk runs over all partitions; the id "all" names that
+@pytest.mark.parametrize("over", ["all"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("name", ["QQ-one", "QQ[beta]", "GF(p)", "GF(p)[s]", "QQ[beta,x]"])
-def test_partition_sum_is_the_per_partition_loop(name, r, cores):
+def test_partition_sum_is_the_per_partition_loop(name, r, over):
     ring, rho, N = weight_case(name)
-    source = core_source(3, N) if cores else None
-    got = partition_sum_series(rho, r, N, ring, source=source)
-    want = per_partition_sum_series(rho, r, N, ring, source=source)
+    got = partition_sum_series(rho, r, N, ring)
+    want = per_partition_sum_series(rho, r, N, ring)
     assert exact_coeffs(got) == exact_coeffs(want)
 
 
-@pytest.mark.parametrize("cores", [False, True], ids=["all", "3-cores"])
+@pytest.mark.parametrize("over", ["all"])
 @pytest.mark.parametrize("r", [1, 2])
-def test_vector_walk_is_the_per_partition_loop_slot_by_slot(r, cores):
+def test_vector_walk_is_the_per_partition_loop_slot_by_slot(r, over):
     N = 12
-    source = core_source(3, N) if cores else None
     weights = [lambda h, a=a: pow(a, h, P) + h for a in (3, 123456789, P - 2)]
-    got = partition_sums_mod_p(lambda h: [f(h) for f in weights], len(weights), r, N, source)
+    got = partition_sums_mod_p(lambda h: [f(h) for f in weights], len(weights), r, N)
     assert len(got) == len(weights)
     for series, f in zip(got, weights):
-        want = per_partition_sum_series(f, r, N, PrimeField(), source=source)
+        want = per_partition_sum_series(f, r, N, PrimeField())
         assert series.ring.name == "GF(p)"
         assert series.coeffs == [c % P for c in want.coeffs]
         assert all(type(c) is int for c in series.coeffs)
 
 
-def test_a_source_is_never_doubled_by_conjugates():
-    # a source listing (2) without its conjugate (1,1): a sum that doubled
-    # conjugate pairs in a source would read q^2 as the full sum does
-    def source(n):
-        return [Partition((2,))] if n == 2 else list(enumerate_partitions(n))
+@pytest.mark.parametrize("t", range(2, 7))
+def test_tcore_restricted_sum_is_the_per_partition_loop_over_filter_cores(t):
+    # the restricted sum multiplies the weights over each core built from
+    # its coding; the oracle loops over the filter route's cores, with the
+    # weight written out here: the 2i of each sine cancels in the quotient
+    from tcores.identities import sample_point, tcore_lemma_series
+
+    N = 10
+    Y = sample_point(random.Random(t), N)
+    W = pow(Y, t, P)
 
     def rho(h):
-        return Fraction(1, h + 1)
+        Yh = pow(Y, h, P)
+        return 1 - (W - pow(W, -1, P)) ** 2 * pow((Yh - pow(Yh, -1, P)) ** 2, -1, P)
 
-    got = partition_sum_series(rho, 1, 4, source=source)
-    assert exact_coeffs(got) == exact_coeffs(per_partition_sum_series(rho, 1, 4, source=source))
-    assert got.coeffs[2] == Fraction(1, 6)
-    assert partition_sum_series(rho, 1, 4).coeffs[2] == Fraction(1, 3)
-    assert got.coeffs[:2] == partition_sum_series(rho, 1, 4).coeffs[:2]
+    want = per_partition_sum_series(rho, 1, N, PrimeField(), source=core_source(t, N))
+    restricted = tcore_lemma_series(t, Y, N)[0]
+    assert restricted.coeffs == [c % P for c in want.coeffs]
 
 
 def test_partition_sum_shares_hook_prefixes():
@@ -810,11 +813,11 @@ def test_exact_series_hold_no_float():
 
     # the GF(p) series hold ints only
     from oracles import poly_s_pair
-    from tcores.identities import sin_family_rhs, sin_hook_sum, tcore_lemma_series
+    from tcores.identities import sin_family_rhs, sin_hook_sums, tcore_lemma_series
 
     Y, W = 123456789, 987654321
     gf_series = [
-        sin_hook_sum(2, Y, W, 8),
+        sin_hook_sums(2, [(Y, W)], 8)[0],
         sin_family_rhs(2, Y, W, 8),
         *poly_s_pair(Y, 6),
         *tcore_lemma_series(3, Y, 8),
