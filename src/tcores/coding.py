@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .halfint import HalfInt
 from .partitions import Partition, _trusted as _trusted_partition
@@ -71,9 +71,8 @@ class BeadSet:
 
     def gaps(self) -> tuple[int, ...]:
         """Missing values between the top and the ray, sorted decreasing."""
-        return tuple(
-            tw for tw in range(self.top, self.ray_top, -2) if tw not in self._head_set
-        )
+        head = self._head_set
+        return tuple([tw for tw in range(self.top, self.ray_top, -2) if tw not in head])
 
 
 class CoreCoding:
@@ -123,8 +122,9 @@ def _trusted(twice: tuple[int, ...], t: int) -> CoreCoding:
     return c
 
 
-@dataclass(frozen=True)
-class CodingDiagnostics:
+class CodingDiagnostics(NamedTuple):
+    """Which coding conditions hold, with a message per failing one."""
+
     valid: bool
     length_ok: bool
     parity_ok: bool
@@ -152,10 +152,10 @@ def _diagnose(twice: tuple[int, ...], t: int) -> CodingDiagnostics:
     if not length_ok:
         msgs.append(f"expected {t} values, got {len(twice)}")
     want_parity = 0 if t % 2 else 1
-    parity_ok = all(tw % 2 == want_parity for tw in twice)
+    parity_ok = {tw % 2 for tw in twice} <= {want_parity}
     if not parity_ok:
         msgs.append("values must lie in Z for odd t and Z+1/2 for even t")
-    decreasing_ok = all(twice[i] > twice[i + 1] for i in range(len(twice) - 1))
+    decreasing_ok = all(map(operator.gt, twice, twice[1:]))
     if not decreasing_ok:
         msgs.append("condition (iii) fails: not strictly decreasing")
     zero_sum_ok = sum(twice) == 0
@@ -179,7 +179,7 @@ def bead_set(partition: Partition, t: int) -> BeadSet:
     if t < 1:
         raise ValueError("t must be a positive integer")
     shift = t + 1  # doubled value of (t+1)/2
-    head = tuple(2 * (p - i) + shift for i, p in enumerate(partition.parts, start=1))
+    head = tuple([2 * (p - i) + shift for i, p in enumerate(partition.parts, start=1)])
     return BeadSet(head, shift - 2 * (len(partition.parts) + 1), t)
 
 
@@ -200,8 +200,12 @@ def _read_coding(partition: Partition, beads: BeadSet) -> CoreCoding:
 
 
 def _closed(beads: BeadSet) -> bool:
-    """Whether every bead keeps its step down by t (the ray does): a t-core."""
-    return all(tw - 2 * beads.t in beads for tw in beads.head)
+    """Whether every bead keeps its step down by t (the ray does): a t-core.
+    A head bead at or below the ray top plus t steps onto the ray, so only
+    the steps from the beads above that must be in the head."""
+    step = 2 * beads.t
+    above = beads.ray_top + step
+    return beads._head_set.issuperset([tw - step for tw in beads.head if tw > above])
 
 
 def _class_tops(beads: BeadSet) -> CoreCoding:
@@ -289,16 +293,19 @@ def content_coding(coding: CoreCoding) -> Partition:
 
     The image consists of the partitions of length at most t-1 whose values
     mu_i - i (i = 1..t, trailing zeros included) cover all classes modulo t.
+    A coding's doubled entries fall by 2 or more per step, so mu_i - mu_(i+1)
+    = (v_i - v_(i+1))/2 - 1 >= 0: mu is weakly decreasing by construction
+    and is not validated again.
     """
     twice, t = coding.twice, coding.t
-    a_tw = -twice[-1]
+    shift = 2 * t + twice[-1]  # doubled t - i + min(v) at i = 0
     parts = []
     for i, v in enumerate(twice, start=1):
-        tw = v - 2 * t + 2 * i + a_tw
-        mu_i = tw // 2
-        if mu_i > 0:
-            parts.append(mu_i)
-    return Partition(tuple(parts))
+        mu_i = (v - shift) // 2 + i
+        if mu_i <= 0:
+            break
+        parts.append(mu_i)
+    return _trusted_partition(tuple(parts))
 
 
 def content_coding_size(mu: Partition, t: int) -> int:
@@ -319,15 +326,18 @@ def content_coding_size(mu: Partition, t: int) -> int:
 
 def is_content_coding_image(mu: Partition, t: int) -> bool:
     """Whether mu has length <= t-1 and mu_i - i covers all classes mod t."""
-    if len(mu.parts) > t - 1:
+    parts = mu.parts
+    if len(parts) > t - 1:
         return False
-    residues = {(mu.part(i) - i) % t for i in range(1, t + 1)}
+    residues = {(p - i) % t for i, p in enumerate(parts, start=1)}
+    residues.update(-i % t for i in range(len(parts) + 1, t + 1))  # the trailing zeros
     return len(residues) == t
 
 
-def bead_relation_checks(partition: Partition, beads: BeadSet) -> dict[str, bool]:
+def bead_relation_checks(partition: Partition, beads: BeadSet, coding: CoreCoding) -> dict[str, bool]:
     """Executable forms of the bead-set relations satisfied by a t-core,
-    given with its bead set, and its coding, read off that set.
+    given with its bead set and the coding the caller has read off that set
+    (its largest bead per class), so the coding is read once per core.
 
     ray_closure        every bead keeps its t-step predecessor in the set
     mirror_intersection coding = beads of the partition meeting the negated
@@ -341,7 +351,6 @@ def bead_relation_checks(partition: Partition, beads: BeadSet) -> dict[str, bool
     conj = partition.conjugate()
     beads2 = bead_set(conj, t)
     coding2 = _read_coding(conj, beads2)
-    coding = _class_tops(beads)
     top1, top2 = beads.top, beads2.top
 
     ray_closure = _closed(beads)
@@ -352,7 +361,7 @@ def bead_relation_checks(partition: Partition, beads: BeadSet) -> dict[str, bool
     v1 = set(coding.twice)
     mirror_intersection = w1 & neg_w2 == v1
 
-    conjugate_negation = coding2.twice == tuple(-v for v in reversed(coding.twice))
+    conjugate_negation = coding2.twice == tuple(map(operator.neg, reversed(coding.twice)))
 
     dagger_complement = w1 - v1 == set(map(operator.neg, beads2.gaps()))
 

@@ -12,17 +12,20 @@ of doubled coordinates: every coordinate Z, the beads W, the beads off the
 coding Wd and the gaps C.  The window ends at the top bead of each side, so
 inside it the ray below that bead and the whole lattice line Z are the same
 list.  The x side's bead set also gives the coding and the t-core test.
+Set relations compare sets of boxes; a ledger over a region whose one side
+is such a full line is counted by bisection (`region_ledger`), with no box
+listed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 from .coding import BeadSet, _class_tops, _closed, bead_set
 from .halfint import HalfInt
 from .partitions import Partition
-from .weights import WeightLedger
+from .weights import WeightLedger, _trusted
 
 
 class RelationViolationError(AssertionError):
@@ -80,10 +83,17 @@ def _pair_set(xs, ys, lo, hi, forbid=()):
     ys is decreasing, so for each x the entries (x + y) // 2 do not rise
     along it and the y in the band are one slice: lo < (x + y) // 2 iff
     y >= 2 lo + 2 - x, and (x + y) // 2 < hi iff y < 2 hi - x.  Both ends
-    are found by bisection on the increasing list -ys."""
+    are found by bisection on the increasing list -ys.  The x whose slice
+    is non-empty are one slice of xs too, 2 lo + 2 - ys[0] <= x < 2 hi - ys[-1],
+    and only those are visited."""
+    if not ys:
+        return set()
     neg = [-ytw for ytw in ys]
+    negx = [-xtw for xtw in xs]
+    first = 0 if hi is None else bisect_right(negx, ys[-1] - 2 * hi)
+    last = bisect_right(negx, ys[0] - 2 * lo - 2)
     out = set()
-    for xtw in xs:
+    for xtw in xs[first:last]:
         start = 0 if hi is None else bisect_right(neg, xtw - 2 * hi)
         stop = bisect_right(neg, xtw - 2 * lo - 2)
         for ytw in ys[start:stop]:
@@ -146,29 +156,57 @@ def check_fold(window: ExplodedWindow) -> dict[str, bool]:
         == {(x + y) // 2 for (x, y) in positive},
         "fold_ledger": neg == pos.negate_arguments(),
         "band_count": neg.total_degree() == sum(beta),
-        "gap_band_counts": pos == WeightLedger({i: beta[i - 1] for i in range(1, t)}),
+        "gap_band_counts": pos == _trusted({i: beta[i - 1] for i in range(1, t)}),
     }
 
 
 def _tally(pairs) -> WeightLedger:
     """Tally of the entries of a set of doubled-coordinate pairs."""
-    return WeightLedger(Counter((xtw + ytw) // 2 for xtw, ytw in pairs))
+    return _trusted(Counter([(xtw + ytw) // 2 for xtw, ytw in pairs]))
 
 
 def region_ledger(xs, ys, lo: int, hi: int | None = None) -> WeightLedger:
     """Tally of the entries lo < entry < hi over the boxes xs x ys, two
-    decreasing lists of doubled coordinates; hi=None leaves the entries
-    unbounded above."""
-    return _tally(_pair_set(xs, ys, lo, hi))
+    decreasing lists of doubled coordinates of one parity; hi=None leaves
+    the entries unbounded above.
+
+    Counted, not listed.  Were ys the whole run from ys[0] down to ys[-1],
+    the boxes of entry k would be the x with 2k - ys[0] <= x <= 2k - ys[-1],
+    one slice of xs found by bisection, for each k in the band.  Each hole g
+    of that run then takes back its boxes (x, g) of the band, x again one
+    slice of xs.  The triangle's two regions pass a full run as ys, so they
+    count every entry by bisection alone."""
+    if not xs or not ys:
+        return WeightLedger()
+    negx = [-xtw for xtw in xs]
+    top, bottom = ys[0], ys[-1]
+    last = (xs[0] + top) // 2  # the largest entry
+    if hi is not None:
+        last = min(last, hi - 1)
+    exps = {}
+    for k in range(max(lo + 1, (xs[-1] + bottom) // 2), last + 1):
+        count = bisect_right(negx, top - 2 * k) - bisect_left(negx, bottom - 2 * k)
+        if count:
+            exps[k] = count
+    if top - bottom != 2 * (len(ys) - 1):
+        inside = set(ys)
+        for gtw in range(top - 2, bottom, -2):
+            if gtw not in inside:
+                first = 0 if hi is None else bisect_right(negx, gtw - 2 * hi)
+                for xtw in xs[first:bisect_right(negx, gtw - 2 * lo - 2)]:
+                    exps[(xtw + gtw) // 2] -= 1
+    return _trusted(exps)
 
 
 def check_triangle_ledger(window: ExplodedWindow) -> dict[str, bool]:
     """triangle_ledger: the positive band over beads x (everything below
     top2), minus the same band over lattice x gaps, leaves exponent t-k at
-    each k in 1..t-1."""
+    each k in 1..t-1.  Each region's full lattice side goes second, as the
+    run `region_ledger` counts along (a box set's tally does not depend on
+    which side is x)."""
     t = window.t
     plus = region_ledger(window.w[0], window.z[1], 0, t)
-    minus = region_ledger(window.z[0], window.c[1], 0, t)
+    minus = region_ledger(window.c[1], window.z[0], 0, t)
     want = WeightLedger({k: t - k for k in range(1, t)})
     return {"triangle_ledger": plus / minus == want}
 

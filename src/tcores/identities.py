@@ -27,7 +27,6 @@ import inspect
 import json
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -63,6 +62,7 @@ from .partitions import (
     abacus_beads,
     abacus_is_t_core,
     enumerate_partitions,
+    hook_tally,
     partitions_up_to,
 )
 from .qseries import (
@@ -237,8 +237,11 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
     is built once from its coding v by `coding_to_core`, which checks its
     read-off against the coding size formula (a coding that fails is the
     sweep's failure), and the coding read off its bead set must be v; the
-    bead relations reuse that bead set.  `classical-cross-checks` keeps the
-    filter oracle."""
+    bead relations reuse that bead set and that coding.  No cell is visited
+    for a hook: the core's hook tally and the content ledger's hooks of mu
+    come from beta numbers (`hook_tally`, `content_ledger`), and the two
+    parity folds are compared as folds (`ParityFold.differing_parity`).
+    `classical-cross-checks` keeps the filter oracle."""
     t0 = time.perf_counter()
     if t < 1:
         raise ParameterError("t must be a positive integer")
@@ -264,22 +267,21 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
             return f"{lam}: content-side size formula mismatch"
         if not is_content_coding_image(mu, t):
             return f"{lam}: image characterization fails for {mu}"
-        relations = bead_relation_checks(lam, beads)
+        relations = bead_relation_checks(lam, beads, coding)
         bad = [k for k, ok in relations.items() if not ok]
         if bad:
             return f"{lam}: bead relations failed: {bad}"
         if lam.size > ledger_max_size:
             return None
-        # one hook read feeds beta (small_hook_counts) and the ledger
-        hooks = Counter(lam.hooks())
-        beta = tuple(hooks[t - i] for i in range(1, t))
+        # one hook tally, from the beta numbers, feeds beta and the ledger
+        hooks = hook_tally(lam.parts)
+        beta = tuple(hooks.get(t - i, 0) for i in range(1, t))
         lhs = hook_tally_shift_ledger(hooks, t)
         rhs = coding_difference_ledger(coding, beta)
         if lhs != rhs:
             return f"{lam}: hook-shift ledger != coding ledger"
         # one fold per side serves both parities, odd first
-        folds = parity_fold(rhs), parity_coding_fold(coding)
-        parity = next((p for p in ("odd", "even") if folds[0].form(p) != folds[1].form(p)), None)
+        parity = parity_fold(rhs).differing_parity(parity_coding_fold(coding))
         if parity:
             return f"{lam}: parity ledger ({parity}) mismatch"
         if content_ledger(mu, beta) != lhs:
@@ -434,10 +436,15 @@ def _lambert_exp(a, s: int = 1) -> TruncatedSeries:
     return TruncatedSeries(GF, [c % P for c in log]).exp()
 
 
+def inverses(N: int) -> list[int]:
+    """[0, 1/1, 1/2, ..., 1/N] in GF(p), index 0 unread."""
+    return [0] + [GF.inv(k) for k in range(1, N + 1)]
+
+
 def sin_family_rhs(r: int, Y: int, W: int, N: int) -> TruncatedSeries:
     """exp(sum_k q^k/(k(1-q^k)) - r q^(rk)/(k(1-q^(rk))) sin^2(tkz)/sin^2(rkz)),
     in GF(p) at Y = e^(iz) and W = e^(itz)."""
-    a = [0] + [GF.inv(k) for k in range(1, N + 1)]
+    a = inverses(N)
     for k in range(1, N // r + 1):
         a[r * k] -= r * _sin(pow(W, k, P)) ** 2 * GF.inv(_sin(pow(Y, r * k, P)) ** 2 * k)
     return _lambert_exp(a)
@@ -489,9 +496,9 @@ def verify_sin_family(
         Y = sample_point(rng, N)
         W = sample_point(rng) if t_value is None else pow(Y, t_value, P)
         points.append({"Y": Y, "W": W})
-    dev = "no samples checked"
-    hook_sums = sin_hook_sums(r, [(pt["Y"], pt["W"]) for pt in points], N) if points else []
-    for i, (pt, lhs) in enumerate(zip(points, hook_sums)):
+    hook_sums = sin_hook_sums(r, [(pt["Y"], pt["W"]) for pt in points], N)
+    # at least one point, and strict: one hook sum per point, or ValueError
+    for i, (pt, lhs) in enumerate(zip(points, hook_sums, strict=True)):
         ok, dev = _exact_compare(lhs, sin_family_rhs(r, pt["Y"], pt["W"], N))
         if not ok:
             del points[i + 1 :]  # report the points up to the failing one
@@ -537,17 +544,18 @@ def poly_s_hook_side(points) -> list[TruncatedSeries]:
     return partition_sums_mod_p(rho.__getitem__, len(points), 1, N)
 
 
-def poly_s_exp_at(w: dict[int, int], s: int) -> TruncatedSeries:
+def poly_s_exp_at(w: dict[int, int], s: int, inv: list[int]) -> TruncatedSeries:
     """The exponential side of the s-parameter form at the point (w, s) in
     GF(p), to order N = len(w), with w a map k -> w(k), k = 1..N: exp of
     sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k)), a Lambert series
     in q whose q^m coefficient is sum over k | m of
-    s^(m - k) (s^k + (s^k - 1)^2 w(k))/k."""
+    s^(m - k) (s^k + (s^k - 1)^2 w(k))/k.  inv[k] is 1/k in GF(p) for
+    k = 1..N (`inverses`), taken once by a caller with several points."""
     N = len(w)
     a = [0] * (N + 1)
     for k in range(1, N + 1):
         sk = pow(s, k, P)
-        a[k] = (sk + (sk - 1) ** 2 * w[k]) * GF.inv(k)
+        a[k] = (sk + (sk - 1) ** 2 * w[k]) * inv[k]
     return _lambert_exp(a, s)
 
 
@@ -583,7 +591,8 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     }
     points = [(w, s) for s in range(top + 1)] + list(specializations.values())
     sums = poly_s_hook_side(points)
-    exp_sides = [poly_s_exp_at(*point) for point in points]
+    inv = inverses(N)
+    exp_sides = [poly_s_exp_at(w, s, inv) for w, s in points]
     degree_ok = all(
         _degree_at_most([side.coeffs[n] for side in sums[: top + 1]], 2 * n) for n in range(N + 1)
     )
@@ -648,7 +657,8 @@ def verify_macdonald(t: int = 2, N: int = 4, seed: int = 7) -> VerificationRepor
     prod x_i^(A - i), A the largest a_j, each has total degree
     tA - t(t+1)/2 = t v_max.  So a nonzero difference of the sides vanishes
     at x with probability at most d/(p-2) (Schwartz-Zippel), d = `sz_degree`
-    the largest of these.  `terms_enumerated` counts t! orderings a coding."""
+    the largest of these.  `terms_enumerated` counts t! orderings a coding.
+    The codings are enumerated once, for the sum side and both counts."""
     t0 = time.perf_counter()
     if t < 2:
         raise ParameterError("t must be at least 2")
@@ -656,8 +666,8 @@ def verify_macdonald(t: int = 2, N: int = 4, seed: int = 7) -> VerificationRepor
         raise ParameterError("N must be nonnegative")
     rng = random.Random(seed)
     x = [rng.randrange(2, P) for _ in range(t)]
-    _, dev = _exact_compare(macdonald_lhs(N, x), macdonald_rhs(N, x))
     codings = enumerate_codings(t, N)
+    _, dev = _exact_compare(macdonald_lhs(N, x), macdonald_rhs(N, x, codings))
     return _finish(
         "macdonald", {"t": t, "seed": seed, "x": x}, N, GF.name, dev, t0,
         terms_enumerated=factorial(t) * len(codings),
@@ -837,8 +847,6 @@ def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
             dev = "pairwise sine product != pairwise exponential product"
         if dev != "0":
             break
-    if not points:
-        dev = "no samples checked"
     params = {"samples": samples, "seed": seed, "points": points}
     return _finish("sin-lemma", params, None, GF.name, dev, t0)
 

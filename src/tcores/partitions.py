@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import accumulate, combinations
 from typing import Iterator
 
 
@@ -56,7 +56,8 @@ class Partition:
                 yield i, j
 
     def hooks(self, r: int = 1) -> tuple[int, ...]:
-        """Hook lengths of all cells divisible by r, in row-major cell order."""
+        """Hook lengths of all cells divisible by r, in row-major cell order,
+        visited cell by cell: the oracle for `hook_tally`."""
         if r < 1:
             raise ValueError("r must be a positive integer")
         conj = _conjugate_parts(self.parts)
@@ -74,10 +75,10 @@ class Partition:
 
     def small_hook_counts(self, t: int) -> tuple[int, ...]:
         """Counts (b_1, ..., b_{t-1}) where b_i is the number of cells
-        with hook length exactly t - i."""
+        with hook length exactly t - i, read off `hook_tally`."""
         if t < 1:
             raise ValueError("t must be a positive integer")
-        tally = Counter(self.hooks())
+        tally = hook_tally(self.parts)
         return tuple(tally.get(t - i, 0) for i in range(1, t))
 
     def row_moment(self) -> int:
@@ -119,6 +120,37 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     p = object.__new__(Partition)
     p.parts = parts
     return p
+
+
+def hook_tally(parts: tuple[int, ...]) -> dict[int, int]:
+    """Hook length -> number of cells of the partition with that hook, each
+    count at least 1, counted from the beta numbers rather than cell by cell
+    (`Partition.hooks` is the oracle): see `_add_hook_edges`."""
+    if not parts:
+        return {}
+    top = parts[0] + len(parts) - 1  # the hook of the corner cell (1, 1)
+    edges = [0] * (top + 2)
+    _add_hook_edges(edges, parts, 0, 1)
+    return {h: m for h, m in zip(range(1, top + 1), accumulate(edges[1:])) if m}
+
+
+def _add_hook_edges(edges: list[int], parts: tuple[int, ...], base: int, sign: int) -> None:
+    """Add `sign` once per cell at its hook length h into the difference
+    array `edges`, whose index h - base holds the step from h - 1 to h.
+
+    With n parts, the beta numbers b_i = part_i + n - i decrease strictly to
+    b_n >= 1, and row i holds the hooks 1..b_i less b_i - b_j for each j > i
+    (each such difference lies in 1..b_i - 1): n runs and n(n - 1)/2
+    points, where a walk over the cells takes |lambda| steps."""
+    n = len(parts)
+    beta = [p + n - i for i, p in enumerate(parts, start=1)]
+    edges[1 - base] += n * sign
+    for b in beta:
+        edges[b + 1 - base] -= sign
+    for b, c in combinations(beta, 2):
+        d = b - c - base
+        edges[d] -= sign
+        edges[d + 1] += sign
 
 
 def abacus_beads(parts: tuple[int, ...]) -> set[int]:

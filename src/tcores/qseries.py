@@ -459,17 +459,18 @@ def macdonald_lhs(order: int, x) -> TruncatedSeries:
     return binomial_product(PrimeField(), order, factors)
 
 
-def macdonald_rhs(order: int, x) -> TruncatedSeries:
+def macdonald_rhs(order: int, x, codings) -> TruncatedSeries:
     """sum over vectors of sign * q^omega * x_1^(1-a_1) ... x_t^(t-a_t), in
     GF(p) at the point x, t = len(x).  The vectors are the orderings of a = v + (t+1)/2
-    for the codings v of size at most `order` (`macdonald_terms`), and
+    for the codings v of size at most `order` (`macdonald_terms`), which the
+    caller passes as `codings`, `enumerate_codings(t, order)`, and
     reordering a by s multiplies its sign by sgn(s): so the t! orderings of
     one coding sum to residue_sign(a) det[x_i^(i - a_j)], which is
     residue_sign(a) prod x_i^i det[x_i^(-a_j)], the Weyl denominator form."""
     t = len(x)
     power = cache(lambda i, e: pow(x[i - 1], e, P))  # codings share entries
     coeffs = [0] * (order + 1)
-    for coding in enumerate_codings(t, order):
+    for coding in codings:
         a = [(tw + t + 1) // 2 for tw in coding.twice]
         det = _det_mod_p([[power(i, i - e) for e in a] for i in range(1, t + 1)])
         n = coding_size(coding)

@@ -8,10 +8,11 @@ every weight function at once by comparing exponent maps.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .coding import CoreCoding, class_sorted_coding
-from .partitions import Partition
+from .partitions import Partition, _add_hook_edges
 
 
 class ZeroArgumentError(ValueError):
@@ -88,9 +89,10 @@ def hook_shift_ledger(partition: Partition, t: int) -> WeightLedger:
     return hook_tally_shift_ledger(Counter(partition.hooks()), t)
 
 
-def hook_tally_shift_ledger(tally: Counter, t: int) -> WeightLedger:
-    """hook_shift_ledger from a tally hook length -> multiplicity, for a
-    caller that reads other counts off the same hooks."""
+def hook_tally_shift_ledger(tally: dict[int, int], t: int) -> WeightLedger:
+    """hook_shift_ledger from a tally hook length -> multiplicity (a
+    `partitions.hook_tally`), for a caller that reads other counts off the
+    same hooks."""
     exps: dict[int, int] = {}
     for h, m in tally.items():
         exps[h - t] = exps.get(h - t, 0) + m
@@ -127,23 +129,25 @@ def parity_coding_ledger(coding: CoreCoding, parity: str) -> WeightLedger:
 
 def parity_coding_fold(coding: CoreCoding) -> "ParityFold":
     """Both parity forms of `parity_coding_ledger` from one class-sorted
-    coding and one pass over its differences: C rides in the odd flip."""
+    coding and one pass over its differences, each folded onto its absolute
+    value as it is added: a negative one flips the odd form's sign, and C
+    rides in the same flip."""
     t = coding.t
-    u = class_sorted_coding(coding)  # doubled entries
     exps = {k: k - t for k in range(1, t)}
-    _add_differences(exps, u)
-    fold = parity_fold(_trusted(exps))
-    if t % 4 == 3:
-        fold = fold._replace(flip=-fold.flip)
-    return fold
+    flip = -1 if t % 4 == 3 else 1
+    for a, b in combinations(class_sorted_coding(coding), 2):  # doubled entries
+        d = (a - b) // 2
+        if d < 0:
+            d, flip = -d, -flip
+        exps[d] = exps.get(d, 0) + 1
+    return ParityFold({k: e for k, e in exps.items() if e}, 1, flip, 0 in exps)
 
 
 def _add_differences(exps: dict[int, int], tw) -> None:
     """Add exponent 1 at (tw_i - tw_j)/2 for every i < j, tw doubled."""
-    for i, a in enumerate(tw):
-        for b in tw[i + 1:]:
-            d = (a - b) // 2
-            exps[d] = exps.get(d, 0) + 1
+    for a, b in combinations(tw, 2):
+        d = (a - b) // 2
+        exps[d] = exps.get(d, 0) + 1
 
 
 def content_ledger(mu: Partition, beta) -> WeightLedger:
@@ -151,29 +155,26 @@ def content_ledger(mu: Partition, beta) -> WeightLedger:
     where b_i = beta[i-1] counts the hooks of length t - i of the core, so
     t = len(beta) + 1.
 
-    Row i of mu holds the contents 1-i..mu_i-i, one run, so the tau(t+c)
-    tally is a running sum of +1 at each row's first argument t+1-i and -1
-    past its last; the hooks are tallied from one `hooks` read."""
+    Both products over mu are tallied in one difference array over the
+    arguments, with no cell visited: row i of mu holds the contents
+    1-i..mu_i-i, one run of tau(t+c) arguments, and its hooks come from
+    mu's beta numbers (`partitions._add_hook_edges`)."""
     t = len(beta) + 1
     exps: dict[int, int] = {}
-    for i in range(1, t):
-        exps[-i] = beta[i - 1]
-        exps[i] = -beta[i - 1]
     parts = mu.parts
     if parts:
         n = len(parts)
-        lo = t + 1 - n  # the smallest argument t+c, at the last row's start
-        edges = [0] * (n + parts[0])
+        lo = min(1, t + 1 - n)  # a hook 1, or t+c at the last row's start
+        hi = max(t, n) + parts[0] - 1  # t+c at the first row's end, or the corner hook
+        edges = [0] * (hi - lo + 2)
         for i, p in enumerate(parts, start=1):
-            edges[n - i] += 1
-            edges[n - i + p] -= 1
-        run = 0
-        for k, d in enumerate(edges, start=lo):
-            run += d
-            if run:
-                exps[k] = exps.get(k, 0) + run
-    for h, m in Counter(mu.hooks()).items():
-        exps[h] = exps.get(h, 0) - m
+            edges[t + 1 - i - lo] += 1
+            edges[t + p - i + 1 - lo] -= 1
+        _add_hook_edges(edges, parts, lo, -1)
+        exps = {k: e for k, e in zip(range(lo, hi + 1), accumulate(edges)) if e}
+    for i in range(1, t):
+        exps[-i] = exps.get(-i, 0) + beta[i - 1]
+        exps[i] = exps.get(i, 0) - beta[i - 1]
     return _trusted(exps)
 
 
@@ -189,10 +190,11 @@ def parity_normalize(ledger: WeightLedger, parity: str) -> WeightLedger:
 
 class ParityFold(NamedTuple):
     """A ledger with every argument k folded onto |k| in one pass, for both
-    parity forms at once.  `exps` is the folded map the forms share, `sign`
-    the ledger's sign, `flip` the odd form's extra sign (-1 when the
-    exponents at negative arguments sum to an odd number) and `zero` whether
-    argument 0 occurs, which only the odd form forbids."""
+    parity forms at once.  `exps` is the folded map the forms share, its
+    zero exponents dropped, `sign` the ledger's sign, `flip` the odd form's
+    extra sign (-1 when the exponents at negative arguments sum to an odd
+    number) and `zero` whether argument 0 occurs, which only the odd form
+    forbids."""
 
     exps: dict[int, int]
     sign: int
@@ -209,6 +211,16 @@ class ParityFold(NamedTuple):
             raise ZeroArgumentError("tau(0) = 0 for an odd weight")
         return _trusted(self.exps, self.sign * self.flip)
 
+    def differing_parity(self, other: "ParityFold") -> str | None:
+        """The first parity, odd then even, at which the forms of the two
+        folds differ, or None, read off the folds without building a form;
+        raises ZeroArgumentError where `form("odd")` would."""
+        if self.zero or other.zero:
+            raise ZeroArgumentError("tau(0) = 0 for an odd weight")
+        if self.exps != other.exps or self.sign * self.flip != other.sign * other.flip:
+            return "odd"
+        return "even" if self.sign != other.sign else None
+
 
 def parity_fold(ledger: WeightLedger) -> ParityFold:
     """Fold a ledger's negative arguments once for both parity forms."""
@@ -219,6 +231,7 @@ def parity_fold(ledger: WeightLedger) -> ParityFold:
             negative += e
             k = -k
         exps[k] = exps.get(k, 0) + e
+    exps = {k: e for k, e in exps.items() if e}
     return ParityFold(exps, ledger.sign, -1 if negative % 2 else 1, 0 in ledger.exps)
 
 

@@ -13,7 +13,8 @@ coding enumeration, the per-cell content ledger and the one-parity fold are
 the plain routes that the renderers, `coding_to_core`, `enumerate_codings`,
 `content_ledger` and the parity folds are checked against byte for byte,
 and the double loop over every box the route of the exploded window's
-banded pair sets.
+banded pair sets and of the counted region ledgers.  `seeded_partitions`
+gives the edge and random inputs of the beta-number hook tallies' checks.
 The per-partition hook loops are the unwalked routes of
 `partition_sum_series`, `partition_sums_mod_p` and
 `multiplication_hook_points`, and the GF(p)[s] polynomial hook side is the
@@ -31,6 +32,7 @@ in a are the exact routes that the GF(p) point evaluation and the
 Kronecker integers of the verifiers are checked against.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -755,6 +757,20 @@ def full_loop_enumerate_codings(t: int, max_size: int) -> list:
 
 # ---------------------------------------------------------------------------
 # weight ledgers
+
+
+def seeded_partitions(seed: int, count: int):
+    """Inputs for the beta-number hook tallies' per-cell oracles: the empty
+    partition, one row and one column of each length 1..25, then `count`
+    random partitions of up to 12 parts of at most 30."""
+    yield Partition(())
+    for n in range(1, 26):
+        yield Partition((n,))
+        yield Partition((1,) * n)
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = [rng.randint(1, 30) for _ in range(rng.randint(1, 12))]
+        yield Partition(sorted(parts, reverse=True))
 
 
 def per_cell_content_ledger(mu: Partition, beta, t: int) -> WeightLedger:

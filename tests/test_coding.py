@@ -121,10 +121,16 @@ def test_closed_bead_sets_are_the_t_cores():
     assert pairs == 9150
 
 
+def relations(lam, beads):
+    """The bead relations of lam with the coding read off `beads`, as the
+    multiset sweep reads it and hands it over."""
+    return bead_relation_checks(lam, beads, coding._class_tops(beads))
+
+
 def test_bead_relations_reject_a_non_core_conjugate():
     # (3) is not a 3-core, and the relations test its conjugate (1,1,1)
     with pytest.raises(NotACoreError, match=r"^1,1,1 has a hook length divisible by 3$"):
-        bead_relation_checks(Partition((3,)), bead_set(Partition((3,)), 3))
+        relations(Partition((3,)), bead_set(Partition((3,)), 3))
 
 
 def test_gap_set_table1():
@@ -252,7 +258,7 @@ def test_content_coding_sweep():
 def test_bead_relations_sweep():
     for t in range(1, 7):
         for lam in enumerate_t_cores(t, 12):
-            checks = bead_relation_checks(lam, bead_set(lam, t))
+            checks = relations(lam, bead_set(lam, t))
             assert all(checks.values()), (t, lam, checks)
 
 
@@ -262,7 +268,7 @@ def test_bead_relations_reject_the_conjugate_coding():
     for t in (3, 4, 5):
         for lam in enumerate_t_cores(t, 10):
             conj = lam.conjugate()
-            checks = bead_relation_checks(lam, bead_set(conj, t))
+            checks = relations(lam, bead_set(conj, t))
             assert checks["mirror_intersection"] is (lam == conj), (t, lam)
 
 
@@ -283,14 +289,14 @@ def test_bead_relations_see_a_coding_entry_dropped():
             members = beads.elements_down_to(lo)
             for entry in core_coding(lam, t).twice:
                 short = BeadSet(tuple(x for x in members if x != entry), lo - 2, t)
-                checks = bead_relation_checks(lam, short)
+                checks = relations(lam, short)
                 for relation in ("mirror_intersection", "conjugate_negation", "zero_sum"):
                     assert not checks[relation], (t, lam, entry, relation)
                 in_window = entry - 2 * t >= -top2
                 assert checks["dagger_complement"] is not in_window, (t, lam, entry)
                 dagger_failed += in_window
                 raised = BeadSet(tuple(sorted({*members, entry + 2 * t}, reverse=True)), lo - 2, t)
-                checks = bead_relation_checks(lam, raised)
+                checks = relations(lam, raised)
                 assert checks["ray_closure"] and not checks["dagger_complement"], (t, lam, entry)
                 checked += 1
     assert (checked, dagger_failed) == (797, 398)

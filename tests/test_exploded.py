@@ -268,6 +268,33 @@ def test_pair_set_slices_match_double_loop():
         assert _pair_set(xs, ys, lo, hi, forbid) == want, (xs, ys, lo, hi, forbid)
 
 
+def test_region_ledger_counts_match_double_loop():
+    # decreasing lists of doubled coordinates of one parity, each either a
+    # full run (the triangle's lattice side) or a list with holes, empty
+    # lists included, with and without an upper bound: the counted ledger
+    # is the tally of the double loop's box set
+    rng = random.Random(13)
+
+    def side(parity):
+        if rng.random() < 0.5:
+            top = rng.randint(-30, 30)
+            values = range(top, top - rng.randint(0, 20), -1)
+        else:
+            values = sorted(rng.sample(range(-30, 31), rng.randint(0, 14)), reverse=True)
+        return [2 * v + parity for v in values]
+
+    runs = 0
+    for _ in range(3000):
+        parity = rng.choice((0, 1))
+        xs, ys = side(parity), side(parity)
+        lo = rng.randint(-40, 40)
+        hi = rng.choice((None, lo + rng.randint(-2, 40)))
+        want = Counter((x + y) // 2 for x, y in double_loop_pair_set(xs, ys, lo, hi))
+        assert region_ledger(xs, ys, lo, hi) == WeightLedger(want), (xs, ys, lo, hi)
+        runs += len(ys) > 1 and ys[0] - ys[-1] == 2 * (len(ys) - 1)
+    assert runs > 1000
+
+
 def test_render_ascii_golden():
     w = ExplodedWindow(Partition((1,)), 3)
     assert render(w, "ascii") == (GOLDEN / "explode_1_t3.txt").read_text()

@@ -175,8 +175,13 @@ def test_sin_family_takes_an_integer_t():
 
 
 def test_empty_checks_fail(monkeypatch):
-    # sizes and sample counts out of range raise ParameterError; a sweep or a
-    # sample loop that still meets nothing fails rather than passes
+    # sizes and sample counts out of range raise ParameterError; a sweep that
+    # still meets nothing fails rather than passes, and hook sums that miss a
+    # sample point raise rather than leave it unchecked
+    real = identities.sin_hook_sums
+    monkeypatch.setattr(identities, "sin_hook_sums", lambda r, points, N: real(r, points, N)[:-1])
+    with pytest.raises(ValueError, match="shorter"):
+        verify_sin_family(samples=2)
     monkeypatch.setattr(identities, "enumerate_partitions", lambda n: iter(()))
     monkeypatch.setattr(identities, "enumerate_codings", lambda t, n: [])
     monkeypatch.setattr(identities, "cores_from_codings", lambda t, n: [])
@@ -185,10 +190,11 @@ def test_empty_checks_fail(monkeypatch):
         (verify_hook_content(), "pairs_checked = 0"),
         (verify_multiset_formula(3), "cores_checked = 0"),
         (verify_exploded_relations(3), "cores_checked = 0"),
-        (verify_sin_family(samples=2), "no samples"),
     ):
         assert report.status == "fail", report.identity
         assert empty in report.deviation
+    with pytest.raises(ValueError, match="shorter"):
+        verify_sin_family(samples=2)
 
 
 SPECIALIZATIONS = ("cosine", "sinh", "cotangent")
@@ -234,7 +240,8 @@ def test_poly_exp_side_degree_and_values_at_the_points(N):
     w = poly_s_sin_weights(sample_point(random.Random(7), N), N)
     rhs = poly_s_exp_side(w, N)
     assert all(c.degree_in("s") <= 2 * n for n, c in enumerate(rhs.coeffs))
-    sides = [identities.poly_s_exp_at(w, s) for s in range(2 * N + 1)]
+    inv = identities.inverses(N)
+    sides = [identities.poly_s_exp_at(w, s, inv) for s in range(2 * N + 1)]
     assert len(sides) == 2 * N + 1
     for s, side in enumerate(sides):
         values = [sum(v * s ** e for (e,), v in c.terms.items()) % P for c in rhs.coeffs]
@@ -738,8 +745,8 @@ def test_poly_s_family_broken_exp_point_fails(monkeypatch):
     # detail names that q^n and that s, and no specialization reads it
     real = identities.poly_s_exp_at
 
-    def bumped(w, s):
-        side = real(w, s)
+    def bumped(w, s, inv):
+        side = real(w, s, inv)
         if s == 7:
             side.coeffs[3] = (side.coeffs[3] + 1) % P
         return side
@@ -799,7 +806,7 @@ def test_cotangent_exp_point_is_the_lambert_rewrite(N):
     # the exponential side at s = -1 is the cotangent form's Lambert log
     # rewritten at s = 1, coefficient for coefficient
     Y = sample_point(random.Random(N), N)
-    got = identities.poly_s_exp_at(poly_s_sin_weights(Y, N), P - 1)
+    got = identities.poly_s_exp_at(poly_s_sin_weights(Y, N), P - 1, identities.inverses(N))
     assert got.coeffs == cotangent_exp_side(Y, N).coeffs
 
 
@@ -1058,14 +1065,56 @@ def test_multiset_formula_broken_round_trip_fails(monkeypatch):
     assert r.details["cores_checked"] == 3
 
 
+def test_multiset_formula_sees_a_hook_dropped_from_lambdas_tally(monkeypatch):
+    # the beta-number tally loses one cell of the largest hook: beta and the
+    # hook-shift ledger both read the short tally, and the coding side does
+    # not, so the first nonempty core fails and is named
+    real = identities.hook_tally
+
+    def dropped(parts):
+        tally = real(parts)
+        if tally:
+            top = max(tally)
+            tally[top] -= 1
+            if not tally[top]:
+                del tally[top]
+        return tally
+
+    monkeypatch.setattr(identities, "hook_tally", dropped)
+    for t in (3, 5):
+        r = verify_multiset_formula(t, 10)
+        assert not r.passed and r.deviation == "1: hook-shift ledger != coding ledger"
+        assert r.details["cores_checked"] == 2
+
+
+def test_exploded_relations_sees_a_box_dropped_from_a_triangle_region(monkeypatch):
+    # the first of each window's two region_ledger calls, the band over
+    # beads x lattice, loses one box of its largest entry: the triangle
+    # ledger of the first core fails, named, and no other check moves
+    real = exploded.region_ledger
+    calls = []
+
+    def dropped(xs, ys, lo, hi=None):
+        out = real(xs, ys, lo, hi)
+        calls.append(None)
+        if len(calls) % 2 and out.exps:
+            out = out / WeightLedger({max(out.exps): 1})
+        return out
+
+    monkeypatch.setattr(exploded, "region_ledger", dropped)
+    r = verify_exploded_relations(3, 10)
+    assert not r.passed and r.deviation == "-: ['triangle_ledger']"
+    assert r.details["cores_checked"] == 1 and len(calls) == 2
+
+
 def test_exploded_relations_broken_ledger_fails(monkeypatch):
-    # every ledger is tallied by the one helper, the fold's bands and the
-    # triangle's regions alike
+    # the fold's two bands are tallied by one helper; the triangle's regions
+    # are counted by region_ledger without it
     real = exploded._tally
     monkeypatch.setattr(exploded, "_tally", lambda pairs: real(pairs) * WeightLedger({1: 1}))
     r = verify_exploded_relations(3, 10)
     assert not r.passed and r.details["cores_checked"] == 1
-    # the bump cancels in the triangle ledger's quotient, so that check holds
+    # the triangle ledger does not use the helper, so that check holds
     assert r.deviation == "-: ['fold_ledger', 'band_count', 'gap_band_counts']"
 
 
@@ -1090,34 +1139,45 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
         (identities, "coding_to_core"), (coding, "coding_to_core"),
         (identities, "core_coding"), (coding, "core_coding"),
         (Partition, "is_t_core"), (Partition, "hooks"), (exploded, "region_ledger"),
+        (identities, "hook_tally"), (partitions, "hook_tally"),
+        (partitions, "_add_hook_edges"), (weights, "_add_hook_edges"),
     ])
     # one core built per coding; its coding is read off its own bead set,
     # with no core_coding call, and the bead relations test the conjugate's
-    # bead set and read its coding off it, so no abacus test runs; hooks are
-    # read once for beta and the hook-shift ledger, and once for mu's side of
-    # the content ledger
+    # bead set and read its coding off it, so no abacus test runs; no cell
+    # is visited for a hook: the beta numbers give lambda's hook tally once,
+    # for beta and the hook-shift ledger, and mu's hooks once, inside the
+    # content ledger (neither has a hook at the empty core)
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"coding_to_core": n, "hooks": 2 * n}
-    assert tally["core_coding"] == tally["is_t_core"] == 0
+    assert tally == {"coding_to_core": n, "hook_tally": n, "_add_hook_edges": 2 * (n - 1)}
+    assert tally["core_coding"] == tally["is_t_core"] == tally["hooks"] == 0
     # one core built per coding, whose window reads its coding off its own
     # bead set and negates it for the conjugate; the fold builds and tallies
-    # each band once and reads beta for the band counts, and only the
-    # triangle ledger's two regions go through region_ledger
+    # each band once and reads beta for the band counts off the beta
+    # numbers, and only the triangle ledger's two regions go through
+    # region_ledger
     tally.clear()
     r = verify_exploded_relations(3, 8)
     assert r.passed and r.details["cores_checked"] == 10
-    assert tally == {"coding_to_core": 10, "hooks": 10, "region_ledger": 20}
-    assert tally["core_coding"] == tally["is_t_core"] == 0
+    assert tally == {
+        "coding_to_core": 10, "hook_tally": 10, "_add_hook_edges": 9, "region_ledger": 20,
+    }
+    assert tally["core_coding"] == tally["is_t_core"] == tally["hooks"] == 0
 
 
 def test_multiset_sweep_builds_two_bead_sets_per_core(monkeypatch):
     # the sweep builds the core's bead set and reads its coding off it, and
-    # the bead relations take that set and build the conjugate's once
-    tally = count_calls(monkeypatch, [(coding, "bead_set"), (identities, "bead_set")])
+    # the bead relations take that set and that coding and build the
+    # conjugate's set once: two class-top reads per core, not three, and
+    # one validation of the coding read
+    tally = count_calls(monkeypatch, [
+        (coding, "bead_set"), (identities, "bead_set"), (coding, "_class_tops"),
+        (identities, "validate_coding"),
+    ])
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"bead_set": 2 * n} and n == 14
+    assert tally == {"bead_set": 2 * n, "_class_tops": 2 * n, "validate_coding": n} and n == 14
 
 
 def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
@@ -1201,7 +1261,8 @@ def test_exploded_sweep_builds_two_bead_sets_per_core(monkeypatch):
 
 def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
     # the multiset sweep adds a core's coding differences once for the
-    # coding ledger and once, class-sorted, for both parity forms
+    # coding ledger, and once more, class-sorted and folded as they are
+    # added, for both parity forms, with no _add_differences call
     tally = count_calls(monkeypatch, [
         (weights, "_add_differences"), (weights, "class_sorted_coding"),
         (partitions, "abacus_beads"), (identities, "abacus_beads"),
@@ -1209,7 +1270,7 @@ def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
     # the sweep tests bead sets, so it builds no abacus
-    assert tally == {"_add_differences": 2 * n, "class_sorted_coding": n}
+    assert tally == {"_add_differences": n, "class_sorted_coding": n}
     assert tally["abacus_beads"] == 0
     # the filter builds one abacus per partition of size <= 25 and tests
     # t = 2 and t = 1..8 on it

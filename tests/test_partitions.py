@@ -10,8 +10,11 @@ from tcores.partitions import (
     abacus_is_t_core,
     enumerate_partitions,
     enumerate_t_cores,
+    hook_tally,
     partitions_up_to,
 )
+
+from oracles import seeded_partitions
 
 
 def brute_hooks(parts):
@@ -203,6 +206,15 @@ def test_hooks_conjugate_invariant(lam):
 def test_corner_hook(lam):
     if lam.parts:
         assert lam.hooks()[0] == lam.parts[0] + len(lam.parts) - 1
+
+
+def test_hook_tally_is_the_per_cell_count():
+    # every partition of size <= 20 (so every t-core there, for every t),
+    # then the seeded ones: the beta-number tally is Counter(hooks())
+    cases = [*partitions_up_to(20), *seeded_partitions(5, 500)]
+    for lam in cases:
+        assert hook_tally(lam.parts) == Counter(lam.hooks()), lam
+    assert len(cases) == 2714 + 51 + 500
 
 
 @given(partition_strategy(), st.integers(min_value=1, max_value=9))

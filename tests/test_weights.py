@@ -27,6 +27,7 @@ from oracles import (
     one_parity_coding_ledger,
     one_parity_normalize,
     per_cell_content_ledger,
+    seeded_partitions,
     series_pow,
 )
 
@@ -117,13 +118,17 @@ def test_content_ledger_sweep():
 def content_cases():
     """(mu, beta, t): every mu = content_coding(v) with its core's beta, for
     t <= 9 and size <= 20, then every partition of size <= 10 as mu with its
-    own beta, t = 1..6."""
+    own beta, t = 1..6, then the seeded partitions (the empty one, rows,
+    columns and random ones) with their own beta, t = 1..8 in turn."""
     for t in range(1, 10):
         for v in enumerate_codings(t, 20):
             yield content_coding(v), coding_to_core(v).small_hook_counts(t), t
     for t in range(1, 7):
         for mu in partitions_up_to(10):
             yield mu, mu.small_hook_counts(t), t
+    for i, mu in enumerate(seeded_partitions(3, 200)):
+        t = i % 8 + 1
+        yield mu, mu.small_hook_counts(t), t
 
 
 def test_content_ledger_matches_per_cell_oracle():
@@ -184,6 +189,36 @@ def test_parity_fold_matches_one_parity_oracle():
             fold = parity_coding_fold(v)
             for parity in ("odd", "even"):
                 assert fold.form(parity) == one_parity_coding_ledger(v, parity), (v, parity)
+
+
+def first_differing_form(a, b):
+    """The first parity, odd then even, at which two folds' forms differ,
+    building each form: the route `ParityFold.differing_parity` skips."""
+    return next((p for p in ("odd", "even") if a.form(p) != b.form(p)), None)
+
+
+def test_differing_parity_is_the_first_differing_form():
+    # each fold against itself and against twins with the odd flip, the
+    # sign, both, or one exponent changed; argument 0 raises in both routes
+    cases = raised = 0
+    for ledger in fold_cases():
+        fold = parity_fold(ledger)
+        twins = [
+            fold, fold._replace(flip=-fold.flip), fold._replace(sign=-fold.sign),
+            fold._replace(sign=-fold.sign, flip=-fold.flip),
+            parity_fold(ledger * WeightLedger({1: 1})),
+        ]
+        for twin in twins:
+            try:
+                want = first_differing_form(fold, twin)
+            except ZeroArgumentError:
+                with pytest.raises(ZeroArgumentError):
+                    fold.differing_parity(twin)
+                raised += 1
+                continue
+            assert fold.differing_parity(twin) == want, (ledger, twin)
+            cases += 1
+    assert cases > 10000 and raised > 100
 
 
 def test_parity_fold_forms():
