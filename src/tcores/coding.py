@@ -435,15 +435,13 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
             return
         b = base[i]
         s = math.isqrt(remaining_budget)
+        # the k range keeps |tw| <= s, so every tw^2 fits the remaining budget
         k_lo = -((s + b) // step)
         k_hi = (s - b) // step
         for k in range(k_lo, k_hi + 1):
             tw = b + step * k
-            sq = tw * tw
-            if sq > remaining_budget:
-                continue
             chosen.append(tw)
-            rec(i + 1, remaining_sum - tw, remaining_budget - sq, chosen)
+            rec(i + 1, remaining_sum - tw, remaining_budget - tw * tw, chosen)
             chosen.pop()
 
     rec(0, 0, budget, [])

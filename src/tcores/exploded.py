@@ -12,9 +12,9 @@ of doubled coordinates: every coordinate Z, the beads W, the beads off the
 coding Wd and the gaps C.  The window ends at the top bead of each side, so
 inside it the ray below that bead and the whole lattice line Z are the same
 list.  The x side's bead set also gives the coding and the t-core test.
-Set relations compare sets of boxes; a ledger over a region whose one side
-is such a full line is counted by bisection (`region_ledger`), with no box
-listed.
+Set relations compare sets of boxes, each cut from its two sides by
+bisection (`_pair_set`); the triangle's ledgers have a full line Z as one
+side and are counted by bisection (`region_ledger`), with no box listed.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class ExplodedWindow:
         return [(xtw, ytw) for ytw in ys for xtw in xs]
 
 
-def _pair_set(xs, ys, lo, hi, forbid=()):
-    """Doubled-coordinate pairs of xs x ys with lo < entry < hi and the entry
-    not in `forbid`; hi=None leaves the entries unbounded above.
+def _pair_set(xs, ys, lo, hi):
+    """Doubled-coordinate pairs of xs x ys with lo < entry < hi; hi=None
+    leaves the entries unbounded above.
 
     ys is decreasing, so for each x the entries (x + y) // 2 do not rise
     along it and the y in the band are one slice: lo < (x + y) // 2 iff
@@ -97,8 +97,7 @@ def _pair_set(xs, ys, lo, hi, forbid=()):
         start = 0 if hi is None else bisect_right(neg, xtw - 2 * hi)
         stop = bisect_right(neg, xtw - 2 * lo - 2)
         for ytw in ys[start:stop]:
-            if (xtw + ytw) // 2 not in forbid:
-                out.add((xtw, ytw))
+            out.add((xtw, ytw))
     return out
 
 
@@ -110,6 +109,12 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     shift_left     the (-t, 0) counterpart
     shift_diagonal the (-t, -t) move reaches all entries above -t on
                    (W1 minus coding) x (W2 minus coding)
+
+    The right sides need no entry left out: no box of W1 x W2 has entry t
+    (its hook-like number would be 0), and none of (W1 minus coding) x
+    (W2 minus coding) has entry 0.  For the latter, y is in W2 exactly when
+    2t - y is a gap of the x side, so a box (x, -x) there makes x + 2t a gap,
+    while a bead off the coding has the bead x + 2t above it.
     """
     if not window.v[0]:
         raise RelationViolationError("translation relations assume a t-core")
@@ -121,13 +126,13 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     delta = _pair_set(w1, w2, t, None)
 
     moved = {(x, y - 2 * t) for (x, y) in delta}
-    results["shift_down"] = moved == _pair_set(w1, w2d, 0, None, forbid=(t,))
+    results["shift_down"] = moved == _pair_set(w1, w2d, 0, None)
 
     moved = {(x - 2 * t, y) for (x, y) in delta}
-    results["shift_left"] = moved == _pair_set(w1d, w2, 0, None, forbid=(t,))
+    results["shift_left"] = moved == _pair_set(w1d, w2, 0, None)
 
     moved = {(x - 2 * t, y - 2 * t) for (x, y) in delta}
-    results["shift_diagonal"] = moved == _pair_set(w1d, w2d, -t, None, forbid=(0, t))
+    results["shift_diagonal"] = moved == _pair_set(w1d, w2d, -t, None)
 
     return results
 
@@ -165,36 +170,25 @@ def _tally(pairs) -> WeightLedger:
     return _trusted(Counter([(xtw + ytw) // 2 for xtw, ytw in pairs]))
 
 
-def region_ledger(xs, ys, lo: int, hi: int | None = None) -> WeightLedger:
+def region_ledger(xs, ys, lo: int, hi: int) -> WeightLedger:
     """Tally of the entries lo < entry < hi over the boxes xs x ys, two
-    decreasing lists of doubled coordinates of one parity; hi=None leaves
-    the entries unbounded above.
+    decreasing lists of doubled coordinates of one parity, ys a full run
+    (every coordinate from ys[0] down to ys[-1]).
 
-    Counted, not listed.  Were ys the whole run from ys[0] down to ys[-1],
-    the boxes of entry k would be the x with 2k - ys[0] <= x <= 2k - ys[-1],
-    one slice of xs found by bisection, for each k in the band.  Each hole g
-    of that run then takes back its boxes (x, g) of the band, x again one
-    slice of xs.  The triangle's two regions pass a full run as ys, so they
-    count every entry by bisection alone."""
+    Counted, not listed: the boxes of entry k are the x with
+    2k - ys[0] <= x <= 2k - ys[-1], one slice of xs found by bisection, for
+    each k in the band.  A ys with a hole raises ValueError."""
+    if ys and ys[0] - ys[-1] != 2 * (len(ys) - 1):
+        raise ValueError("region_ledger counts along a full run; ys has a hole")
     if not xs or not ys:
         return WeightLedger()
     negx = [-xtw for xtw in xs]
     top, bottom = ys[0], ys[-1]
-    last = (xs[0] + top) // 2  # the largest entry
-    if hi is not None:
-        last = min(last, hi - 1)
     exps = {}
-    for k in range(max(lo + 1, (xs[-1] + bottom) // 2), last + 1):
+    for k in range(max(lo + 1, (xs[-1] + bottom) // 2), min(hi - 1, (xs[0] + top) // 2) + 1):
         count = bisect_right(negx, top - 2 * k) - bisect_left(negx, bottom - 2 * k)
         if count:
             exps[k] = count
-    if top - bottom != 2 * (len(ys) - 1):
-        inside = set(ys)
-        for gtw in range(top - 2, bottom, -2):
-            if gtw not in inside:
-                first = 0 if hi is None else bisect_right(negx, gtw - 2 * hi)
-                for xtw in xs[first:bisect_right(negx, gtw - 2 * lo - 2)]:
-                    exps[(xtw + gtw) // 2] -= 1
     return _trusted(exps)
 
 

@@ -558,15 +558,14 @@ def hook_content_sides(lam: Partition, n: int):
 # exploded tableau
 
 
-def double_loop_pair_set(xs, ys, lo, hi, forbid=()):
+def double_loop_pair_set(xs, ys, lo, hi):
     """`exploded._pair_set` by testing every box of xs x ys: the pairs with
-    lo < entry < hi (hi=None: no upper bound) and the entry not in
-    `forbid`."""
+    lo < entry < hi (hi=None: no upper bound)."""
     out = set()
     for xtw in xs:
         for ytw in ys:
             entry = (xtw + ytw) // 2
-            if entry > lo and (hi is None or entry < hi) and entry not in forbid:
+            if entry > lo and (hi is None or entry < hi):
                 out.add((xtw, ytw))
     return out
 

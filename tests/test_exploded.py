@@ -9,6 +9,7 @@ from tcores.exploded import (
     ExplodedWindow,
     RelationViolationError,
     _pair_set,
+    _tally,
     check_fold,
     check_translation_relations,
     check_triangle_ledger,
@@ -149,9 +150,18 @@ def test_fold_can_fail():
     assert check_triangle_ledger(w) == {"triangle_ledger": False}
 
 
+def _band(xs, ys, lo, hi):
+    """The tally of the pair set, the fold's route: any sides, any band."""
+    return _tally(_pair_set(xs, ys, lo, hi))
+
+
+def _full_run(tws):
+    return not tws or tws[0] - tws[-1] == 2 * (len(tws) - 1)
+
+
 def test_delta_ledger_worked_example():
     w = ExplodedWindow(Partition((6, 3, 3, 2)), 5)
-    assert region_ledger(*w.w, 5) == WeightLedger(
+    assert _band(*w.w, 5, None) == WeightLedger(
         {6: 3, 7: 3, 8: 2, 9: 2, 10: 1, 11: 1, 13: 1, 14: 1}
     )
 
@@ -171,7 +181,7 @@ def test_negative_band_counts_small_hooks():
     for t in (2, 3, 5):
         for lam in enumerate_t_cores(t, 12):
             w = ExplodedWindow(lam, t)
-            count = region_ledger(*w.wd, -t, 0).total_degree()
+            count = _band(*w.wd, -t, 0).total_degree()
             assert count == sum(1 for h in lam.hooks() if h < t)
 
 
@@ -181,7 +191,7 @@ def test_gap_band_matches_small_hook_counts():
             w = ExplodedWindow(lam, t)
             beta = lam.small_hook_counts(t)
             want = WeightLedger({i: beta[i - 1] for i in range(1, t)})
-            assert region_ledger(*w.c, 0, t) == want
+            assert _band(*w.c, 0, t) == want
 
 
 def test_triangle_ledger_empty_partition_and_sweep():
@@ -199,6 +209,21 @@ def test_no_entry_exactly_t_for_any_partition():
         for lam in partitions_up_to(10):
             w = ExplodedWindow(lam, t)
             assert all((x + y) // 2 != t for x, y in w.boxes())
+
+
+def test_translation_right_sides_have_no_entry_t_or_0():
+    # why the translation relations leave no entry out of their right
+    # sides: no box of W1 x W2 has entry t, and no box of
+    # (W1 minus coding) x (W2 minus coding) has entry 0
+    cores = 0
+    for t in range(2, 9):
+        for lam in enumerate_t_cores(t, 20):
+            w = ExplodedWindow(lam, t)
+            (w1, w2), (w1d, w2d) = w.w, w.wd
+            assert not {2 * t - x for x in w1} & set(w2), (t, lam)
+            assert not {-x for x in w1d} & set(w2d), (t, lam)
+            cores += 1
+    assert cores == 1875
 
 
 _REGIONS = ((1, None), (0, 1), (-1, 0))  # delta, gamma+, gamma- in units of t
@@ -233,6 +258,8 @@ def test_window_lists_match_lattice_members():
 
 
 def test_region_ledger_matches_brute_force_tally():
+    # region_ledger where one side is a full run and the band is bounded,
+    # the tally of the pair set elsewhere
     for t in range(2, 7):
         for lam in enumerate_t_cores(t, 10):
             xsides, ysides = (list(_lattice_members(lam, t, side).values()) for side in (0, 1))
@@ -244,13 +271,18 @@ def test_region_ledger_matches_brute_force_tally():
                             e: n for e, n in entries.items()
                             if e > lo * t and (hi is None or e < hi * t)
                         }
-                        got = region_ledger(xs, ys, lo * t, None if hi is None else hi * t)
+                        if hi is not None and _full_run(ys):
+                            got = region_ledger(xs, ys, lo * t, hi * t)
+                        elif hi is not None and _full_run(xs):
+                            got = region_ledger(ys, xs, lo * t, hi * t)
+                        else:
+                            got = _band(xs, ys, lo * t, None if hi is None else hi * t)
                         assert got == WeightLedger(want), (t, lam, lo, hi)
 
 
 def test_pair_set_slices_match_double_loop():
     # decreasing lists of both parities (odd, even and mixed), with and
-    # without an upper bound and forbidden entries, empty lists included
+    # without an upper bound, empty lists included
     rng = random.Random(11)
 
     def decreasing(parity):
@@ -263,16 +295,15 @@ def test_pair_set_slices_match_double_loop():
         xs, ys = decreasing(rng.choice((0, 1, None))), decreasing(rng.choice((0, 1, None)))
         lo = rng.randint(-40, 40)
         hi = rng.choice((None, lo + rng.randint(-2, 40)))
-        forbid = tuple(rng.sample(range(-40, 41), rng.randint(0, 3)))
-        want = double_loop_pair_set(xs, ys, lo, hi, forbid)
-        assert _pair_set(xs, ys, lo, hi, forbid) == want, (xs, ys, lo, hi, forbid)
+        want = double_loop_pair_set(xs, ys, lo, hi)
+        assert _pair_set(xs, ys, lo, hi) == want, (xs, ys, lo, hi)
 
 
 def test_region_ledger_counts_match_double_loop():
     # decreasing lists of doubled coordinates of one parity, each either a
     # full run (the triangle's lattice side) or a list with holes, empty
-    # lists included, with and without an upper bound: the counted ledger
-    # is the tally of the double loop's box set
+    # lists included: where ys is a full run the counted ledger is the
+    # tally of the double loop's box set, and a ys with a hole raises
     rng = random.Random(13)
 
     def side(parity):
@@ -283,16 +314,21 @@ def test_region_ledger_counts_match_double_loop():
             values = sorted(rng.sample(range(-30, 31), rng.randint(0, 14)), reverse=True)
         return [2 * v + parity for v in values]
 
-    runs = 0
+    runs = holes = 0
     for _ in range(3000):
         parity = rng.choice((0, 1))
         xs, ys = side(parity), side(parity)
         lo = rng.randint(-40, 40)
-        hi = rng.choice((None, lo + rng.randint(-2, 40)))
-        want = Counter((x + y) // 2 for x, y in double_loop_pair_set(xs, ys, lo, hi))
-        assert region_ledger(xs, ys, lo, hi) == WeightLedger(want), (xs, ys, lo, hi)
-        runs += len(ys) > 1 and ys[0] - ys[-1] == 2 * (len(ys) - 1)
-    assert runs > 1000
+        hi = lo + rng.randint(-2, 40)
+        if _full_run(ys):
+            want = Counter((x + y) // 2 for x, y in double_loop_pair_set(xs, ys, lo, hi))
+            assert region_ledger(xs, ys, lo, hi) == WeightLedger(want), (xs, ys, lo, hi)
+            runs += len(ys) > 1
+        else:
+            with pytest.raises(ValueError, match="hole"):
+                region_ledger(xs, ys, lo, hi)
+            holes += 1
+    assert runs > 1000 and holes > 1000
 
 
 def test_render_ascii_golden():

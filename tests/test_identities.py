@@ -362,6 +362,23 @@ def test_jacobi_side_one_coefficient_short_fails(monkeypatch):
     assert not r.passed and r.deviation == "order 10 != 9"
 
 
+def test_jacobi_point_is_wide_enough_for_every_narrower_false_identity(monkeypatch):
+    # the product plus a - 2^b at x^7: a false identity whose two sides
+    # agree only at a = 2^b, so verify_jacobi, at X = 2^(3N+3), must see it
+    # for every b below that width, and would pass it at bits = b
+    N = 10
+    real = identities.jacobi_at
+    for b in range(2, 3 * N + 3):
+        def broken(N, X, b=b):
+            lhs, rhs = real(N, X)
+            lhs[7] += X - 2 ** b
+            return lhs, rhs
+
+        monkeypatch.setattr(identities, "jacobi_at", broken)
+        r = verify_jacobi(N)
+        assert not r.passed and r.deviation.startswith("x^7: "), (b, r.deviation)
+
+
 def test_tcore_lemmas():
     r = verify_tcore_lemmas(3, N=8)
     assert r.passed and r.deviation == "0" and r.ring == "GF(p)"
