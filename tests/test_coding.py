@@ -213,6 +213,12 @@ def test_validate_coding():
     assert not d.zero_sum_ok
     d = validate_coding([-1, 0, 1], 3)
     assert not d.decreasing_ok
+    # one adjacent pair out of order, the first and last entries in order
+    d = validate_coding([1, 2, -3], 3)
+    assert (d.length_ok, d.parity_ok, d.residues_ok, d.zero_sum_ok) == (True,) * 4
+    assert not d.decreasing_ok and not d.valid
+    with pytest.raises(InvalidCodingError, match=r"^condition \(iii\) fails"):
+        CoreCoding([1, 2, -3], 3)
     d = validate_coding([1, 0, -1], 2)
     assert not d.parity_ok and not d.length_ok
     d = validate_coding([h("1/2"), h("-1/2")], 2)
@@ -240,6 +246,16 @@ def test_content_coding_empty_and_even():
     assert len(mu.parts) <= 5
     assert is_content_coding_image(mu, 6)
     assert content_coding_size(mu, 6) == 20
+
+
+def test_content_coding_image_rejects_non_images():
+    # (1, 1) has length t = 2, one more than an image may have; (1,) at
+    # t = 3 puts mu_1 - 1 and its trailing zero -3 in one class mod 3
+    assert not is_content_coding_image(Partition((1, 1)), 2)
+    assert not is_content_coding_image(Partition((1,)), 3)
+    # their neighbours (2) and (2, 1) are images
+    assert is_content_coding_image(Partition((2,)), 2)
+    assert is_content_coding_image(Partition((2, 1)), 3)
 
 
 def test_content_coding_size_empty():
@@ -346,8 +362,9 @@ def test_two_route_enumeration_agrees():
 
 
 def test_route_comparison_sees_a_dropped_coding(monkeypatch):
-    real = coding.enumerate_codings
-    monkeypatch.setattr(coding, "enumerate_codings", lambda t, n: real(t, n)[:-1])
+    # the coding route reads its cores off the coding walk's leaves
+    real = coding._walk
+    monkeypatch.setattr(coding, "_walk", lambda t, n, leaf: list(real(t, n, leaf))[:-1])
     assert first_route_disagreement() == (1, 25)
 
 
@@ -379,14 +396,52 @@ def test_coding_routes_match_full_loop_and_full_depth_oracles():
             assert coding_to_core(c) == full_depth_coding_to_core(c), (t, c)
 
 
+def test_cores_from_codings_read_each_coding_off():
+    for t, max_sizes in (*((t, (0, 7, 30)) for t in range(1, 11)), (8, (45,))):
+        for max_size in max_sizes:
+            want = [coding_to_core(c) for c in enumerate_codings(t, max_size)]
+            assert cores_from_codings(t, max_size) == want, (t, max_size)
+
+
 def test_cores_from_codings_compute_each_size_once(monkeypatch):
-    # enumerate_codings reads a leaf's size off the running budget, so only
-    # coding_to_core's read-off check runs the size formula
-    calls = []
-    real = coding._size
-    monkeypatch.setattr(coding, "_size", lambda twice, t: calls.append(t) or real(twice, t))
+    # the walk reads each leaf's size off its running budget and hands it to
+    # the read-off check, so the size formula never runs on the coding route
+    formula, read = [], []
+    real_size, real_read_off = coding._size, coding._read_off
+    monkeypatch.setattr(coding, "_size", lambda twice, t: formula.append(t) or real_size(twice, t))
+    monkeypatch.setattr(coding, "_read_off",
+                        lambda top, n, lo, hi: read.append(n) or real_read_off(top, n, lo, hi))
     cores = cores_from_codings(5, 20)
-    assert len(calls) == len(cores) == 164
+    assert formula == [] and len(cores) == 164
+    assert sorted(read) == [p.size for p in cores]
+
+
+def test_cores_from_codings_build_no_coding(monkeypatch):
+    sorts, codings = [], []
+    monkeypatch.setattr(coding, "sorted", lambda *a, **k: sorts.append(a) or sorted(*a, **k),
+                        raising=False)
+    real = coding._trusted
+    monkeypatch.setattr(coding, "_trusted",
+                        lambda twice, t: codings.append(twice) or real(twice, t))
+    cores = cores_from_codings(6, 20)
+    sizes = len({p.size for p in cores})
+    # the sizes sorted once, then each size's cores: no leaf sorts its entries
+    assert len(sorts) == 1 + sizes and codings == []
+    # the counters do count: the codings route sorts and builds each coding
+    enumerate_codings(6, 20)
+    assert len(sorts) == 2 * (1 + sizes) + len(cores) and len(codings) == len(cores)
+
+
+@pytest.mark.parametrize("lo_shift, hi_shift", [(0, -2), (2, 0)])
+def test_cores_from_codings_check_each_read_off(monkeypatch, lo_shift, hi_shift):
+    # a scan that stops one position short of the top bead loses the
+    # largest part; one that starts a position late skips the first gap,
+    # so every part loses one
+    real = coding._read_off
+    monkeypatch.setattr(coding, "_read_off",
+                        lambda top, n, lo, hi: real(top, n, lo + lo_shift, hi + hi_shift))
+    with pytest.raises(InvalidCodingError, match="does not match the size formula"):
+        cores_from_codings(5, 10)
 
 
 @pytest.mark.parametrize("read_off", [coding_to_core, full_depth_coding_to_core])

@@ -1153,7 +1153,7 @@ def count_calls(monkeypatch, sites):
 
 def test_sweeps_derive_each_cores_data_once(monkeypatch):
     tally = count_calls(monkeypatch, [
-        (identities, "coding_to_core"), (coding, "coding_to_core"),
+        (identities, "coding_to_core"), (coding, "coding_to_core"), (coding, "_read_off"),
         (identities, "core_coding"), (coding, "core_coding"),
         (Partition, "is_t_core"), (Partition, "hooks"), (exploded, "region_ledger"),
         (identities, "hook_tally"), (partitions, "hook_tally"),
@@ -1167,18 +1167,20 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     # content ledger (neither has a hook at the empty core)
     n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"coding_to_core": n, "hook_tally": n, "_add_hook_edges": 2 * (n - 1)}
+    assert tally == {
+        "coding_to_core": n, "_read_off": n, "hook_tally": n, "_add_hook_edges": 2 * (n - 1),
+    }
     assert tally["core_coding"] == tally["is_t_core"] == tally["hooks"] == 0
-    # one core built per coding, whose window reads its coding off its own
-    # bead set and negates it for the conjugate; the fold builds and tallies
-    # each band once and reads beta for the band counts off the beta
-    # numbers, and only the triangle ledger's two regions go through
-    # region_ledger
+    # one core read off per leaf of the coding walk, with no coding built,
+    # whose window reads its coding off its own bead set and negates it for
+    # the conjugate; the fold builds and tallies each band once and reads
+    # beta for the band counts off the beta numbers, and only the triangle
+    # ledger's two regions go through region_ledger
     tally.clear()
     r = verify_exploded_relations(3, 8)
     assert r.passed and r.details["cores_checked"] == 10
     assert tally == {
-        "coding_to_core": 10, "hook_tally": 10, "_add_hook_edges": 9, "region_ledger": 20,
+        "_read_off": 10, "hook_tally": 10, "_add_hook_edges": 9, "region_ledger": 20,
     }
     assert tally["core_coding"] == tally["is_t_core"] == tally["hooks"] == 0
 
