@@ -19,7 +19,7 @@ side and are counted by bisection (`region_ledger`), with no box listed.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 
 from .coding import BeadSet, _class_tops, _closed, bead_set
@@ -173,20 +173,24 @@ def _tally(pairs) -> WeightLedger:
 def region_ledger(xs, ys, lo: int, hi: int) -> WeightLedger:
     """Tally of the entries lo < entry < hi over the boxes xs x ys, two
     decreasing lists of doubled coordinates of one parity, ys a full run
-    (every coordinate from ys[0] down to ys[-1]).
+    (every coordinate from ys[0] down to ys[-1]) that reaches below the
+    band: xs[0] + ys[-1] <= 2 lo + 2, so every x's lowest box has an entry
+    of at most lo + 1 (the triangle's lattice sides end 2t below the other
+    side's top bead).
 
-    Counted, not listed: the boxes of entry k are the x with
-    2k - ys[0] <= x <= 2k - ys[-1], one slice of xs found by bisection, for
-    each k in the band.  A ys with a hole raises ValueError."""
+    Counted, not listed: the boxes of entry k in the band are the x with
+    x >= 2k - ys[0], one prefix of xs found by bisection.  A ys with a hole,
+    or one that stops short of the band, raises ValueError."""
     if ys and ys[0] - ys[-1] != 2 * (len(ys) - 1):
         raise ValueError("region_ledger counts along a full run; ys has a hole")
     if not xs or not ys:
         return WeightLedger()
+    if xs[0] + ys[-1] > 2 * lo + 2:
+        raise ValueError("region_ledger counts along a run below the band; ys stops short")
     negx = [-xtw for xtw in xs]
-    top, bottom = ys[0], ys[-1]
     exps = {}
-    for k in range(max(lo + 1, (xs[-1] + bottom) // 2), min(hi - 1, (xs[0] + top) // 2) + 1):
-        count = bisect_right(negx, top - 2 * k) - bisect_left(negx, bottom - 2 * k)
+    for k in range(lo + 1, hi):
+        count = bisect_right(negx, ys[0] - 2 * k)
         if count:
             exps[k] = count
     return _trusted(exps)

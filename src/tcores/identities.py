@@ -201,10 +201,10 @@ def _order_mismatch(lhs, rhs) -> str | None:
     return f"order {len(lhs) - 1} != {len(rhs) - 1}"
 
 
-def _exact_compare(lhs, rhs):
-    """(True, "0") if two series over one ring agree, else False and their
-    first mismatching coefficient of q, or both orders if those differ; two
-    lists of ints are compared as coefficients of q in Z."""
+def _exact_compare(lhs, rhs) -> str:
+    """"0" if two series over one ring agree, else their first mismatching
+    coefficient of q, or both orders if those differ; two lists of ints are
+    compared as coefficients of q in Z."""
     if isinstance(lhs, TruncatedSeries):
         miss = lhs.first_mismatch(rhs)
         if miss is not None:
@@ -215,11 +215,11 @@ def _exact_compare(lhs, rhs):
         miss = next(((i, a, b) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
     orders = _order_mismatch(lhs, rhs)
     if orders is not None:
-        return False, orders
+        return orders
     if miss is None:
-        return True, "0"
+        return "0"
     i, a, b = miss
-    return False, f"q^{i}: {str(a)[:60]} != {str(b)[:60]}"
+    return f"q^{i}: {str(a)[:60]} != {str(b)[:60]}"
 
 
 def _first_failure(devs) -> str:
@@ -413,15 +413,6 @@ def sin_weights(r: int, Y: int, W: int, N: int) -> dict[int, int]:
     return {h: (1 - s_t * GF.inv(_sin(pow(Y, h, P)) ** 2)) % P for h in range(r, N + 1, r)}
 
 
-def sin_hook_sums(r: int, points, N: int) -> list[TruncatedSeries]:
-    """sum over partitions of q^size prod (1 - sin^2(t z)/sin^2(h z)) over
-    hooks divisible by r, in GF(p) at each (Y, W) = (e^(iz), e^(itz)) of
-    `points`: one `partition_sums_mod_p` walk, one vector slot per point."""
-    weights = [sin_weights(r, Y, W, N) for Y, W in points]
-    rho = {h: [w[h] for w in weights] for h in range(r, N + 1, r)}
-    return partition_sums_mod_p(rho.__getitem__, len(points), r, N)
-
-
 def _lambert_exp(a, s: int = 1) -> TruncatedSeries:
     """exp(sum_k a_k q^k/(1 - s^k q^k)) in GF(p) to order N = len(a) - 1,
     for the list a = (a_0, a_1, ..., a_N), a_0 unread: the log's q^m
@@ -466,14 +457,13 @@ def verify_sin_family(
     `enumerate_partitions(n)` with no hook read; it is compared with
     prod (1 - q^k)^(-1) by `euler_power`, the exponential form
     exp(sum_k q^k/(k(1 - q^k))) in closed form.  The report's `ring` still
-    names QQ.  Otherwise it runs in
-    GF(p) at `samples` points (5 unless given) Y = e^(iz) drawn from
-    `seed`, with W = e^(itz) drawn as well when t_value is None, and
-    W = Y^t for an integer t_value.  All points are
-    drawn first, in that order, and their hook sums come from one vector
-    walk (`sin_hook_sums`, one slot per point); the points are then
-    compared in order up to the first failure, and the report lists the
-    points up to that one.
+    names QQ.  Otherwise it runs in GF(p) at `samples` points (5 unless
+    given) Y = e^(iz) drawn from `seed`, with W = e^(itz) drawn as well when
+    t_value is None, and W = Y^t for an integer t_value.  All points are
+    drawn first, in that order, and their hook sums come from one
+    `partition_sums_mod_p` walk with one `sin_weights` map per point; the
+    points are then compared in order up to the first failure, and the
+    report lists the points up to that one.
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -484,7 +474,7 @@ def verify_sin_family(
         if samples is not None:
             raise ParameterError("the exact t = 0 check draws no sample points")
         counts = [sum(1 for _ in enumerate_partitions(n)) for n in range(N + 1)]
-        _, dev = _exact_compare(counts, euler_power(-1, N))
+        dev = _exact_compare(counts, euler_power(-1, N))
         return _finish("sin-family", {"r": r, "t": 0}, N, "QQ", dev, t0)
     if samples is None:
         samples = 5
@@ -496,11 +486,11 @@ def verify_sin_family(
         Y = sample_point(rng, N)
         W = sample_point(rng) if t_value is None else pow(Y, t_value, P)
         points.append({"Y": Y, "W": W})
-    hook_sums = sin_hook_sums(r, [(pt["Y"], pt["W"]) for pt in points], N)
+    hook_sums = partition_sums_mod_p([sin_weights(r, pt["Y"], pt["W"], N) for pt in points], r, N)
     # at least one point, and strict: one hook sum per point, or ValueError
     for i, (pt, lhs) in enumerate(zip(points, hook_sums, strict=True)):
-        ok, dev = _exact_compare(lhs, sin_family_rhs(r, pt["Y"], pt["W"], N))
-        if not ok:
+        dev = _exact_compare(lhs, sin_family_rhs(r, pt["Y"], pt["W"], N))
+        if dev != "0":
             del points[i + 1 :]  # report the points up to the failing one
             break
     params = {"r": r, "t": t_value, "samples": samples, "seed": seed, "points": points}
@@ -528,22 +518,6 @@ def poly_s_sin_weights(Y: int, N: int) -> dict[int, int]:
     return {m: GF.inv(4 * _sin(pow(Y, m, P)) ** 2) for m in range(1, N + 1)}
 
 
-def poly_s_hook_side(points) -> list[TruncatedSeries]:
-    """The GF(p) hook sums of the s-parameter form at each point (w, s) of
-    `points` from one `partition_sums_mod_p` walk, to order N = len(w), with
-    w a map m -> w(m), m = 1..N: slot i has the hook weight
-    s_i + (s_i - 1)^2 w_i(h) (`poly_s_weight`).
-
-    Each q^n coefficient of the hook side in GF(p)[s] is a sum of products
-    of at most n such weights, so it has degree at most 2n <= 2N in s, and
-    0..2N are distinct mod p: for one w, its values at s = 0..2N determine
-    it (the GF(p)[s] walk in `tests/oracles.py` takes the same values there).
-    """
-    N = len(points[0][0])
-    rho = {h: [poly_s_weight(s, w[h]) % P for w, s in points] for h in range(1, N + 1)}
-    return partition_sums_mod_p(rho.__getitem__, len(points), 1, N)
-
-
 def poly_s_exp_at(w: dict[int, int], s: int, inv: list[int]) -> TruncatedSeries:
     """The exponential side of the s-parameter form at the point (w, s) in
     GF(p), to order N = len(w), with w a map k -> w(k), k = 1..N: exp of
@@ -565,12 +539,14 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     hyperbolic (at R = e^z) and cotangent specializations in GF(p).
 
     Every detail compares the two sides at points (w, s): the hook sums of
-    one `poly_s_hook_side` walk, one slot per point, against one `exp` per
+    one `partition_sums_mod_p` walk, whose slot for a point has the hook
+    weight s + (s - 1)^2 w(h) (`poly_s_weight`), against one `exp` per
     point (`poly_s_exp_at`).  The `symbolic` detail takes the points
     (w_sin, s), s = 0..2N, with w_sin(m) = 1/(4 sin^2(mz)), q^n ascending,
     then s.  Every q^n coefficient on either side has s-degree at most 2n by
     construction, and 0..2N are distinct mod p, so agreement at these 2N + 1
-    points is the GF(p)[s] identity.  The degree bound of the hook side stays
+    points is the GF(p)[s] identity (the GF(p)[s] walk in `tests/oracles.py`
+    takes the same values there).  The degree bound of the hook side stays
     a check, `degree_bound`, read off the same values: at each q^n every
     forward difference of order > 2n over s = 0..2N vanishes mod p.  The
     specializations are three more points: the cosine and hyperbolic forms
@@ -590,7 +566,9 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
         "cotangent": (w, P - 1),  # s = -1
     }
     points = [(w, s) for s in range(top + 1)] + list(specializations.values())
-    sums = poly_s_hook_side(points)
+    sums = partition_sums_mod_p(
+        [{m: poly_s_weight(s, wm) % P for m, wm in w.items()} for w, s in points], 1, N
+    )
     inv = inverses(N)
     exp_sides = [poly_s_exp_at(w, s, inv) for w, s in points]
     degree_ok = all(
@@ -604,7 +582,7 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     ), "0")
     details: dict = {"symbolic": symbolic, "degree_bound": degree_ok}
     for name, lhs, rhs in zip(specializations, sums[top + 1 :], exp_sides[top + 1 :]):
-        details[name] = _exact_compare(lhs, rhs)[1]
+        details[name] = _exact_compare(lhs, rhs)
     dev = _first_failure(v for k, v in details.items() if k != "degree_bound")
     if dev == "0" and not degree_ok:
         dev = "s-degree of a q^n coefficient exceeds 2n"
@@ -667,7 +645,7 @@ def verify_macdonald(t: int = 2, N: int = 4, seed: int = 7) -> VerificationRepor
     rng = random.Random(seed)
     x = [rng.randrange(2, P) for _ in range(t)]
     codings = enumerate_codings(t, N)
-    _, dev = _exact_compare(macdonald_lhs(N, x), macdonald_rhs(N, x, codings))
+    dev = _exact_compare(macdonald_lhs(N, x), macdonald_rhs(N, x, codings))
     return _finish(
         "macdonald", {"t": t, "seed": seed, "x": x}, N, GF.name, dev, t0,
         terms_enumerated=factorial(t) * len(codings),
@@ -686,7 +664,7 @@ def tcore_lemma_series(t: int, Y: int, N: int):
     restricted = [0] * (N + 1)
     for lam in cores_from_codings(t, N):
         restricted[lam.size] += prod(rho[h] for h in lam.hooks())
-    full = partition_sums_mod_p(lambda h: [rho[h]], 1, 1, N)[0]
+    full = partition_sums_mod_p([rho], 1, N)[0]
     powers = range(1, N + 1)
     factors = [(-1, m) for m in powers] * (t - 1)
     for i in range(1, t):
@@ -709,9 +687,9 @@ def verify_tcore_lemmas(t: int = 3, N: int = 10, seed: int = 7) -> VerificationR
     Y = sample_point(random.Random(seed), N)
     restricted, full, product, exp_form = tcore_lemma_series(t, Y, N)
     details = {
-        "restricted_vs_full": _exact_compare(restricted, full)[1],
-        "product_form": _exact_compare(restricted, product)[1],
-        "exp_form": _exact_compare(restricted, exp_form)[1],
+        "restricted_vs_full": _exact_compare(restricted, full),
+        "product_form": _exact_compare(restricted, product),
+        "exp_form": _exact_compare(restricted, exp_form),
     }
     dev = _first_failure(details.values())
     return _finish(
@@ -874,9 +852,7 @@ def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: 
     for p in partitions_up_to(max(max_size, enum_size)):
         beads = abacus_beads(p.parts)
         size = p.size
-        # one t = 2 test serves the staircases and the filter's t = 2; each
-        # size is within max_size or enum_size, so t_max >= 2 always needs it
-        two_core = (size <= max_size or t_max >= 2) and abacus_is_t_core(beads, 2)
+        two_core = abacus_is_t_core(beads, 2)  # the staircases' test and the filter's t = 2
         if size <= max_size and two_core:
             found.append(p)
         if size <= enum_size:

@@ -362,24 +362,23 @@ def partition_sum_series(rho, r: int, order: int, ring=None) -> TruncatedSeries:
     return TruncatedSeries(ring, coeffs)
 
 
-def partition_sums_mod_p(rho, width: int, r: int, order: int) -> list[TruncatedSeries]:
-    """`partition_sum_series` over GF(p) for `width` weights in one walk:
-    rho(h) is the vector of the weights' values at the hook h, and entry i
-    of the result is the hook sum of weight i over all partitions.
-
-    Each node of `_hook_walk` multiplies its vector by rho(h) elementwise
-    and reduces mod p, so each size's hooks are read and sorted once
-    however many weights ride along, and no value at a node exceeds p.
-    """
+def partition_sums_mod_p(weights, r: int, order: int) -> list[TruncatedSeries]:
+    """`partition_sum_series` over GF(p) for several weights in one walk:
+    entry i of the result is the hook sum of weights[i], a map h -> residue
+    at the hooks r, 2r, ... <= order.  Each node of `_hook_walk` multiplies
+    its vector by the weights' values at h elementwise and reduces mod p, so
+    each size's hooks are read and sorted once however many weights ride
+    along, and no value at a node exceeds p."""
+    rho = {h: [w[h] for w in weights] for h in range(r, order + 1, r)}
 
     def step(vec, h):
-        return [a * b % P for a, b in zip(vec, rho(h))]
+        return [a * b % P for a, b in zip(vec, rho[h])]
 
-    sums = [[0] * width for _ in range(order + 1)]
-    for n, _, vec, weight in _hook_walk(r, order, [1] * width, step):
+    sums = [[0] * len(weights) for _ in range(order + 1)]
+    for n, _, vec, weight in _hook_walk(r, order, [1] * len(weights), step):
         sums[n] = [a + weight * b for a, b in zip(sums[n], vec)]
     field = PrimeField()
-    return [TruncatedSeries(field, [row[i] % P for row in sums]) for i in range(width)]
+    return [TruncatedSeries(field, [row[i] % P for row in sums]) for i in range(len(weights))]
 
 
 @dataclass(frozen=True)

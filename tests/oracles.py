@@ -19,7 +19,7 @@ The per-partition hook loops are the unwalked routes of
 `partition_sum_series`, `partition_sums_mod_p` and
 `multiplication_hook_points`, and the GF(p)[s] polynomial hook side is the
 route that the verifier's hook sums of the s-parameter form at
-s = 0..2N are checked against; its GF(p)[s] exponential side
+s = 0..2N (its `partition_sums_mod_p` slots) are checked against; its GF(p)[s] exponential side
 (`poly_s_exp_side`) is the route that the verifier's exponential sides at
 the same points are checked against, the Lambert rewrite of the cotangent
 form at s = 1 (`cotangent_exp_side`) the route of its exponential side at
@@ -404,7 +404,7 @@ def multiplication_pair(r: int, N: int):
 
 def poly_s_hook_side_poly(Y: int, N: int) -> TruncatedSeries:
     """The hook side of the s-parameter form, whose values at s = 0..2N
-    `identities.poly_s_hook_side` takes, by the GF(p)[s] polynomial route:
+    `identities.verify_poly_s_family` takes, by the GF(p)[s] polynomial route:
     every partition's hook product of s + (s - 1)^2 w(h),
     w(h) = 1/(4 sin^2(hz)) at Y = e^(iz), with sin(hz) = (Y^h - Y^-h)/(2i),
     and no evaluation at points."""

@@ -159,6 +159,12 @@ def _full_run(tws):
     return not tws or tws[0] - tws[-1] == 2 * (len(tws) - 1)
 
 
+def _counted(xs, ys, lo):
+    """Whether `region_ledger` counts xs x ys from lo: ys a full run that
+    reaches below the band."""
+    return _full_run(ys) and (not xs or not ys or xs[0] + ys[-1] <= 2 * lo + 2)
+
+
 def test_delta_ledger_worked_example():
     w = ExplodedWindow(Partition((6, 3, 3, 2)), 5)
     assert _band(*w.w, 5, None) == WeightLedger(
@@ -258,8 +264,10 @@ def test_window_lists_match_lattice_members():
 
 
 def test_region_ledger_matches_brute_force_tally():
-    # region_ledger where one side is a full run and the band is bounded,
-    # the tally of the pair set elsewhere
+    # region_ledger where one side is a full run reaching below a bounded
+    # band, the tally of the pair set elsewhere; a full run that stops short
+    # of the band raises
+    counted = short = 0
     for t in range(2, 7):
         for lam in enumerate_t_cores(t, 10):
             xsides, ysides = (list(_lattice_members(lam, t, side).values()) for side in (0, 1))
@@ -271,13 +279,20 @@ def test_region_ledger_matches_brute_force_tally():
                             e: n for e, n in entries.items()
                             if e > lo * t and (hi is None or e < hi * t)
                         }
-                        if hi is not None and _full_run(ys):
+                        if hi is not None and _counted(xs, ys, lo * t):
                             got = region_ledger(xs, ys, lo * t, hi * t)
-                        elif hi is not None and _full_run(xs):
+                            counted += 1
+                        elif hi is not None and _counted(ys, xs, lo * t):
                             got = region_ledger(ys, xs, lo * t, hi * t)
+                            counted += 1
                         else:
+                            if hi is not None and _full_run(ys):
+                                with pytest.raises(ValueError, match="short"):
+                                    region_ledger(xs, ys, lo * t, hi * t)
+                                short += 1
                             got = _band(xs, ys, lo * t, None if hi is None else hi * t)
                         assert got == WeightLedger(want), (t, lam, lo, hi)
+    assert counted > 1000 and short > 100, (counted, short)
 
 
 def test_pair_set_slices_match_double_loop():
@@ -302,8 +317,9 @@ def test_pair_set_slices_match_double_loop():
 def test_region_ledger_counts_match_double_loop():
     # decreasing lists of doubled coordinates of one parity, each either a
     # full run (the triangle's lattice side) or a list with holes, empty
-    # lists included: where ys is a full run the counted ledger is the
-    # tally of the double loop's box set, and a ys with a hole raises
+    # lists included: where ys is a full run reaching below the band the
+    # counted ledger is the tally of the double loop's box set, and a ys
+    # with a hole, or one that stops short of the band, raises
     rng = random.Random(13)
 
     def side(parity):
@@ -314,21 +330,27 @@ def test_region_ledger_counts_match_double_loop():
             values = sorted(rng.sample(range(-30, 31), rng.randint(0, 14)), reverse=True)
         return [2 * v + parity for v in values]
 
-    runs = holes = 0
-    for _ in range(3000):
+    runs = holes = short = 0
+    for _ in range(4000):
         parity = rng.choice((0, 1))
         xs, ys = side(parity), side(parity)
         lo = rng.randint(-40, 40)
+        if xs and ys and rng.random() < 0.5:  # a band the run reaches below
+            lo = (xs[0] + ys[-1]) // 2 - 1 + rng.randint(0, 20)
         hi = lo + rng.randint(-2, 40)
-        if _full_run(ys):
+        if _counted(xs, ys, lo):
             want = Counter((x + y) // 2 for x, y in double_loop_pair_set(xs, ys, lo, hi))
             assert region_ledger(xs, ys, lo, hi) == WeightLedger(want), (xs, ys, lo, hi)
             runs += len(ys) > 1
+        elif _full_run(ys):
+            with pytest.raises(ValueError, match="short"):
+                region_ledger(xs, ys, lo, hi)
+            short += 1
         else:
             with pytest.raises(ValueError, match="hole"):
                 region_ledger(xs, ys, lo, hi)
             holes += 1
-    assert runs > 1000 and holes > 1000
+    assert runs > 1000 and holes > 1000 and short > 300, (runs, holes, short)
 
 
 def test_render_ascii_golden():

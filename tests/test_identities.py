@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -13,12 +13,12 @@ from tcores.identities import (
     VERIFIERS,
     jacobi_at,
     multiplication_hook_points,
-    poly_s_hook_side,
     poly_s_sin_weights,
+    poly_s_weight,
     run_suite,
     sample_point,
     sin_family_rhs,
-    sin_hook_sums,
+    sin_weights,
     verify_classical_crosschecks,
     verify_exploded_relations,
     verify_golden_tables,
@@ -43,6 +43,7 @@ from tcores.qseries import (
     euler_power,
     exact_div,
     multiplication_product_points,
+    partition_sums_mod_p,
 )
 from tcores.rings import P, Poly, PrimeField
 from tcores.weights import WeightLedger, evaluate, parity_coding_ledger
@@ -178,14 +179,14 @@ def test_empty_checks_fail(monkeypatch):
     # sizes and sample counts out of range raise ParameterError; a sweep that
     # still meets nothing fails rather than passes, and hook sums that miss a
     # sample point raise rather than leave it unchecked
-    real = identities.sin_hook_sums
-    monkeypatch.setattr(identities, "sin_hook_sums", lambda r, points, N: real(r, points, N)[:-1])
+    real = identities.partition_sums_mod_p
+    monkeypatch.setattr(identities, "partition_sums_mod_p", lambda *args: real(*args)[:-1])
     with pytest.raises(ValueError, match="shorter"):
         verify_sin_family(samples=2)
     monkeypatch.setattr(identities, "enumerate_partitions", lambda n: iter(()))
     monkeypatch.setattr(identities, "enumerate_codings", lambda t, n: [])
     monkeypatch.setattr(identities, "cores_from_codings", lambda t, n: [])
-    monkeypatch.setattr(identities, "sin_hook_sums", lambda r, points, N: [])
+    monkeypatch.setattr(identities, "partition_sums_mod_p", lambda *args: [])
     for report, empty in (
         (verify_hook_content(), "pairs_checked = 0"),
         (verify_multiset_formula(3), "cores_checked = 0"),
@@ -221,7 +222,8 @@ def test_interpolated_hook_side_is_the_poly_route(N, seed):
     # values are the polynomial side: interpolating them gives it back
     Y = sample_point(random.Random(seed), N)
     w = poly_s_sin_weights(Y, N)
-    sums = poly_s_hook_side([(w, s) for s in range(2 * N + 1)])
+    weights = [{m: poly_s_weight(s, wm) for m, wm in w.items()} for s in range(2 * N + 1)]
+    sums = partition_sums_mod_p(weights, 1, N)
     want = poly_s_hook_side_poly(Y, N)
     assert len(sums) == 2 * N + 1
     for s, side in enumerate(sums):
@@ -333,21 +335,21 @@ def test_jacobi_flipped_theta_sign_names_the_laurent_mismatch(monkeypatch, N, m)
     # the same flip on the Laurent route, and its mismatch text
     lhs, rhs = jacobi_pair(N)
     rhs.coeffs[e] = rhs.coeffs[e] - 2 * rhs.ring.monomial((m,))
-    ok, want = identities._exact_compare(lhs, rhs)
+    want = identities._exact_compare(lhs, rhs)
     want = want.replace("q^", "x^", 1)  # the Laurent series are in x, printed in q
-    assert not ok and want.startswith(f"x^{e}: ")
+    assert want.startswith(f"x^{e}: ")
     assert not r.passed and r.deviation == want
 
 
 def test_exact_compare_fails_sides_of_different_orders():
     # a side built one order short must not pass on the other's leading terms
     compare = identities._exact_compare
-    assert compare([1, 2], [1, 2, 3]) == (False, "order 1 != 2")
-    assert compare([1, 2, 3], [1, 2]) == (False, "order 2 != 1")
-    assert compare([1, 2, 3], [1, 2, 3]) == (True, "0")
+    assert compare([1, 2], [1, 2, 3]) == "order 1 != 2"
+    assert compare([1, 2, 3], [1, 2]) == "order 2 != 1"
+    assert compare([1, 2, 3], [1, 2, 3]) == "0"
     short, full = TruncatedSeries(GF, [1, 5]), TruncatedSeries(GF, [1, 5, 7])
-    assert compare(short, full) == (False, "order 1 != 2")
-    assert compare(full, TruncatedSeries(GF, [1, 5 + P, 7 - P])) == (True, "0")
+    assert compare(short, full) == "order 1 != 2"
+    assert compare(full, TruncatedSeries(GF, [1, 5 + P, 7 - P])) == "0"
 
 
 def test_jacobi_side_one_coefficient_short_fails(monkeypatch):
@@ -554,6 +556,33 @@ def test_multiplication_broken_hook_weight_fails(monkeypatch):
     assert not r.passed and r.deviation == "q^2: x^1, beta=0: 4 != 2"
 
 
+def test_integer_points_reach_the_beta_degree_bound(monkeypatch):
+    # prod_(s' < top) (beta - r^2 s'^2) added at q^N x^top, top = N//r: the
+    # one coefficient whose beta-degree may reach top.  It vanishes at every
+    # point beta = r^2 s^2 but the last, so the check fails there and would
+    # pass with one point fewer
+    real = identities.multiplication_product_points
+
+    def bumped(r, N):
+        table = real(r, N)
+        top = N // r
+        beta = r * r * top * top
+        table[N][top][top] += factorial(top) ** 2 * prod(beta - r * r * s * s for s in range(top))
+        return table
+
+    monkeypatch.setattr(identities, "multiplication_product_points", bumped)
+    N = 8
+    r = verify_nekrasov_okounkov(N)
+    assert not r.passed and r.deviation.startswith(f"q^{N}: beta={N * N}: "), r.deviation
+    for m in (2, 3):
+        top = N // m
+        r = verify_multiplication(m, N)
+        want = f"q^{N}: x^{top}, beta={m * m * top * top}: "
+        assert not r.passed and r.deviation.startswith(want), (m, r.deviation)
+        a, b = (Fraction(v) for v in r.deviation[len(want):].split(" != "))
+        assert b - a == prod(m * m * (top * top - s * s) for s in range(top))
+
+
 def test_inexact_division_raises(monkeypatch):
     with pytest.raises(AssertionError, match="7 / 2 is not an integer"):
         exact_div(7, 2)
@@ -649,7 +678,7 @@ def test_jacobi_specializes_to_sin_family_at_t2():
     """
     N = 10
     Y = sample_point(random.Random(5), N)
-    lhs = sin_hook_sums(1, [(Y, pow(Y, 2, P))], N)[0]
+    lhs = partition_sums_mod_p([sin_weights(1, Y, pow(Y, 2, P), N)], 1, N)[0]
     # independent closed form from telescoping the staircase hook products
     closed = [0] * (N + 1)
     k = 0
@@ -719,17 +748,14 @@ def test_poly_s_family_broken_weight_fails(monkeypatch):
 
 
 def bump_slot(monkeypatch, slot, hook):
-    """Add 1 to entry `slot` of the vector weight at `hook` in every
+    """Add 1 to the weight map of slot `slot` at `hook` in every
     `partition_sums_mod_p` walk the verifiers make."""
     real = identities.partition_sums_mod_p
 
-    def bumped(rho, width, *args):
-        def rho_bumped(h):
-            vec = list(rho(h))
-            vec[slot] += h == hook
-            return vec
-
-        return real(rho_bumped, width, *args)
+    def bumped(weights, *args):
+        weights = list(weights)
+        weights[slot] = {h: v + (h == hook) for h, v in weights[slot].items()}
+        return real(weights, *args)
 
     monkeypatch.setattr(identities, "partition_sums_mod_p", bumped)
 
@@ -744,6 +770,33 @@ def test_poly_s_family_broken_point_fails(monkeypatch):
     assert r.deviation.startswith("q^2: ")
     assert r.details["degree_bound"] is False
     assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
+
+
+def test_poly_s_family_reaches_the_s_degree_bound(monkeypatch):
+    # prod_(i < 2N) (s - i) added to every slot's q^N coefficient: s-degree
+    # 2N, so the degree bound holds, and it vanishes at s = 0..2N - 1, so
+    # only the point s = 2N sees it and one point fewer would pass.  The
+    # slots are s = 0..2N, then cosine and sinh at s = 0, then cotangent at
+    # s = -1, where it is (2N)! again
+    N = 6
+    slots = [*range(2 * N + 1), 0, 0, -1]
+    real = identities.partition_sums_mod_p
+
+    def bumped(weights, r, order):
+        sums = real(weights, r, order)
+        for i, (side, s) in enumerate(zip(sums, slots, strict=True)):
+            coeffs = list(side.coeffs)
+            coeffs[order] = (coeffs[order] + prod(s - k for k in range(2 * N))) % P
+            sums[i] = TruncatedSeries(GF, coeffs)
+        return sums
+
+    monkeypatch.setattr(identities, "partition_sums_mod_p", bumped)
+    r = verify_poly_s_family(N=N)
+    assert not r.passed and r.deviation == r.details["symbolic"]
+    assert r.details["symbolic"].startswith(f"q^{N}: s={2 * N}: "), r.details["symbolic"]
+    assert r.details["degree_bound"] is True
+    assert r.details["cosine"] == r.details["sinh"] == "0"
+    assert r.details["cotangent"].startswith(f"q^{N}: ")
 
 
 def test_poly_s_family_broken_cosine_slot_fails(monkeypatch):

@@ -384,7 +384,7 @@ def test_partition_sum_is_the_per_partition_loop(name, r, over):
 def test_vector_walk_is_the_per_partition_loop_slot_by_slot(r, over):
     N = 12
     weights = [lambda h, a=a: pow(a, h, P) + h for a in (3, 123456789, P - 2)]
-    got = partition_sums_mod_p(lambda h: [f(h) for f in weights], len(weights), r, N)
+    got = partition_sums_mod_p([{h: f(h) for h in range(r, N + 1, r)} for f in weights], r, N)
     assert len(got) == len(weights)
     for series, f in zip(got, weights):
         want = per_partition_sum_series(f, r, N, PrimeField())
@@ -817,11 +817,11 @@ def test_exact_series_hold_no_float():
 
     # the GF(p) series hold ints only
     from oracles import poly_s_pair
-    from tcores.identities import sin_family_rhs, sin_hook_sums, tcore_lemma_series
+    from tcores.identities import sin_family_rhs, sin_weights, tcore_lemma_series
 
     Y, W = 123456789, 987654321
     gf_series = [
-        sin_hook_sums(2, [(Y, W)], 8)[0],
+        partition_sums_mod_p([sin_weights(2, Y, W, 8)], 2, 8)[0],
         sin_family_rhs(2, Y, W, 8),
         *poly_s_pair(Y, 6),
         *tcore_lemma_series(3, Y, 8),
