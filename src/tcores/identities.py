@@ -193,33 +193,26 @@ def _sweep(identity, params, ring, t0, counter, items, check) -> VerificationRep
     return _finish(identity, params, None, ring, dev, t0, **{counter: checked})
 
 
-def _order_mismatch(lhs, rhs) -> str | None:
-    """"order m != n" for two coefficient lists of different lengths: a side
-    built short must not pass on the other's leading terms."""
-    if len(lhs) == len(rhs):
-        return None
-    return f"order {len(lhs) - 1} != {len(rhs) - 1}"
-
-
-def _exact_compare(lhs, rhs) -> str:
-    """"0" if two series over one ring agree, else their first mismatching
-    coefficient of q, or both orders if those differ; two lists of ints are
-    compared as coefficients of q in Z."""
+def _exact_compare(lhs, rhs, where=lambda n: f"q^{n}", show=lambda path, v: v) -> str:
+    """"0" if two tables agree, else both orders if their row counts differ,
+    or their first mismatching entry: row n first, then the next index.  A
+    table is a `TruncatedSeries`, read as its ring's residues, or a list of
+    ints or of further lists.  Below the rows every level is zipped
+    strictly, so a side with extra or missing entries fails or raises
+    ValueError.  `where(*path)` names the entry and `show(path, value)`
+    prints it, each side cut to 60 characters."""
     if isinstance(lhs, TruncatedSeries):
-        miss = lhs.first_mismatch(rhs)
-        if miss is not None:
-            i, a, b = miss
-            miss = i, lhs.ring.coerce(a), lhs.ring.coerce(b)  # residues, not representatives
-        lhs, rhs = lhs.coeffs, rhs.coeffs
-    else:
-        miss = next(((i, a, b) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b), None)
-    orders = _order_mismatch(lhs, rhs)
-    if orders is not None:
-        return orders
-    if miss is None:
+        lhs, rhs = (list(map(lhs.ring.coerce, side.coeffs)) for side in (lhs, rhs))
+    if len(lhs) != len(rhs):
+        return f"order {len(lhs) - 1} != {len(rhs) - 1}"
+    if lhs == rhs:
         return "0"
-    i, a, b = miss
-    return f"q^{i}: {str(a)[:60]} != {str(b)[:60]}"
+    path = []
+    while isinstance(lhs, list):
+        i, lhs, rhs = next((i, a, b) for i, (a, b) in enumerate(zip(lhs, rhs, strict=True)) if a != b)
+        path.append(i)
+    a, b = (str(show(path, v))[:60] for v in (lhs, rhs))
+    return f"{where(*path)}: {a} != {b}"
 
 
 def _first_failure(devs) -> str:
@@ -358,22 +351,17 @@ def multiplication_hook_points(r: int, N: int) -> list[list[list[int]]]:
 
 def _first_point_mismatch(r: int, N: int, marked: bool):
     """Both sides of the r-multiplication identity at beta = r^2 s^2,
-    s = 0..N//r, compared entry by entry with n, then w, then s ascending.
-    Returns the hook-side table and "0", or the first mismatch as the
-    coefficient of q^n (x^w when `marked`) at that beta on each side."""
+    s = 0..N//r, as tables [n][w][s] read by `_exact_compare`, so a side
+    with an extra or missing q^n row, x^w entry or point fails.  Returns the
+    hook-side table and "0", or the first mismatch as the coefficient of q^n
+    (x^w when `marked`) at that beta on each side."""
     hooks = multiplication_hook_points(r, N)
-    products = multiplication_product_points(r, N)
-    for n, (hook_row, product_row) in enumerate(zip(hooks, products)):
-        for w, (hook_vals, product_vals) in enumerate(zip(hook_row, product_row)):
-            for s, (a, b) in enumerate(zip(hook_vals, product_vals)):
-                if a != b:
-                    scale = factorial(w) ** 2
-                    at = f"beta={r * r * s * s}"
-                    if marked:
-                        at = f"x^{w}, {at}"
-                    a, b = str(Fraction(a, scale))[:60], str(Fraction(b, scale))[:60]
-                    return hooks, f"q^{n}: {at}: {a} != {b}"
-    return hooks, "0"
+    x = "x^{}, " if marked else ""
+    return hooks, _exact_compare(
+        hooks, multiplication_product_points(r, N),
+        lambda n, w, s: f"q^{n}: {x.format(w)}beta={r * r * s * s}",
+        lambda path, v: Fraction(v, factorial(path[1]) ** 2),
+    )
 
 
 def verify_nekrasov_okounkov(N: int = 12) -> VerificationReport:
@@ -542,13 +530,14 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     one `partition_sums_mod_p` walk, whose slot for a point has the hook
     weight s + (s - 1)^2 w(h) (`poly_s_weight`), against one `exp` per
     point (`poly_s_exp_at`).  The `symbolic` detail takes the points
-    (w_sin, s), s = 0..2N, with w_sin(m) = 1/(4 sin^2(mz)), q^n ascending,
-    then s.  Every q^n coefficient on either side has s-degree at most 2n by
+    (w_sin, s), s = 0..2N, with w_sin(m) = 1/(4 sin^2(mz)): each side is one
+    table [n][s] of residues, read by `_exact_compare`, q^n ascending, then
+    s.  Every q^n coefficient on either side has s-degree at most 2n by
     construction, and 0..2N are distinct mod p, so agreement at these 2N + 1
     points is the GF(p)[s] identity (the GF(p)[s] walk in `tests/oracles.py`
     takes the same values there).  The degree bound of the hook side stays
-    a check, `degree_bound`, read off the same values: at each q^n every
-    forward difference of order > 2n over s = 0..2N vanishes mod p.  The
+    a check, `degree_bound`, read off the rows of its table: at each q^n
+    every forward difference of order > 2n over s = 0..2N vanishes mod p.  The
     specializations are three more points: the cosine and hyperbolic forms
     are s = 0 with the weights 1/(2 - 2 cos(mz)) and -1/(4 sinh^2(mz)), and
     the cotangent form is (w_sin, -1), whose weight -1 + 4 w_sin is cot^2.
@@ -571,15 +560,12 @@ def verify_poly_s_family(N: int = 8, seed: int = 7) -> VerificationReport:
     )
     inv = inverses(N)
     exp_sides = [poly_s_exp_at(w, s, inv) for w, s in points]
-    degree_ok = all(
-        _degree_at_most([side.coeffs[n] for side in sums[: top + 1]], 2 * n) for n in range(N + 1)
+    hook_table, exp_table = (  # [n][s]: the q^n coefficients at s = 0..2N
+        [[c % P for c in row] for row in zip(*(side.coeffs for side in sides[: top + 1]), strict=True)]
+        for sides in (sums, exp_sides)
     )
-    symbolic = next((
-        f"q^{n}: s={s}: {GF.coerce(a.coeffs[n])} != {GF.coerce(b.coeffs[n])}"
-        for n in range(N + 1)
-        for s, (a, b) in enumerate(zip(sums[: top + 1], exp_sides))
-        if not GF.eq(a.coeffs[n], b.coeffs[n])
-    ), "0")
+    degree_ok = all(_degree_at_most(row, 2 * n) for n, row in enumerate(hook_table))
+    symbolic = _exact_compare(hook_table, exp_table, lambda n, s: f"q^{n}: s={s}")
     details: dict = {"symbolic": symbolic, "degree_bound": degree_ok}
     for name, lhs, rhs in zip(specializations, sums[top + 1 :], exp_sides[top + 1 :]):
         details[name] = _exact_compare(lhs, rhs)
@@ -614,17 +600,17 @@ def verify_jacobi(N: int = 10) -> VerificationReport:
     norm 2 each and the theta sum's coefficients are 0 or 1, so each
     coefficient of the difference is below 2^(3N+1) + 1 < X/2 in absolute
     value, and equality at X is equality in Z[a] (see `verify_hook_content`).
-    A mismatch is named by the balanced base-X digits of both sides."""
+    The two lists of integers per x^i are read by `_exact_compare`, and a
+    mismatch is named by the balanced base-X digits of both sides."""
     t0 = time.perf_counter()
     if N < 1:
         raise ParameterError("N must be at least 1")
     bits = 3 * N + 3
-    sides = jacobi_at(N, 1 << bits)
-    dev = _order_mismatch(*sides) or "0"
-    i = next((i for i, (a, b) in enumerate(zip(*sides)) if a != b), None)
-    if dev == "0" and i is not None:
-        a, b = (str(Poly(("a",), balanced_digits(side[i], bits, -N - 1))) for side in sides)
-        dev = f"x^{i}: {a[:60]} != {b[:60]}"
+    dev = _exact_compare(
+        *jacobi_at(N, 1 << bits),
+        lambda i: f"x^{i}",
+        lambda path, v: Poly(("a",), balanced_digits(v, bits, -N - 1)),
+    )
     return _finish("jacobi", {}, N, "QQ[a](Laurent)", dev, t0)
 
 

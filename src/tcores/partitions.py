@@ -42,10 +42,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def part(self, i: int) -> int:
-        """The i-th part, 1-based, zero beyond the length."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def conjugate(self) -> "Partition":
         return _trusted(tuple(_conjugate_parts(self.parts)))
 

@@ -76,7 +76,8 @@ def test_bead_membership_against_naive_scan():
             beads = bead_set(lam, t)
             lo = beads.ray_top - 4 * t
             K = len(lam.parts) + (t + 1 - lo) // 2 + 1  # every bead >= lo
-            listed = [2 * (lam.part(i) - i) + t + 1 for i in range(1, K + 1)]
+            parts = lam.parts + (0,) * K
+            listed = [2 * (parts[i - 1] - i) + t + 1 for i in range(1, K + 1)]
             assert listed[-1] < lo
             for x in range(beads.top + 4 * t, lo - 1, -2):  # the lattice of W
                 naive = x in listed  # a list: a linear scan

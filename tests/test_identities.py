@@ -352,6 +352,27 @@ def test_exact_compare_fails_sides_of_different_orders():
     assert compare(full, TruncatedSeries(GF, [1, 5 + P, 7 - P])) == "0"
 
 
+ZIP_SHORT_OR_LONG = r"zip\(\) argument 2 is (shorter|longer) than argument 1"
+
+
+def test_exact_compare_reads_nested_tables_strictly():
+    # the first differing entry, row n first; every level below the rows
+    # zipped strictly, so an extra or missing entry raises
+    compare = identities._exact_compare
+    table = [[[1, 2]], [[3, 4], [5, 6]]]
+    assert compare(table, [[[1, 2]], [[3, 4], [5, 6]]]) == "0"
+    got = compare(
+        table, [[[1, 2]], [[3, 4], [5, 7]]],
+        lambda n, w, s: f"q^{n}: x^{w}, s={s}", lambda path, v: f"{v}/{sum(path)}",
+    )
+    assert got == "q^1: x^1, s=1: 6/3 != 7/3"
+    extra_point, short_point = [[[1, 2, 0]], table[1]], [[[1]], table[1]]
+    extra_row, short_row = [table[0], [*table[1], [7, 8]]], [table[0], table[1][:1]]
+    for other in (extra_point, short_point, extra_row, short_row):
+        with pytest.raises(ValueError, match=ZIP_SHORT_OR_LONG):
+            compare(table, other)
+
+
 def test_jacobi_side_one_coefficient_short_fails(monkeypatch):
     real = identities.jacobi_at
 
@@ -581,6 +602,32 @@ def test_integer_points_reach_the_beta_degree_bound(monkeypatch):
         assert not r.passed and r.deviation.startswith(want), (m, r.deviation)
         a, b = (Fraction(v) for v in r.deviation[len(want):].split(" != "))
         assert b - a == prod(m * m * (top * top - s * s) for s in range(top))
+
+
+# shape controls: a side of the integer-point check with an extra or missing
+# entry at any level fails or raises, not passes on the entries it shares
+
+@pytest.mark.parametrize("reshape", [
+    lambda table: [[[*points, 0] for points in row] for row in table],
+    lambda table: [[*row, [0] * len(row[0])] for row in table],
+    lambda table: [[points[:-1] for points in row] for row in table],
+], ids=["extra-beta-point", "extra-x-power", "last-beta-point-dropped"])
+def test_product_points_of_another_shape_raise(monkeypatch, reshape):
+    real = identities.multiplication_product_points
+    monkeypatch.setattr(identities, "multiplication_product_points", lambda r, N: reshape(real(r, N)))
+    with pytest.raises(ValueError, match=ZIP_SHORT_OR_LONG):
+        verify_nekrasov_okounkov(12)
+    with pytest.raises(ValueError, match=ZIP_SHORT_OR_LONG):
+        verify_multiplication(2, 10)
+
+
+def test_hook_points_with_an_extra_row_fail(monkeypatch):
+    real = identities.multiplication_hook_points
+    monkeypatch.setattr(identities, "multiplication_hook_points", lambda r, N: (t := real(r, N)) + t[-1:])
+    r = verify_nekrasov_okounkov(12)
+    assert not r.passed and r.deviation == "order 13 != 12"
+    r = verify_multiplication(2, 10)
+    assert not r.passed and r.deviation == "order 11 != 10"
 
 
 def test_inexact_division_raises(monkeypatch):
@@ -960,6 +1007,27 @@ def test_hook_content_broken_sides_fail(monkeypatch):
         r = verify_hook_content(8, 5)
         assert r.status == "fail" and r.deviation == first
         assert r.details["pairs_checked"] == checked
+
+
+def test_hook_content_point_is_wide_enough_for_every_narrower_false_identity(monkeypatch):
+    # X - 2^b added to the right side of the empty partition at n = 1: a
+    # false identity whose sides agree only at p = 2^b, so verify_hook_content,
+    # at X = 2^B, must see it for every b below B; at b = B it adds nothing
+    max_size, max_n = 6, 4
+    B = max_size * (2 * max_n).bit_length() + 2
+    assert B == 26
+    real = identities.hook_content_at
+    for b in range(2, B + 1):
+        def broken(lam, n, X, cache, b=b):
+            lhs, rhs = real(lam, n, X, cache)
+            return lhs, rhs + (X - 2 ** b if (lam.parts, n) == ((), 1) else 0)
+
+        monkeypatch.setattr(identities, "hook_content_at", broken)
+        r = verify_hook_content(max_size, max_n)
+        if b < B:
+            assert not r.passed and r.deviation == "- at n=1", (b, r.deviation)
+        else:
+            assert r.passed, r.deviation
 
 
 # negative controls for the combinatorial sweeps: a broken twin must fail,
