@@ -363,32 +363,38 @@ def bead_relation_checks(partition: Partition, beads: BeadSet, coding: CoreCodin
                         the conjugate side
     zero_sum           the coding sums to zero
     """
-    t = beads.t
     conj = partition.conjugate()
-    beads2 = bead_set(conj, t)
-    coding2 = _read_coding(conj, beads2)
-    top1, top2 = beads.top, beads2.top
+    beads2 = bead_set(conj, beads.t)
+    return next(_bead_relations(beads, coding, beads2, _read_coding(conj, beads2)))
 
-    ray_closure = _closed(beads)
 
-    # W1 and the negated W2 on the window [-M2, M1], as sets
-    w1 = set(beads.elements_down_to(-top2))
-    neg_w2 = set(map(operator.neg, beads2.elements_down_to(-top1)))
-    v1 = set(coding.twice)
-    mirror_intersection = w1 & neg_w2 == v1
+def _bead_relations(beads: BeadSet, coding: CoreCoding, beads2: BeadSet, coding2: CoreCoding):
+    """`bead_relation_checks` of a core, with its bead set and coding, and
+    then of its conjugate, with beads2 and coding2: the conjugate side of
+    each is the other.  Each side's window [-M2, M1] or [-M1, M2] is read
+    once, and the two cores' mirror_intersection and conjugate_negation are
+    one statement each, negated, so each is read once: the conjugate's
+    intersection is the core's negated.  A generator, so a caller that
+    wants only the core's relations builds no more."""
+    w1 = set(beads.elements_down_to(-beads2.top))
+    w2 = set(beads2.elements_down_to(-beads.top))
+    meet = w1.intersection(map(operator.neg, w2))
+    negation = coding2.twice == tuple(map(operator.neg, reversed(coding.twice)))
+    yield _side_relations(beads, coding, w1, meet, beads2, negation)
+    yield _side_relations(beads2, coding2, w2, set(map(operator.neg, meet)), beads, negation)
 
-    conjugate_negation = coding2.twice == tuple(map(operator.neg, reversed(coding.twice)))
 
-    dagger_complement = w1 - v1 == set(map(operator.neg, beads2.gaps()))
-
-    zero_sum = sum(coding.twice) == 0
-
+def _side_relations(beads, coding, window, meet, other, negation) -> dict[str, bool]:
+    """The relations of one side: its window as a set, that window's
+    intersection `meet` with the negated window of the other side, whose
+    bead set is `other`, and the conjugate_negation statement."""
+    v = set(coding.twice)
     return {
-        "ray_closure": ray_closure,
-        "mirror_intersection": mirror_intersection,
-        "conjugate_negation": conjugate_negation,
-        "dagger_complement": dagger_complement,
-        "zero_sum": zero_sum,
+        "ray_closure": _closed(beads),
+        "mirror_intersection": meet == v,
+        "conjugate_negation": negation,
+        "dagger_complement": window - v == set(map(operator.neg, other.gaps())),
+        "zero_sum": sum(coding.twice) == 0,
     }
 
 

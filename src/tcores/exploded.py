@@ -137,10 +137,11 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     return results
 
 
-def check_fold(window: ExplodedWindow) -> dict[str, bool]:
+def check_fold(window: ExplodedWindow, beta=None) -> dict[str, bool]:
     """The fold (x, y) -> (-y, -x) of the negative band (-t, 0) on non-coding
     beads onto the positive band (0, t) on the gap sets, in set and ledger
-    forms; each band is built and tallied once, beta = small_hook_counts(t).
+    forms; each band is built and tallied once, beta = small_hook_counts(t)
+    of the window's partition unless the caller has it.
 
     fold_bijection  the fold maps the negative band onto the positive one
     entries_negate  the two bands' entry sets are negatives of each other
@@ -154,7 +155,8 @@ def check_fold(window: ExplodedWindow) -> dict[str, bool]:
     negative = _pair_set(*window.wd, -t, 0)
     positive = _pair_set(*window.c, 0, t)
     neg, pos = _tally(negative), _tally(positive)
-    beta = window.partition.small_hook_counts(t)
+    if beta is None:
+        beta = window.partition.small_hook_counts(t)
     return {
         "fold_bijection": {(-y, -x) for (x, y) in negative} == positive,
         "entries_negate": {-(x + y) // 2 for (x, y) in negative}
@@ -207,6 +209,22 @@ def check_triangle_ledger(window: ExplodedWindow) -> dict[str, bool]:
     minus = region_ledger(window.c[1], window.z[0], 0, t)
     want = WeightLedger({k: t - k for k in range(1, t)})
     return {"triangle_ledger": plus / minus == want}
+
+
+def relation_failures(window: ExplodedWindow, beta, passed=None) -> list[str]:
+    """Names of the window's failing relations: the translation relations,
+    the fold and the triangle ledger, in that order; beta is the
+    partition's small_hook_counts(t).  `passed` is a (window, beta) that
+    passed all three: when this window is that one transposed, field for
+    field, with the same small hooks, its translation relations and fold
+    are that window's with x and y swapped, so they hold, and only the
+    triangle ledger runs."""
+    mirrored = passed is not None and passed[1] == beta and all(
+        getattr(window, f) == getattr(passed[0], f)[::-1] for f in ("z", "w", "wd", "c", "v")
+    )
+    results = [] if mirrored else [check_translation_relations(window), check_fold(window, beta)]
+    results.append(check_triangle_ledger(window))
+    return [k for result in results for k, ok in result.items() if not ok]
 
 
 def render(window: ExplodedWindow, fmt: str = "ascii") -> str:

@@ -38,8 +38,9 @@ from typing import NamedTuple
 from .coding import (
     InvalidCodingError,
     NonIntegerSizeError,
+    _bead_relations,
     _read_coding,
-    bead_relation_checks,
+    _trusted as _trusted_coding,
     bead_set,
     coding_size,
     coding_to_core,
@@ -51,12 +52,7 @@ from .coding import (
     is_content_coding_image,
     validate_coding,
 )
-from .exploded import (
-    ExplodedWindow,
-    check_fold,
-    check_translation_relations,
-    check_triangle_ledger,
-)
+from .exploded import ExplodedWindow, relation_failures
 from .partitions import (
     Partition,
     abacus_beads,
@@ -181,16 +177,22 @@ def _sweep(identity, params, ring, t0, counter, items, check) -> VerificationRep
     checked, dev = 0, "0"
     for item in items:
         checked += 1
-        try:
-            failure = check(item)
-        except Exception as exc:  # a check that cannot finish fails its item
-            failure = f"{item}: {type(exc).__name__}: {exc}"
+        failure = _attempt(check, item)
         if failure is not None:
             dev = failure
             break
     if not checked:
         dev = f"nothing checked: {counter} = 0"
     return _finish(identity, params, None, ring, dev, t0, **{counter: checked})
+
+
+def _attempt(check, item, *args):
+    """`check(item, *args)`, or, if that raises, the item's failure named
+    with the exception's type: a check that cannot finish fails its item."""
+    try:
+        return check(item, *args)
+    except Exception as exc:
+        return f"{item}: {type(exc).__name__}: {exc}"
 
 
 def _exact_compare(lhs, rhs, where=lambda n: f"q^{n}", show=lambda path, v: v) -> str:
@@ -223,6 +225,30 @@ def _first_failure(devs) -> str:
 # bijection and ledger sweeps
 
 
+def _paired(check, key, conjugate):
+    """A sweep check that checks each conjugate pair at its first item.
+    `check(item, known)` returns the item's failure text or None; `known`
+    is one dict per pair, where the second check finds what the first
+    built.  When the item passes and its conjugate is another item, that
+    one is checked at once, and its result (`_attempt`: its failure if it
+    raises) waits under its key until the sweep reaches it.  Results are
+    held, not objects, and each is what checking that item alone gives, so
+    the sweep's order, texts and counts do not change."""
+    held = {}
+
+    def visit(item):
+        if key(item) in held:
+            return held.pop(key(item))
+        known = {}
+        failure = check(item, known)
+        other = conjugate(item)
+        if failure is None and key(other) != key(item):
+            held[key(other)] = _attempt(check, other, known)
+        return failure
+
+    return visit
+
+
 def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int | None = None) -> VerificationReport:
     """Sweep every t-core up to max_size: coding round trip, both size
     formulas, the bead-set relations, and (up to ledger_max_size) the three
@@ -234,7 +260,15 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
     for a hook: the core's hook tally and the content ledger's hooks of mu
     come from beta numbers (`hook_tally`, `content_ledger`), and the two
     parity folds are compared as folds (`ParityFold.differing_parity`).
-    `classical-cross-checks` keeps the filter oracle."""
+
+    A core and its conjugate, coded by v and -rev(v), are checked in one
+    visit (`_paired`).  The conjugate is built from its own coding, and
+    takes the first core's bead sets and codings where its parts are the
+    first core's conjugate's; the two bead-relation checks read their
+    shared statements once (`_bead_relations`), and the two cores, whose
+    hooks are one multiset, share the hook tally and the hook-shift ledger.
+    Each core's coding, content side and coding, parity and content ledgers
+    are its own.  `classical-cross-checks` keeps the filter oracle."""
     t0 = time.perf_counter()
     if t < 1:
         raise ParameterError("t must be a positive integer")
@@ -243,13 +277,20 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
     if min(max_size, ledger_max_size) < 0:
         raise ParameterError("max_size and ledger_max_size must be nonnegative")
 
-    def check(v):
+    def side(lam):  # the core's one bead set: its coding and relations
+        beads = bead_set(lam, t)
+        return beads, _read_coding(lam, beads)
+
+    def check(v, known):
         try:
             lam = coding_to_core(v)
         except (InvalidCodingError, NonIntegerSizeError) as exc:
             return f"coding {v}: {exc}"
-        beads = bead_set(lam, t)  # the core's one bead set: its coding and relations
-        coding = _read_coding(lam, beads)
+        # `known` holds the pair's first core once its check has run; this
+        # core takes its conjugate side where the parts say it is that side
+        first = known.get("lam")
+        shared = first is not None and lam.parts == known["conj"].parts
+        beads, coding = known["side"] if shared else side(lam)
         diag = validate_coding(coding)
         if not diag.valid:
             return f"{lam}: produced coding invalid: {diag.messages}"
@@ -260,16 +301,25 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
             return f"{lam}: content-side size formula mismatch"
         if not is_content_coding_image(mu, t):
             return f"{lam}: image characterization fails for {mu}"
-        relations = bead_relation_checks(lam, beads, coding)
-        bad = [k for k, ok in relations.items() if not ok]
+        conj = lam.conjugate()
+        shared = shared and conj.parts == first.parts
+        if not shared:
+            conj_side = side(conj)
+            relations = tuple(_bead_relations(beads, coding, *conj_side))
+            known.update(lam=lam, conj=conj, side=conj_side, relations=relations)
+        # the first core's relations, or those of its conjugate side
+        bad = [k for k, ok in known["relations"][shared].items() if not ok]
         if bad:
             return f"{lam}: bead relations failed: {bad}"
         if lam.size > ledger_max_size:
             return None
-        # one hook tally, from the beta numbers, feeds beta and the ledger
-        hooks = hook_tally(lam.parts)
-        beta = tuple(hooks.get(t - i, 0) for i in range(1, t))
-        lhs = hook_tally_shift_ledger(hooks, t)
+        # one hook tally, from the beta numbers, feeds beta and the ledger;
+        # a core and its conjugate have one hook multiset and share it
+        if not shared:
+            hooks = hook_tally(lam.parts)
+            beta = tuple(hooks.get(t - i, 0) for i in range(1, t))
+            known["ledger"] = beta, hook_tally_shift_ledger(hooks, t)
+        beta, lhs = known["ledger"]
         rhs = coding_difference_ledger(coding, beta)
         if lhs != rhs:
             return f"{lam}: hook-shift ledger != coding ledger"
@@ -281,30 +331,41 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
             return f"{lam}: content ledger mismatch"
         return None
 
+    def conjugate(v):  # conjugate_negation: the conjugate core's coding
+        return _trusted_coding(tuple(-tw for tw in reversed(v.twice)), t)
+
     params = {"t": t, "max_size": max_size, "ledger_max_size": ledger_max_size}
     codings = enumerate_codings(t, max_size)
-    return _sweep("multiset-formula", params, "exact", t0, "cores_checked", codings, check)
+    visit = _paired(check, lambda v: v.twice, conjugate)
+    return _sweep("multiset-formula", params, "exact", t0, "cores_checked", codings, visit)
 
 
 def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationReport:
     """Sweep every t-core up to max_size: translation relations, the fold
     (set and ledger forms, with the band counts), and the triangle ledger, on
-    the cores from codings; the first core with a failing check names it."""
+    the cores from codings; the first core with a failing check names it.
+
+    A core and its conjugate are checked in one visit (`_paired`), each in
+    its own window.  The conjugate is checked only once the first core has
+    passed, and a window that is the first core's transposed, with the same
+    small hooks, runs only the triangle ledger (`relation_failures`)."""
     t0 = time.perf_counter()
     if t < 1:
         raise ParameterError("t must be a positive integer")
     if max_size < 0:
         raise ParameterError("max_size must be nonnegative")
-    checks = (check_translation_relations, check_fold, check_triangle_ledger)
 
-    def check(lam):
+    def check(lam, known):
         window = ExplodedWindow(lam, t)
-        bad = [k for check in checks for k, ok in check(window).items() if not ok]
+        beta = lam.small_hook_counts(t)
+        bad = relation_failures(window, beta, known.get("first"))
+        known["first"] = window, beta  # read by the conjugate's check
         return f"{lam}: {bad}" if bad else None
 
     params = {"t": t, "max_size": max_size}
     cores = cores_from_codings(t, max_size)
-    return _sweep("exploded-relations", params, "exact", t0, "cores_checked", cores, check)
+    visit = _paired(check, lambda lam: lam.parts, Partition.conjugate)
+    return _sweep("exploded-relations", params, "exact", t0, "cores_checked", cores, visit)
 
 
 # ---------------------------------------------------------------------------

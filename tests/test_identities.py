@@ -34,7 +34,7 @@ from tcores.identities import (
     verify_tcore_lemmas,
     verifier,
 )
-from tcores.coding import BeadSet, coding_size, enumerate_codings
+from tcores.coding import BeadSet, CoreCoding, coding_size, enumerate_codings
 from tcores.exploded import ExplodedWindow, render
 from tcores.halfint import HalfInt
 from tcores.partitions import Partition, abacus_beads, enumerate_partitions, enumerate_t_cores
@@ -704,13 +704,16 @@ def test_classical_crosschecks():
             verify_classical_crosschecks(*bad)
 
 
-def test_classical_crosschecks_catch_a_dropped_core(monkeypatch):
+@pytest.mark.parametrize("dropped", [1, 4, 6])
+def test_classical_crosschecks_catch_a_dropped_core(monkeypatch, dropped):
+    # the first t, a middle one and t_max: a filter that skipped either end
+    # of 1..t_max would pass
     real = identities.cores_from_codings
     monkeypatch.setattr(
-        identities, "cores_from_codings", lambda t, n: real(t, n)[:-1] if t == 4 else real(t, n)
+        identities, "cores_from_codings", lambda t, n: real(t, n)[:-1] if t == dropped else real(t, n)
     )
     r = verify_classical_crosschecks(15, 6, 12)
-    assert not r.passed and r.deviation == "enumeration routes disagree for t=4"
+    assert not r.passed and r.deviation == f"enumeration routes disagree for t={dropped}"
 
 
 def test_golden_tables():
@@ -844,6 +847,40 @@ def test_poly_s_family_reaches_the_s_degree_bound(monkeypatch):
     assert r.details["degree_bound"] is True
     assert r.details["cosine"] == r.details["sinh"] == "0"
     assert r.details["cotangent"].startswith(f"q^{N}: ")
+
+
+def test_poly_s_family_sees_s_degree_past_2n(monkeypatch):
+    # prod_(k < 5) (s - k) added to the q^2 coefficient of every s slot at
+    # N = 6: s-degree 5 = 2n + 1 at n = 2, which the 2N + 1 points still
+    # determine, so only the degree bound at 2n can see it.  The
+    # exponential side gets the same values and the specializations none,
+    # so the two tables agree and the degree bound alone fails
+    N, n = 6, 2
+    real_sums, real_exp = identities.partition_sums_mod_p, identities.poly_s_exp_at
+
+    def bump(side, s):
+        coeffs = list(side.coeffs)
+        coeffs[n] = (coeffs[n] + prod(s - k for k in range(2 * n + 1))) % P
+        return TruncatedSeries(GF, coeffs)
+
+    def sums(weights, r, order):
+        out = real_sums(weights, r, order)
+        return [bump(side, s) for s, side in enumerate(out[: 2 * N + 1])] + out[2 * N + 1 :]
+
+    calls = []
+
+    def exp_at(w, s, inv):
+        calls.append(s)
+        side = real_exp(w, s, inv)
+        return bump(side, s) if len(calls) <= 2 * N + 1 else side
+
+    monkeypatch.setattr(identities, "partition_sums_mod_p", sums)
+    monkeypatch.setattr(identities, "poly_s_exp_at", exp_at)
+    r = verify_poly_s_family(N=N)
+    assert r.details["symbolic"] == "0" and calls[: 2 * N + 1] == list(range(2 * N + 1))
+    assert r.details["degree_bound"] is False
+    assert not r.passed and r.deviation == "s-degree of a q^n coefficient exceeds 2n"
+    assert all(r.details[k] == "0" for k in SPECIALIZATIONS)
 
 
 def test_poly_s_family_broken_cosine_slot_fails(monkeypatch):
@@ -1283,13 +1320,16 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     # one core built per coding; its coding is read off its own bead set,
     # with no core_coding call, and the bead relations test the conjugate's
     # bead set and read its coding off it, so no abacus test runs; no cell
-    # is visited for a hook: the beta numbers give lambda's hook tally once,
-    # for beta and the hook-shift ledger, and mu's hooks once, inside the
-    # content ledger (neither has a hook at the empty core)
-    n = len(enumerate_codings(3, 10))
+    # is visited for a hook: the beta numbers give lambda's hook tally once
+    # per conjugate class, for beta and the hook-shift ledger of both cores
+    # of a pair, and mu's hooks once per core, inside the content ledger
+    # (neither has a hook at the empty core).  The 14 3-cores of size <= 10
+    # fall into 9 classes: 4 self-conjugate cores and 5 pairs
+    n, classes = len(enumerate_codings(3, 10)), 9
     assert verify_multiset_formula(3, 10).passed
     assert tally == {
-        "coding_to_core": n, "_read_off": n, "hook_tally": n, "_add_hook_edges": 2 * (n - 1),
+        "coding_to_core": n, "_read_off": n, "hook_tally": classes,
+        "_add_hook_edges": (classes - 1) + (n - 1),
     }
     assert tally["core_coding"] == tally["is_t_core"] == tally["hooks"] == 0
     # one core read off per leaf of the coding walk, with no coding built,
@@ -1306,18 +1346,20 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     assert tally["core_coding"] == tally["is_t_core"] == tally["hooks"] == 0
 
 
-def test_multiset_sweep_builds_two_bead_sets_per_core(monkeypatch):
+def test_multiset_sweep_builds_two_bead_sets_per_class(monkeypatch):
     # the sweep builds the core's bead set and reads its coding off it, and
     # the bead relations take that set and that coding and build the
-    # conjugate's set once: two class-top reads per core, not three, and
-    # one validation of the coding read
+    # conjugate's set once; the conjugate core takes both sides from that
+    # visit: two class-top reads per conjugate class, not two per core, and
+    # one validation of the coding read per core
     tally = count_calls(monkeypatch, [
         (coding, "bead_set"), (identities, "bead_set"), (coding, "_class_tops"),
         (identities, "validate_coding"),
     ])
-    n = len(enumerate_codings(3, 10))
+    n, classes = len(enumerate_codings(3, 10)), 9
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"bead_set": 2 * n, "_class_tops": 2 * n, "validate_coding": n} and n == 14
+    assert tally == {"bead_set": 2 * classes, "_class_tops": 2 * classes, "validate_coding": n}
+    assert n == 14
 
 
 def test_sine_verifiers_read_one_hook_list_per_conjugate_class(monkeypatch):
@@ -1397,6 +1439,96 @@ def test_exploded_sweep_builds_two_bead_sets_per_core(monkeypatch):
     r = verify_exploded_relations(3, 8)
     assert r.passed and r.details["cores_checked"] == 10
     assert tally == {"bead_set": 20}
+
+
+# the pair visit: at t = 3 the fifth core, (3, 1), and the sixth, its
+# conjugate (2, 1, 1), coded by 4,-1,-3 and 3,1,-4, are one pair, and the
+# sixth is checked in the visit of the fifth.  Each failure below is
+# injected at the sixth core alone, and each pin is what checking every
+# core alone gives: the failure is reported at the sixth item
+SECOND = (6, 2, -8)  # the doubled coding of (2, 1, 1)
+
+
+def test_multiset_formula_reports_a_failing_conjugate_at_its_turn(monkeypatch):
+    real_core, real_fold = identities.coding_to_core, identities.parity_coding_fold
+
+    def raising(v):
+        if v.twice == SECOND:
+            raise RuntimeError("injected")
+        return real_core(v)
+
+    def first_core(v):  # the sixth coding read off as the fifth core
+        return real_core(CoreCoding([4, -1, -3], 3) if v.twice == SECOND else v)
+
+    def bumped(c):  # one more tau(1) in both parity forms of the sixth core
+        fold = real_fold(c)
+        return fold._replace(exps={**fold.exps, 1: fold.exps.get(1, 0) + 1}) if c.twice == SECOND else fold
+
+    for site, fake, deviation in (
+        ("coding_to_core", raising, "3,1,-4: RuntimeError: injected"),
+        ("coding_to_core", first_core, "3,1: round trip failed"),
+        ("parity_coding_fold", bumped, "2,1,1: parity ledger (odd) mismatch"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(identities, site, fake)
+            r = verify_multiset_formula(3, 10)
+        assert (r.deviation, r.details["cores_checked"]) == (deviation, 6)
+
+
+def test_exploded_relations_reports_a_failing_conjugate_at_its_turn(monkeypatch):
+    real_window, real_counts = identities.ExplodedWindow, Partition.small_hook_counts
+
+    def raising(lam, t):
+        if lam.parts == (2, 1, 1):
+            raise RuntimeError("injected")
+        return real_window(lam, t)
+
+    def bumped(lam, t):  # its window is the fifth's transposed, its small hooks are not
+        beta = real_counts(lam, t)
+        return (beta[0] + 1, *beta[1:]) if lam.parts == (2, 1, 1) else beta
+
+    for owner, site, fake, deviation in (
+        (identities, "ExplodedWindow", raising, "2,1,1: RuntimeError: injected"),
+        (Partition, "small_hook_counts", bumped, "2,1,1: ['band_count', 'gap_band_counts']"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(owner, site, fake)
+            r = verify_exploded_relations(3, 10)
+        assert (r.deviation, r.details["cores_checked"]) == (deviation, 6)
+
+
+def test_sweeps_do_not_reuse_for_a_wrong_conjugate(monkeypatch):
+    # the sixth core's conjugate is patched to itself: the fifth core's
+    # conjugate is right, so its visit passes, but the sixth's is not, so
+    # the sixth takes neither the fifth's relations nor its translation
+    # relations and fold, and fails as when checked alone
+    real = Partition.conjugate
+    monkeypatch.setattr(Partition, "conjugate", lambda lam: lam if lam.parts == (2, 1, 1) else real(lam))
+    r = verify_multiset_formula(3, 10)
+    assert r.details["cores_checked"] == 6
+    assert r.deviation == (
+        "2,1,1: bead relations failed: "
+        "['mirror_intersection', 'conjugate_negation', 'dagger_complement']"
+    )
+    r = verify_exploded_relations(3, 10)
+    assert r.details["cores_checked"] == 6
+    assert r.deviation == (
+        "2,1,1: ['shift_down', 'shift_diagonal', 'fold_bijection', 'entries_negate', "
+        "'fold_ledger', 'band_count', 'gap_band_counts']"
+    )
+
+
+def test_exploded_sweep_runs_translation_and_fold_once_per_class(monkeypatch):
+    # the 10 3-cores of size <= 8 fall into 7 conjugate classes, 4
+    # self-conjugate cores and 3 pairs: the second core of a pair runs only
+    # the triangle ledger in its own window
+    names = ("check_translation_relations", "check_fold", "check_triangle_ledger")
+    tally = count_calls(monkeypatch, [
+        (m, name) for m in (exploded, identities) for name in names if hasattr(m, name)
+    ])
+    r = verify_exploded_relations(3, 8)
+    assert r.passed and r.details["cores_checked"] == 10
+    assert tally == {"check_translation_relations": 7, "check_fold": 7, "check_triangle_ledger": 10}
 
 
 def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
