@@ -29,7 +29,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import factorial, isqrt, prod
 from operator import mul
@@ -167,17 +167,31 @@ def _finish(identity, params, N, ring, deviation, t0, **details) -> Verification
     )
 
 
-def _sweep(identity, params, ring, t0, counter, items, check) -> VerificationReport:
-    """Report of a sweep that runs `check` on each item and stops at the
-    first that returns failure text or raises, with the count of items
-    checked (the failing one included) under `counter`.  An exception is
-    that item's failure, named with its type, not an abort of the sweep or
-    of the suite.  A sweep that checked nothing fails too: it must not
-    pass."""
+def _sweep(identity, params, ring, t0, counter, items, check, conjugate=None) -> VerificationReport:
+    """Report of a sweep that checks each item and stops at the first that
+    fails or raises, with the count of items checked (the failing one
+    included) under `counter`.  An exception is that item's failure, named
+    with its type, not an abort of the sweep or of the suite.  A sweep that
+    checked nothing fails too: it must not pass.  `check(item)` returns the
+    item's failure text or None; with `conjugate` it is a pair kernel, a
+    generator that yields that and then, if resumed, the failure text or
+    None of `conjugate(item)`.  When the item passes and its conjugate is
+    another item, the kernel is resumed at once, and that result waits
+    under the conjugate until the sweep reaches it: each result is what
+    checking its item alone gives, so order, texts and counts do not change."""
+    held = {}
     checked, dev = 0, "0"
     for item in items:
         checked += 1
-        failure = _attempt(check, item)
+        if item in held:
+            failure = held.pop(item)
+        elif conjugate is None:
+            failure = _attempt(item, check, item)
+        else:
+            pair = check(item)
+            failure = _attempt(item, next, pair)
+            if failure is None and (other := conjugate(item)) != item:
+                held[other] = _attempt(other, next, pair)
         if failure is not None:
             dev = failure
             break
@@ -186,11 +200,11 @@ def _sweep(identity, params, ring, t0, counter, items, check) -> VerificationRep
     return _finish(identity, params, None, ring, dev, t0, **{counter: checked})
 
 
-def _attempt(check, item, *args):
-    """`check(item, *args)`, or, if that raises, the item's failure named
-    with the exception's type: a check that cannot finish fails its item."""
+def _attempt(item, step, *args):
+    """`step(*args)`, or, if it raises, the item's failure named with the
+    exception's type: a check that cannot finish fails its item."""
     try:
-        return check(item, *args)
+        return step(*args)
     except Exception as exc:
         return f"{item}: {type(exc).__name__}: {exc}"
 
@@ -225,50 +239,92 @@ def _first_failure(devs) -> str:
 # bijection and ledger sweeps
 
 
-def _paired(check, key, conjugate):
-    """A sweep check that checks each conjugate pair at its first item.
-    `check(item, known)` returns the item's failure text or None; `known`
-    is one dict per pair, where the second check finds what the first
-    built.  When the item passes and its conjugate is another item, that
-    one is checked at once, and its result (`_attempt`: its failure if it
-    raises) waits under its key until the sweep reaches it.  Results are
-    held, not objects, and each is what checking that item alone gives, so
-    the sweep's order, texts and counts do not change."""
-    held = {}
+def _conjugate_coding(v):
+    """-rev(v), the coding of the conjugate core (`conjugate_negation`)."""
+    return _trusted_coding(tuple(-tw for tw in reversed(v.twice)), v.t)
 
-    def visit(item):
-        if key(item) in held:
-            return held.pop(key(item))
-        known = {}
-        failure = check(item, known)
-        other = conjugate(item)
-        if failure is None and key(other) != key(item):
-            held[key(other)] = _attempt(check, other, known)
-        return failure
 
-    return visit
+def _multiset_pair(v, ledger_max_size: int):
+    """The multiset sweep's kernel at the t-core coded by v: a generator
+    that yields its failure text or None and then, if resumed, that of its
+    conjugate, coded by -rev(v).  Each core is built from its coding by
+    `coding_to_core`, whose read-off meets the coding size formula (or the
+    coding fails), and the coding read off its bead set must be that coding;
+    then the content-side size formula and image, the bead relations on
+    that bead set, and up to ledger_max_size the three exponent ledgers with
+    both parity forms.  No cell is visited for a hook: the hook tallies come
+    from beta numbers (`hook_tally`, `content_ledger`), and the parity folds
+    are compared as folds (`ParityFold.differing_parity`).  The conjugate
+    takes the first core's conjugate bead set and coding where its parts
+    are that conjugate's, both read their shared bead relations from one
+    `_bead_relations`, and, with one hook multiset, they share the hook
+    tally and the hook-shift ledger."""
+    t = v.t
+    lam1 = conj1 = conj_side = relations = ledger = None  # the first core's, for the second
+    for v in (v, _conjugate_coding(v)):
+        try:
+            lam = coding_to_core(v)
+        except (InvalidCodingError, NonIntegerSizeError) as exc:
+            yield f"coding {v}: {exc}"
+            return
+        # the second core takes the first's conjugate side if it is that side
+        shared = conj1 is not None and lam.parts == conj1.parts
+        if shared:
+            beads, coding = conj_side
+        else:
+            beads = bead_set(lam, t)
+            coding = _read_coding(lam, beads)
+        diag = validate_coding(coding)
+        if not diag.valid:
+            yield f"{lam}: produced coding invalid: {diag.messages}"
+            return
+        if coding != v:
+            yield f"{lam}: round trip failed"
+            return
+        mu = content_coding(coding)
+        if content_coding_size(mu, t) != lam.size:
+            yield f"{lam}: content-side size formula mismatch"
+            return
+        if not is_content_coding_image(mu, t):
+            yield f"{lam}: image characterization fails for {mu}"
+            return
+        conj = lam.conjugate()
+        shared = shared and conj.parts == lam1.parts
+        if not shared:
+            conj_beads = bead_set(conj, t)
+            conj_side = conj_beads, _read_coding(conj, conj_beads)
+            relations = tuple(_bead_relations(beads, coding, *conj_side))
+            lam1, conj1 = lam, conj
+        # the first core's relations, or those of its conjugate side
+        bad = [k for k, ok in relations[shared].items() if not ok]
+        if bad:
+            yield f"{lam}: bead relations failed: {bad}"
+            return
+        if lam.size > ledger_max_size:
+            yield None
+            continue
+        # one hook tally, from the beta numbers, feeds beta and the ledger;
+        # a core and its conjugate have one hook multiset and share it
+        if not shared:
+            hooks = hook_tally(lam.parts)
+            beta = tuple(hooks.get(t - i, 0) for i in range(1, t))
+            ledger = beta, hook_tally_shift_ledger(hooks, t)
+        beta, lhs = ledger
+        rhs = coding_difference_ledger(coding, beta)
+        if lhs != rhs:
+            yield f"{lam}: hook-shift ledger != coding ledger"
+            return
+        # one fold per side serves both parities, odd first
+        parity = parity_fold(rhs).differing_parity(parity_coding_fold(coding))
+        if parity:
+            yield f"{lam}: parity ledger ({parity}) mismatch"
+            return
+        yield f"{lam}: content ledger mismatch" if content_ledger(mu, beta) != lhs else None
 
 
 def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int | None = None) -> VerificationReport:
-    """Sweep every t-core up to max_size: coding round trip, both size
-    formulas, the bead-set relations, and (up to ledger_max_size) the three
-    exponent-ledger identities with both parity normalizations.  Each core
-    is built once from its coding v by `coding_to_core`, which checks its
-    read-off against the coding size formula (a coding that fails is the
-    sweep's failure), and the coding read off its bead set must be v; the
-    bead relations reuse that bead set and that coding.  No cell is visited
-    for a hook: the core's hook tally and the content ledger's hooks of mu
-    come from beta numbers (`hook_tally`, `content_ledger`), and the two
-    parity folds are compared as folds (`ParityFold.differing_parity`).
-
-    A core and its conjugate, coded by v and -rev(v), are checked in one
-    visit (`_paired`).  The conjugate is built from its own coding, and
-    takes the first core's bead sets and codings where its parts are the
-    first core's conjugate's; the two bead-relation checks read their
-    shared statements once (`_bead_relations`), and the two cores, whose
-    hooks are one multiset, share the hook tally and the hook-shift ledger.
-    Each core's coding, content side and coding, parity and content ledgers
-    are its own.  `classical-cross-checks` keeps the filter oracle."""
+    """Sweep every t-core up to max_size, a conjugate pair per visit of
+    `_multiset_pair`; `classical-cross-checks` keeps the filter oracle."""
     t0 = time.perf_counter()
     if t < 1:
         raise ParameterError("t must be a positive integer")
@@ -276,96 +332,40 @@ def verify_multiset_formula(t: int = 5, max_size: int = 15, ledger_max_size: int
         ledger_max_size = max_size
     if min(max_size, ledger_max_size) < 0:
         raise ParameterError("max_size and ledger_max_size must be nonnegative")
-
-    def side(lam):  # the core's one bead set: its coding and relations
-        beads = bead_set(lam, t)
-        return beads, _read_coding(lam, beads)
-
-    def check(v, known):
-        try:
-            lam = coding_to_core(v)
-        except (InvalidCodingError, NonIntegerSizeError) as exc:
-            return f"coding {v}: {exc}"
-        # `known` holds the pair's first core once its check has run; this
-        # core takes its conjugate side where the parts say it is that side
-        first = known.get("lam")
-        shared = first is not None and lam.parts == known["conj"].parts
-        beads, coding = known["side"] if shared else side(lam)
-        diag = validate_coding(coding)
-        if not diag.valid:
-            return f"{lam}: produced coding invalid: {diag.messages}"
-        if coding != v:
-            return f"{lam}: round trip failed"
-        mu = content_coding(coding)
-        if content_coding_size(mu, t) != lam.size:
-            return f"{lam}: content-side size formula mismatch"
-        if not is_content_coding_image(mu, t):
-            return f"{lam}: image characterization fails for {mu}"
-        conj = lam.conjugate()
-        shared = shared and conj.parts == first.parts
-        if not shared:
-            conj_side = side(conj)
-            relations = tuple(_bead_relations(beads, coding, *conj_side))
-            known.update(lam=lam, conj=conj, side=conj_side, relations=relations)
-        # the first core's relations, or those of its conjugate side
-        bad = [k for k, ok in known["relations"][shared].items() if not ok]
-        if bad:
-            return f"{lam}: bead relations failed: {bad}"
-        if lam.size > ledger_max_size:
-            return None
-        # one hook tally, from the beta numbers, feeds beta and the ledger;
-        # a core and its conjugate have one hook multiset and share it
-        if not shared:
-            hooks = hook_tally(lam.parts)
-            beta = tuple(hooks.get(t - i, 0) for i in range(1, t))
-            known["ledger"] = beta, hook_tally_shift_ledger(hooks, t)
-        beta, lhs = known["ledger"]
-        rhs = coding_difference_ledger(coding, beta)
-        if lhs != rhs:
-            return f"{lam}: hook-shift ledger != coding ledger"
-        # one fold per side serves both parities, odd first
-        parity = parity_fold(rhs).differing_parity(parity_coding_fold(coding))
-        if parity:
-            return f"{lam}: parity ledger ({parity}) mismatch"
-        if content_ledger(mu, beta) != lhs:
-            return f"{lam}: content ledger mismatch"
-        return None
-
-    def conjugate(v):  # conjugate_negation: the conjugate core's coding
-        return _trusted_coding(tuple(-tw for tw in reversed(v.twice)), t)
-
     params = {"t": t, "max_size": max_size, "ledger_max_size": ledger_max_size}
     codings = enumerate_codings(t, max_size)
-    visit = _paired(check, lambda v: v.twice, conjugate)
-    return _sweep("multiset-formula", params, "exact", t0, "cores_checked", codings, visit)
+    kernel = partial(_multiset_pair, ledger_max_size=ledger_max_size)
+    return _sweep("multiset-formula", params, "exact", t0, "cores_checked", codings, kernel, _conjugate_coding)
+
+
+def _exploded_pair(lam: Partition, t: int):
+    """The exploded sweep's kernel at the t-core lam: a generator that
+    yields its failure text or None and then, if resumed, that of its
+    conjugate.  Each core's translation relations, fold (set and ledger
+    forms, with the band counts) and triangle ledger are checked in its own
+    window; the conjugate's, when it is lam's transposed with the same small
+    hooks, runs only the triangle ledger (`relation_failures`)."""
+    passed = None
+    for core in (lam, lam.conjugate()):
+        window = ExplodedWindow(core, t)
+        beta = core.small_hook_counts(t)
+        bad = relation_failures(window, beta, passed)
+        yield f"{core}: {bad}" if bad else None
+        passed = window, beta
 
 
 def verify_exploded_relations(t: int = 5, max_size: int = 15) -> VerificationReport:
-    """Sweep every t-core up to max_size: translation relations, the fold
-    (set and ledger forms, with the band counts), and the triangle ledger, on
-    the cores from codings; the first core with a failing check names it.
-
-    A core and its conjugate are checked in one visit (`_paired`), each in
-    its own window.  The conjugate is checked only once the first core has
-    passed, and a window that is the first core's transposed, with the same
-    small hooks, runs only the triangle ledger (`relation_failures`)."""
+    """Sweep every t-core up to max_size, from the codings, a conjugate pair
+    per visit of `_exploded_pair`; the first failing core names its checks."""
     t0 = time.perf_counter()
     if t < 1:
         raise ParameterError("t must be a positive integer")
     if max_size < 0:
         raise ParameterError("max_size must be nonnegative")
-
-    def check(lam, known):
-        window = ExplodedWindow(lam, t)
-        beta = lam.small_hook_counts(t)
-        bad = relation_failures(window, beta, known.get("first"))
-        known["first"] = window, beta  # read by the conjugate's check
-        return f"{lam}: {bad}" if bad else None
-
     params = {"t": t, "max_size": max_size}
     cores = cores_from_codings(t, max_size)
-    visit = _paired(check, lambda lam: lam.parts, Partition.conjugate)
-    return _sweep("exploded-relations", params, "exact", t0, "cores_checked", cores, visit)
+    kernel = partial(_exploded_pair, t=t)
+    return _sweep("exploded-relations", params, "exact", t0, "cores_checked", cores, kernel, Partition.conjugate)
 
 
 # ---------------------------------------------------------------------------

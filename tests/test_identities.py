@@ -153,7 +153,9 @@ class Draws:
 def test_singular_draw_is_redrawn():
     # Y = p - 1 = -1 has Y^2 = 1: sin(z) vanishes there
     assert sample_point(Draws(P - 1, 5), N=3) == 5
+    assert sample_point(Draws(P - 1, 5), N=1) == 5  # k = 1 is tested too
     assert sample_point(Draws(P - 1), N=0) == P - 1  # no sine to keep nonzero
+    assert sample_point(Draws(P - 1)) == P - 1  # nor by default
     # i has i^4 = 1, so sin(2z) vanishes, but i^2 = -1 leaves sin(z) alone
     assert I * I % P == P - 1
     assert sample_point(Draws(I, 3), N=2) == 3
@@ -1021,6 +1023,12 @@ def test_hook_content_at_takes_only_a_power_of_two_from_four(X):
         identities.hook_content_at(Partition((2, 1)), 3, X, {})
 
 
+def test_hook_content_at_takes_four():
+    # the smallest X it takes, which hook-content's sweep uses at max_size = 0
+    lhs, rhs = identities.hook_content_at(Partition((2, 1)), 3, 4, {})
+    assert lhs == rhs != 0
+
+
 # the hook-content sweep compares two integers per pair: a broken side must
 # fail at its first pair
 
@@ -1216,6 +1224,37 @@ def test_verifier_parameter_checks_raise_parameter_error():
     ):
         with pytest.raises(identities.ParameterError):
             call()
+
+
+# each verifier at its smallest accepted values: `low` holds the parameters
+# at their bound, each of which one step lower is a ParameterError, and
+# `rest` the others
+@pytest.mark.parametrize("fn, low, rest", [
+    (verify_multiset_formula, {"t": 1, "max_size": 0}, {}),
+    (verify_multiset_formula, {"max_size": 0, "ledger_max_size": 0}, {"t": 3}),
+    (verify_exploded_relations, {"t": 1, "max_size": 0}, {}),
+    (verify_nekrasov_okounkov, {"N": 1}, {}),
+    (verify_sin_family, {"r": 1, "N": 1, "samples": 1}, {}),
+    (verify_sin_family, {"r": 1, "N": 1}, {"t_value": 0}),
+    (verify_poly_s_family, {"N": 1}, {}),
+    (verify_jacobi, {"N": 1}, {}),
+    (verify_macdonald, {"t": 2, "N": 0}, {}),
+    (verify_tcore_lemmas, {"t": 1, "N": 1}, {}),
+    (verify_multiplication, {"r": 1, "N": 1}, {}),
+    (verify_hook_content, {"max_size": 0, "max_n": 1}, {}),
+    (verify_sin_lemma, {"samples": 1}, {}),
+    (verify_classical_crosschecks, {"max_size": 0, "t_max": 1, "enum_size": 0}, {}),
+], ids=[
+    "multiset", "multiset-ledger", "exploded", "nekrasov-okounkov", "sin-family", "sin-family-t0",
+    "poly-s", "jacobi", "macdonald", "tcore-lemmas", "multiplication", "hook-content", "sin-lemma",
+    "classical",
+])
+def test_verifiers_pass_at_their_smallest_values(fn, low, rest):
+    r = fn(**low, **rest)
+    assert (r.status, r.deviation) == ("pass", "0")
+    for name, value in low.items():
+        with pytest.raises(identities.ParameterError):
+            fn(**{**low, name: value - 1}, **rest)
 
 
 def test_classical_crosschecks_see_one_dropped_filter_hit(monkeypatch):
@@ -1445,8 +1484,15 @@ def test_exploded_sweep_builds_two_bead_sets_per_core(monkeypatch):
 # conjugate (2, 1, 1), coded by 4,-1,-3 and 3,1,-4, are one pair, and the
 # sixth is checked in the visit of the fifth.  Each failure below is
 # injected at the sixth core alone, and each pin is what checking every
-# core alone gives: the failure is reported at the sixth item
+# core alone gives: the failure is reported at the sixth item, with the
+# text that the sweep's kernel gives for that item alone
 SECOND = (6, 2, -8)  # the doubled coding of (2, 1, 1)
+
+
+def alone(kernel, item, **params):
+    """The failure text of a pair kernel's first item, named as a sweep
+    names it: what a replay of that one item reports."""
+    return identities._attempt(item, next, kernel(item, **params))
 
 
 def test_multiset_formula_reports_a_failing_conjugate_at_its_turn(monkeypatch):
@@ -1472,7 +1518,9 @@ def test_multiset_formula_reports_a_failing_conjugate_at_its_turn(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(identities, site, fake)
             r = verify_multiset_formula(3, 10)
+            second = alone(identities._multiset_pair, CoreCoding([3, 1, -4], 3), ledger_max_size=10)
         assert (r.deviation, r.details["cores_checked"]) == (deviation, 6)
+        assert second == deviation
 
 
 def test_exploded_relations_reports_a_failing_conjugate_at_its_turn(monkeypatch):
@@ -1494,7 +1542,25 @@ def test_exploded_relations_reports_a_failing_conjugate_at_its_turn(monkeypatch)
         with monkeypatch.context() as m:
             m.setattr(owner, site, fake)
             r = verify_exploded_relations(3, 10)
+            second = alone(identities._exploded_pair, Partition((2, 1, 1)), t=3)
         assert (r.deviation, r.details["cores_checked"]) == (deviation, 6)
+        assert second == deviation
+
+
+def test_multiset_formula_runs_the_ledgers_up_to_ledger_max_size(monkeypatch):
+    # a coding ledger off by one tau(1) at the fifth 3-core, (3, 1) of size
+    # 4: the sweep fails there when the ledgers run at size 4, and passes
+    # when they stop one size below, as they run at no core past the bound
+    real = identities.coding_difference_ledger
+
+    def broken(c, beta):
+        out = real(c, beta)
+        return out * WeightLedger({1: 1}) if c.twice == (8, -2, -6) else out
+
+    monkeypatch.setattr(identities, "coding_difference_ledger", broken)
+    r = verify_multiset_formula(3, 10, ledger_max_size=4)
+    assert (r.deviation, r.details["cores_checked"]) == ("3,1: hook-shift ledger != coding ledger", 5)
+    assert verify_multiset_formula(3, 10, ledger_max_size=3).passed
 
 
 def test_sweeps_do_not_reuse_for_a_wrong_conjugate(monkeypatch):
