@@ -45,18 +45,18 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
-# `verify` flags as (flag, keyword, type).  A flag the user sets is passed to
-# the verifier as that keyword argument; an unset flag leaves the verifier's
-# own default.
+# `verify` flags as (flag, keyword).  A flag the user sets is passed to the
+# verifier as that keyword argument, an int that the verifier judges; an
+# unset flag leaves the verifier's own default.
 VERIFY_FLAGS = (
-    ("--t", "t", _positive_int),
-    ("--tvalue", "t_value", int),
-    ("--r", "r", _positive_int),
-    ("--trunc", "N", _positive_int),
-    ("--max-size", "max_size", _nonnegative_int),
-    ("--max-n", "max_n", _positive_int),
-    ("--samples", "samples", _positive_int),
-    ("--seed", "seed", int),
+    ("--t", "t"),
+    ("--tvalue", "t_value"),
+    ("--r", "r"),
+    ("--trunc", "N"),
+    ("--max-size", "max_size"),
+    ("--max-n", "max_n"),
+    ("--samples", "samples"),
+    ("--seed", "seed"),
 )
 
 
@@ -141,9 +141,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     fn = identities.verifier(args.identity)
-    kwargs = {kw: getattr(args, kw) for _, kw, _ in VERIFY_FLAGS if getattr(args, kw) is not None}
+    kwargs = {kw: getattr(args, kw) for _, kw in VERIFY_FLAGS if getattr(args, kw) is not None}
     takes = inspect.signature(fn).parameters
-    unknown = [flag for flag, kw, _ in VERIFY_FLAGS if kw in kwargs and kw not in takes]
+    unknown = [flag for flag, kw in VERIFY_FLAGS if kw in kwargs and kw not in takes]
     if unknown:
         print(f"error: {args.identity} does not take {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one identity verifier")
     p.add_argument("identity", choices=sorted(identities.VERIFIERS))
-    for flag, keyword, type_ in VERIFY_FLAGS:
-        p.add_argument(flag, dest=keyword, type=type_)
+    for flag, keyword in VERIFY_FLAGS:
+        p.add_argument(flag, dest=keyword, type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 

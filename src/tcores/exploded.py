@@ -52,15 +52,14 @@ class ExplodedWindow:
     is a t-core; both empty for a non-core) and `beads` the two bead sets.
     """
 
-    __slots__ = ("partition", "conjugate", "t", "beads", "v", "z", "w", "wd", "c")
+    __slots__ = ("partition", "t", "beads", "v", "z", "w", "wd", "c")
 
     def __init__(self, partition: Partition, t: int):
         if t < 1:
             raise ValueError("t must be a positive integer")
         self.partition = partition
-        self.conjugate = partition.conjugate()
         self.t = t
-        beads1, beads2 = self.beads = (bead_set(partition, t), bead_set(self.conjugate, t))
+        beads1, beads2 = self.beads = (bead_set(partition, t), bead_set(partition.conjugate(), t))
         v = frozenset(_class_tops(beads1).twice) if _closed(beads1) else frozenset()
         self.v = (v, frozenset(-tw for tw in v))
         # a margin of t beyond [-M2, M1] x [-M1, M2]
@@ -137,11 +136,11 @@ def check_translation_relations(window: ExplodedWindow) -> dict[str, bool]:
     return results
 
 
-def check_fold(window: ExplodedWindow, beta=None) -> dict[str, bool]:
+def check_fold(window: ExplodedWindow, beta) -> dict[str, bool]:
     """The fold (x, y) -> (-y, -x) of the negative band (-t, 0) on non-coding
     beads onto the positive band (0, t) on the gap sets, in set and ledger
-    forms; each band is built and tallied once, beta = small_hook_counts(t)
-    of the window's partition unless the caller has it.
+    forms; each band is built and tallied once, and beta is the partition's
+    small_hook_counts(t).
 
     fold_bijection  the fold maps the negative band onto the positive one
     entries_negate  the two bands' entry sets are negatives of each other
@@ -155,8 +154,6 @@ def check_fold(window: ExplodedWindow, beta=None) -> dict[str, bool]:
     negative = _pair_set(*window.wd, -t, 0)
     positive = _pair_set(*window.c, 0, t)
     neg, pos = _tally(negative), _tally(positive)
-    if beta is None:
-        beta = window.partition.small_hook_counts(t)
     return {
         "fold_bijection": {(-y, -x) for (x, y) in negative} == positive,
         "entries_negate": {-(x + y) // 2 for (x, y) in negative}
@@ -340,22 +337,13 @@ def render_svg(window: ExplodedWindow) -> str:
         parts.append(
             f'<text x="4" y="{py[ytw] + 8}" text-anchor="middle"{deco}>{HalfInt(ytw)}</text>'
         )
-    # boundary anti-diagonals x + y = t, 0, -t in lattice coordinates
+    # boundary anti-diagonals x + y = t, 0, -t: in doubled coordinates the
+    # line x + y = 2 level meets the window for x in [lo, hi], drawn if lo < hi
     for level, dash in ((t, "none"), (0, "4,2"), (-t, "2,2")):
-        # entry = (xtw + ytw)/2 = level along the drawn line; convert the two
-        # endpoints where the line crosses the window edges
-        pts = []
-        for xtw in (xs[0], xs[-1]):
-            ytw = 2 * level - xtw
-            if ys[-1] <= ytw <= ys[0]:
-                pts.append((px[xtw] + unit / 2, py[ytw] + unit / 2))
-        for ytw in (ys[0], ys[-1]):
-            xtw = 2 * level - ytw
-            if xs[-1] <= xtw <= xs[0]:
-                pts.append((px[xtw] + unit / 2, py[ytw] + unit / 2))
-        pts = sorted(set(pts))[:2]
-        if len(pts) == 2:
-            (xa, ya), (xb, yb) = pts
+        hi, lo = min(xs[0], 2 * level - ys[-1]), max(xs[-1], 2 * level - ys[0])
+        if lo < hi:
+            xa, xb = px[hi] + unit / 2, px[lo] + unit / 2
+            ya, yb = py[2 * level - hi] + unit / 2, py[2 * level - lo] + unit / 2
             dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
             parts.append(
                 f'<line x1="{xa:g}" y1="{ya:g}" x2="{xb:g}" y2="{yb:g}" '

@@ -551,6 +551,10 @@ def poly_s_weight(s, w):
     return s + (s - 1) * (s - 1) * w
 
 
+# `poly_s_exp_at` reads the weight here, so patching `poly_s_weight` faults the hook side only
+_exp_side_weight = poly_s_weight
+
+
 def _degree_at_most(values: list[int], d: int) -> bool:
     """Whether the polynomial of degree < len(values) through `values` at
     s = 0, 1, 2, ... has degree at most d in GF(p): in Newton form its s^(k)
@@ -572,13 +576,14 @@ def poly_s_exp_at(w: dict[int, int], s: int, inv: list[int]) -> TruncatedSeries:
     GF(p), to order N = len(w), with w a map k -> w(k), k = 1..N: exp of
     sum_k q^k (s^k + (s^k - 1)^2 w(k)) / (k (1 - s^k q^k)), a Lambert series
     in q whose q^m coefficient is sum over k | m of
-    s^(m - k) (s^k + (s^k - 1)^2 w(k))/k.  inv[k] is 1/k in GF(p) for
+    s^(m - k) (s^k + (s^k - 1)^2 w(k))/k, the hook weight `poly_s_weight`
+    at (s^k, w(k)) over k.  inv[k] is 1/k in GF(p) for
     k = 1..N (`inverses`), taken once by a caller with several points."""
     N = len(w)
     a = [0] * (N + 1)
     for k in range(1, N + 1):
         sk = pow(s, k, P)
-        a[k] = (sk + (sk - 1) ** 2 * w[k]) * inv[k]
+        a[k] = _exp_side_weight(sk, w[k]) * inv[k]
     return _lambert_exp(a, s)
 
 

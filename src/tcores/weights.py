@@ -8,6 +8,7 @@ every weight function at once by comparing exponent maps.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -239,13 +240,18 @@ def evaluate(ledger: WeightLedger, tau):
     """Value of the formal product under a concrete weight: `tau` is any
     callable from integers to values with `*` and `**`, such as `Fraction`.
 
-    Returns sign * prod tau(k)^(e_k); raises if tau vanishes where a
-    negative exponent needs an inverse.  The empty ledger evaluates to 1.
+    Returns sign * prod tau(k)^(e_k), exact for an int weight (an int value
+    under a negative exponent is read as a `Fraction`); raises if tau
+    vanishes where a negative exponent needs an inverse.  The empty ledger
+    evaluates to 1.
     """
     values = {k: tau(k) for k in ledger.exps}
     for k, e in ledger.exps.items():
-        if e < 0 and _is_zero(values[k]):
-            raise DivisionByZeroWeightError(f"tau({k}) = 0 with exponent {e}")
+        if e < 0:
+            if _is_zero(values[k]):
+                raise DivisionByZeroWeightError(f"tau({k}) = 0 with exponent {e}")
+            if isinstance(values[k], int):
+                values[k] = Fraction(values[k])
     result = None
     for k in sorted(ledger.exps):
         term = values[k] ** ledger.exps[k]

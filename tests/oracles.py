@@ -576,7 +576,7 @@ def cell_box_map(window: ExplodedWindow) -> dict[tuple[int, int], tuple[int, int
     Every box with entry above t arises this way exactly once.
     """
     p = window.partition
-    conj = window.conjugate
+    conj = p.conjugate()
     t = window.t
     shift = t + 1
     mapping = {

@@ -272,6 +272,37 @@ def test_verifier_parameter_errors_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# the cases of test_verifiers_pass_at_their_smallest_values whose keywords
+# all have a flag, as (identity, flags at their bound, other flags): each
+# flag at its bound passes, and one step lower the verifier rejects it
+@pytest.mark.parametrize("identity, low, rest", [
+    ("multiset-formula", {"--t": 1, "--max-size": 0}, {}),
+    ("exploded-relations", {"--t": 1, "--max-size": 0}, {}),
+    ("nekrasov-okounkov", {"--trunc": 1}, {}),
+    ("sin-family", {"--r": 1, "--trunc": 1, "--samples": 1}, {}),
+    ("sin-family", {"--r": 1, "--trunc": 1}, {"--tvalue": 0}),
+    ("poly-s-family", {"--trunc": 1}, {}),
+    ("jacobi", {"--trunc": 1}, {}),
+    ("macdonald", {"--t": 2, "--trunc": 0}, {}),
+    ("tcore-lemmas", {"--t": 1, "--trunc": 1}, {}),
+    ("multiplication", {"--r": 1, "--trunc": 1}, {}),
+    ("hook-content", {"--max-size": 0, "--max-n": 1}, {}),
+    ("sin-lemma", {"--samples": 1}, {}),
+], ids=[
+    "multiset", "exploded", "nekrasov-okounkov", "sin-family", "sin-family-t0", "poly-s", "jacobi",
+    "macdonald", "tcore-lemmas", "multiplication", "hook-content", "sin-lemma",
+])
+def test_verify_flags_pass_at_the_verifiers_smallest_values(capsys, identity, low, rest):
+    def argv(flags):
+        return ["verify", identity, *(str(a) for flag in flags.items() for a in flag)]
+
+    code, out, err = run(capsys, *argv({**low, **rest}))
+    assert (code, err) == (0, "") and out.startswith("PASS")
+    for flag, value in low.items():
+        code, out, err = run(capsys, *argv({**low, flag: value - 1, **rest}))
+        assert (code, out) == (2, "") and err.startswith("error: ") and "argument" not in err
+
+
 @pytest.mark.parametrize("identity, deviation", [
     ("multiset-formula", "5/2,-5/2: NotACoreError: 3 has a hook length divisible by 2"),
     ("exploded-relations", "3: RelationViolationError: translation relations assume a t-core"),
@@ -313,7 +344,7 @@ def test_parsed_values_do_not_leak_into_later_calls(capsys):
 @pytest.mark.parametrize(
     "argv, status",
     [
-        (["verify", "multiset-formula", "--t", "0"], 2),
+        (["verify", "multiset-formula", "--t", "x"], 2),
         (["--help"], 0),
         (["core-map", "--help"], 0),
     ],

@@ -73,16 +73,18 @@ def test_window_makes_no_is_t_core_call(monkeypatch):
         frozenset(core_coding(TABLE1.conjugate(), 5).twice),
     )
     # the relation checks read the window's codings and test nothing again
-    assert all(check_translation_relations(w).values()) and all(check_fold(w).values())
+    assert all(check_translation_relations(w).values())
+    assert all(check_fold(w, TABLE1.small_hook_counts(5)).values())
     assert calls == []
     # a non-core window has no coding on either side, and still renders
     w = ExplodedWindow(Partition((2, 2)), 2)
     assert w.v == (frozenset(), frozenset())
     assert w.wd == w.w
     assert "partition=2,2 t=2" in render(w, "ascii")
-    for check in (check_translation_relations, check_fold):
+    beta = w.partition.small_hook_counts(2)
+    for check, args in ((check_translation_relations, ()), (check_fold, (beta,))):
         with pytest.raises(RelationViolationError, match="assume"):
-            check(w)
+            check(w, *args)
     assert calls == []
 
 
@@ -129,11 +131,11 @@ def test_translation_relation_sweep():
 
 
 def test_fold_table1_and_sweep():
-    assert all(check_fold(ExplodedWindow(TABLE1, 5)).values())
-    assert all(check_fold(ExplodedWindow(Partition(()), 3)).values())
+    assert all(check_fold(ExplodedWindow(TABLE1, 5), TABLE1.small_hook_counts(5)).values())
+    assert all(check_fold(ExplodedWindow(Partition(()), 3), (0, 0)).values())
     for lam in enumerate_t_cores(3, 12):
         w = ExplodedWindow(lam, 3)
-        fold = check_fold(w)
+        fold = check_fold(w, lam.small_hook_counts(3))
         assert list(fold) == [
             "fold_bijection", "entries_negate", "fold_ledger", "band_count", "gap_band_counts",
         ]
@@ -144,7 +146,7 @@ def test_fold_can_fail():
     # negative control: a window whose y side loses its top gap
     w = ExplodedWindow(TABLE1, 5)
     w.c = (w.c[0], w.c[1][1:])
-    fold = check_fold(w)
+    fold = check_fold(w, TABLE1.small_hook_counts(5))
     assert fold["fold_bijection"] is False
     assert fold["fold_ledger"] is False and fold["gap_band_counts"] is False
     assert check_triangle_ledger(w) == {"triangle_ledger": False}

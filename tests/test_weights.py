@@ -268,6 +268,14 @@ def test_evaluate_division_by_zero():
     assert evaluate(WeightLedger({0: 1, 2: 3}), Fraction) == 0
 
 
+def test_evaluate_stays_exact_for_an_int_weight():
+    # tau(k) = k: 3^-40 as an int power is a float, read as a Fraction it is exact
+    value = evaluate(WeightLedger({3: -40, 2: 1}), lambda k: k)
+    assert type(value) is Fraction and value == Fraction(2, 3**40)
+    value = evaluate(WeightLedger({3: 2, 2: 1}, sign=-1), lambda k: k)
+    assert type(value) is int and value == -18
+
+
 def test_evaluate_homomorphism():
     L1 = WeightLedger({1: 2, 4: -1})
     L2 = WeightLedger({2: 1, 4: 2}, sign=-1)
