@@ -390,8 +390,8 @@ def multiplication_hook_points(r: int, N: int) -> list[list[list[int]]]:
     The hooks are walked by `_hook_walk`, one hook read per conjugate class,
     with the vector of prod (g^2 - s^2) over s as the value, multiplied
     elementwise at each node, so hook tuples with a common prefix share its
-    products.  The integers are exact, so no entry can change.  w is at
-    most n//r.
+    products, across sizes too (a tuple of several sizes is folded once).
+    The integers are exact, so no entry can change.  w is at most n//r.
     """
     top = N // r
     # lazy: the walk folds a tuple before its w!/prod g check, so a g past
@@ -551,10 +551,6 @@ def poly_s_weight(s, w):
     return s + (s - 1) * (s - 1) * w
 
 
-# `poly_s_exp_at` reads the weight here, so patching `poly_s_weight` faults the hook side only
-_exp_side_weight = poly_s_weight
-
-
 def _degree_at_most(values: list[int], d: int) -> bool:
     """Whether the polynomial of degree < len(values) through `values` at
     s = 0, 1, 2, ... has degree at most d in GF(p): in Newton form its s^(k)
@@ -583,7 +579,7 @@ def poly_s_exp_at(w: dict[int, int], s: int, inv: list[int]) -> TruncatedSeries:
     a = [0] * (N + 1)
     for k in range(1, N + 1):
         sk = pow(s, k, P)
-        a[k] = _exp_side_weight(sk, w[k]) * inv[k]
+        a[k] = poly_s_weight(sk, w[k]) * inv[k]
     return _lambert_exp(a, s)
 
 

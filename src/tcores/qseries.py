@@ -1,11 +1,12 @@
 """Truncated power series over the exact rings of `rings` (QQ and GF(p);
 the tests' oracles add polynomial rings over either), plus the series
 builders used by the identity verifiers: partition sums weighted by hooks
-(one walker, `_hook_walk`: each size's sorted hook multisets walked once,
-so a shared prefix is folded once, one partition per conjugate class, and
-a vector of several weights' values folded elementwise in one walk), finite
-products of binomials 1 + c q^m (`binomial_product`, each factor applied in
-place in O(N) ring operations instead of a series product), both sides
+(one walker, `_hook_walk`: the sorted hook multisets of every size walked
+once with one prefix stack, so each distinct prefix is folded once per
+walk, one partition per conjugate class, and a vector of several weights'
+values folded elementwise in one walk), finite products of binomials
+1 + c q^m (`binomial_product`, each factor applied in place in O(N) ring
+operations instead of a series product), both sides
 of the type-A Macdonald identity in GF(p) at a point x (the product one
 `binomial_product`, the sum one determinant mod p per t-core coding), and
 principal specializations of Schur polynomials.  A Schur principal
@@ -313,32 +314,35 @@ def _hook_walk(r: int, order: int, start, step):
     `weight` partitions sharing it; `value` is the fold of `step` over
     `hooks` from `start`.
 
-    Each `_conjugate_classes` class is read once, weighted 2 for a
-    conjugate pair.  The tuples of a size are walked in sorted order with a
-    stack holding the value of every prefix of the last tuple, so a tuple
-    folds only the hooks past the prefix it shares with the one before:
-    each distinct prefix is folded once, and no value outlives its size.
-    The value may be a vector of several weights' values, folded by an
-    elementwise `step`: each size's hooks are then read once for all of
-    them.
+    Each `_conjugate_classes` class of every size is read once, weighted 2
+    for a conjugate pair, into one count keyed by (hooks, n).  The keys are
+    walked in sorted order with a stack holding the value of every prefix
+    of the last tuple, so a tuple folds only the hooks past the prefix it
+    shares with the one before: each distinct prefix over all sizes is
+    folded once, and a tuple that several sizes share (at r > 1 only: at
+    r = 1 a tuple has n entries) reuses the stack top.  The keys of all
+    sizes are held at once; values live only along the stack.  The value
+    may be a vector of several weights' values, folded by an elementwise
+    `step`: the hooks are then read once for all of them.  The sizes come
+    in key order, not ascending, so callers sum by n.
     """
+    keyed = Counter()
     for n in range(order + 1):
-        keyed = Counter()
         for lam, weight in _conjugate_classes(n):
-            keyed[tuple(sorted(lam.hooks(r)))] += weight
-        stack = [start]
-        last = ()
-        for key in sorted(keyed):
-            k = 0
-            for a, b in zip(key, last):
-                if a != b:
-                    break
-                k += 1
-            del stack[k + 1 :]
-            for h in key[k:]:
-                stack.append(step(stack[-1], h))
-            last = key
-            yield n, key, stack[-1], keyed[key]
+            keyed[tuple(sorted(lam.hooks(r))), n] += weight
+    stack = [start]
+    last = ()
+    for key, n in sorted(keyed):
+        k = 0
+        for a, b in zip(key, last):
+            if a != b:
+                break
+            k += 1
+        del stack[k + 1 :]
+        for h in key[k:]:
+            stack.append(step(stack[-1], h))
+        last = key
+        yield n, key, stack[-1], keyed[key, n]
 
 
 # no verifier calls this: kept as the site of benchmark span qseries.partition_sum
@@ -367,8 +371,9 @@ def partition_sums_mod_p(weights, r: int, order: int) -> list[TruncatedSeries]:
     entry i of the result is the hook sum of weights[i], a map h -> residue
     at the hooks r, 2r, ... <= order.  Each node of `_hook_walk` multiplies
     its vector by the weights' values at h elementwise and reduces mod p, so
-    each size's hooks are read and sorted once however many weights ride
-    along, and no value at a node exceeds p."""
+    the hooks are read and sorted once, and each distinct prefix folded
+    once, however many weights ride along, and no value at a node exceeds
+    p.  The walk yields sizes out of order; each lands in its own row."""
     rho = {h: [w[h] for w in weights] for h in range(r, order + 1, r)}
 
     def step(vec, h):

@@ -788,11 +788,31 @@ def test_tcore_lemmas_broken_product_fails(monkeypatch):
     assert r.details["restricted_vs_full"] == r.details["exp_form"] == "0"
 
 
+def fault_poly_s_slots(monkeypatch, fault):
+    """Replace each slot's weight v(h) of the poly-s hook walk by
+    fault(s, w_sin(h), v(h)), s the slot's point, on the hook side only:
+    slots 0..2N are (w_sin, s = slot), the next two s = 0, and the last
+    (w_sin, s = p - 1); slot 0's weight is w_sin, since s + (s - 1)^2 w is w
+    at s = 0."""
+    real = identities.partition_sums_mod_p
+
+    def faulted(weights, *args):
+        w_sin, top = weights[0], len(weights) - 4
+        points = [*range(top + 1), 0, 0, P - 1]
+        weights = [
+            {h: fault(s, w_sin[h], v) for h, v in slot.items()}
+            for s, slot in zip(points, weights, strict=True)
+        ]
+        return real(weights, *args)
+
+    monkeypatch.setattr(identities, "partition_sums_mod_p", faulted)
+
+
 def test_poly_s_family_broken_weight_fails(monkeypatch):
-    # (s - 1)^2 becomes s^2 - 3s + 1 on the hook-sum side only.  The two
-    # differ by -s, so the s = 0 forms are untouched, but at the cotangent's
-    # point s = -1 the weight is -1 + 5w, not -1 + 4w
-    monkeypatch.setattr(identities, "poly_s_weight", lambda s, w: s + (s * s - 3 * s + 1) * w)
+    # (s - 1)^2 becomes s^2 - 3s + 1 on the hook-sum side only, that is
+    # s w_sin(h) less.  The s = 0 forms are untouched, but at the
+    # cotangent's point s = -1 the weight is -1 + 5w, not -1 + 4w
+    fault_poly_s_slots(monkeypatch, lambda s, w, v: v - s * w)
     r = verify_poly_s_family(N=6)
     assert not r.passed and r.deviation == r.details["symbolic"] != "0"
     assert r.details["cosine"] == r.details["sinh"] == "0"
@@ -948,8 +968,7 @@ def test_poly_s_family_weight_wrong_at_minus_one_fails_only_cotangent(monkeypatc
     # the cotangent form is the point (w_sin, -1) of the one hook weight,
     # whose value there is -1 + 4 w_sin = cot^2: a weight wrong only at
     # s = p - 1 breaks that slot alone, at the hook 1
-    real = identities.poly_s_weight
-    monkeypatch.setattr(identities, "poly_s_weight", lambda s, w: real(s, w) + (s == P - 1))
+    fault_poly_s_slots(monkeypatch, lambda s, w, v: v + (s == P - 1))
     r = verify_poly_s_family(N=6)
     assert not r.passed and r.deviation == r.details["cotangent"]
     assert r.deviation.startswith("q^1: ")

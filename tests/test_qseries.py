@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
@@ -10,6 +11,7 @@ from tcores.coding import enumerate_codings
 from tcores.partitions import Partition, enumerate_partitions, enumerate_t_cores
 from tcores.qseries import (
     _det_mod_p,
+    _hook_walk,
     BadConstantTermError,
     RingMismatchError,
     TruncatedSeries,
@@ -413,9 +415,44 @@ def test_tcore_restricted_sum_is_the_per_partition_loop_over_filter_cores(t):
     assert restricted.coeffs == [c % P for c in want.coeffs]
 
 
+def unwalked_hook_keys(r, order):
+    """(n, sorted hooks divisible by r) -> number of partitions of n with
+    them, one `Partition.hooks(r)` per partition, no conjugate classes."""
+    return Counter(
+        (n, tuple(sorted(lam.hooks(r))))
+        for n in range(order + 1)
+        for lam in enumerate_partitions(n)
+    )
+
+
+@pytest.mark.parametrize("order", range(11))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_hook_walk_folds_each_distinct_prefix_once(r, order):
+    # the walk tallies as the unwalked loop does, each value is the fold of
+    # `step` over its key (here the key rebuilt), and `step` runs once per
+    # distinct non-empty prefix over the keys of all sizes together; at
+    # r = 2 several sizes share a key from order 1 on: the staircases 0, 1,
+    # 21, 321, the 2-cores, have no even hook, so sizes 0, 1, 3, 6 share ()
+    calls = []
+
+    def step(value, h):
+        calls.append(h)
+        return value + (h,)
+
+    walked = Counter()
+    for n, key, value, weight in _hook_walk(r, order, (), step):
+        assert value == key
+        assert (n, key) not in walked
+        walked[n, key] = weight
+    want = unwalked_hook_keys(r, order)
+    assert walked == want
+    prefixes = {key[:i] for _, key in want for i in range(1, len(key) + 1)}
+    assert len(calls) == len(prefixes)
+
+
 def test_partition_sum_shares_hook_prefixes():
-    # one ring product per distinct prefix of the sizes' sorted hook
-    # multisets, against sum n p(n) = 416 for one product per hook
+    # one ring product per distinct prefix of the sorted hook multisets over
+    # all sizes, against sum n p(n) = 416 for one product per hook
     ring, rho, N = weight_case("GF(p)[s]")
     calls = []
 
@@ -424,7 +461,7 @@ def test_partition_sum_shares_hook_prefixes():
         return rho(h)
 
     partition_sum_series(counting, 1, 8, ring)
-    assert len(calls) == 134
+    assert len(calls) == 71
     calls.clear()
     per_partition_sum_series(counting, 1, 8, ring)
     assert len(calls) == 416
