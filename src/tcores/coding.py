@@ -353,7 +353,9 @@ def is_content_coding_image(mu: Partition, t: int) -> bool:
 def bead_relation_checks(partition: Partition, beads: BeadSet, coding: CoreCoding) -> dict[str, bool]:
     """Executable forms of the bead-set relations satisfied by a t-core,
     given with its bead set and the coding the caller has read off that set
-    (its largest bead per class), so the coding is read once per core.
+    (its largest bead per class), so the coding is read once per core: the
+    two-sided ones of `_bead_relations`, and closure and zero sum, which
+    are one side's and which the multiset sweep tests as it reads a coding.
 
     ray_closure        every bead keeps its t-step predecessor in the set
     mirror_intersection coding = beads of the partition meeting the negated
@@ -365,36 +367,42 @@ def bead_relation_checks(partition: Partition, beads: BeadSet, coding: CoreCodin
     """
     conj = partition.conjugate()
     beads2 = bead_set(conj, beads.t)
-    return next(_bead_relations(beads, coding, beads2, _read_coding(conj, beads2)))
+    relations = _bead_relations(beads, coding, beads2, _read_coding(conj, beads2))[0]
+    return {"ray_closure": _closed(beads), **relations, "zero_sum": sum(coding.twice) == 0}
+
+
+def _conjugate_coding(coding: CoreCoding) -> CoreCoding:
+    """-rev(v), the coding of the conjugate core (`conjugate_negation`)."""
+    return _trusted(tuple(map(operator.neg, reversed(coding.twice))), coding.t)
 
 
 def _bead_relations(beads: BeadSet, coding: CoreCoding, beads2: BeadSet, coding2: CoreCoding):
-    """`bead_relation_checks` of a core, with its bead set and coding, and
-    then of its conjugate, with beads2 and coding2: the conjugate side of
-    each is the other.  Each side's window [-M2, M1] or [-M1, M2] is read
-    once, and the two cores' mirror_intersection and conjugate_negation are
-    one statement each, negated, so each is read once: the conjugate's
-    intersection is the core's negated.  A generator, so a caller that
-    wants only the core's relations builds no more."""
+    """The two-sided relations of `bead_relation_checks` of a core, with its
+    bead set and coding, and of its conjugate, with beads2 and coding2, as
+    a pair of dicts: the conjugate side of each is the other.  Each side's
+    window [-M2, M1] or [-M1, M2] is read once, and the two cores'
+    mirror_intersection and conjugate_negation are one statement each,
+    negated, so each is read once: the conjugate's intersection is the
+    core's negated."""
     w1 = set(beads.elements_down_to(-beads2.top))
     w2 = set(beads2.elements_down_to(-beads.top))
     meet = w1.intersection(map(operator.neg, w2))
-    negation = coding2.twice == tuple(map(operator.neg, reversed(coding.twice)))
-    yield _side_relations(beads, coding, w1, meet, beads2, negation)
-    yield _side_relations(beads2, coding2, w2, set(map(operator.neg, meet)), beads, negation)
+    negation = coding2 == _conjugate_coding(coding)
+    return (
+        _side_relations(coding, w1, meet, beads2, negation),
+        _side_relations(coding2, w2, set(map(operator.neg, meet)), beads, negation),
+    )
 
 
-def _side_relations(beads, coding, window, meet, other, negation) -> dict[str, bool]:
-    """The relations of one side: its window as a set, that window's
-    intersection `meet` with the negated window of the other side, whose
-    bead set is `other`, and the conjugate_negation statement."""
+def _side_relations(coding, window, meet, other, negation) -> dict[str, bool]:
+    """The two-sided relations of one side: its window as a set, that
+    window's intersection `meet` with the negated window of the other side,
+    whose bead set is `other`, and the conjugate_negation statement."""
     v = set(coding.twice)
     return {
-        "ray_closure": _closed(beads),
         "mirror_intersection": meet == v,
         "conjugate_negation": negation,
         "dagger_complement": window - v == set(map(operator.neg, other.gaps())),
-        "zero_sum": sum(coding.twice) == 0,
     }
 
 
@@ -478,15 +486,15 @@ def _walk(t: int, max_size: int, leaf):
                 # the last class, and distinct from every other entry
                 if (y - b_last) % step:
                     raise InvalidCodingError(f"last entry {y} left its class")
+                top[b_pair] = x
+                top[b_last] = y
                 # sum tw^2 = budget - rest, so the size formula reads
-                # max_size - rest/(8t): no sum of squares, and at most max_size
+                # max_size - rest/(8t): no sum of squares, and at most max_size;
+                # cannot fail, and if it did, `_size` on the entries raises
                 rest = remaining_budget - x * x - y * y
                 drop, rem = divmod(rest, 8 * t)
                 if rem or drop > max_size:
-                    num = 3 * (budget - rest) - t * t * t + t
-                    raise NonIntegerSizeError(f"size formula gave {Fraction(num, 24 * t)}")
-                top[b_pair] = x
-                top[b_last] = y
+                    _size(top[tw0::2], t)
                 n = max_size - drop
                 if x < y:
                     leaf_lo = x if x < lo else lo

@@ -39,8 +39,8 @@ from .coding import (
     InvalidCodingError,
     NonIntegerSizeError,
     _bead_relations,
+    _conjugate_coding,
     _read_coding,
-    _trusted as _trusted_coding,
     bead_set,
     coding_size,
     coding_to_core,
@@ -239,11 +239,6 @@ def _first_failure(devs) -> str:
 # bijection and ledger sweeps
 
 
-def _conjugate_coding(v):
-    """-rev(v), the coding of the conjugate core (`conjugate_negation`)."""
-    return _trusted_coding(tuple(-tw for tw in reversed(v.twice)), v.t)
-
-
 def _multiset_pair(v, ledger_max_size: int):
     """The multiset sweep's kernel at the t-core coded by v: a generator
     that yields its failure text or None and then, if resumed, that of its
@@ -293,7 +288,7 @@ def _multiset_pair(v, ledger_max_size: int):
         if not shared:
             conj_beads = bead_set(conj, t)
             conj_side = conj_beads, _read_coding(conj, conj_beads)
-            relations = tuple(_bead_relations(beads, coding, *conj_side))
+            relations = _bead_relations(beads, coding, *conj_side)
             lam1, conj1 = lam, conj
         # the first core's relations, or those of its conjugate side
         bad = [k for k, ok in relations[shared].items() if not ok]
@@ -878,37 +873,26 @@ def verify_sin_lemma(samples: int = 5, seed: int = 7) -> VerificationReport:
 
 
 def verify_classical_crosschecks(max_size: int = 25, t_max: int = 8, enum_size: int = 20) -> VerificationReport:
-    """2-cores are exactly the staircases, and the coding-route enumeration
-    of t-cores is the filter over all partitions, order included.  The
-    filter runs every t in one pass over the partitions up to either size,
-    and builds each partition's abacus bead set once for t = 2 and every t
-    up to t_max (the test of `Partition.is_t_core`); the t = 2 test serves
-    both checks."""
+    """The coding route's 2-cores up to max_size are exactly the staircases,
+    in order, and its t-cores up to enum_size are the filter over all
+    partitions, order included.  The filter runs every t up to t_max in one
+    pass over the partitions up to enum_size, and builds each partition's
+    abacus bead set once (the test of `Partition.is_t_core`)."""
     t0 = time.perf_counter()
     if t_max < 1:
         raise ParameterError("t_max must be at least 1")
     if max_size < 0 or enum_size < 0:
         raise ParameterError("max_size and enum_size must be nonnegative")
     failures = []
-    staircases = []
-    k = 0
-    while k * (k + 1) // 2 <= max_size:
-        staircases.append(Partition(tuple(range(k, 0, -1))))
-        k += 1
-    found: list[Partition] = []
-    filtered: dict[int, list[Partition]] = {t: [] for t in range(1, t_max + 1)}
-    for p in partitions_up_to(max(max_size, enum_size)):
-        beads = abacus_beads(p.parts)
-        size = p.size
-        two_core = abacus_is_t_core(beads, 2)  # the staircases' test and the filter's t = 2
-        if size <= max_size and two_core:
-            found.append(p)
-        if size <= enum_size:
-            for t, cores in filtered.items():
-                if two_core if t == 2 else abacus_is_t_core(beads, t):
-                    cores.append(p)
-    if sorted(p.parts for p in found) != sorted(p.parts for p in staircases):
+    staircases = [Partition(tuple(range(k, 0, -1))) for k in range(max_size + 1) if k * (k + 1) // 2 <= max_size]
+    if cores_from_codings(2, max_size) != staircases:
         failures.append("2-cores are not the staircases")
+    filtered: dict[int, list[Partition]] = {t: [] for t in range(1, t_max + 1)}
+    for p in partitions_up_to(enum_size):
+        beads = abacus_beads(p.parts)
+        for t, cores in filtered.items():
+            if abacus_is_t_core(beads, t):
+                cores.append(p)
     for t, cores in filtered.items():
         if cores != cores_from_codings(t, enum_size):
             failures.append(f"enumeration routes disagree for t={t}")

@@ -53,7 +53,8 @@ class Partition:
 
     def hooks(self, r: int = 1) -> tuple[int, ...]:
         """Hook lengths of all cells divisible by r, in row-major cell order,
-        visited cell by cell: the oracle for `hook_tally`."""
+        visited cell by cell: the oracle for `hook_tally`, and the hook list
+        that the series walk, the t-core lemma sum and hook-content read."""
         if r < 1:
             raise ValueError("r must be a positive integer")
         conj = _conjugate_parts(self.parts)

@@ -718,6 +718,18 @@ def test_classical_crosschecks_catch_a_dropped_core(monkeypatch, dropped):
     assert not r.passed and r.deviation == f"enumeration routes disagree for t={dropped}"
 
 
+def test_classical_crosschecks_check_the_coding_routes_staircases(monkeypatch):
+    # the staircase (6,5,4,3,2,1) has size 21, past enum_size = 20, so only
+    # the staircase check reads the coding route's 2-cores that far
+    real = identities.cores_from_codings
+    monkeypatch.setattr(
+        identities, "cores_from_codings",
+        lambda t, n: [lam for lam in real(t, n) if t != 2 or lam.parts != (6, 5, 4, 3, 2, 1)],
+    )
+    r = verify_classical_crosschecks(25, 8, 20)
+    assert not r.passed and r.deviation == "2-cores are not the staircases"
+
+
 def test_golden_tables():
     assert verify_golden_tables().passed
 
@@ -1409,14 +1421,17 @@ def test_multiset_sweep_builds_two_bead_sets_per_class(monkeypatch):
     # the bead relations take that set and that coding and build the
     # conjugate's set once; the conjugate core takes both sides from that
     # visit: two class-top reads per conjugate class, not two per core, and
-    # one validation of the coding read per core
+    # one validation of the coding read per core.  Each bead set's closure
+    # is tested once, as its coding is read, and not again by the relations
     tally = count_calls(monkeypatch, [
         (coding, "bead_set"), (identities, "bead_set"), (coding, "_class_tops"),
-        (identities, "validate_coding"),
+        (identities, "validate_coding"), (coding, "_closed"),
     ])
     n, classes = len(enumerate_codings(3, 10)), 9
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {"bead_set": 2 * classes, "_class_tops": 2 * classes, "validate_coding": n}
+    assert tally == {
+        "bead_set": 2 * classes, "_class_tops": 2 * classes, "validate_coding": n, "_closed": 2 * classes,
+    }
     assert n == 14
 
 
@@ -1629,11 +1644,12 @@ def test_sweeps_fold_each_coding_once_and_build_each_abacus_once(monkeypatch):
     # the sweep tests bead sets, so it builds no abacus
     assert tally == {"_add_differences": n, "class_sorted_coding": n}
     assert tally["abacus_beads"] == 0
-    # the filter builds one abacus per partition of size <= 25 and tests
-    # t = 2 and t = 1..8 on it
+    # the filter builds one abacus per partition of size <= enum_size = 20,
+    # the sum of p(n) for n <= 20, and tests t = 1..8 on it; the staircases
+    # up to size 25 are checked on the coding route, with no abacus
     tally.clear()
     assert verify_classical_crosschecks(25, 8, 20).passed
-    assert tally == {"abacus_beads": 9296}
+    assert tally == {"abacus_beads": 2714}
 
 
 def test_render_tests_each_bead_row_and_column_once(monkeypatch):
