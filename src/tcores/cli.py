@@ -18,7 +18,7 @@ from .coding import (
     cores_from_codings,
 )
 from .exploded import ExplodedWindow, render
-from .halfint import HalfInt
+from .halfint import text
 from .partitions import InvalidPartitionError, Partition, enumerate_t_cores
 
 
@@ -60,13 +60,8 @@ VERIFY_FLAGS = (
 )
 
 
-def _half(tw: int) -> str:
-    """Text of a doubled bead value: "7" or "21/2"."""
-    return str(HalfInt(tw))
-
-
 def _join(twice) -> str:
-    return ",".join(map(_half, twice))
+    return ",".join(map(text, twice))
 
 
 def _core_map_data(partition: Partition, t: int) -> dict:
@@ -77,8 +72,8 @@ def _core_map_data(partition: Partition, t: int) -> dict:
         "t": t,
         "V": str(coding),
         "C": _join(beads.gaps()),
-        "M": _half(beads.top),
-        "m": _half(beads.ray_top),
+        "M": text(beads.top),
+        "m": text(beads.ray_top),
         "size_check": coding_size(coding),
     }
 
@@ -96,8 +91,8 @@ def _core_map_text(partition: Partition, t: int) -> str:
             ("W head", _join(own.head)),
             ("V", str(coding)),
             ("W+ head", _join(dagger)),
-            ("M", _half(own.top)),
-            ("m", _half(own.ray_top)),
+            ("M", text(own.top)),
+            ("m", text(own.ray_top)),
             ("C", _join(own.gaps())),
             ("size", str(coding_size(coding))),
         ]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .halfint import HalfInt
+from .halfint import HalfInt, text
 from .partitions import Partition, _trusted as _trusted_partition
 
 
@@ -107,7 +107,7 @@ class CoreCoding:
         return hash((self.t, self.twice))
 
     def __str__(self):
-        return ",".join(str(HalfInt(tw)) for tw in self.twice)
+        return ",".join(map(text, self.twice))
 
     def __repr__(self):
         return f"CoreCoding([{self}], t={self.t})"
@@ -354,8 +354,8 @@ def bead_relation_checks(partition: Partition, beads: BeadSet, coding: CoreCodin
     """Executable forms of the bead-set relations satisfied by a t-core,
     given with its bead set and the coding the caller has read off that set
     (its largest bead per class), so the coding is read once per core: the
-    two-sided ones of `_bead_relations`, and closure and zero sum, which
-    are one side's and which the multiset sweep tests as it reads a coding.
+    core's side of `_bead_relations`, and closure and zero sum, which are
+    one side's and which the multiset sweep tests as it reads a coding.
 
     ray_closure        every bead keeps its t-step predecessor in the set
     mirror_intersection coding = beads of the partition meeting the negated
@@ -367,7 +367,7 @@ def bead_relation_checks(partition: Partition, beads: BeadSet, coding: CoreCodin
     """
     conj = partition.conjugate()
     beads2 = bead_set(conj, beads.t)
-    relations = _bead_relations(beads, coding, beads2, _read_coding(conj, beads2))[0]
+    relations = next(_bead_relations(beads, coding, beads2, _read_coding(conj, beads2)))
     return {"ray_closure": _closed(beads), **relations, "zero_sum": sum(coding.twice) == 0}
 
 
@@ -377,9 +377,10 @@ def _conjugate_coding(coding: CoreCoding) -> CoreCoding:
 
 
 def _bead_relations(beads: BeadSet, coding: CoreCoding, beads2: BeadSet, coding2: CoreCoding):
-    """The two-sided relations of `bead_relation_checks` of a core, with its
-    bead set and coding, and of its conjugate, with beads2 and coding2, as
-    a pair of dicts: the conjugate side of each is the other.  Each side's
+    """The two-sided relations of `bead_relation_checks`, one side at a
+    time: a generator that yields those of the core with bead set `beads`
+    and coding `coding` and then, if resumed, those of its conjugate, with
+    beads2 and coding2, as the pair kernels of the sweeps do.  Each side's
     window [-M2, M1] or [-M1, M2] is read once, and the two cores'
     mirror_intersection and conjugate_negation are one statement each,
     negated, so each is read once: the conjugate's intersection is the
@@ -388,22 +389,14 @@ def _bead_relations(beads: BeadSet, coding: CoreCoding, beads2: BeadSet, coding2
     w2 = set(beads2.elements_down_to(-beads.top))
     meet = w1.intersection(map(operator.neg, w2))
     negation = coding2 == _conjugate_coding(coding)
-    return (
-        _side_relations(coding, w1, meet, beads2, negation),
-        _side_relations(coding2, w2, set(map(operator.neg, meet)), beads, negation),
-    )
-
-
-def _side_relations(coding, window, meet, other, negation) -> dict[str, bool]:
-    """The two-sided relations of one side: its window as a set, that
-    window's intersection `meet` with the negated window of the other side,
-    whose bead set is `other`, and the conjugate_negation statement."""
-    v = set(coding.twice)
-    return {
-        "mirror_intersection": meet == v,
-        "conjugate_negation": negation,
-        "dagger_complement": window - v == set(map(operator.neg, other.gaps())),
-    }
+    for window, side, other in ((w1, coding, beads2), (w2, coding2, beads)):
+        v = set(side.twice)
+        yield {
+            "mirror_intersection": meet == v,
+            "conjugate_negation": negation,
+            "dagger_complement": window - v == set(map(operator.neg, other.gaps())),
+        }
+        meet = set(map(operator.neg, meet))
 
 
 def enumerate_codings(t: int, max_size: int) -> list[CoreCoding]:
@@ -490,11 +483,14 @@ def _walk(t: int, max_size: int, leaf):
                 top[b_last] = y
                 # sum tw^2 = budget - rest, so the size formula reads
                 # max_size - rest/(8t): no sum of squares, and at most max_size;
-                # cannot fail, and if it did, `_size` on the entries raises
+                # cannot fail, and if it did, the walk stops with both sizes
                 rest = remaining_budget - x * x - y * y
                 drop, rem = divmod(rest, 8 * t)
                 if rem or drop > max_size:
-                    _size(top[tw0::2], t)
+                    raise NonIntegerSizeError(
+                        f"budget gave size {max_size - Fraction(rest, 8 * t)}, "
+                        f"size formula {_size(top[tw0::2], t)}"
+                    )
                 n = max_size - drop
                 if x < y:
                     leaf_lo = x if x < lo else lo

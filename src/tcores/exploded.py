@@ -23,7 +23,7 @@ from bisect import bisect_right
 from collections import Counter
 
 from .coding import BeadSet, _class_tops, _closed, bead_set
-from .halfint import HalfInt
+from .halfint import text
 from .partitions import Partition
 from .weights import WeightLedger, _trusted
 
@@ -246,8 +246,8 @@ def _region(entry: int, t: int) -> str:
 
 
 def _axis_label(value: int, marked: bool) -> str:
-    text = str(HalfInt(value))
-    return f"_{text}_" if marked else text
+    label = text(value)
+    return f"_{label}_" if marked else label
 
 
 def _entry_texts(window: ExplodedWindow, cell) -> list[str]:
@@ -283,7 +283,7 @@ def render_ascii(window: ExplodedWindow) -> str:
         label = _axis_label(ytw, ytw in v2).rjust(width) + "|"
         if ytw in beads2:
             row = texts[j:j + len(xs)]
-            label += "".join([text if bead else blank for text, bead in zip(row, on)]).rstrip()
+            label += "".join([cell if bead else blank for cell, bead in zip(row, on)]).rstrip()
         lines.append(label)
     return "\n".join(lines) + "\n"
 
@@ -330,12 +330,12 @@ def render_svg(window: ExplodedWindow) -> str:
     for xtw in xs:
         deco = ' text-decoration="underline"' if xtw in v1 else ""
         parts.append(
-            f'<text x="{px[xtw] + 6}" y="8" text-anchor="middle"{deco}>{HalfInt(xtw)}</text>'
+            f'<text x="{px[xtw] + 6}" y="8" text-anchor="middle"{deco}>{text(xtw)}</text>'
         )
     for ytw in ys:
         deco = ' text-decoration="underline"' if ytw in v2 else ""
         parts.append(
-            f'<text x="4" y="{py[ytw] + 8}" text-anchor="middle"{deco}>{HalfInt(ytw)}</text>'
+            f'<text x="4" y="{py[ytw] + 8}" text-anchor="middle"{deco}>{text(ytw)}</text>'
         )
     # boundary anti-diagonals x + y = t, 0, -t: in doubled coordinates the
     # line x + y = 2 level meets the window for x in [lo, hi], drawn if lo < hi

@@ -3,11 +3,17 @@
 Beads, coding entries and window coordinates lie in Z for odd t and in
 Z + 1/2 for even t.  In memory tcores holds each one as a plain int equal
 to twice its value, so sums, differences and congruences modulo t (doubled
-values modulo 2t) are integer operations.  `HalfInt` appears only where such
-a value is parsed from text ("7", "-3", "21/2") or printed back.
+values modulo 2t) are integer operations.  `text(twice)` prints such a value
+("7", "-3", "21/2"), and `HalfInt` appears only where one is parsed from
+text or handed to `CoreCoding` as a half.
 """
 
 from __future__ import annotations
+
+
+def text(twice: int) -> str:
+    """Text of the (half-)integer equal to twice/2: "7" or "21/2"."""
+    return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
 class HalfInt:
@@ -43,9 +49,7 @@ class HalfInt:
         return hash((HalfInt, self.twice))
 
     def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return text(self.twice)
 
     def __repr__(self):
         return f"HalfInt({self.twice})"

@@ -167,15 +167,15 @@ def _finish(identity, params, N, ring, deviation, t0, **details) -> Verification
     )
 
 
-def _sweep(identity, params, ring, t0, counter, items, check, conjugate=None) -> VerificationReport:
+def _sweep(identity, params, ring, t0, counter, items, kernel, conjugate=lambda item: item) -> VerificationReport:
     """Report of a sweep that checks each item and stops at the first that
     fails or raises, with the count of items checked (the failing one
     included) under `counter`.  An exception is that item's failure, named
     with its type, not an abort of the sweep or of the suite.  A sweep that
-    checked nothing fails too: it must not pass.  `check(item)` returns the
-    item's failure text or None; with `conjugate` it is a pair kernel, a
-    generator that yields that and then, if resumed, the failure text or
-    None of `conjugate(item)`.  When the item passes and its conjugate is
+    checked nothing fails too: it must not pass.  `kernel(item)` is a
+    generator that yields the item's failure text or None and then, if
+    resumed, that of `conjugate(item)`; without `conjugate` every item is
+    its own and yields once.  When the item passes and its conjugate is
     another item, the kernel is resumed at once, and that result waits
     under the conjugate until the sweep reaches it: each result is what
     checking its item alone gives, so order, texts and counts do not change."""
@@ -185,13 +185,11 @@ def _sweep(identity, params, ring, t0, counter, items, check, conjugate=None) ->
         checked += 1
         if item in held:
             failure = held.pop(item)
-        elif conjugate is None:
-            failure = _attempt(item, check, item)
         else:
-            pair = check(item)
-            failure = _attempt(item, next, pair)
+            results = kernel(item)
+            failure = _attempt(item, results)
             if failure is None and (other := conjugate(item)) != item:
-                held[other] = _attempt(other, next, pair)
+                held[other] = _attempt(other, results)
         if failure is not None:
             dev = failure
             break
@@ -200,11 +198,11 @@ def _sweep(identity, params, ring, t0, counter, items, check, conjugate=None) ->
     return _finish(identity, params, None, ring, dev, t0, **{counter: checked})
 
 
-def _attempt(item, step, *args):
-    """`step(*args)`, or, if it raises, the item's failure named with the
-    exception's type: a check that cannot finish fails its item."""
+def _attempt(item, results):
+    """The kernel's next result, or, if it raises, the item's failure named
+    with the exception's type: a check that cannot finish fails its item."""
     try:
-        return step(*args)
+        return next(results)
     except Exception as exc:
         return f"{item}: {type(exc).__name__}: {exc}"
 
@@ -249,26 +247,29 @@ def _multiset_pair(v, ledger_max_size: int):
     that bead set, and up to ledger_max_size the three exponent ledgers with
     both parity forms.  No cell is visited for a hook: the hook tallies come
     from beta numbers (`hook_tally`, `content_ledger`), and the parity folds
-    are compared as folds (`ParityFold.differing_parity`).  The conjugate
-    takes the first core's conjugate bead set and coding where its parts
-    are that conjugate's, both read their shared bead relations from one
-    `_bead_relations`, and, with one hook multiset, they share the hook
-    tally and the hook-shift ledger."""
+    are compared as folds (`ParityFold.differing_parity`).  A self-conjugate
+    core takes its own bead set and coding as its conjugate side.  The
+    second core is the first's mirror when its parts and its conjugate's
+    are the first's conjugate's and the first's: it then takes the first's
+    conjugate side as its own, the conjugate side of the first's
+    `_bead_relations`, and, with one hook multiset, the first's hook tally
+    and hook-shift ledger."""
     t = v.t
-    lam1 = conj1 = conj_side = relations = ledger = None  # the first core's, for the second
+    carried = None  # the first core's: its mirror's parts, conjugate side, relations, ledger
     for v in (v, _conjugate_coding(v)):
         try:
             lam = coding_to_core(v)
         except (InvalidCodingError, NonIntegerSizeError) as exc:
             yield f"coding {v}: {exc}"
             return
-        # the second core takes the first's conjugate side if it is that side
-        shared = conj1 is not None and lam.parts == conj1.parts
-        if shared:
-            beads, coding = conj_side
+        conj = lam.conjugate()
+        mirror = carried is not None and carried[0] == (lam.parts, conj.parts)
+        if mirror:
+            _, (beads, coding), relations, ledger = carried
         else:
             beads = bead_set(lam, t)
             coding = _read_coding(lam, beads)
+            ledger = None
         diag = validate_coding(coding)
         if not diag.valid:
             yield f"{lam}: produced coding invalid: {diag.messages}"
@@ -283,27 +284,25 @@ def _multiset_pair(v, ledger_max_size: int):
         if not is_content_coding_image(mu, t):
             yield f"{lam}: image characterization fails for {mu}"
             return
-        conj = lam.conjugate()
-        shared = shared and conj.parts == lam1.parts
-        if not shared:
-            conj_beads = bead_set(conj, t)
-            conj_side = conj_beads, _read_coding(conj, conj_beads)
+        if not mirror:
+            if conj.parts == lam.parts:
+                conj_side = beads, coding
+            else:
+                conj_beads = bead_set(conj, t)
+                conj_side = conj_beads, _read_coding(conj, conj_beads)
             relations = _bead_relations(beads, coding, *conj_side)
-            lam1, conj1 = lam, conj
-        # the first core's relations, or those of its conjugate side
-        bad = [k for k, ok in relations[shared].items() if not ok]
+        bad = [k for k, ok in next(relations).items() if not ok]
         if bad:
             yield f"{lam}: bead relations failed: {bad}"
             return
-        if lam.size > ledger_max_size:
+        # one hook tally, from the beta numbers, feeds beta and the ledger
+        if ledger is None and lam.size <= ledger_max_size:
+            hooks = hook_tally(lam.parts)
+            ledger = tuple(hooks.get(t - i, 0) for i in range(1, t)), hook_tally_shift_ledger(hooks, t)
+        carried = (conj.parts, lam.parts), conj_side, relations, ledger
+        if ledger is None:
             yield None
             continue
-        # one hook tally, from the beta numbers, feeds beta and the ledger;
-        # a core and its conjugate have one hook multiset and share it
-        if not shared:
-            hooks = hook_tally(lam.parts)
-            beta = tuple(hooks.get(t - i, 0) for i in range(1, t))
-            ledger = beta, hook_tally_shift_ledger(hooks, t)
         beta, lhs = ledger
         rhs = coding_difference_ledger(coding, beta)
         if lhs != rhs:
@@ -824,7 +823,7 @@ def verify_hook_content(max_size: int = 8, max_n: int = 5) -> VerificationReport
 
     def check(pair):
         lhs, rhs = hook_content_at(*pair, X, cache)
-        return f"{pair[0]} at n={pair[1]}" if lhs != rhs else None
+        yield f"{pair[0]} at n={pair[1]}" if lhs != rhs else None
 
     params = {"max_size": max_size, "max_n": max_n}
     return _sweep("hook-content", params, "QQ[p]", t0, "pairs_checked", pairs, check)

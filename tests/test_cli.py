@@ -95,6 +95,25 @@ def test_core_map_text_builds_one_bead_set_per_side(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("partition, t", [("8,4,3,2,2,1", "5"), ("8,5,4,1,1,1", "6")])
+def test_tables_print_without_building_a_halfint(capsys, monkeypatch, partition, t):
+    # the paper's Table 1 (whole values) and Table 2 (halves): every value
+    # is printed from its doubled int by `halfint.text`; HalfInt is only for
+    # parsing text and for coding input
+    from tcores.halfint import HalfInt
+
+    built = []
+    real = HalfInt.__init__
+    monkeypatch.setattr(HalfInt, "__init__", lambda self, twice: built.append(twice) or real(self, twice))
+    for argv in (
+        ("core-map", "--format", "text"), ("core-map", "--format", "json"),
+        ("explode", "--format", "text"), ("explode", "--format", "svg"),
+    ):
+        code, out, _ = run(capsys, *argv, "--partition", partition, "--t", t)
+        assert code == 0 and out and built == [], argv
+    assert str(HalfInt(21)) == "21/2" and built == [21]  # the counter does count
+
+
 def test_explode_golden(capsys):
     code, out, _ = run(capsys, "explode", "--partition", "1", "--t", "3")
     assert code == 0

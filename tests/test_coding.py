@@ -128,6 +128,21 @@ def relations(lam, beads):
     return bead_relation_checks(lam, beads, coding._class_tops(beads))
 
 
+def test_bead_relation_checks_read_one_sides_gaps(monkeypatch):
+    # the checks are the core's side of `_bead_relations`: its dagger
+    # relation reads the conjugate's gaps, and the conjugate's side, which
+    # would read the core's, is never resumed
+    calls = []
+    real = BeadSet.gaps
+    monkeypatch.setattr(BeadSet, "gaps", lambda beads: calls.append(beads) or real(beads))
+    for t in (3, 4):
+        for lam in enumerate_t_cores(t, 10):
+            calls.clear()
+            checks = relations(lam, bead_set(lam, t))
+            assert all(checks.values()) and len(calls) == 1, (t, lam)
+            assert calls[0].head == bead_set(lam.conjugate(), t).head
+
+
 def test_bead_relations_reject_a_non_core_conjugate():
     # (3) is not a 3-core, and the relations test its conjugate (1,1,1)
     with pytest.raises(NotACoreError, match=r"^1,1,1 has a hook length divisible by 3$"):

@@ -1416,22 +1416,21 @@ def test_sweeps_derive_each_cores_data_once(monkeypatch):
     assert tally["core_coding"] == tally["is_t_core"] == tally["hooks"] == 0
 
 
-def test_multiset_sweep_builds_two_bead_sets_per_class(monkeypatch):
+def test_multiset_sweep_builds_one_bead_set_per_core(monkeypatch):
     # the sweep builds the core's bead set and reads its coding off it, and
     # the bead relations take that set and that coding and build the
     # conjugate's set once; the conjugate core takes both sides from that
-    # visit: two class-top reads per conjugate class, not two per core, and
-    # one validation of the coding read per core.  Each bead set's closure
-    # is tested once, as its coding is read, and not again by the relations
+    # visit, and a self-conjugate core is its own conjugate side: one bead
+    # set and one class-top read per core, and one validation of the coding
+    # read per core.  Each bead set's closure is tested once, as its coding
+    # is read, and not again by the relations
     tally = count_calls(monkeypatch, [
         (coding, "bead_set"), (identities, "bead_set"), (coding, "_class_tops"),
         (identities, "validate_coding"), (coding, "_closed"),
     ])
-    n, classes = len(enumerate_codings(3, 10)), 9
+    n = len(enumerate_codings(3, 10))
     assert verify_multiset_formula(3, 10).passed
-    assert tally == {
-        "bead_set": 2 * classes, "_class_tops": 2 * classes, "validate_coding": n, "_closed": 2 * classes,
-    }
+    assert tally == {"bead_set": n, "_class_tops": n, "validate_coding": n, "_closed": n}
     assert n == 14
 
 
@@ -1526,7 +1525,7 @@ SECOND = (6, 2, -8)  # the doubled coding of (2, 1, 1)
 def alone(kernel, item, **params):
     """The failure text of a pair kernel's first item, named as a sweep
     names it: what a replay of that one item reports."""
-    return identities._attempt(item, next, kernel(item, **params))
+    return identities._attempt(item, kernel(item, **params))
 
 
 def test_multiset_formula_reports_a_failing_conjugate_at_its_turn(monkeypatch):
